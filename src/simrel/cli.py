@@ -114,7 +114,8 @@ def _verify_one(ks: KripkeStructure) -> tuple[int, int] | None:
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify(input_path, random_count, max_states, seed):
     """Check engine output against the brute-force reference."""
-    instances: list[tuple[str, KripkeStructure]] = []
+    # (name, structure, command that regenerates it or None)
+    instances: list[tuple[str, KripkeStructure, str | None]] = []
     if random_count is not None:
         if random_count < 1 or max_states < 1:
             click.echo("error: --random and --max-states must be positive", err=True)
@@ -124,16 +125,21 @@ def verify(input_path, random_count, max_states, seed):
             n = rng.randint(1, max_states)
             labels = rng.randint(1, 3)
             prob = rng.choice([0.1, 0.3, 0.6])
+            ks_seed = rng.randrange(2**32)
             instances.append(
-                (f"random[{i}]", generate_random_ks(n, labels, prob, rng.randrange(2**32)))
+                (
+                    f"random[{i}]",
+                    generate_random_ks(n, labels, prob, ks_seed),
+                    f"simrel generate random {n} {labels} {prob} --seed {ks_seed}",
+                )
             )
     elif input_path is not None:
-        instances.append((input_path, _load_ks(input_path)))
+        instances.append((input_path, _load_ks(input_path), None))
     else:
         click.echo("error: give a FILE or --random N", err=True)
         sys.exit(1)
 
-    for name, ks in instances:
+    for name, ks, replay in instances:
         if ks.num_states > ORACLE_STATE_CAP:
             click.echo(
                 f"error: {name}: {ks.num_states} states exceeds the "
@@ -144,7 +150,10 @@ def verify(input_path, random_count, max_states, seed):
         mismatch = _verify_one(ks)
         if mismatch is not None:
             s, t = mismatch
-            click.echo(f"FAIL {name}: first differing state pair ({s}, {t})")
+            line = f"FAIL {name}: first differing state pair ({s}, {t})"
+            if replay is not None:
+                line += f"; replay with: {replay}"
+            click.echo(line)
             sys.exit(3)
     click.echo(f"PASS: {len(instances)} instance(s) match the reference")
 

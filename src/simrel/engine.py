@@ -8,14 +8,15 @@ A run alternates two phases over a partition-relation pair:
 * relation stabilization prunes block pairs driven by per-block removal
   lists, chaining through counter decrements until no violation remains.
 
-Between splits, four tables are maintained incrementally: the block
-relation matrix, the edge-existence matrix, the counter matrix (updated
-by rescanning only the smaller half of each split pair), and the removal
-lists. Removal lists also absorb split fallout: a half that just lost its
-last counted successor block above some block c is logged into c's list,
-and list members that split are replaced by both halves. Without that
-fallout logging, pairs created mutually related by a split would never be
-pruned again.
+Between splits, four tables are maintained: the block relation matrix,
+the per-block predecessor block sets ``pre_e`` (the only record of which
+blocks have edges into which), the counter matrix (updated by rescanning
+only the smaller half of each split pair), and the removal lists.
+Removal lists also absorb split fallout: a half that just lost its last
+counted successor block above some block c is logged into c's list, and
+list members that split are replaced by both halves. Without that fallout
+logging, pairs created mutually related by a split would never be pruned
+again.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
 from .prcore import (
-    AuxTables,
     Block,
     PartitionRelationPair,
     SimulationResult,
+    SquareIntMatrix,
     add_block_entries,
     init_pr,
 )
@@ -74,7 +75,9 @@ class SimulationEngine:
         self.ks = ks
         self.cfg = cfg or EngineConfig()
         self.pr: PartitionRelationPair = init_pr(ks)
-        self.aux = AuxTables(len(self.pr.blocks))
+        # count[b][c]: blocks e with c related-below e that b has edges
+        # into, so count[b][c] == 0 tests "b reaches nothing above c" in O(1)
+        self.count = SquareIntMatrix(len(self.pr.blocks))
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -122,25 +125,24 @@ class SimulationEngine:
     # table initialization
 
     def initialize(self) -> None:
-        """Fill the edge-existence, predecessor, counter, and removal tables."""
-        pr, aux = self.pr, self.aux
-        self._rescan_bcount()
+        """Fill the predecessor, counter, and removal tables."""
+        pr = self.pr
         self.update_pre_e()
 
         rel = pr.rel.rows
-        cnt = aux.count.rows
+        cnt = self.count.rows
         nb = len(pr.blocks)
+        has_out = bytearray(nb)
         for d in pr.blocks:
             if not d.pre_e:
                 continue
             cols = [c for c in range(nb) if rel[c][d.index]]
             for b in d.pre_e:
+                has_out[b.index] = 1
                 row = cnt[b.index]
                 for c in cols:
                     row[c] += 1
 
-        bc = aux.bcount.rows
-        has_out = [any(bc[i]) for i in range(nb)]
         track = self.cfg.stats_enabled
         for c in pr.blocks:
             ci = c.index
@@ -177,11 +179,10 @@ class SimulationEngine:
             if self.cfg.stats_enabled:
                 self.stats.splits_total += len(split_list)
                 self.stats.new_blocks_total += 2 * len(split_list)
-            add_block_entries(self.pr, self.aux, [b.brother for b in split_list])
+            add_block_entries(self.pr, self.count, [b.brother for b in split_list])
             for f in split_list:
                 f.brother.anc = f.anc
             self.update_rel(split_list)
-            self.update_bcount(split_list)
             self.update_pre_e()
             self.update_count(split_list)
             self.update_rem(split_list)
@@ -208,7 +209,7 @@ class SimulationEngine:
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
-        cnt = self.aux.count.rows
+        cnt = self.count.rows
         for b in self.pr.blocks:
             row = cnt[b.index]
             for rep, blocks_reached in self.post_candidates(b):
@@ -229,17 +230,16 @@ class SimulationEngine:
         """
         blocks = self.pr.blocks
         states = self.pr.states
-        pos = self.pr.pos
+        state_block = self.pr.state_block
         succ = self.ks.succ
         touched: list[Block] = []
         class_states: dict[int, int] = {}
         class_blocks: dict[int, int] = {}
         order: list[int] = []
-        for p in range(b.begin, b.end):
-            s = states[p].state
+        for s in states[b.begin : b.end]:
             per_state: list[Block] = []
             for y in succ[s]:
-                c = states[pos[y]].block
+                c = state_block[y]
                 if not c.mark1:
                     c.mark1 = True
                     touched.append(c)
@@ -274,13 +274,12 @@ class SimulationEngine:
         first hit settles that state, no marking needed.
         """
         rel_row = self.pr.rel.rows[c.index]
-        states = self.pr.states
-        pos = self.pr.pos
+        state_block = self.pr.state_block
         succ = self.ks.succ
         out: list[int] = []
         for s in range(self.ks.num_states):
             for y in succ[s]:
-                if rel_row[states[pos[y]].block.index]:
+                if rel_row[state_block[y].index]:
                     out.append(s)
                     break
         return out
@@ -302,59 +301,18 @@ class SimulationEngine:
         for f in split_list:
             rel[f.brother.index][:] = rel[f.index]
 
-    def update_bcount(self, split_list: list[Block]) -> None:
-        """Make the edge-existence matrix exact for the new partition.
-
-        Only rows and columns of split halves can be stale (membership of
-        every other block is unchanged), so those are zeroed and the whole
-        transition relation is rescanned to set surviving 1 entries.
-        """
-        bc = self.aux.bcount.rows
-        nb = len(self.pr.blocks)
-        affected = []
-        for f in split_list:
-            affected.append(f.index)
-            affected.append(f.brother.index)
-        zero = bytes(nb)
-        for i in affected:
-            bc[i][:] = zero
-        for row in bc:
-            for j in affected:
-                row[j] = 0
-        self._rescan_bcount()
-
-    def _rescan_bcount(self) -> None:
-        bc = self.aux.bcount.rows
-        bidx = self.pr.block_index_map()
-        succ = self.ks.succ
-        for s in range(self.ks.num_states):
-            targets = succ[s]
-            if targets:
-                row = bc[bidx[s]]
-                for y in targets:
-                    row[bidx[y]] = 1
-
     def update_pre_e(self) -> None:
-        """Rebuild every block's duplicate-free predecessor block list."""
+        """Rebuild every block's predecessor block set, in first-edge order."""
         pr = self.pr
         succ = self.ks.succ
         states = pr.states
-        pos = pr.pos
+        state_block = pr.state_block
         for b in pr.blocks:
-            b.pre_e = []
+            b.pre_e = {}
         for b in pr.blocks:
-            for p in range(b.begin, b.end):
-                for y in succ[states[p].state]:
-                    states[pos[y]].block.pre_e.append(b)
-        for c in pr.blocks:
-            kept: list[Block] = []
-            for b in c.pre_e:
-                if not b.mark1:
-                    b.mark1 = True
-                    kept.append(b)
-            for b in kept:
-                b.mark1 = False
-            c.pre_e = kept
+            for s in states[b.begin : b.end]:
+                for y in succ[s]:
+                    state_block[y].pre_e[b] = None
 
     def update_count(self, split_list: list[Block]) -> None:
         """Make the counter matrix exact for the new partition.
@@ -370,12 +328,11 @@ class SimulationEngine:
         states lost their last edge into c's upward closure by losing their
         sibling states.
         """
-        pr, aux = self.pr, self.aux
+        pr = self.pr
         blocks = pr.blocks
         nb = len(blocks)
-        cnt = aux.count.rows
+        cnt = self.count.rows
         rel = pr.rel.rows
-        bc = aux.bcount.rows
         track = self.cfg.stats_enabled
         stats = self.stats
 
@@ -410,22 +367,20 @@ class SimulationEngine:
             small_ids.add(x.index)
 
         states = pr.states
-        pos = pr.pos
+        state_block = pr.state_block
         succ = self.ks.succ
         for x, z in pairs:
             xr = cnt[x.index]
             for c in range(nb):
                 xr[c] = 0
             zr = cnt[z.index]
-            bz = bc[z.index]
             touched: list[Block] = []
             fam_touched: list[Block] = []
-            for p in range(x.begin, x.end):
-                s = states[p].state
+            for s in states[x.begin : x.end]:
                 if track:
                     stats.smaller_half_state_scans[s] += 1
                 for y in succ[s]:
-                    v = states[pos[y]].block
+                    v = state_block[y]
                     if v.mark1:
                         continue
                     v.mark1 = True
@@ -439,9 +394,9 @@ class SimulationEngine:
                         rep.mark2 = True
                         fam_touched.append(rep)
                         if rep.intersection is False:
-                            lost = bz[rep.index] == 0 and bz[rep.brother.index] == 0
+                            lost = z not in rep.pre_e and z not in rep.brother.pre_e
                         else:
-                            lost = bz[rep.index] == 0
+                            lost = z not in rep.pre_e
                         if lost:
                             ri = rep.index
                             for c in range(nb):
@@ -455,11 +410,11 @@ class SimulationEngine:
             # rows with edges into both halves now count two blocks where
             # the copied parent value counted one; rescanned rows excluded
             xi = x.index
-            zi = z.index
+            z_pre = z.pre_e
             for d in x.pre_e:
                 if d.index in small_ids:
                     continue
-                if bc[d.index][zi]:
+                if d in z_pre:
                     dr = cnt[d.index]
                     for c in range(nb):
                         if rel[c][xi]:
@@ -507,10 +462,10 @@ class SimulationEngine:
         On exit the relation is antisymmetric again: split-created mutual
         pairs always carry a logged witness, so one direction gets pruned.
         """
-        pr, aux = self.pr, self.aux
+        pr = self.pr
         blocks = pr.blocks
         rel = pr.rel.rows
-        cnt = aux.count.rows
+        cnt = self.count.rows
         track = self.cfg.stats_enabled
         full = self.cfg.full
         pending = [b.remove for b in blocks]
@@ -570,13 +525,13 @@ class SimulationEngine:
                 raise InvariantViolation(f"empty live block {b}")
             covered += b.size
             for p in range(b.begin, b.end):
-                node = pr.states[p]
-                if node.block is not b:
+                s = pr.states[p]
+                if pr.state_block[s] is not b:
                     raise InvariantViolation("segment and block pointer disagree")
-                if seen[node.state]:
+                if seen[s]:
                     raise InvariantViolation("state appears twice")
-                seen[node.state] = 1
-                if pr.pos[node.state] != p:
+                seen[s] = 1
+                if pr.pos[s] != p:
                     raise InvariantViolation("position index stale")
         if covered != n:
             raise InvariantViolation("segments do not cover the state ordering")
@@ -587,12 +542,27 @@ class SimulationEngine:
             if len({d.index for d in b.remove}) != len(b.remove):
                 raise InvariantViolation("removal list holds duplicates")
 
+    def _edge_rows(self) -> list[bytearray]:
+        """Edge-existence matrix read off ``pre_e``: [b][c] is 1 iff b in c.pre_e.
+
+        Transient, for the full checks only: one P^2 build per call keeps
+        the row-wise comparisons as cheap as a maintained matrix would.
+        """
+        nb = len(self.pr.blocks)
+        rows = [bytearray(nb) for _ in range(nb)]
+        for c in self.pr.blocks:
+            ci = c.index
+            for b in c.pre_e:
+                rows[b.index][ci] = 1
+        return rows
+
     def _check_tables(self) -> None:
-        """Full check: both aux tables equal their from-scratch recomputation."""
+        """Full check: ``pre_e`` and the counters equal their from-scratch
+        recomputation."""
         bc_ref, cnt_ref = recompute_tables(self.ks, self.pr)
         nb = len(self.pr.blocks)
-        bc = self.aux.bcount.rows
-        cnt = self.aux.count.rows
+        bc = self._edge_rows()
+        cnt = self.count.rows
         for i in range(nb):
             if bytearray(bc_ref[i]) != bc[i]:
                 raise InvariantViolation(f"edge-existence row {i} stale")
@@ -620,8 +590,8 @@ class SimulationEngine:
     def _check_remove_invariant(self, entry_rel) -> None:
         """Round invariant: fresh lists hold exactly the blocks that could
         reach c's upward closure at round entry but no longer can."""
-        pr, aux = self.pr, self.aux
-        bc = aux.bcount.rows
+        pr = self.pr
+        bc = self._edge_rows()
         nb = len(pr.blocks)
         rel = pr.rel.rows
         for c in pr.blocks:
@@ -645,11 +615,11 @@ class SimulationEngine:
 def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
     """From-scratch edge-existence and counter tables for the current pair.
 
-    Independent of the incrementally maintained tables; used as the oracle
-    for counter exactness.
+    Independent of the maintained ``pre_e`` sets and counters; used as the
+    oracle for their exactness.
     """
     nb = len(pr.blocks)
-    bidx = pr.block_index_map()
+    bidx = [b.index for b in pr.state_block]
     bc = [[0] * nb for _ in range(nb)]
     for s in range(ks.num_states):
         for y in ks.succ[s]:

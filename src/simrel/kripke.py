@@ -6,7 +6,8 @@ Text format (UTF-8, line oriented)::
     label <id> <atom> [<atom> ...]  # omitted states have an empty label
     trans <src> <dst>
 
-``#`` starts a comment anywhere on a line; blank lines are ignored.
+``#`` starts a comment anywhere on a line; blank lines are ignored. The
+header may declare at most :data:`MAX_STATES` states.
 Duplicate ``trans`` lines are deduplicated silently (the transition
 relation is a set). Multiple ``label`` lines for the same state merge
 their atom sets.
@@ -17,6 +18,10 @@ from __future__ import annotations
 import random
 import sys
 from typing import Iterable
+
+# largest state count a ``states`` header may declare; parsing allocates
+# per declared state, so a larger header is refused before anything else
+MAX_STATES = 2**22
 
 
 class KSFormatError(ValueError):
@@ -127,6 +132,10 @@ def parse_ks(text: str | Iterable[str]) -> KripkeStructure:
             num_states = want_int(tokens[1], "state count", line_no)
             if num_states < 0:
                 raise KSFormatError("state count must be non-negative", line_no)
+            if num_states > MAX_STATES:
+                raise KSFormatError(
+                    f"state count {num_states} exceeds the limit of {MAX_STATES}", line_no
+                )
             continue
         if kind == "states":
             raise KSFormatError("duplicate 'states' header", line_no)

@@ -1,11 +1,13 @@
 """Mutable partition-relation state shared by the refinement engine.
 
-The state set is kept as one ordered array in which every live block owns
-a contiguous segment ``[begin, end)``. Moving a state between a block and
-its freshly created brother is a single swap at the segment boundary, so a
-split costs O(splitter size). Block ids index into resizable square
-matrices (block relation, edge-existence table, counter table); ids are
-never recycled, the tables only grow.
+The state set is kept as one ordered array of state ids in which every
+live block owns a contiguous segment ``[begin, end)``; ``pos`` maps a
+state back to its position and ``state_block`` to its block. Moving a
+state between a block and its freshly created brother is a single swap at
+the segment boundary, so a split costs O(splitter size). Block ids index
+into resizable square matrices (the block relation here, the engine's
+counter table); ids are never recycled, the matrices only grow. Which
+blocks have edges into which is recorded once, in each block's ``pre_e``.
 """
 
 from __future__ import annotations
@@ -16,26 +18,16 @@ from typing import Iterable
 from .kripke import KripkeStructure, initial_label_partition
 
 
-class StateNode:
-    """One slot of the global state ordering."""
-
-    __slots__ = ("state", "block", "mark")
-
-    def __init__(self, state: int, block: "Block"):
-        self.state = state
-        self.block = block
-        self.mark = False
-
-
 class Block:
     """A live partition block: a segment of the state ordering plus scratch.
 
     ``intersection``/``brother`` describe the most recent split pass:
     ``False`` marks the half that kept the states outside the splitter
     (old id), ``True`` the half inside it (new id), ``None`` an untouched
-    block. They stay valid until the next split call. ``count`` is a
-    scratch counter, ``mark1``/``mark2`` scratch flags; every user clears
-    what it sets.
+    block. They stay valid until the next split call. ``pre_e`` holds, in
+    first-edge order, every block with a transition into this one; its
+    values are unused. ``count`` is a scratch counter, ``mark1``/``mark2``
+    scratch flags; every user clears what it sets.
     """
 
     __slots__ = (
@@ -59,7 +51,7 @@ class Block:
         self.count = 0
         self.intersection: bool | None = None
         self.brother: Block | None = None
-        self.pre_e: list[Block] = []
+        self.pre_e: dict[Block, None] = {}
         self.remove: list[Block] = []
         self.mark1 = False
         self.mark2 = False
@@ -122,22 +114,6 @@ class SquareIntMatrix:
         self.rows.append([0] * (len(self.rows) + 1))
 
 
-class AuxTables:
-    """Incremental bookkeeping: edge existence and counted successor blocks.
-
-    ``bcount[b][c]`` is 1 iff some state of block b has a transition into
-    block c. ``count[b][c]`` is the number of blocks e with c related-below
-    e and b having a transition into e, so ``count[b][c] == 0`` tests "b
-    has no transition into the union of blocks above c" in O(1).
-    """
-
-    __slots__ = ("bcount", "count")
-
-    def __init__(self, n: int):
-        self.bcount = SquareBitMatrix(n)
-        self.count = SquareIntMatrix(n)
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Immutable final partition plus the partial order on its blocks.
@@ -181,16 +157,18 @@ class PartitionRelationPair:
     """The engine's mutable core: segmented state ordering, block table,
     and the block relation matrix.
 
-    Every entry of ``blocks`` is live: brothers that would not survive a
-    split are never registered, so the table doubles as the live list in
-    creation order.
+    ``states[p]`` is the state at position p, ``pos`` its inverse, and
+    ``state_block[s]`` the block owning state s. Every entry of ``blocks``
+    is live: brothers that would not survive a split are never
+    registered, so the table doubles as the live list in creation order.
     """
 
-    __slots__ = ("states", "pos", "blocks", "rel")
+    __slots__ = ("states", "pos", "state_block", "blocks", "rel")
 
-    def __init__(self, states, pos, blocks, rel):
-        self.states: list[StateNode] = states
+    def __init__(self, states, pos, state_block, blocks, rel):
+        self.states: list[int] = states
         self.pos: list[int] = pos
+        self.state_block: list[Block] = state_block
         self.blocks: list[Block] = blocks
         self.rel = rel
 
@@ -199,17 +177,10 @@ class PartitionRelationPair:
         return len(self.states)
 
     def block_of(self, state: int) -> Block:
-        return self.states[self.pos[state]].block
+        return self.state_block[state]
 
     def block_states(self, block: Block) -> list[int]:
-        return [self.states[p].state for p in range(block.begin, block.end)]
-
-    def block_index_map(self) -> list[int]:
-        """state id -> current block index, as a flat list."""
-        out = [0] * len(self.states)
-        for node in self.states:
-            out[node.state] = node.block.index
-        return out
+        return self.states[block.begin : block.end]
 
     def up_set_states(self, block: Block) -> set[int]:
         """Union of the segments of all blocks that ``block`` relates into."""
@@ -234,9 +205,10 @@ class PartitionRelationPair:
             b.brother = None
 
         splitter = list(splitter)
+        state_block = self.state_block
         touched: list[Block] = []
         for s in splitter:
-            b = self.states[self.pos[s]].block
+            b = state_block[s]
             if not b.mark1:
                 b.mark1 = True
                 b.count = 0
@@ -250,8 +222,7 @@ class PartitionRelationPair:
         states = self.states
         pos = self.pos
         for s in splitter:
-            node = states[pos[s]]
-            b = node.block
+            b = state_block[s]
             if b.count == -1:
                 continue
             if b.intersection is None:
@@ -267,12 +238,12 @@ class PartitionRelationPair:
             q = b.end - 1
             if p != q:
                 other = states[q]
-                states[p], states[q] = other, node
+                states[p], states[q] = other, s
                 pos[s] = q
-                pos[other.state] = p
+                pos[other] = p
             b.end -= 1
             brother.begin -= 1
-            node.block = brother
+            state_block[s] = brother
 
         for b in touched:
             b.mark1 = False
@@ -297,26 +268,29 @@ def init_pr(ks: KripkeStructure) -> PartitionRelationPair:
     created in smallest-member order.
     """
     blocks: list[Block] = []
-    states: list[StateNode] = []
+    states: list[int] = []
     pos = [0] * ks.num_states
+    state_block: list[Block] = [None] * ks.num_states
     for members in initial_label_partition(ks):
         b = Block(len(blocks), len(states), len(states) + len(members))
         blocks.append(b)
         for s in members:
             pos[s] = len(states)
-            states.append(StateNode(s, b))
+            states.append(s)
+            state_block[s] = b
     rel = SquareBitMatrix(len(blocks))
     for b in blocks:
         rel.rows[b.index][b.index] = 1
-    return PartitionRelationPair(states, pos, blocks, rel)
+    return PartitionRelationPair(states, pos, state_block, blocks, rel)
 
 
-def add_block_entries(pr: PartitionRelationPair, aux: AuxTables, new_blocks) -> None:
-    """Grow the relation and both aux matrices by one entry per new block.
+def add_block_entries(
+    pr: PartitionRelationPair, count: SquareIntMatrix, new_blocks
+) -> None:
+    """Grow the relation and the counter matrix by one entry per new block.
 
     New cells start at zero; the engine's update passes fill them.
     """
     for _ in new_blocks:
         pr.rel.add_entry()
-        aux.bcount.add_entry()
-        aux.count.add_entry()
+        count.add_entry()

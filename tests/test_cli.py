@@ -5,11 +5,17 @@ from click.testing import CliRunner
 
 import simrel.cli as cli_mod
 from simrel.cli import main
-from simrel.kripke import parse_ks
+from simrel.kripke import MAX_STATES, parse_ks
 from simrel.prcore import SimulationResult
 
 KS_A_TEXT = "states 3\nlabel 0 a\nlabel 1 a\nlabel 2 b\ntrans 0 2\ntrans 1 2\ntrans 2 2\n"
 KS_B_TEXT = "states 2\nlabel 0 a\nlabel 1 a\ntrans 0 0\n"
+
+
+def claim_all_equivalent(ks, cfg=None):
+    """A corrupted engine: every state simulates every other."""
+    result = SimulationResult((tuple(range(ks.num_states)),), ((True,),))
+    return result, None
 
 
 @pytest.fixture
@@ -53,6 +59,13 @@ class TestCompute:
         out = runner.invoke(main, ["compute", str(bad)])
         assert out.exit_code == 1
         assert "line 2" in out.output
+
+    def test_state_count_above_cap(self, runner, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text(f"states {MAX_STATES + 1}\n")
+        out = runner.invoke(main, ["compute", str(huge)])
+        assert out.exit_code == 1
+        assert "line 1" in out.output
 
     def test_stats_flag(self, runner, ks_files):
         out = runner.invoke(main, ["compute", "--stats", ks_files["b"]])
@@ -106,17 +119,25 @@ class TestVerify:
         assert out.exit_code == 1
 
     def test_mutation_detected(self, runner, ks_files, monkeypatch):
-        # corrupt the engine in-process: claim everything is equivalent
-        def broken(ks, cfg=None):
-            result = SimulationResult(
-                (tuple(range(ks.num_states)),), ((True,),)
-            )
-            return result, None
-
-        monkeypatch.setattr(cli_mod, "compute_simulation", broken)
+        monkeypatch.setattr(cli_mod, "compute_simulation", claim_all_equivalent)
         out = runner.invoke(main, ["verify", ks_files["a"]])
         assert out.exit_code == 3
         assert "differing state pair" in out.output
+
+    def test_random_failure_prints_replay(self, runner, monkeypatch):
+        # the FAIL line must regenerate the instance it failed on
+        monkeypatch.setattr(cli_mod, "compute_simulation", claim_all_equivalent)
+        out = runner.invoke(main, ["verify", "--random", "20", "--seed", "5"])
+        assert out.exit_code == 3
+        line = out.output.strip().splitlines()[-1]
+        assert line.startswith("FAIL random[")
+        pair = line.split("state pair ", 1)[1].split(";", 1)[0]
+        command = line.split("replay with: ", 1)[1].split()
+        assert command[:3] == ["simrel", "generate", "random"]
+        replayed = runner.invoke(main, command[1:])
+        assert replayed.exit_code == 0
+        s, t = cli_mod._verify_one(parse_ks(replayed.output))
+        assert pair == f"({s}, {t})"
 
 
 class TestGenerate:

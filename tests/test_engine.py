@@ -43,11 +43,10 @@ def run_one_split_round(eng):
     assert split_list
     from simrel.prcore import add_block_entries
 
-    add_block_entries(eng.pr, eng.aux, [b.brother for b in split_list])
+    add_block_entries(eng.pr, eng.count, [b.brother for b in split_list])
     for f in split_list:
         f.brother.anc = f.anc
     eng.update_rel(split_list)
-    eng.update_bcount(split_list)
     eng.update_pre_e()
     eng.update_count(split_list)
     eng.update_rem(split_list)
@@ -57,25 +56,22 @@ def run_one_split_round(eng):
 class TestInitialize:
     def test_no_transitions(self):
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
-        assert all(not any(row) for row in eng.aux.bcount.rows)
-        assert all(not any(row) for row in eng.aux.count.rows)
+        assert all(not b.pre_e for b in eng.pr.blocks)
+        assert all(not any(row) for row in eng.count.rows)
         assert all(b.remove == [] for b in eng.pr.blocks)
 
     def test_sink_structure_edge_matrix(self, ks_a):
         eng = engine_after_initialize(ks_a)
         b_pair = eng.pr.block_of(0)
         b_sink = eng.pr.block_of(2)
-        bc = eng.aux.bcount.rows
-        assert bc[b_pair.index][b_sink.index] == 1
-        assert bc[b_sink.index][b_sink.index] == 1
-        assert bc[b_pair.index][b_pair.index] == 0
-        assert bc[b_sink.index][b_pair.index] == 0
+        assert list(b_sink.pre_e) == [b_pair, b_sink]
+        assert b_pair.pre_e == {}
 
     def test_count_equals_existence_under_identity(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        for i in range(2):
-            for j in range(2):
-                assert eng.aux.count.rows[i][j] == eng.aux.bcount.rows[i][j]
+        for b in eng.pr.blocks:
+            for c in eng.pr.blocks:
+                assert eng.count.rows[b.index][c.index] == (b in c.pre_e)
 
     def test_remove_lists_per_definition(self):
         # block with edges but none into a target's closure gets listed
@@ -162,11 +158,6 @@ class TestPreUpSet:
         # up-set of block a is now {0, 1}; only 0 has an edge into it
         assert eng.pre_up_set(b_a) == [0]
 
-    def test_marks_cleared(self, ks_a):
-        eng = engine_after_initialize(ks_a)
-        eng.pre_up_set(eng.pr.block_of(2))
-        assert all(not node.mark for node in eng.pr.states)
-
     def test_no_duplicates(self):
         ks = build_ks("aa", [(0, 0), (0, 1), (1, 0)])
         eng = engine_after_initialize(ks)
@@ -207,7 +198,7 @@ class TestUpdateAfterSplit:
         split_list = eng.pr.split([1])
         from simrel.prcore import add_block_entries
 
-        add_block_entries(eng.pr, eng.aux, [b.brother for b in split_list])
+        add_block_entries(eng.pr, eng.count, [b.brother for b in split_list])
         eng.update_rel(split_list)
         rel = eng.pr.rel.rows
         for half in (split_list[0], split_list[0].brother):
@@ -217,20 +208,21 @@ class TestUpdateAfterSplit:
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
         bc_ref, _ = recompute_tables(eng.ks, eng.pr)
-        for i, row in enumerate(bc_ref):
-            assert bytearray(row) == eng.aux.bcount.rows[i]
+        for b in eng.pr.blocks:
+            for c in eng.pr.blocks:
+                assert bc_ref[b.index][c.index] == (b in c.pre_e)
 
     def test_counts_after_first_split(self, ks_b):
         # from-scratch recomputation fixes the expected entries
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
         _, cnt_ref = recompute_tables(eng.ks, eng.pr)
-        assert [list(r) for r in eng.aux.count.rows] == cnt_ref
+        assert [list(r) for r in eng.count.rows] == cnt_ref
         live = eng.pr.block_of(0)
         dead = eng.pr.block_of(1)
-        assert eng.aux.count.rows[live.index][live.index] == 1
-        assert eng.aux.count.rows[dead.index][live.index] == 0
-        assert eng.aux.count.rows[dead.index][dead.index] == 0
+        assert eng.count.rows[live.index][live.index] == 1
+        assert eng.count.rows[dead.index][live.index] == 0
+        assert eng.count.rows[dead.index][dead.index] == 0
 
     def test_pre_e_rebuilt(self, ks_b):
         eng = engine_after_initialize(ks_b)
@@ -238,7 +230,7 @@ class TestUpdateAfterSplit:
         live = eng.pr.block_of(0)
         dead = eng.pr.block_of(1)
         assert [x.index for x in live.pre_e] == [live.index]
-        assert dead.pre_e == []
+        assert dead.pre_e == {}
 
     def test_update_rem_copies_independently(self):
         ks = build_ks("aab", [(0, 2)])
@@ -295,6 +287,16 @@ class TestRStabilize:
         dead = result.partition.index((1, 2))
         assert result.leq[dead][mover] is True
         assert result.leq[mover][dead] is False
+
+
+class TestFullChecks:
+    def test_stale_edge_set_detected(self, ks_a):
+        eng = engine_after_initialize(ks_a)
+        eng._check_tables()
+        victim = next(b for b in eng.pr.blocks if b.pre_e)
+        del victim.pre_e[next(iter(victim.pre_e))]
+        with pytest.raises(InvariantViolation, match="edge-existence"):
+            eng._check_tables()
 
 
 class TestSimulationCheck:
@@ -404,3 +406,47 @@ class TestDriver:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(check_level="paranoid")
+
+
+def renamed(ks, perm):
+    """``ks`` with state s renamed to perm[s]."""
+    n = ks.num_states
+    labels = {perm[s]: ks.labels[s] for s in range(n)}
+    succ = {perm[s]: [perm[t] for t in ks.succ[s]] for s in range(n)}
+    return KripkeStructure(n, labels, succ)
+
+
+def with_copy_of(ks, orig):
+    """``ks`` plus a fresh last state with the label and successors of ``orig``."""
+    n = ks.num_states
+    labels = dict(enumerate(ks.labels))
+    labels[n] = ks.labels[orig]
+    succ = dict(enumerate(ks.succ))
+    succ[n] = ks.succ[orig]
+    return KripkeStructure(n + 1, labels, succ)
+
+
+class TestEngineProperties:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_renaming_states_renames_the_preorder(self, data):
+        ks = data.draw(random_ks())
+        n = ks.num_states
+        perm = data.draw(st.permutations(range(n)))
+        base = compute_simulation(ks, FULL)[0].state_matrix()
+        moved = compute_simulation(renamed(ks, perm), FULL)[0].state_matrix()
+        for s in range(n):
+            for t in range(n):
+                assert moved[perm[s]][perm[t]] == base[s][t]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fresh_copy_is_equivalent_to_its_original(self, data):
+        ks = data.draw(random_ks())
+        n = ks.num_states
+        orig = data.draw(st.integers(0, n - 1))
+        base = compute_simulation(ks, FULL)[0].state_matrix()
+        grown = compute_simulation(with_copy_of(ks, orig), FULL)[0].state_matrix()
+        assert grown[orig][n] == grown[n][orig] == 1
+        # nothing reaches the copy, so the old states' preorder is unchanged
+        assert [row[:n] for row in grown[:n]] == base

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simrel.kripke import (
+    MAX_STATES,
     KripkeStructure,
     KSFormatError,
     generate_random_ks,
@@ -49,6 +50,15 @@ class TestParse:
     def test_error_carries_line_number(self):
         with pytest.raises(KSFormatError, match="line 3"):
             parse_ks("states 2\nlabel 0 a\ntrans 0\n")
+
+    def test_state_count_above_cap_refused(self):
+        with pytest.raises(KSFormatError, match="line 1: .*exceeds the limit"):
+            parse_ks(f"states {MAX_STATES + 1}\n")
+
+    def test_state_count_at_cap_accepted(self):
+        # the header passes; the bad line 2 stops parsing before allocation
+        with pytest.raises(KSFormatError, match="line 2"):
+            parse_ks(f"states {MAX_STATES}\ntrans 0\n")
 
     def test_comments_and_blanks(self):
         ks = parse_ks("# intro\nstates 2\n\ntrans 0 1  # edge\n")

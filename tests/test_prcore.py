@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from simrel.engine import EngineConfig, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
-from simrel.prcore import AuxTables, add_block_entries, init_pr
+from simrel.prcore import SquareIntMatrix, add_block_entries, init_pr
 
 from .conftest import build_ks
 
@@ -34,7 +34,7 @@ class TestInitPr:
         for b in pr.blocks:
             assert b.intersection is None
             assert b.brother is None
-            assert b.pre_e == [] and b.remove == []
+            assert b.pre_e == {} and b.remove == []
             assert not b.mark1 and not b.mark2
 
 
@@ -90,51 +90,49 @@ class TestSplit:
         for b in pr.blocks:
             assert b.size == b.end - b.begin > 0
             for p in range(b.begin, b.end):
-                node = pr.states[p]
-                assert node.block is b
-                assert pr.pos[node.state] == p
+                s = pr.states[p]
+                assert pr.state_block[s] is b
+                assert pr.pos[s] == p
 
 
 class TestMatrices:
     def test_no_new_blocks_no_change(self):
         pr = init_pr(build_ks("ab", []))
-        aux = AuxTables(2)
-        add_block_entries(pr, aux, [])
-        assert pr.rel.dim == 2 and aux.bcount.dim == 2 and aux.count.dim == 2
+        count = SquareIntMatrix(2)
+        add_block_entries(pr, count, [])
+        assert pr.rel.dim == 2 and count.dim == 2
 
     def test_growth_per_block(self):
         pr = init_pr(build_ks("ab", []))
-        aux = AuxTables(2)
         out = pr.split([0])
         # block 'a' is a singleton: splitter covers it entirely, no split
         assert out == []
         pr2 = init_pr(build_ks("aab", []))
-        aux2 = AuxTables(2)
+        count2 = SquareIntMatrix(2)
         out2 = pr2.split([0])
-        add_block_entries(pr2, aux2, [b.brother for b in out2])
+        add_block_entries(pr2, count2, [b.brother for b in out2])
         assert pr2.rel.dim == 3
-        assert aux2.bcount.dim == 3
-        assert aux2.count.dim == 3
+        assert count2.dim == 3
 
     def test_dimension_tracks_cumulative_splits(self):
         pr = init_pr(build_ks("aaaa", []))
-        aux = AuxTables(1)
+        count = SquareIntMatrix(1)
         for splitter in ([0], [1]):
             out = pr.split(splitter)
-            add_block_entries(pr, aux, [b.brother for b in out])
+            add_block_entries(pr, count, [b.brother for b in out])
         assert pr.rel.dim == 1 + 2
-        assert aux.count.dim == 3
+        assert count.dim == 3
 
     def test_old_entries_untouched(self):
         pr = init_pr(build_ks("aab", []))
-        aux = AuxTables(2)
+        count = SquareIntMatrix(2)
         pr.rel.rows[0][1] = 1
-        aux.count.rows[1][0] = 5
+        count.rows[1][0] = 5
         out = pr.split([0])
-        add_block_entries(pr, aux, [b.brother for b in out])
+        add_block_entries(pr, count, [b.brother for b in out])
         assert pr.rel.rows[0][1] == 1
-        assert aux.count.rows[1][0] == 5
-        assert aux.count.rows[2] == [0, 0, 0]
+        assert count.rows[1][0] == 5
+        assert count.rows[2] == [0, 0, 0]
 
 
 class TestUpSet:
