@@ -11,17 +11,39 @@ A run alternates two phases over a partition-relation pair:
 Between splits, four tables are maintained: the block relation matrix,
 the per-block predecessor block sets ``pre_e`` (the only record of which
 blocks have edges into which), the counter matrix (updated by rescanning
-only the smaller half of each split pair), and the removal lists.
-Removal lists also absorb split fallout: a half that just lost its last
-counted successor block above some block c is logged into c's list, and
-list members that split are replaced by both halves. Without that fallout
-logging, pairs created mutually related by a split would never be pruned
-again.
+only the smaller half of each split pair), and the removal lists, with
+their inverse ``listed_in`` per block. Removal lists also absorb split
+fallout: a half that just lost its last counted successor block above
+some block c is logged into c's list, and list members that split are
+joined by their new halves, in exactly the lists ``listed_in`` names.
+Without that fallout logging, pairs created mutually related by a split
+would never be pruned again.
+
+The refiner search does not rescan every block. A block *hosts* a
+refiner when ``post_candidates`` yields a qualifying class for it, which
+depends only on the block's counter row, its successor blocks and their
+ancestor classes. A min-heap of block ids (the worklist, with a
+``queued`` flag per block) holds every block whose hosting may have
+changed since it was last found clean; popping the smallest id keeps the
+first-hit-in-index-order rule of a full scan. Four rules queue blocks:
+
+1. ``initialize`` queues every block;
+2. after a split, ``update_count`` queues both halves and every block in
+   either half's ``pre_e``, the only rows it changes;
+3. ``rstabilize`` queues ``d.pre_e`` for every pruned pair ``(pred, d)``,
+   the rows it decrements;
+4. when ``pstabilize`` resets the ancestor classes, it queues the
+   ``pre_e`` of every block in a class of more than one block.
+
+The terminal refiner search in ``run`` queues every block first, so it
+stays a full scan and a worklist that missed a block fails loudly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
@@ -78,6 +100,9 @@ class SimulationEngine:
         # count[b][c]: blocks e with c related-below e that b has edges
         # into, so count[b][c] == 0 tests "b reaches nothing above c" in O(1)
         self.count = SquareIntMatrix(len(self.pr.blocks))
+        # min-heap of the ids of queued blocks: those that may host a
+        # refiner; every block off the heap is known not to
+        self.worklist: list[int] = []
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -108,7 +133,8 @@ class SimulationEngine:
                 ):
                     raise InvariantViolation("no progress between driver iterations")
                 prev_shape = shape
-        # terminal certification: one refiner search on the stable pair
+        # terminal certification: one full refiner search on the stable pair
+        self._queue(self.pr.blocks)
         if self.find_prefiner() is not None:
             raise InvariantViolation("pair not partition stable at exit")
         if self.cfg.stats_enabled:
@@ -120,6 +146,14 @@ class SimulationEngine:
 
     def _shape(self) -> tuple[int, int]:
         return (len(self.pr.blocks), self.pr.rel.pair_count())
+
+    def _queue(self, blocks) -> None:
+        """Put every block not yet on the refiner worklist onto it."""
+        heap = self.worklist
+        for b in blocks:
+            if not b.queued:
+                b.queued = True
+                heappush(heap, b.index)
 
     # ------------------------------------------------------------------
     # table initialization
@@ -149,8 +183,10 @@ class SimulationEngine:
             for d in pr.blocks:
                 if has_out[d.index] and cnt[d.index][ci] == 0:
                     c.remove.append(d)
+                    d.listed_in.append(c)
                     if track:
                         self.stats.remove_elements_total += 1
+        self._queue(pr.blocks)
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -165,7 +201,14 @@ class SimulationEngine:
         Returns True iff the partition did not change at all, which then
         certifies joint stability to the driver.
         """
-        for b in self.pr.blocks:
+        blocks = self.pr.blocks
+        # a class of several blocks falls apart into singletons: the hosting
+        # of every block reaching into it may change
+        class_size = Counter(b.anc for b in blocks)
+        for b in blocks:
+            if class_size[b.anc] > 1:
+                self._queue(b.pre_e)
+        for b in blocks:
             b.anc = b.index
         any_split = False
         while True:
@@ -206,15 +249,39 @@ class SimulationEngine:
         states with an edge into the class, a proper nonempty cut. On a
         partial order, classes are singletons and the test degenerates to
         the counter equalling one.
+
+        Only blocks on the worklist are searched, smallest id first, which
+        finds what a scan of every block in index order would: a block off
+        the worklist hosts no refiner (see the module docstring for the
+        four rules that keep this true). A host stays queued, since the
+        split it causes changes it; a clean block is popped. Under the full
+        check level an empty search is confirmed by scanning every block.
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
-        cnt = self.count.rows
-        for b in self.pr.blocks:
-            row = cnt[b.index]
-            for rep, blocks_reached in self.post_candidates(b):
-                if row[rep.index] == blocks_reached:
-                    return rep
+        blocks = self.pr.blocks
+        heap = self.worklist
+        while heap:
+            b = blocks[heap[0]]
+            rep = self._hosted_refiner(b)
+            if rep is not None:
+                return rep
+            heappop(heap)
+            b.queued = False
+        if self.cfg.full:
+            for b in blocks:
+                if self._hosted_refiner(b) is not None:
+                    raise InvariantViolation(
+                        f"refiner worklist missed block {b.index}"
+                    )
+        return None
+
+    def _hosted_refiner(self, b: Block) -> Block | None:
+        """The first qualifying candidate class of b, or None."""
+        row = self.count.rows[b.index]
+        for rep, blocks_reached in self.post_candidates(b):
+            if row[rep.index] == blocks_reached:
+                return rep
         return None
 
     def post_candidates(self, b: Block) -> list[tuple[Block, int]]:
@@ -337,14 +404,13 @@ class SimulationEngine:
         stats = self.stats
 
         # removal-list members that split now stand for both halves
-        for blk in blocks:
-            lst = blk.remove
-            if lst:
-                extra = [m.brother for m in lst if m.intersection is False]
-                if extra:
-                    lst.extend(extra)
-                    if track:
-                        stats.remove_elements_total += len(extra)
+        for f in split_list:
+            brother = f.brother
+            for owner in f.listed_in:
+                owner.remove.append(brother)
+            brother.listed_in.extend(f.listed_in)
+            if track:
+                stats.remove_elements_total += len(f.listed_in)
 
         new_ids = {f.brother.index for f in split_list}
         for f in split_list:
@@ -428,8 +494,15 @@ class SimulationEngine:
                 for c in range(nb):
                     if hr[c] == 0 and old[c] != 0:
                         blocks[c].remove.append(h)
+                        h.listed_in.append(blocks[c])
                         if track:
                             stats.remove_elements_total += 1
+
+        # every changed row: the halves' and those of their predecessors
+        for f in split_list:
+            self._queue((f, f.brother))
+            self._queue(f.pre_e)
+            self._queue(f.brother.pre_e)
 
         if self.cfg.cheap:
             for row in cnt:
@@ -438,10 +511,21 @@ class SimulationEngine:
                         raise InvariantViolation("counter out of range")
 
     def update_rem(self, split_list: list[Block]) -> None:
-        """New halves start with an independent copy of their brother's list."""
+        """New halves start with an independent copy of their brother's list.
+
+        The copy replaces the entries ``update_count`` just logged into the
+        new half's list. Those are in the brother's list too, since the two
+        halves' counter columns are equal, so they come back with the copy
+        and keep their ``listed_in`` entries.
+        """
         track = self.cfg.stats_enabled
         for f in split_list:
-            f.brother.remove = list(f.remove)
+            brother = f.brother
+            logged = set(brother.remove)
+            brother.remove = list(f.remove)
+            for m in brother.remove:
+                if m not in logged:
+                    m.listed_in.append(brother)
             if track:
                 self.stats.remove_elements_total += len(f.remove)
 
@@ -471,6 +555,7 @@ class SimulationEngine:
         pending = [b.remove for b in blocks]
         for b in blocks:
             b.remove = []
+            b.listed_in = []
         entry_rel = pr.rel.copy_rows() if full else None
         removed = False
         for sel in blocks:
@@ -494,11 +579,13 @@ class SimulationEngine:
                     removed = True
                     if track:
                         self.stats.pairs_removed_total += 1
+                    self._queue(d.pre_e)
                     for f in d.pre_e:
                         fr = cnt[f.index]
                         fr[pi] -= 1
                         if fr[pi] == 0:
                             pred.remove.append(f)
+                            f.listed_in.append(pred)
                             if track:
                                 self.stats.remove_elements_total += 1
                         elif full and fr[pi] < 0:
@@ -558,9 +645,10 @@ class SimulationEngine:
 
     def _check_tables(self) -> None:
         """Full check: ``pre_e`` and the counters equal their from-scratch
-        recomputation."""
+        recomputation, and ``listed_in`` inverts the removal lists."""
         bc_ref, cnt_ref = recompute_tables(self.ks, self.pr)
-        nb = len(self.pr.blocks)
+        blocks = self.pr.blocks
+        nb = len(blocks)
         bc = self._edge_rows()
         cnt = self.count.rows
         for i in range(nb):
@@ -568,6 +656,15 @@ class SimulationEngine:
                 raise InvariantViolation(f"edge-existence row {i} stale")
             if cnt_ref[i] != cnt[i]:
                 raise InvariantViolation(f"counter row {i} stale")
+        holders = [[] for _ in range(nb)]
+        for c in blocks:
+            for d in c.remove:
+                holders[d.index].append(c.index)
+        for d in blocks:
+            if sorted(c.index for c in d.listed_in) != sorted(holders[d.index]):
+                raise InvariantViolation(
+                    f"listed_in of block {d.index} does not invert the removal lists"
+                )
 
     def _check_order(self, require_antisymmetric: bool) -> None:
         rel = self.pr.rel.rows

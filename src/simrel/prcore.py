@@ -13,6 +13,7 @@ blocks have edges into which is recorded once, in each block's ``pre_e``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .kripke import KripkeStructure, initial_label_partition
@@ -26,8 +27,11 @@ class Block:
     (old id), ``True`` the half inside it (new id), ``None`` an untouched
     block. They stay valid until the next split call. ``pre_e`` holds, in
     first-edge order, every block with a transition into this one; its
-    values are unused. ``count`` is a scratch counter, ``mark1``/``mark2``
-    scratch flags; every user clears what it sets.
+    values are unused. ``remove`` is the block's removal list and
+    ``listed_in`` its inverse: the blocks whose removal list holds this
+    one. ``queued`` is set while the block sits on the engine's refiner
+    worklist. ``count`` is a scratch counter, ``mark1``/``mark2`` scratch
+    flags; every user clears what it sets.
     """
 
     __slots__ = (
@@ -39,6 +43,8 @@ class Block:
         "brother",
         "pre_e",
         "remove",
+        "listed_in",
+        "queued",
         "mark1",
         "mark2",
         "anc",
@@ -53,6 +59,8 @@ class Block:
         self.brother: Block | None = None
         self.pre_e: dict[Block, None] = {}
         self.remove: list[Block] = []
+        self.listed_in: list[Block] = []
+        self.queued = False
         self.mark1 = False
         self.mark2 = False
         # id of this block's ancestor at the start of the current partition
@@ -255,9 +263,13 @@ class PartitionRelationPair:
         ordered = sorted(self.blocks, key=lambda b: min(self.block_states(b)))
         partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
         rows = self.rel.rows
-        leq = tuple(
-            tuple(bool(rows[b.index][c.index]) for c in ordered) for b in ordered
-        )
+        idx = [b.index for b in ordered]
+        if len(idx) > 1:
+            get = itemgetter(*idx)
+            leq = tuple(tuple(map(bool, get(rows[i]))) for i in idx)
+        else:
+            # an itemgetter of one index returns a scalar, not a tuple
+            leq = tuple((bool(rows[i][i]),) for i in idx)
         return SimulationResult(partition, leq)
 
 

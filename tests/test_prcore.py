@@ -34,7 +34,8 @@ class TestInitPr:
         for b in pr.blocks:
             assert b.intersection is None
             assert b.brother is None
-            assert b.pre_e == {} and b.remove == []
+            assert b.pre_e == {} and b.remove == [] and b.listed_in == []
+            assert not b.queued
             assert not b.mark1 and not b.mark2
 
 
