@@ -62,7 +62,7 @@ def _report_text(result, stats) -> str:
 
 def _report_json(result, stats) -> str:
     doc = {
-        "partition": [list(b) for b in result.partition],
+        "partition": result.partition,
         "order": [list(p) for p in result.order_pairs()],
         "stats": stats.to_dict() if stats is not None else None,
     }

@@ -12,14 +12,16 @@ Between splits, four tables are maintained: the block relation matrix,
 the per-block predecessor block sets ``pre_e`` (the only record of which
 blocks have edges into which), the counter matrix (updated by rescanning
 only the smaller half of each split pair), and the removal lists, with
-their inverse ``listed_in`` per block. After a split, ``inherit`` gives
-each new half a copy of its parent's entry in every table: its row and
-column in the relation and the counters, its ancestor class, a place in
-exactly the removal lists ``listed_in`` names, and a copy of the
-parent's own removal list. ``update_count`` then corrects the counters
-and logs every half that just lost its last counted successor block
-above some block c into c's list. Without that logging, pairs created
-mutually related by a split would never be pruned again.
+their inverse ``listed_in`` per block. ``split`` returns one
+``(kept, new)`` pair per block it cuts, and the pairs are passed on:
+``inherit`` gives each new half a copy of its parent's entry in every
+table (its row and column in the relation and the counters, its
+ancestor class, a place in exactly the removal lists ``listed_in``
+names, and a copy of the parent's own removal list), and
+``update_count`` then corrects the counters and logs every half that
+just lost its last counted successor block above some block c into c's
+list. Without that logging, pairs created mutually related by a split
+would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
@@ -144,7 +146,7 @@ class SimulationEngine:
         return result, self.stats
 
     def _shape(self) -> tuple[int, int]:
-        return (len(self.pr.blocks), self.pr.rel.pair_count())
+        return (len(self.pr.blocks), sum(map(sum, self.pr.rel)))
 
     def _queue(self, blocks) -> None:
         """Put every block not yet on the refiner worklist onto it."""
@@ -162,7 +164,7 @@ class SimulationEngine:
         pr = self.pr
         self.update_pre_e()
 
-        rel = pr.rel.rows
+        rel = pr.rel
         cnt = self.count
         nb = len(pr.blocks)
         has_out = bytearray(nb)
@@ -214,16 +216,15 @@ class SimulationEngine:
             refiner = self.find_prefiner()
             if refiner is None:
                 break
-            splitter = self.pre_up_set(refiner)
-            split_list = self.pr.split(splitter)
-            if self.cfg.full and not split_list:
+            pairs = self.pr.split(self.pre_up_set(refiner))
+            if self.cfg.full and not pairs:
                 raise InvariantViolation("refiner produced no split")
             if self.cfg.stats_enabled:
-                self.stats.splits_total += len(split_list)
-                self.stats.new_blocks_total += 2 * len(split_list)
-            self.inherit(split_list)
+                self.stats.splits_total += len(pairs)
+                self.stats.new_blocks_total += 2 * len(pairs)
+            self.inherit(pairs)
             self.update_pre_e()
-            self.update_count(split_list)
+            self.update_count(pairs)
             any_split = True
             if self.cfg.cheap:
                 self._check_structure()
@@ -282,52 +283,36 @@ class SimulationEngine:
     def post_candidates(self, b: Block) -> list[tuple[Block, int]]:
         """Ancestor classes k reached by b with 0 < |b n pre(union k)| < |b|.
 
-        One pass over b's outgoing transitions. mark1 tracks the first
-        touch of each successor block (to count distinct class members
-        reached), mark2 on the class representative dedups one state's
-        hits so each state contributes at most once per class. On exit
-        every representative's scratch counter holds |b n pre(union of
-        its class)|, all marks are clear, and each candidate is returned
-        with its number of reached member blocks.
+        One pass over b's outgoing transitions, with local tables only: a
+        set of the successor blocks seen so far counts the distinct member
+        blocks of each class that b reaches, and the last state counted
+        for each class makes each state count at most once per class. Each
+        candidate is returned as its representative block (the one whose
+        id is the class's ancestor id) with its number of reached member
+        blocks, in the order in which b's transitions first reach the
+        classes.
         """
         blocks = self.pr.blocks
-        states = self.pr.states
         state_block = self.pr.state_block
         succ = self.ks.succ
-        touched: list[Block] = []
+        seen: set[Block] = set()
+        class_blocks: dict[int, int] = {}  # first-touch order of classes
         class_states: dict[int, int] = {}
-        class_blocks: dict[int, int] = {}
-        order: list[int] = []
-        for s in states[b.begin : b.end]:
-            per_state: list[Block] = []
+        counted_for: dict[int, int] = {}
+        for s in self.pr.states[b.begin : b.end]:
             for y in succ[s]:
                 c = state_block[y]
-                if not c.mark1:
-                    c.mark1 = True
-                    touched.append(c)
-                    n = class_blocks.get(c.anc)
-                    if n is None:
-                        class_blocks[c.anc] = 1
-                        order.append(c.anc)
-                    else:
-                        class_blocks[c.anc] = n + 1
-                rep = blocks[c.anc]
-                if not rep.mark2:
-                    rep.mark2 = True
-                    per_state.append(rep)
-                    class_states[c.anc] = class_states.get(c.anc, 0) + 1
-            for rep in per_state:
-                rep.mark2 = False
-        for c in touched:
-            c.mark1 = False
+                a = c.anc
+                if c not in seen:
+                    seen.add(c)
+                    class_blocks[a] = class_blocks.get(a, 0) + 1
+                if counted_for.get(a) != s:
+                    counted_for[a] = s
+                    class_states[a] = class_states.get(a, 0) + 1
         size = b.size
-        out = []
-        for anc in order:
-            rep = blocks[anc]
-            rep.count = class_states[anc]
-            if 0 < rep.count < size:
-                out.append((rep, class_blocks[anc]))
-        return out
+        return [
+            (blocks[a], n) for a, n in class_blocks.items() if class_states[a] < size
+        ]
 
     def pre_up_set(self, c: Block) -> list[int]:
         """Duplicate-free list of states with an edge into c's upward closure.
@@ -335,7 +320,7 @@ class SimulationEngine:
         One pass over all transitions; scanning per source state means the
         first hit settles that state, no marking needed.
         """
-        rel_row = self.pr.rel.rows[c.index]
+        rel_row = self.pr.rel[c.index]
         state_block = self.pr.state_block
         succ = self.ks.succ
         out: list[int] = []
@@ -349,41 +334,40 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # incremental table updates after a split
 
-    def inherit(self, split_list: list[Block]) -> None:
+    def inherit(self, pairs: list[tuple[Block, Block]]) -> None:
         """Give every new half a copy of its parent's entry in every table.
 
-        The new half ``f.brother`` gets its parent's row and column in the
-        relation and the counters, its parent's ancestor class, a place in
-        every removal list that holds its parent, and a copy of its
-        parent's removal list. ``split`` numbers the new halves in the
-        order of ``split_list``, so appending in that order puts each row
-        and column at its half's id. The lists are copied after the places
-        are made, so a copied list already holds the new halves of its
-        split members. ``update_count`` then corrects the counters.
+        For each ``(kept, new)`` pair from ``split``, ``new`` gets the row
+        and column of ``kept`` (its parent's, unchanged by the split) in
+        the relation and the counters, its ancestor class, a place in
+        every removal list that holds it, and a copy of its removal list.
+        ``split`` numbers the new halves in pair order, so appending in
+        that order puts each row and column at its half's id. The lists
+        are copied after the places are made, so a copied list already
+        holds the new halves of its split members. ``update_count`` then
+        corrects the counters.
         """
-        parents = [f.index for f in split_list]
-        for rows in (self.pr.rel.rows, self.count):
+        parents = [kept.index for kept, _ in pairs]
+        for rows in (self.pr.rel, self.count):
             for row in rows:
                 for i in parents:
                     row.append(row[i])
             for i in parents:
                 rows.append(rows[i][:])
         track = self.cfg.stats_enabled
-        for f in split_list:
-            brother = f.brother
-            brother.anc = f.anc
-            for owner in f.listed_in:
-                owner.remove.append(brother)
-            brother.listed_in = list(f.listed_in)
+        for kept, new in pairs:
+            new.anc = kept.anc
+            for owner in kept.listed_in:
+                owner.remove.append(new)
+            new.listed_in = list(kept.listed_in)
             if track:
-                self.stats.remove_elements_total += len(f.listed_in)
-        for f in split_list:
-            brother = f.brother
-            brother.remove = list(f.remove)
-            for m in f.remove:
-                m.listed_in.append(brother)
+                self.stats.remove_elements_total += len(kept.listed_in)
+        for kept, new in pairs:
+            new.remove = list(kept.remove)
+            for m in kept.remove:
+                m.listed_in.append(new)
             if track:
-                self.stats.remove_elements_total += len(f.remove)
+                self.stats.remove_elements_total += len(kept.remove)
 
     def update_pre_e(self) -> None:
         """Rebuild every block's predecessor block set, in first-edge order."""
@@ -398,114 +382,98 @@ class SimulationEngine:
                 for y in succ[s]:
                     state_block[y].pre_e[b] = None
 
-    def update_count(self, split_list: list[Block]) -> None:
+    def update_count(self, pairs: list[tuple[Block, Block]]) -> None:
         """Make the counter matrix exact for the new partition.
 
-        ``inherit`` gave every half its parent's row and column. Per split
-        pair the smaller half X is now rescanned from scratch while the
-        larger half Z is adjusted: one decrement per successor *family* (a
-        split pair counts as one family, matching the granularity of the
-        inherited parent value) that Z no longer reaches, and one increment
-        for any other non-rescanned row with edges into both halves. Finally
-        every half whose counter just dropped to zero against some block c
-        is logged into c's removal list; these are exactly the blocks whose
-        states lost their last edge into c's upward closure by losing their
-        sibling states. The two halves of a split block have equal columns,
-        so such a half is logged into both halves' lists.
+        ``inherit`` gave every half its parent's row and column. Per
+        ``(kept, new)`` pair the smaller half X is now rescanned from
+        scratch while the larger half Z is adjusted: one decrement per
+        successor *family* (both halves of a pair count as one family,
+        matching the granularity of the inherited parent value) that Z no
+        longer reaches, and one increment for any other non-rescanned row
+        with edges into both halves. A successor block's family is found
+        through two maps built from the pairs, ``new -> kept`` and
+        ``kept -> new``. Finally every half whose counter just dropped to
+        zero against some block c is logged into c's removal list; these
+        are exactly the blocks whose states lost their last edge into c's
+        upward closure by losing their sibling states. The two halves of a
+        split block have equal columns, so such a half is logged into both
+        halves' lists.
         """
         pr = self.pr
         blocks = pr.blocks
         nb = len(blocks)
         cnt = self.count
-        rel = pr.rel.rows
+        rel = pr.rel
         track = self.cfg.stats_enabled
         stats = self.stats
+        new_of = dict(pairs)
+        kept_of = {new: kept for kept, new in pairs}
 
-        snapshot = {}
-        pairs: list[tuple[Block, Block]] = []
-        small_ids = set()
-        for f in split_list:
-            for h in (f, f.brother):
-                snapshot[h.index] = list(cnt[h.index])
-            x, z = (f, f.brother) if f.size <= f.brother.size else (f.brother, f)
-            pairs.append((x, z))
-            small_ids.add(x.index)
+        snapshot = {h: list(cnt[h.index]) for pair in pairs for h in pair}
+        small = [
+            (kept, new) if kept.size <= new.size else (new, kept)
+            for kept, new in pairs
+        ]
+        small_halves = {x for x, _ in small}
 
         states = pr.states
         state_block = pr.state_block
         succ = self.ks.succ
-        for x, z in pairs:
+        for x, z in small:
             xr = cnt[x.index]
             for c in range(nb):
                 xr[c] = 0
             zr = cnt[z.index]
-            touched: list[Block] = []
-            fam_touched: list[Block] = []
-            for s in states[x.begin : x.end]:
-                if track:
+            x_states = states[x.begin : x.end]
+            if track:
+                for s in x_states:
                     stats.smaller_half_state_scans[s] += 1
-                for y in succ[s]:
-                    v = state_block[y]
-                    if v.mark1:
-                        continue
-                    v.mark1 = True
-                    touched.append(v)
-                    vi = v.index
-                    for c in range(nb):
-                        if rel[c][vi]:
-                            xr[c] += 1
-                    rep = v.brother if v.intersection is True else v
-                    if not rep.mark2:
-                        rep.mark2 = True
-                        fam_touched.append(rep)
-                        if rep.intersection is False:
-                            lost = z not in rep.pre_e and z not in rep.brother.pre_e
-                        else:
-                            lost = z not in rep.pre_e
-                        if lost:
-                            ri = rep.index
-                            for c in range(nb):
-                                if rel[c][ri]:
-                                    zr[c] -= 1
-            for v in touched:
-                v.mark1 = False
-            for r in fam_touched:
-                r.mark2 = False
+            reached = {state_block[y] for s in x_states for y in succ[s]}
+            for v in reached:
+                vi = v.index
+                for c in range(nb):
+                    if rel[c][vi]:
+                        xr[c] += 1
+            for rep in {kept_of.get(v, v) for v in reached}:
+                new = new_of.get(rep)
+                if z in rep.pre_e or (new is not None and z in new.pre_e):
+                    continue
+                ri = rep.index
+                for c in range(nb):
+                    if rel[c][ri]:
+                        zr[c] -= 1
 
             # rows with edges into both halves now count two blocks where
             # the copied parent value counted one; rescanned rows excluded
             xi = x.index
             z_pre = z.pre_e
             for d in x.pre_e:
-                if d.index in small_ids:
-                    continue
-                if d in z_pre:
+                if d in z_pre and d not in small_halves:
                     dr = cnt[d.index]
                     for c in range(nb):
                         if rel[c][xi]:
                             dr[c] += 1
 
         # log halves that just lost their last counted block above some c
-        for f in split_list:
-            for h in (f, f.brother):
-                hr = cnt[h.index]
-                old = snapshot[h.index]
-                for c in range(nb):
-                    if hr[c] == 0 and old[c] != 0:
-                        blocks[c].remove.append(h)
-                        h.listed_in.append(blocks[c])
-                        if track:
-                            stats.remove_elements_total += 1
+        for h, old in snapshot.items():
+            hr = cnt[h.index]
+            for c in range(nb):
+                if hr[c] == 0 and old[c] != 0:
+                    blocks[c].remove.append(h)
+                    h.listed_in.append(blocks[c])
+                    if track:
+                        stats.remove_elements_total += 1
 
         # every changed row: the halves' and those of their predecessors
-        for f in split_list:
-            self._queue((f, f.brother))
-            self._queue(f.pre_e)
-            self._queue(f.brother.pre_e)
+        for kept, new in pairs:
+            self._queue((kept, new))
+            self._queue(kept.pre_e)
+            self._queue(new.pre_e)
 
         if self.cfg.cheap:
-            for f in split_list:
-                for b in (f, f.brother, *f.pre_e, *f.brother.pre_e):
+            for kept, new in pairs:
+                for b in (kept, new, *kept.pre_e, *new.pre_e):
                     row = cnt[b.index]
                     if min(row) < 0 or max(row) > nb:
                         raise InvariantViolation("counter out of range")
@@ -529,7 +497,7 @@ class SimulationEngine:
         """
         pr = self.pr
         blocks = pr.blocks
-        rel = pr.rel.rows
+        rel = pr.rel
         cnt = self.count
         track = self.cfg.stats_enabled
         full = self.cfg.full
@@ -537,7 +505,7 @@ class SimulationEngine:
         for b in blocks:
             b.remove = []
             b.listed_in = []
-        entry_rel = pr.rel.copy_rows() if full else None
+        entry_rel = [bytearray(row) for row in rel] if full else None
         removed = False
         for sel in blocks:
             dropped = pending[sel.index]
@@ -603,7 +571,7 @@ class SimulationEngine:
                     raise InvariantViolation("position index stale")
         if covered != n:
             raise InvariantViolation("segments do not cover the state ordering")
-        rel = pr.rel.rows
+        rel = pr.rel
         for b in pr.blocks:
             if not rel[b.index][b.index]:
                 raise InvariantViolation("relation lost reflexivity")
@@ -648,7 +616,7 @@ class SimulationEngine:
                 )
 
     def _check_order(self, require_antisymmetric: bool) -> None:
-        rel = self.pr.rel.rows
+        rel = self.pr.rel
         nb = len(self.pr.blocks)
         for i in range(nb):
             if not rel[i][i]:
@@ -671,7 +639,7 @@ class SimulationEngine:
         pr = self.pr
         bc = self._edge_rows()
         nb = len(pr.blocks)
-        rel = pr.rel.rows
+        rel = pr.rel
         for c in pr.blocks:
             ci = c.index
             expected = set()
@@ -702,7 +670,7 @@ def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
     for s in range(ks.num_states):
         for y in ks.succ[s]:
             bc[bidx[s]][bidx[y]] = 1
-    rel = pr.rel.rows
+    rel = pr.rel
     cnt = [[0] * nb for _ in range(nb)]
     for b in range(nb):
         row = bc[b]
@@ -723,7 +691,7 @@ def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bo
     edges; a verification oracle, not a hot path.
     """
     blocks = pr.blocks
-    rel = pr.rel.rows
+    rel = pr.rel
     members = {b.index: pr.block_states(b) for b in blocks}
 
     for b in blocks:

@@ -19,8 +19,9 @@ import random
 import sys
 from typing import Iterable
 
-# largest state count a ``states`` header may declare; parsing allocates
-# per declared state, so a larger header is refused before anything else
+# largest state count a ``states`` header may declare or a generator may
+# build; both allocate per state, so a larger count is refused before
+# anything else
 MAX_STATES = 2**22
 
 
@@ -195,6 +196,12 @@ def pre_of(ks: KripkeStructure, target: Iterable[int]) -> set[int]:
     }
 
 
+def _check_cap(n_states: int) -> None:
+    """Refuse a generated structure above MAX_STATES before building it."""
+    if n_states > MAX_STATES:
+        raise ValueError(f"state count {n_states} exceeds the limit of {MAX_STATES}")
+
+
 def generate_random_ks(
     n_states: int, n_labels: int, edge_prob: float, seed: int
 ) -> KripkeStructure:
@@ -207,6 +214,7 @@ def generate_random_ks(
     """
     if n_states < 1 or n_labels < 1:
         raise ValueError("n_states and n_labels must be at least 1")
+    _check_cap(n_states)
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = random.Random(seed)
@@ -223,6 +231,7 @@ def make_chain(n: int) -> KripkeStructure:
     """Unlabeled path 0 -> 1 -> ... -> n-1."""
     if n < 1:
         raise ValueError("chain needs at least 1 state")
+    _check_cap(n)
     return KripkeStructure(n, {}, {s: [s + 1] for s in range(n - 1)})
 
 
@@ -230,7 +239,11 @@ def make_tree(depth: int, branching: int) -> KripkeStructure:
     """Unlabeled complete tree with `depth` edge levels, level-order ids."""
     if depth < 0 or branching < 1:
         raise ValueError("tree needs depth >= 0 and branching >= 1")
-    total = sum(branching**k for k in range(depth + 1))
+    total = level = 1
+    for _ in range(depth):
+        level *= branching
+        total += level
+        _check_cap(total)
     succ: dict[int, list[int]] = {}
     for node in range(total):
         first = branching * node + 1
@@ -244,4 +257,5 @@ def make_clique(n: int) -> KripkeStructure:
     """Unlabeled complete digraph on n states, self loops included."""
     if n < 1:
         raise ValueError("clique needs at least 1 state")
+    _check_cap(n)
     return KripkeStructure(n, {}, {s: list(range(n)) for s in range(n)})

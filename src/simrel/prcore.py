@@ -2,17 +2,21 @@
 
 The state set is kept as one ordered array of state ids in which every
 live block owns a contiguous segment ``[begin, end)``; ``pos`` maps a
-state back to its position and ``state_block`` to its block. Moving a
-state between a block and its freshly created brother is a single swap at
-the segment boundary, so a split costs O(splitter size). Block ids index
-into square matrices (the block relation here, the engine's counter
-table); ids are never recycled, and the engine grows the matrices by
-copying a split block's row and column for its new half. Which blocks
-have edges into which is recorded once, in each block's ``pre_e``.
+state back to its position and ``state_block`` to its block. ``split``
+cuts each block the splitter meets properly into a ``(kept, new)`` pair
+and returns the pairs: moving a state into its block's new half is a
+single swap at the segment boundary, so a split costs O(splitter size)
+and touches no other block. Block ids index into square matrices (the
+block relation ``rel`` here, a list of bytearray rows, and the engine's
+counter table); ids are never recycled, and the engine grows the
+matrices by copying each kept half's row and column for its new half.
+Which blocks have edges into which is recorded once, in each block's
+``pre_e``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
@@ -21,49 +25,29 @@ from .kripke import KripkeStructure, initial_label_partition
 
 
 class Block:
-    """A live partition block: a segment of the state ordering plus scratch.
+    """A live partition block: a segment of the state ordering plus its
+    per-block tables.
 
-    ``intersection``/``brother`` describe the most recent split pass:
-    ``False`` marks the half that kept the states outside the splitter
-    (old id), ``True`` the half inside it (new id), ``None`` an untouched
-    block. They stay valid until the next split call. ``pre_e`` holds, in
-    first-edge order, every block with a transition into this one; its
-    values are unused. ``remove`` is the block's removal list and
-    ``listed_in`` its inverse: the blocks whose removal list holds this
-    one. ``queued`` is set while the block sits on the engine's refiner
-    worklist. ``count`` is a scratch counter, ``mark1``/``mark2`` scratch
-    flags; every user clears what it sets.
+    ``index`` is the block's id, its row and column in the square
+    matrices, and ``[begin, end)`` its segment of the state ordering.
+    ``pre_e`` holds, in first-edge order, every block with a transition
+    into this one; its values are unused. ``remove`` is the block's
+    removal list and ``listed_in`` its inverse: the blocks whose removal
+    list holds this one. ``queued`` is set while the block sits on the
+    engine's refiner worklist, and ``anc`` names its ancestor class. A
+    block keeps no split-time scratch: ``split`` returns its pairs.
     """
 
-    __slots__ = (
-        "index",
-        "begin",
-        "end",
-        "count",
-        "intersection",
-        "brother",
-        "pre_e",
-        "remove",
-        "listed_in",
-        "queued",
-        "mark1",
-        "mark2",
-        "anc",
-    )
+    __slots__ = ("index", "begin", "end", "pre_e", "remove", "listed_in", "queued", "anc")
 
     def __init__(self, index: int, begin: int, end: int):
         self.index = index
         self.begin = begin
         self.end = end
-        self.count = 0
-        self.intersection: bool | None = None
-        self.brother: Block | None = None
         self.pre_e: dict[Block, None] = {}
         self.remove: list[Block] = []
         self.listed_in: list[Block] = []
         self.queued = False
-        self.mark1 = False
-        self.mark2 = False
         # id of this block's ancestor at the start of the current partition
         # stabilization call; blocks with equal ancestors are exactly the
         # mutually related ones mid-call
@@ -75,25 +59,6 @@ class Block:
 
     def __repr__(self):
         return f"Block(#{self.index}, [{self.begin},{self.end}))"
-
-
-class SquareBitMatrix:
-    """Square 0/1 matrix over block ids, bytearray rows.
-
-    The engine grows it by one row and one column per new block; bytearray
-    growth is amortized constant per appended cell.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, n: int):
-        self.rows: list[bytearray] = [bytearray(n) for _ in range(n)]
-
-    def pair_count(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
-    def copy_rows(self) -> list[bytearray]:
-        return [bytearray(row) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -141,8 +106,8 @@ class PartitionRelationPair:
 
     ``states[p]`` is the state at position p, ``pos`` its inverse, and
     ``state_block[s]`` the block owning state s. Every entry of ``blocks``
-    is live: brothers that would not survive a split are never
-    registered, so the table doubles as the live list in creation order.
+    is live: a split registers a new half only for a block it cuts
+    properly, so the table doubles as the live list in creation order.
     """
 
     __slots__ = ("states", "pos", "state_block", "blocks", "rel")
@@ -152,7 +117,8 @@ class PartitionRelationPair:
         self.pos: list[int] = pos
         self.state_block: list[Block] = state_block
         self.blocks: list[Block] = blocks
-        self.rel = rel
+        # rel[b][c] is 1 iff block b is related below block c
+        self.rel: list[bytearray] = rel
 
     @property
     def num_states(self) -> int:
@@ -166,56 +132,39 @@ class PartitionRelationPair:
 
     def up_set_states(self, block: Block) -> set[int]:
         """Union of the segments of all blocks that ``block`` relates into."""
-        row = self.rel.rows[block.index]
+        row = self.rel[block.index]
         out: set[int] = set()
         for other in self.blocks:
             if row[other.index]:
                 out.update(self.block_states(other))
         return out
 
-    def split(self, splitter: Iterable[int]) -> list[Block]:
-        """Refine the partition against a set of states.
+    def split(self, splitter: Iterable[int]) -> list[tuple[Block, Block]]:
+        """Refine the partition against a duplicate-free list of states.
 
-        Returns, for each block cut properly in two, the id that kept the
-        states outside the splitter (``intersection`` False); its brother
-        (new id, ``intersection`` True) holds the states inside. Blocks
-        fully inside or outside the splitter are left untouched with
-        ``intersection`` None. Only segments of split blocks are permuted.
+        Returns one ``(kept, new)`` pair per block cut properly in two:
+        ``kept`` keeps the block's id and its states outside the splitter,
+        ``new`` gets the next free id and the states inside. Pairs, and so
+        new ids, follow the first splitter state of each cut block. Blocks
+        fully inside or outside the splitter are left untouched, and only
+        segments of cut blocks are permuted.
         """
-        for b in self.blocks:
-            b.intersection = None
-            b.brother = None
-
         splitter = list(splitter)
         state_block = self.state_block
-        touched: list[Block] = []
-        for s in splitter:
-            b = state_block[s]
-            if not b.mark1:
-                b.mark1 = True
-                b.count = 0
-                touched.append(b)
-            b.count += 1
-        for b in touched:
-            if b.count == b.size:
-                b.count = -1  # fully inside: leave alone
-
-        split_list: list[Block] = []
+        inside = Counter(state_block[s] for s in splitter)
+        blocks = self.blocks
         states = self.states
         pos = self.pos
+        new_of: dict[Block, Block] = {}
         for s in splitter:
             b = state_block[s]
-            if b.count == -1:
-                continue
-            if b.intersection is None:
-                brother = Block(len(self.blocks), b.end, b.end)
-                brother.intersection = True
-                brother.brother = b
-                b.intersection = False
-                b.brother = brother
-                self.blocks.append(brother)
-                split_list.append(b)
-            brother = b.brother
+            new = new_of.get(b)
+            if new is None:
+                # no state of b has moved yet, so b.size is still its own
+                if inside[b] == b.size:
+                    continue  # fully inside: leave alone
+                new = new_of[b] = Block(len(blocks), b.end, b.end)
+                blocks.append(new)
             p = pos[s]
             q = b.end - 1
             if p != q:
@@ -224,19 +173,15 @@ class PartitionRelationPair:
                 pos[s] = q
                 pos[other] = p
             b.end -= 1
-            brother.begin -= 1
-            state_block[s] = brother
-
-        for b in touched:
-            b.mark1 = False
-            b.count = 0
-        return split_list
+            new.begin -= 1
+            state_block[s] = new
+        return list(new_of.items())
 
     def extract_result(self) -> SimulationResult:
         """Deep copy the converged pair into an immutable result."""
         ordered = sorted(self.blocks, key=lambda b: min(self.block_states(b)))
         partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
-        rows = self.rel.rows
+        rows = self.rel
         idx = [b.index for b in ordered]
         if len(idx) > 1:
             get = itemgetter(*idx)
@@ -264,7 +209,7 @@ def init_pr(ks: KripkeStructure) -> PartitionRelationPair:
             pos[s] = len(states)
             states.append(s)
             state_block[s] = b
-    rel = SquareBitMatrix(len(blocks))
+    rel = [bytearray(len(blocks)) for _ in blocks]
     for b in blocks:
-        rel.rows[b.index][b.index] = 1
+        rel[b.index][b.index] = 1
     return PartitionRelationPair(states, pos, state_block, blocks, rel)

@@ -168,6 +168,16 @@ class TestGenerate:
         out = runner.invoke(main, ["generate", "random", "5"])
         assert out.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "params", [["tree", "64", "2"], ["chain", str(MAX_STATES + 1)]]
+    )
+    def test_above_state_cap(self, runner, params):
+        out = runner.invoke(main, ["generate", *params])
+        assert out.exit_code == 1
+        assert isinstance(out.exception, SystemExit)
+        assert "error:" in out.output and "exceeds the limit" in out.output
+        assert "Traceback" not in out.output
+
 
 class TestBench:
     def test_empty_corpus(self, runner, tmp_path):

@@ -39,12 +39,12 @@ def run_one_split_round(eng):
     """Drive exactly one refiner-split-update iteration."""
     refiner = eng.find_prefiner()
     assert refiner is not None
-    split_list = eng.pr.split(eng.pre_up_set(refiner))
-    assert split_list
-    eng.inherit(split_list)
+    pairs = eng.pr.split(eng.pre_up_set(refiner))
+    assert pairs
+    eng.inherit(pairs)
     eng.update_pre_e()
-    eng.update_count(split_list)
-    return split_list
+    eng.update_count(pairs)
+    return pairs
 
 
 class TestInitialize:
@@ -104,30 +104,32 @@ class TestPostCandidates:
         ks = build_ks("aab", [(0, 2)])
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.block_of(0)
-        out = eng.post_candidates(pair_block)
-        assert len(out) == 1
-        rep, reached = out[0]
-        assert rep is eng.pr.block_of(2)
-        assert rep.count == 1
-        assert reached == 1
+        # one of the pair block's two states reaches the sink's class
+        assert eng.post_candidates(pair_block) == [(eng.pr.block_of(2), 1)]
 
     def test_full_reach_excluded(self):
         ks = build_ks("aab", [(0, 2), (1, 2)])
         eng = engine_after_initialize(ks)
         assert eng.post_candidates(eng.pr.block_of(0)) == []
 
-    def test_marks_cleared(self, ks_a):
-        eng = engine_after_initialize(ks_a)
-        eng.post_candidates(eng.pr.block_of(0))
-        assert all(not b.mark1 and not b.mark2 for b in eng.pr.blocks)
-
     def test_per_state_successor_dedup(self):
-        # duplicate-ish successors of one state count that state once
-        ks = build_ks("aab", [(0, 2), (0, 2), (1, 0)])
+        # a state with edges into two member blocks of one class counts
+        # once for that class: one of two states reaches it, a proper cut
+        ks = build_ks("aabc", [(0, 2), (0, 3)])
         eng = engine_after_initialize(ks)
-        out = eng.post_candidates(eng.pr.block_of(0))
-        by_rep = {rep.index: rep.count for rep, _ in out}
-        assert by_rep[eng.pr.block_of(2).index] == 1
+        b_b, b_c = eng.pr.block_of(2), eng.pr.block_of(3)
+        b_c.anc = b_b.index
+        assert eng.post_candidates(eng.pr.block_of(0)) == [(b_b, 2)]
+
+    def test_candidates_in_first_touch_order(self):
+        # state 0 reaches block 2 before block 1, so block-id order and
+        # first-touch order differ; the refiner choice follows the latter
+        ks = build_ks("aacb", [(0, 3), (0, 2)])
+        eng = engine_after_initialize(ks)
+        b_a, b_c, b_b = eng.pr.blocks
+        assert (eng.pr.block_of(2), eng.pr.block_of(3)) == (b_c, b_b)
+        assert eng.post_candidates(b_a) == [(b_b, 1), (b_c, 1)]
+        assert eng.find_prefiner() is b_b
 
 
 class TestFindPRefiner:
@@ -157,9 +159,8 @@ class TestFindPRefiner:
 
     def test_split_queues_halves_and_their_predecessors(self, ks_b):
         eng = engine_after_initialize(ks_b)
-        split_list = run_one_split_round(eng)
-        half, brother = split_list[0], split_list[0].brother
-        expected = {half, brother, *half.pre_e, *brother.pre_e}
+        [(kept, new)] = run_one_split_round(eng)
+        expected = {kept, new, *kept.pre_e, *new.pre_e}
         assert {b for b in eng.pr.blocks if b.queued} == expected
 
 
@@ -176,7 +177,7 @@ class TestPreUpSet:
         ks = build_ks("ab", [(0, 1)])
         eng = engine_after_initialize(ks)
         b_a, b_b = eng.pr.blocks
-        eng.pr.rel.rows[b_a.index][b_b.index] = 1
+        eng.pr.rel[b_a.index][b_b.index] = 1
         # up-set of block a is now {0, 1}; only 0 has an edge into it
         assert eng.pre_up_set(b_a) == [0]
 
@@ -207,7 +208,7 @@ class TestUpdateAfterSplit:
     def test_relation_lifted_to_all_half_pairs(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        rel = eng.pr.rel.rows
+        rel = eng.pr.rel
         assert all(rel[i][j] for i in range(2) for j in range(2))
 
     def test_prior_relations_reach_both_halves(self):
@@ -216,11 +217,11 @@ class TestUpdateAfterSplit:
         eng = engine_after_initialize(ks)
         b_a = eng.pr.block_of(0)
         b_b = eng.pr.block_of(1)
-        eng.pr.rel.rows[b_a.index][b_b.index] = 1
-        split_list = eng.pr.split([1])
-        eng.inherit(split_list)
-        rel = eng.pr.rel.rows
-        for half in (split_list[0], split_list[0].brother):
+        eng.pr.rel[b_a.index][b_b.index] = 1
+        pairs = eng.pr.split([1])
+        eng.inherit(pairs)
+        rel = eng.pr.rel
+        for half in pairs[0]:
             assert rel[b_a.index][half.index] == 1
 
     def test_edge_matrix_exact_after_split(self, ks_b):
@@ -260,13 +261,12 @@ class TestUpdateAfterSplit:
             b.remove, b.listed_in = [], []
         pair_block.remove = [marker]
         marker.listed_in = [pair_block]
-        split_list = eng.pr.split([0])
-        eng.inherit(split_list)
-        new_block = split_list[0].brother
-        assert new_block.remove == [marker]
-        assert marker.listed_in == [pair_block, new_block]
-        new_block.remove.append(pair_block)
-        assert split_list[0].remove == [marker]
+        [(kept, new)] = eng.pr.split([0])
+        eng.inherit([(kept, new)])
+        assert new.remove == [marker]
+        assert marker.listed_in == [pair_block, new]
+        new.remove.append(pair_block)
+        assert kept.remove == [marker]
 
 
 def split_with_scribbled_tables():
@@ -275,7 +275,7 @@ def split_with_scribbled_tables():
     Before the split every counter cell holds a distinct value and the
     relation an upper triangle, so a copied cell shows where it came from;
     the removal lists hold both blocks, one of them in its own list.
-    Returns the engine, the split list and the tables before the split.
+    Returns the engine, the split pairs and the tables before the split.
     """
     ks = build_ks("aaabbb", [(0, 3), (1, 1), (2, 5), (3, 0), (4, 4), (5, 2)])
     eng = engine_after_initialize(ks)
@@ -283,30 +283,30 @@ def split_with_scribbled_tables():
     b0.remove, b1.remove = [b0, b1], [b1]
     b0.listed_in, b1.listed_in = [b0], [b0, b1]
     nb = len(eng.pr.blocks)
-    rel = eng.pr.rel.rows
+    rel = eng.pr.rel
     for r in range(nb):
         for c in range(nb):
             eng.count[r][c] = 1 + r * nb + c
             rel[r][c] = int(r <= c)
     before = ([bytearray(r) for r in rel], [list(r) for r in eng.count])
-    split_list = eng.pr.split([0, 3])
-    assert len(split_list) == 2
-    return eng, split_list, before
+    pairs = eng.pr.split([0, 3])
+    assert len(pairs) == 2
+    return eng, pairs, before
 
 
 class TestInherit:
     def test_empty_split_list_no_change(self):
         eng = engine_after_initialize(build_ks("ab", [(0, 1)]))
-        rel_before = eng.pr.rel.copy_rows()
+        rel_before = [bytearray(row) for row in eng.pr.rel]
         cnt_before = [list(r) for r in eng.count]
         eng.inherit([])
-        assert eng.pr.rel.rows == rel_before
+        assert eng.pr.rel == rel_before
         assert eng.count == cnt_before
 
     def test_one_row_and_column_per_new_half(self):
-        eng, split_list, _ = split_with_scribbled_tables()
-        eng.inherit(split_list)
-        for rows in (eng.pr.rel.rows, eng.count):
+        eng, pairs, _ = split_with_scribbled_tables()
+        eng.inherit(pairs)
+        for rows in (eng.pr.rel, eng.count):
             assert len(rows) == 4
             assert all(len(row) == 4 for row in rows)
 
@@ -314,43 +314,43 @@ class TestInherit:
         eng = engine_after_initialize(build_ks("aaaa", []))
         for splitter in ([0], [1]):
             eng.inherit(eng.pr.split(splitter))
-        for rows in (eng.pr.rel.rows, eng.count):
+        for rows in (eng.pr.rel, eng.count):
             assert len(rows) == 3
             assert all(len(row) == 3 for row in rows)
 
     def test_new_half_copies_parent_row_and_column(self):
-        eng, split_list, _ = split_with_scribbled_tables()
-        eng.inherit(split_list)
+        eng, pairs, _ = split_with_scribbled_tables()
+        eng.inherit(pairs)
         nb = len(eng.pr.blocks)
-        for f in split_list:
-            n, p = f.brother.index, f.index
-            assert f.brother.anc == f.anc
-            for rows in (eng.pr.rel.rows, eng.count):
+        for kept, new in pairs:
+            n, p = new.index, kept.index
+            assert new.anc == kept.anc
+            for rows in (eng.pr.rel, eng.count):
                 assert rows[n] == rows[p]
                 assert all(rows[r][n] == rows[r][p] for r in range(nb))
 
     def test_old_entries_untouched(self):
-        eng, split_list, (rel_before, cnt_before) = split_with_scribbled_tables()
-        eng.inherit(split_list)
+        eng, pairs, (rel_before, cnt_before) = split_with_scribbled_tables()
+        eng.inherit(pairs)
         old = len(rel_before)
-        assert [row[:old] for row in eng.pr.rel.rows[:old]] == rel_before
+        assert [row[:old] for row in eng.pr.rel[:old]] == rel_before
         assert [row[:old] for row in eng.count[:old]] == cnt_before
 
     def test_remove_list_equals_parents_and_is_independent(self):
-        eng, split_list, _ = split_with_scribbled_tables()
-        eng.inherit(split_list)
-        for f in split_list:
-            assert f.brother.remove == f.remove
-            assert f.brother.remove is not f.remove
+        eng, pairs, _ = split_with_scribbled_tables()
+        eng.inherit(pairs)
+        for kept, new in pairs:
+            assert new.remove == kept.remove
+            assert new.remove is not kept.remove
         lists_with_halves = [b for b in eng.pr.blocks if b.remove]
         assert lists_with_halves
         for b in lists_with_halves:
-            for f in split_list:
-                assert (f in b.remove) == (f.brother in b.remove)
+            for kept, new in pairs:
+                assert (kept in b.remove) == (new in b.remove)
 
     def test_listed_in_inverts_remove_lists(self):
-        eng, split_list, _ = split_with_scribbled_tables()
-        eng.inherit(split_list)
+        eng, pairs, _ = split_with_scribbled_tables()
+        eng.inherit(pairs)
         blocks = eng.pr.blocks
         for d in blocks:
             holders = [c.index for c in blocks for m in c.remove if m is d]
@@ -371,9 +371,9 @@ class TestRStabilize:
         eng = engine_after_initialize(ks_a)
         for b in eng.pr.blocks:
             b.remove = []
-        pairs_before = eng.pr.rel.pair_count()
+        pairs_before = sum(map(sum, eng.pr.rel))
         assert eng.rstabilize() is True
-        assert eng.pr.rel.pair_count() == pairs_before
+        assert sum(map(sum, eng.pr.rel)) == pairs_before
 
     def test_one_sided_pair_pruned(self, ks_b):
         result, _ = SimulationEngine(ks_b, FULL).run()
@@ -388,10 +388,10 @@ class TestRStabilize:
 
         class Probe(SimulationEngine):
             def rstabilize(self):
-                before = self.pr.rel.pair_count()
+                before = sum(map(sum, self.pr.rel))
                 out = SimulationEngine.rstabilize(self)
-                if self.pr.rel.pair_count() < before:
-                    rounds_with_removals.append(before - self.pr.rel.pair_count())
+                if sum(map(sum, self.pr.rel)) < before:
+                    rounds_with_removals.append(before - sum(map(sum, self.pr.rel)))
                 return out
 
         result, _ = Probe(ks, FULL).run()
@@ -431,14 +431,14 @@ class TestFullChecks:
         # the cheap level range-checks the rows update_count writes
         eng = SimulationEngine(ks_b, EngineConfig(check_level="cheap"))
         eng.initialize()
-        split_list = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
-        eng.inherit(split_list)
+        pairs = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
+        eng.inherit(pairs)
         eng.update_pre_e()
-        f = split_list[0]
-        larger = f.brother if f.size <= f.brother.size else f
-        eng.count[larger.index][f.index] = -1
+        [(kept, new)] = pairs
+        larger = new if kept.size <= new.size else kept
+        eng.count[larger.index][kept.index] = -1
         with pytest.raises(InvariantViolation, match="counter out of range"):
-            eng.update_count(split_list)
+            eng.update_count(pairs)
 
     def test_corrupt_listed_in_detected(self):
         ks = build_ks("ab", [(0, 0), (1, 1)])

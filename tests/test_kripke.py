@@ -184,6 +184,19 @@ class TestFamilies:
         with pytest.raises(ValueError):
             make_tree(-1, 2)
 
+    def test_state_cap(self):
+        # refused before any per-state allocation
+        for build in (
+            lambda: make_chain(MAX_STATES + 1),
+            lambda: make_clique(MAX_STATES + 1),
+            lambda: make_tree(64, 2),
+            lambda: make_tree(22, 2),
+            lambda: generate_random_ks(MAX_STATES + 1, 1, 0.5, 1),
+        ):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                build()
+        assert make_tree(21, 1).num_states == 22
+
 
 class TestStructure:
     def test_successor_validation(self):

@@ -15,7 +15,7 @@ class TestInitPr:
         assert len(pr.blocks) == 1
         b = pr.blocks[0]
         assert (b.begin, b.end) == (0, 1)
-        assert pr.rel.rows[0][0] == 1
+        assert pr.rel[0][0] == 1
 
     def test_label_blocks_contiguous(self):
         pr = init_pr(build_ks("aba", []))
@@ -27,35 +27,30 @@ class TestInitPr:
         pr = init_pr(build_ks("abc", []))
         for b in pr.blocks:
             for c in pr.blocks:
-                assert bool(pr.rel.rows[b.index][c.index]) == (b is c)
+                assert bool(pr.rel[b.index][c.index]) == (b is c)
 
     def test_scratch_fields_clear(self):
         pr = init_pr(build_ks("ab", []))
         for b in pr.blocks:
-            assert b.intersection is None
-            assert b.brother is None
             assert b.pre_e == {} and b.remove == [] and b.listed_in == []
             assert not b.queued
-            assert not b.mark1 and not b.mark2
+            assert b.anc == b.index
 
 
 class TestSplit:
     def test_splitter_covering_everything_is_noop(self):
         pr = init_pr(build_ks("aaa", []))
         assert pr.split([0, 1, 2]) == []
-        assert all(b.intersection is None for b in pr.blocks)
         assert len(pr.blocks) == 1
+        assert sorted(pr.block_states(pr.blocks[0])) == [0, 1, 2]
 
     def test_proper_split(self):
         pr = init_pr(build_ks("aaa", []))
-        out = pr.split([0, 1])
-        assert len(out) == 1
-        old = out[0]
-        assert old.intersection is False
-        assert old.brother.intersection is True
-        assert old.brother.brother is old
-        assert sorted(pr.block_states(old)) == [2]
-        assert sorted(pr.block_states(old.brother)) == [0, 1]
+        [(kept, new)] = pr.split([0, 1])
+        assert pr.blocks == [kept, new]
+        assert (kept.index, new.index) == (0, 1)
+        assert sorted(pr.block_states(kept)) == [2]
+        assert sorted(pr.block_states(new)) == [0, 1]
 
     def test_double_split(self):
         # two blocks, splitter straddling both: both split
@@ -77,15 +72,34 @@ class TestSplit:
 
     @given(
         st.integers(2, 10),
-        st.lists(st.integers(0, 9), max_size=8),
+        st.lists(st.lists(st.integers(0, 9), max_size=8), min_size=1, max_size=3),
         st.integers(0, 2**31),
     )
     @settings(max_examples=60)
-    def test_segments_cover_after_random_splits(self, n, raw_splitter, seed):
+    def test_segments_cover_after_random_splits(self, n, raw_splitters, seed):
         ks = generate_random_ks(n, 2, 0.3, seed)
         pr = init_pr(ks)
-        splitter = sorted({s % n for s in raw_splitter})
-        pr.split(splitter)
+        for raw in raw_splitters:
+            # duplicate-free, in drawn order, so pair order is exercised
+            splitter = list(dict.fromkeys(s % n for s in raw))
+            inside = set(splitter)
+            before = {b: set(pr.block_states(b)) for b in pr.blocks}
+            met = list(dict.fromkeys(pr.state_block[s] for s in splitter))
+            nb = len(pr.blocks)
+            pairs = pr.split(splitter)
+            # new ids run upward from the old block count, in pair order
+            assert [new.index for _, new in pairs] == list(range(nb, nb + len(pairs)))
+            assert pr.blocks[nb:] == [new for _, new in pairs]
+            for kept, new in pairs:
+                assert set(pr.block_states(kept)) == before[kept] - inside
+                assert set(pr.block_states(new)) == before[kept] & inside
+            # pairs follow the first splitter state of each cut block
+            cut = [kept for kept, _ in pairs]
+            assert cut == [b for b in met if b in cut]
+            for b, members in before.items():
+                if b not in cut:
+                    assert members <= inside or not members & inside
+                    assert set(pr.block_states(b)) == members
         covered = sorted(s for b in pr.blocks for s in pr.block_states(b))
         assert covered == list(range(n))
         for b in pr.blocks:
@@ -103,7 +117,7 @@ class TestUpSet:
 
     def test_union_over_related_blocks(self):
         pr = init_pr(build_ks("ab", []))
-        pr.rel.rows[0][1] = 1
+        pr.rel[0][1] = 1
         assert pr.up_set_states(pr.blocks[0]) == {0, 1}
 
     def test_converged_sink_block(self, ks_a):
