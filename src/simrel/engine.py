@@ -6,21 +6,24 @@ A run alternates two phases over a partition-relation pair:
   pre(union of blocks above a refiner block), found in O(edges) per probe
   through the counter table;
 * relation stabilization prunes block pairs driven by per-block removal
-  lists, chaining through counter decrements until no violation remains.
+  sets, chaining through counter decrements until no violation remains.
 
-Between splits, four tables are maintained: the block relation matrix,
-the per-block predecessor block sets ``pre_e`` (the only record of which
-blocks have edges into which), the counter matrix (updated by rescanning
-only the smaller half of each split pair), and the removal lists, with
-their inverse ``listed_in`` per block. ``split`` returns one
+Between splits, four tables are maintained: the block relation (row and
+column bitsets ``up`` and ``down``), the per-block predecessor block sets
+``pre_e`` (the only record of which blocks have edges into which), the
+counters (one dict of nonzero cells per row, updated by rescanning only
+the smaller half of each split pair), and the removal sets, bitsets of
+block ids, with their inverse ``listed_in`` per block. Each table is
+sized by what is set in it, and the work on it follows its set bits and
+nonzero cells, not the square of the block count. ``split`` returns one
 ``(kept, new)`` pair per block it cuts, and the pairs are passed on:
 ``inherit`` gives each new half a copy of its parent's entry in every
 table (its row and column in the relation and the counters, its
-ancestor class, a place in exactly the removal lists ``listed_in``
-names, and a copy of the parent's own removal list), and
+ancestor class, a place in exactly the removal sets ``listed_in``
+names, and a copy of the parent's own removal set), and
 ``update_count`` then corrects the counters and logs every half that
 just lost its last counted successor block above some block c into c's
-list. Without that logging, pairs created mutually related by a split
+set. Without that logging, pairs created mutually related by a split
 would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
@@ -47,11 +50,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
+from itertools import chain, compress
+from operator import or_
 
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
-from .prcore import Block, PartitionRelationPair, SimulationResult, init_pr
+from .prcore import Block, PartitionRelationPair, SimulationResult, bit_flags, bits, init_pr
 
 CHECK_LEVELS = ("off", "cheap", "full")
 
@@ -64,14 +70,16 @@ class InvariantViolation(AssertionError):
 class EngineConfig:
     """Knobs for self-checking and instrumentation.
 
-    ``check_level``: "off" disables runtime assertions. "cheap" adds
-    structural checks after every split and every pruning round, each
-    linear in states, blocks and removal-list entries, plus a range check
-    of the counter rows a split changed: P cells for each half and for
+    ``check_level``: "off" disables runtime assertions apart from the
+    counter decrements, which always refuse to go below zero. "cheap"
+    adds structural checks after every split and every pruning round,
+    each linear in states and blocks, plus a range check of the nonzero
+    cells of the counter rows a split changed: those of each half and of
     each predecessor block of a half. "full" adds from-scratch table
-    recomputation and order-algebra checks after every phase. Checks
-    never change results. ``stats_enabled`` toggles counter collection;
-    results are identical either way.
+    recomputation and order-algebra checks after every phase, as bitset
+    operations over the relation. Checks never change results.
+    ``stats_enabled`` toggles counter collection; results are identical
+    either way.
     """
 
     check_level: str = "off"
@@ -98,9 +106,9 @@ class SimulationEngine:
         self.cfg = cfg or EngineConfig()
         self.pr: PartitionRelationPair = init_pr(ks)
         # count[b][c]: blocks e with c related-below e that b has edges
-        # into, so count[b][c] == 0 tests "b reaches nothing above c" in O(1)
-        nb = len(self.pr.blocks)
-        self.count: list[list[int]] = [[0] * nb for _ in range(nb)]
+        # into, so a missing cell tests "b reaches nothing above c" in O(1);
+        # a row holds only its nonzero cells
+        self.count: list[dict[int, int]] = [{} for _ in self.pr.blocks]
         # min-heap of the ids of queued blocks: those that may host a
         # refiner; every block off the heap is known not to
         self.worklist: list[int] = []
@@ -115,9 +123,9 @@ class SimulationEngine:
         Relation pruning must only ever run on a partition-stable pair
         (pruning an unstable one can drop pairs the final preorder needs),
         so each pruning round is followed by a full partition
-        re-stabilization before the next round consumes the removal lists
+        re-stabilization before the next round consumes the removal sets
         the previous one built. A round that removes nothing leaves no
-        pending lists behind, so it certifies joint stability.
+        pending sets behind, so it certifies joint stability.
         """
         self.initialize()
         self.pstabilize()
@@ -146,7 +154,7 @@ class SimulationEngine:
         return result, self.stats
 
     def _shape(self) -> tuple[int, int]:
-        return (len(self.pr.blocks), sum(map(sum, self.pr.rel)))
+        return (len(self.pr.blocks), sum(row.bit_count() for row in self.pr.up))
 
     def _queue(self, blocks) -> None:
         """Put every block not yet on the refiner worklist onto it."""
@@ -164,30 +172,32 @@ class SimulationEngine:
         pr = self.pr
         self.update_pre_e()
 
-        rel = pr.rel
+        blocks = pr.blocks
         cnt = self.count
-        nb = len(pr.blocks)
-        has_out = bytearray(nb)
-        for d in pr.blocks:
+        has_out = 0
+        for d in blocks:
             if not d.pre_e:
                 continue
-            cols = [c for c in range(nb) if rel[c][d.index]]
+            cols = bits(pr.down[d.index])
             for b in d.pre_e:
-                has_out[b.index] = 1
+                has_out |= 1 << b.index
                 row = cnt[b.index]
                 for c in cols:
-                    row[c] += 1
+                    row[c] = row.get(c, 0) + 1
 
-        track = self.cfg.stats_enabled
-        for c in pr.blocks:
-            ci = c.index
-            for d in pr.blocks:
-                if has_out[d.index] and cnt[d.index][ci] == 0:
-                    c.remove.append(d)
-                    d.listed_in.append(c)
-                    if track:
-                        self.stats.remove_elements_total += 1
-        self._queue(pr.blocks)
+        # c's removal set: the blocks with edges that reach nothing above c
+        reaching = [0] * len(blocks)
+        for b in blocks:
+            for c in cnt[b.index]:
+                reaching[c] |= 1 << b.index
+        for c in blocks:
+            c.remove = has_out & ~reaching[c.index]
+            cbit = 1 << c.index
+            for d in bits(c.remove):
+                blocks[d].listed_in |= cbit
+            if self.cfg.stats_enabled:
+                self.stats.remove_elements_total += c.remove.bit_count()
+        self._queue(blocks)
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -276,7 +286,7 @@ class SimulationEngine:
         """The first qualifying candidate class of b, or None."""
         row = self.count[b.index]
         for rep, blocks_reached in self.post_candidates(b):
-            if row[rep.index] == blocks_reached:
+            if row.get(rep.index) == blocks_reached:
                 return rep
         return None
 
@@ -317,16 +327,17 @@ class SimulationEngine:
     def pre_up_set(self, c: Block) -> list[int]:
         """Duplicate-free list of states with an edge into c's upward closure.
 
-        One pass over all transitions; scanning per source state means the
-        first hit settles that state, no marking needed.
+        One pass over all transitions against a byte-flag copy of c's row;
+        scanning per source state means the first hit settles that state, no
+        marking needed.
         """
-        rel_row = self.pr.rel[c.index]
+        above = bit_flags(self.pr.up[c.index], len(self.pr.blocks))
         state_block = self.pr.state_block
         succ = self.ks.succ
         out: list[int] = []
         for s in range(self.ks.num_states):
             for y in succ[s]:
-                if rel_row[state_block[y].index]:
+                if above[state_block[y].index]:
                     out.append(s)
                     break
         return out
@@ -340,34 +351,52 @@ class SimulationEngine:
         For each ``(kept, new)`` pair from ``split``, ``new`` gets the row
         and column of ``kept`` (its parent's, unchanged by the split) in
         the relation and the counters, its ancestor class, a place in
-        every removal list that holds it, and a copy of its removal list.
+        every removal set that holds it, and a copy of its removal set.
         ``split`` numbers the new halves in pair order, so appending in
-        that order puts each row and column at its half's id. The lists
-        are copied after the places are made, so a copied list already
-        holds the new halves of its split members. ``update_count`` then
-        corrects the counters.
+        that order puts each row at its half's id. A column is copied only
+        where it has entries: the relation column into the rows that
+        ``down[kept]`` names, the counter column into the rows of blocks
+        with an edge into ``up[kept]``, which are exactly its nonzero
+        cells. Columns are copied before rows, so a new half's row already
+        holds the new halves of its parent's row. The removal sets are
+        copied after the places are made for the same reason.
+        ``update_count`` then corrects the counters.
         """
-        parents = [kept.index for kept, _ in pairs]
-        for rows in (self.pr.rel, self.count):
-            for row in rows:
-                for i in parents:
-                    row.append(row[i])
-            for i in parents:
-                rows.append(rows[i][:])
+        pr = self.pr
+        up, down, blocks, cnt = pr.up, pr.down, pr.blocks, self.count
+        for kept, new in pairs:
+            k, nbit = kept.index, 1 << new.index
+            for r in bits(down[k]):
+                up[r] |= nbit
+            for e in bits(up[k]):
+                for f in blocks[e].pre_e:
+                    row = cnt[f.index]
+                    row[new.index] = row[k]
+        for kept, new in pairs:
+            k = kept.index
+            up.append(up[k])
+            down.append(down[k])
+            cnt.append(dict(cnt[k]))
+        for kept, new in pairs:
+            nbit = 1 << new.index
+            for c in bits(up[new.index]):
+                down[c] |= nbit
         track = self.cfg.stats_enabled
         for kept, new in pairs:
             new.anc = kept.anc
-            for owner in kept.listed_in:
-                owner.remove.append(new)
-            new.listed_in = list(kept.listed_in)
+            nbit = 1 << new.index
+            for owner in bits(kept.listed_in):
+                blocks[owner].remove |= nbit
+            new.listed_in = kept.listed_in
             if track:
-                self.stats.remove_elements_total += len(kept.listed_in)
+                self.stats.remove_elements_total += kept.listed_in.bit_count()
         for kept, new in pairs:
-            new.remove = list(kept.remove)
-            for m in kept.remove:
-                m.listed_in.append(new)
+            new.remove = kept.remove
+            nbit = 1 << new.index
+            for m in bits(kept.remove):
+                blocks[m].listed_in |= nbit
             if track:
-                self.stats.remove_elements_total += len(kept.remove)
+                self.stats.remove_elements_total += kept.remove.bit_count()
 
     def update_pre_e(self) -> None:
         """Rebuild every block's predecessor block set, in first-edge order."""
@@ -393,77 +422,81 @@ class SimulationEngine:
         longer reaches, and one increment for any other non-rescanned row
         with edges into both halves. A successor block's family is found
         through two maps built from the pairs, ``new -> kept`` and
-        ``kept -> new``. Finally every half whose counter just dropped to
-        zero against some block c is logged into c's removal list; these
-        are exactly the blocks whose states lost their last edge into c's
-        upward closure by losing their sibling states. The two halves of a
-        split block have equal columns, so such a half is logged into both
-        halves' lists.
+        ``kept -> new``. Every column walk follows the set bits of a
+        ``down`` column. Finally every half whose counter just dropped to
+        zero against some block c, a key its row had and lost, is logged
+        into c's removal set; these are exactly the blocks whose states
+        lost their last edge into c's upward closure by losing their
+        sibling states. The two halves of a split block have equal
+        columns, so such a half is logged into both halves' sets.
         """
         pr = self.pr
         blocks = pr.blocks
         nb = len(blocks)
         cnt = self.count
-        rel = pr.rel
+        down = pr.down
         track = self.cfg.stats_enabled
         stats = self.stats
         new_of = dict(pairs)
         kept_of = {new: kept for kept, new in pairs}
 
-        snapshot = {h: list(cnt[h.index]) for pair in pairs for h in pair}
         small = [
             (kept, new) if kept.size <= new.size else (new, kept)
             for kept, new in pairs
         ]
         small_halves = {x for x, _ in small}
+        # keys before the update; a smaller half's row is replaced, not
+        # changed, so a view of its old row stays as it was
+        old_keys = {}
+        for x, z in small:
+            old_keys[x] = cnt[x.index].keys()
+            old_keys[z] = set(cnt[z.index])
 
         states = pr.states
         state_block = pr.state_block
         succ = self.ks.succ
         for x, z in small:
-            xr = cnt[x.index]
-            for c in range(nb):
-                xr[c] = 0
-            zr = cnt[z.index]
             x_states = states[x.begin : x.end]
             if track:
                 for s in x_states:
                     stats.smaller_half_state_scans[s] += 1
             reached = {state_block[y] for s in x_states for y in succ[s]}
-            for v in reached:
-                vi = v.index
-                for c in range(nb):
-                    if rel[c][vi]:
-                        xr[c] += 1
+            cnt[x.index] = dict(
+                Counter(chain.from_iterable(bits(down[v.index]) for v in reached))
+            )
+            zr = cnt[z.index]
             for rep in {kept_of.get(v, v) for v in reached}:
                 new = new_of.get(rep)
                 if z in rep.pre_e or (new is not None and z in new.pre_e):
                     continue
-                ri = rep.index
-                for c in range(nb):
-                    if rel[c][ri]:
-                        zr[c] -= 1
+                for c in bits(down[rep.index]):
+                    left = zr.get(c, 0) - 1
+                    if left > 0:
+                        zr[c] = left
+                    elif left == 0:
+                        del zr[c]
+                    else:
+                        raise InvariantViolation("counter went negative")
 
             # rows with edges into both halves now count two blocks where
             # the copied parent value counted one; rescanned rows excluded
-            xi = x.index
-            z_pre = z.pre_e
-            for d in x.pre_e:
-                if d in z_pre and d not in small_halves:
+            both = [d for d in x.pre_e if d in z.pre_e and d not in small_halves]
+            if both:
+                below_x = bits(down[x.index])
+                for d in both:
                     dr = cnt[d.index]
-                    for c in range(nb):
-                        if rel[c][xi]:
-                            dr[c] += 1
+                    for c in below_x:
+                        dr[c] = dr.get(c, 0) + 1
 
         # log halves that just lost their last counted block above some c
-        for h, old in snapshot.items():
-            hr = cnt[h.index]
-            for c in range(nb):
-                if hr[c] == 0 and old[c] != 0:
-                    blocks[c].remove.append(h)
-                    h.listed_in.append(blocks[c])
-                    if track:
-                        stats.remove_elements_total += 1
+        for h, old in old_keys.items():
+            hbit = 1 << h.index
+            dropped = old - cnt[h.index].keys()
+            for c in dropped:
+                blocks[c].remove |= hbit
+                h.listed_in |= 1 << c
+            if track:
+                stats.remove_elements_total += len(dropped)
 
         # every changed row: the halves' and those of their predecessors
         for kept, new in pairs:
@@ -474,38 +507,40 @@ class SimulationEngine:
         if self.cfg.cheap:
             for kept, new in pairs:
                 for b in (kept, new, *kept.pre_e, *new.pre_e):
-                    row = cnt[b.index]
-                    if min(row) < 0 or max(row) > nb:
+                    row = cnt[b.index].values()
+                    if row and (min(row) < 1 or max(row) > nb):
                         raise InvariantViolation("counter out of range")
 
     # ------------------------------------------------------------------
     # relation stabilization
 
     def rstabilize(self) -> bool:
-        """One relation-pruning round over the pending removal lists.
+        """One relation-pruning round over the pending removal sets.
 
-        Snapshots and clears every removal list, then for each selected
-        block c with a pending list, prunes every related pair (b, d) with
-        b a predecessor block of c and d in the snapshot; each pruning
-        decrements the counters of d's predecessors against b, and a
-        counter reaching zero logs the fresh violation into b's list for
-        the next round. Must run on a partition-stable pair; the driver
-        re-stabilizes the partition between rounds. Returns True iff no
-        pair was removed, in which case no list is left pending either.
-        On exit the relation is antisymmetric again: split-created mutual
-        pairs always carry a logged witness, so one direction gets pruned.
+        Snapshots and clears every removal set, then for each selected
+        block c with a pending set, prunes every related pair (b, d) with
+        b a predecessor block of c and d in the snapshot, all of b's at
+        once as ``up[b] & pending``; each pruning decrements the counters
+        of d's predecessors against b, and a counter reaching zero logs the
+        fresh violation into b's set for the next round. The pruned pairs,
+        the decrements and the logged blocks of a round do not depend on
+        the order of the visits. Must run on a partition-stable pair; the
+        driver re-stabilizes the partition between rounds. Returns True
+        iff no pair was removed, in which case no set is left pending
+        either. On exit the relation is antisymmetric again: split-created
+        mutual pairs always carry a logged witness, so one direction gets
+        pruned.
         """
         pr = self.pr
         blocks = pr.blocks
-        rel = pr.rel
+        up, down = pr.up, pr.down
         cnt = self.count
         track = self.cfg.stats_enabled
-        full = self.cfg.full
         pending = [b.remove for b in blocks]
         for b in blocks:
-            b.remove = []
-            b.listed_in = []
-        entry_rel = [bytearray(row) for row in rel] if full else None
+            b.remove = 0
+            b.listed_in = 0
+        entry_up = up[:] if self.cfg.full else None
         removed = False
         for sel in blocks:
             dropped = pending[sel.index]
@@ -515,35 +550,43 @@ class SimulationEngine:
                 self.stats.remove_trace.append(
                     (
                         frozenset(pr.block_states(sel)),
-                        frozenset(s for d in dropped for s in pr.block_states(d)),
+                        frozenset(
+                            s for d in bits(dropped) for s in pr.block_states(blocks[d])
+                        ),
                     )
                 )
             for pred in sel.pre_e:
-                prow = rel[pred.index]
                 pi = pred.index
-                for d in dropped:
-                    if not prow[d.index]:
-                        continue
-                    prow[d.index] = 0
-                    removed = True
+                hit = up[pi] & dropped
+                if not hit:
+                    continue
+                up[pi] ^= hit
+                removed = True
+                pbit = 1 << pi
+                for di in bits(hit):
+                    down[di] ^= pbit
+                    d = blocks[di]
                     if track:
                         self.stats.pairs_removed_total += 1
                     self._queue(d.pre_e)
                     for f in d.pre_e:
                         fr = cnt[f.index]
-                        fr[pi] -= 1
-                        if fr[pi] == 0:
-                            pred.remove.append(f)
-                            f.listed_in.append(pred)
+                        left = fr.get(pi, 0) - 1
+                        if left > 0:
+                            fr[pi] = left
+                        elif left == 0:
+                            del fr[pi]
+                            pred.remove |= 1 << f.index
+                            f.listed_in |= pbit
                             if track:
                                 self.stats.remove_elements_total += 1
-                        elif full and fr[pi] < 0:
+                        else:
                             raise InvariantViolation("counter went negative")
         if self.cfg.cheap:
             self._check_structure()
-        if full:
+        if self.cfg.full:
             self._check_tables()
-            self._check_remove_invariant(entry_rel)
+            self._check_remove_invariant(entry_up)
             self._check_order(require_antisymmetric=True)
         return not removed
 
@@ -571,114 +614,109 @@ class SimulationEngine:
                     raise InvariantViolation("position index stale")
         if covered != n:
             raise InvariantViolation("segments do not cover the state ordering")
-        rel = pr.rel
+        up = pr.up
         for b in pr.blocks:
-            if not rel[b.index][b.index]:
+            if not up[b.index] >> b.index & 1:
                 raise InvariantViolation("relation lost reflexivity")
-            if len({d.index for d in b.remove}) != len(b.remove):
-                raise InvariantViolation("removal list holds duplicates")
 
-    def _edge_rows(self) -> list[bytearray]:
-        """Edge-existence matrix read off ``pre_e``: [b][c] is 1 iff b in c.pre_e.
-
-        Transient, for the full checks only: one P^2 build per call keeps
-        the row-wise comparisons as cheap as a maintained matrix would.
-        """
-        nb = len(self.pr.blocks)
-        rows = [bytearray(nb) for _ in range(nb)]
+    def _edge_rows(self) -> list[int]:
+        """Edge-existence rows read off ``pre_e``: bit c of row b is set iff
+        b is in c.pre_e. Transient, for the full checks only."""
+        rows = [0] * len(self.pr.blocks)
         for c in self.pr.blocks:
-            ci = c.index
+            cbit = 1 << c.index
             for b in c.pre_e:
-                rows[b.index][ci] = 1
+                rows[b.index] |= cbit
         return rows
 
     def _check_tables(self) -> None:
         """Full check: ``pre_e`` and the counters equal their from-scratch
-        recomputation, and ``listed_in`` inverts the removal lists."""
-        bc_ref, cnt_ref = recompute_tables(self.ks, self.pr)
-        blocks = self.pr.blocks
-        nb = len(blocks)
-        bc = self._edge_rows()
-        cnt = self.count
-        for i in range(nb):
-            if bytearray(bc_ref[i]) != bc[i]:
+        recomputation, ``down`` is the transpose of ``up``, and
+        ``listed_in`` inverts the removal sets."""
+        pr = self.pr
+        if transpose(pr.up) != pr.down:
+            raise InvariantViolation("down is not the transpose of up")
+        edge_ref, cnt_ref = recompute_tables(self.ks, pr)
+        edge = self._edge_rows()
+        for i, (row, ref) in enumerate(zip(edge, edge_ref)):
+            if row != ref:
                 raise InvariantViolation(f"edge-existence row {i} stale")
-            if cnt_ref[i] != cnt[i]:
+        for i, (row, ref) in enumerate(zip(self.count, cnt_ref)):
+            if row != ref:
                 raise InvariantViolation(f"counter row {i} stale")
-        holders = [[] for _ in range(nb)]
-        for c in blocks:
-            for d in c.remove:
-                holders[d.index].append(c.index)
-        for d in blocks:
-            if sorted(c.index for c in d.listed_in) != sorted(holders[d.index]):
+        listed = transpose([b.remove for b in pr.blocks])
+        for d in pr.blocks:
+            if d.listed_in != listed[d.index]:
                 raise InvariantViolation(
-                    f"listed_in of block {d.index} does not invert the removal lists"
+                    f"listed_in of block {d.index} does not invert the removal sets"
                 )
 
     def _check_order(self, require_antisymmetric: bool) -> None:
-        rel = self.pr.rel
-        nb = len(self.pr.blocks)
-        for i in range(nb):
-            if not rel[i][i]:
+        """Reflexive, transitive (the rows above i lie within i's row) and,
+        if asked, antisymmetric (only i is both above and below i)."""
+        up, down = self.pr.up, self.pr.down
+        for i, row_i in enumerate(up):
+            if not row_i >> i & 1:
                 raise InvariantViolation("relation not reflexive")
-        for i in range(nb):
-            row_i = rel[i]
-            for j in range(nb):
-                if not row_i[j]:
-                    continue
-                if require_antisymmetric and i != j and rel[j][i]:
-                    raise InvariantViolation("relation not antisymmetric")
-                row_j = rel[j]
-                for k in range(nb):
-                    if row_j[k] and not row_i[k]:
-                        raise InvariantViolation("relation not transitive")
+            if require_antisymmetric and row_i & down[i] != 1 << i:
+                raise InvariantViolation("relation not antisymmetric")
+            if reduce(or_, map(up.__getitem__, bits(row_i))) & ~row_i:
+                raise InvariantViolation("relation not transitive")
 
-    def _check_remove_invariant(self, entry_rel) -> None:
-        """Round invariant: fresh lists hold exactly the blocks that could
+    def _check_remove_invariant(self, entry_up: list[int]) -> None:
+        """Round invariant: fresh sets hold exactly the blocks that could
         reach c's upward closure at round entry but no longer can."""
         pr = self.pr
-        bc = self._edge_rows()
-        nb = len(pr.blocks)
-        rel = pr.rel
+        # into[e]: the blocks with an edge into e
+        into = transpose(self._edge_rows())
+
+        def reaching(above: int) -> int:
+            return reduce(or_, map(into.__getitem__, bits(above)), 0)
+
         for c in pr.blocks:
-            ci = c.index
-            expected = set()
-            for d in pr.blocks:
-                row = bc[d.index]
-                reach_entry = any(
-                    row[e] for e in range(nb) if entry_rel[ci][e]
-                )
-                reach_now = any(row[e] for e in range(nb) if rel[ci][e])
-                if reach_entry and not reach_now:
-                    expected.add(d.index)
-            actual = {d.index for d in c.remove}
-            if expected != actual:
+            entry, now = entry_up[c.index], pr.up[c.index]
+            # a row the round left alone loses no reach
+            expected = reaching(entry) & ~reaching(now) if entry != now else 0
+            if c.remove != expected:
                 raise InvariantViolation(
-                    f"removal list of block {ci} violates the round invariant"
+                    f"removal set of block {c.index} violates the round invariant"
                 )
+
+
+def transpose(rows: list[int]) -> list[int]:
+    """The bit matrix ``rows`` transposed: bit r of out[c] iff bit c of rows[r]."""
+    out = [0] * len(rows)
+    for r, row in enumerate(rows):
+        if row:
+            rbit = 1 << r
+            for c in bits(row):
+                out[c] |= rbit
+    return out
 
 
 def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
-    """From-scratch edge-existence and counter tables for the current pair.
+    """From-scratch edge-existence rows and counter rows for the current pair.
 
     Independent of the maintained ``pre_e`` sets and counters; used as the
-    oracle for their exactness.
+    oracle for their exactness. Bit c of ``edge[b]`` is set iff some state
+    of b has a transition into c, and ``count[b][c]`` is the number of
+    blocks above c that b has edges into, ``(edge[b] & up[c]).bit_count()``,
+    kept only where nonzero. Only the columns below some block b reaches
+    can be nonzero, so only those are computed.
     """
     nb = len(pr.blocks)
     bidx = [b.index for b in pr.state_block]
-    bc = [[0] * nb for _ in range(nb)]
+    edge = [0] * nb
     for s in range(ks.num_states):
         for y in ks.succ[s]:
-            bc[bidx[s]][bidx[y]] = 1
-    rel = pr.rel
-    cnt = [[0] * nb for _ in range(nb)]
-    for b in range(nb):
-        row = bc[b]
-        out = cnt[b]
-        for c in range(nb):
-            rc = rel[c]
-            out[c] = sum(row[e] for e in range(nb) if rc[e])
-    return bc, cnt
+            edge[bidx[s]] |= 1 << bidx[y]
+    up, down = pr.up, pr.down
+    count = []
+    for row in edge:
+        cols = bits(reduce(or_, map(down.__getitem__, bits(row)), 0))
+        counts = list(map(int.bit_count, map(row.__and__, map(up.__getitem__, cols))))
+        count.append(dict(compress(zip(cols, counts), counts)))
+    return edge, count
 
 
 def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bool:
@@ -691,17 +729,16 @@ def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bo
     edges; a verification oracle, not a hot path.
     """
     blocks = pr.blocks
-    rel = pr.rel
+    up = pr.up
     members = {b.index: pr.block_states(b) for b in blocks}
 
     for b in blocks:
-        for c in blocks:
-            if rel[b.index][c.index]:
-                lab = ks.labels[members[b.index][0]]
-                if any(ks.labels[s] != lab for s in members[b.index]):
-                    return False
-                if any(ks.labels[s] != lab for s in members[c.index]):
-                    return False
+        for c in bits(up[b.index]):
+            lab = ks.labels[members[b.index][0]]
+            if any(ks.labels[s] != lab for s in members[b.index]):
+                return False
+            if any(ks.labels[s] != lab for s in members[c]):
+                return False
 
     up_pre = {}
     for c in blocks:
@@ -717,10 +754,9 @@ def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bo
 
     for b in blocks:
         for ci in reaches[b.index]:
-            for d in blocks:
-                if rel[b.index][d.index]:
-                    if not any(s in up_pre[ci] for s in members[d.index]):
-                        return False
+            for d in bits(up[b.index]):
+                if not any(s in up_pre[ci] for s in members[d]):
+                    return False
 
     for c in blocks:
         splitter = up_pre[c.index]

@@ -2,7 +2,7 @@
 
 The engine's asymptotics rest on a handful of countable quantities: how
 many new blocks splits create, how often each state sits in the smaller
-half rescanned by the counter update, and how removal lists stay disjoint
+half rescanned by the counter update, and how removal sets stay disjoint
 across nested selections. This module holds the counters and turns each
 bound into a boolean assertion usable at desk scale.
 """
@@ -26,8 +26,8 @@ class RunStats:
     was rescanned as a member of the smaller half during counter updates.
 
     ``remove_trace`` records, per selection of a block with a pending
-    removal list, the selected block's state set and the state union of
-    the pending list; it feeds :func:`assert_remove_disjointness`.
+    removal set, the selected block's state set and the state union of
+    the pending set; it feeds :func:`assert_remove_disjointness`.
     """
 
     splits_total: int = 0
@@ -78,7 +78,7 @@ def assert_smaller_half_bound(stats: RunStats, n_states: int) -> bool:
 
 
 def assert_remove_disjointness(trace) -> bool:
-    """Nested selections never share removal-list states.
+    """Nested selections never share removal-set states.
 
     ``trace`` is a sequence of ``(selected_states, removed_union_states)``
     frozenset pairs. For any two entries whose selected blocks are nested

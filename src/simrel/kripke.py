@@ -24,6 +24,11 @@ from typing import Iterable
 # anything else
 MAX_STATES = 2**22
 
+# largest state count ``generate_random_ks`` accepts: it draws one coin per
+# ordered state pair, 10^8 draws at this size, so a larger count is refused
+# before the first draw instead of running for hours
+MAX_RANDOM_STATES = 10_000
+
 
 class KSFormatError(ValueError):
     """Malformed KS text. Carries the 1-based offending line number."""
@@ -210,11 +215,15 @@ def generate_random_ks(
     PRNG: Mersenne Twister (``random.Random``). Draw order is frozen so
     golden files stay portable: one label index per state first (atoms
     ``l0 .. l{n_labels-1}``), then one edge coin per ordered pair (s, t)
-    in row-major order.
+    in row-major order. At most :data:`MAX_RANDOM_STATES` states.
     """
     if n_states < 1 or n_labels < 1:
         raise ValueError("n_states and n_labels must be at least 1")
-    _check_cap(n_states)
+    if n_states > MAX_RANDOM_STATES:
+        raise ValueError(
+            f"state count {n_states} exceeds the limit of {MAX_RANDOM_STATES} "
+            "for random structures (one edge draw per ordered state pair)"
+        )
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = random.Random(seed)

@@ -6,36 +6,72 @@ state back to its position and ``state_block`` to its block. ``split``
 cuts each block the splitter meets properly into a ``(kept, new)`` pair
 and returns the pairs: moving a state into its block's new half is a
 single swap at the segment boundary, so a split costs O(splitter size)
-and touches no other block. Block ids index into square matrices (the
-block relation ``rel`` here, a list of bytearray rows, and the engine's
-counter table); ids are never recycled, and the engine grows the
-matrices by copying each kept half's row and column for its new half.
-Which blocks have edges into which is recorded once, in each block's
-``pre_e``.
+and touches no other block. Block ids are never recycled; they index the
+block relation, held here as Python-int bitsets over block ids in both
+directions (``up[b]``, the blocks above b, and ``down[c]``, the blocks
+below c), each block's removal set and its inverse (also bitsets), and
+the engine's sparse counter rows. The engine gives each new half its
+kept half's row and column. Which blocks have edges into which is
+recorded once, in each block's ``pre_e``. ``bits`` and ``bit_flags``
+read a bitset back as indices or as one byte per bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable
 
 from .kripke import KripkeStructure, initial_label_partition
+
+# bin() digits to bytes 0 and 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits(x: int) -> list[int]:
+    """Indices of the set bits of ``x >= 0``, in increasing order.
+
+    Both walks read ``bin(x)`` reversed, least significant bit first. A
+    sparse ``x`` is walked with ``str.find``, one step per set bit; a
+    dense one (at least one bit in eight set) is turned into one byte per
+    bit and compressed against the index range, which skips the per-bit
+    Python step.
+    """
+    digits = bin(x)[:1:-1]
+    if x.bit_count() * 8 >= len(digits):
+        return list(compress(range(len(digits)), digits.encode().translate(_DIGIT_FLAGS)))
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def bit_flags(x: int, width: int) -> bytes:
+    """One byte per bit of ``x >= 0``: byte i is 1 iff bit i is set.
+
+    Padded with zero bytes to at least ``width``, so every index below
+    ``width`` can be read; use it where one bitset is tested many times.
+    """
+    return bin(x)[:1:-1].encode().translate(_DIGIT_FLAGS).ljust(width, b"\0")
 
 
 class Block:
     """A live partition block: a segment of the state ordering plus its
     per-block tables.
 
-    ``index`` is the block's id, its row and column in the square
-    matrices, and ``[begin, end)`` its segment of the state ordering.
-    ``pre_e`` holds, in first-edge order, every block with a transition
-    into this one; its values are unused. ``remove`` is the block's
-    removal list and ``listed_in`` its inverse: the blocks whose removal
-    list holds this one. ``queued`` is set while the block sits on the
-    engine's refiner worklist, and ``anc`` names its ancestor class. A
-    block keeps no split-time scratch: ``split`` returns its pairs.
+    ``index`` is the block's id, its bit in every bitset and its row in
+    the relation and counter tables, and ``[begin, end)`` its segment of
+    the state ordering. ``pre_e`` holds, in first-edge order, every block
+    with a transition into this one; its values are unused. ``remove`` is
+    the block's removal set, a bitset of block ids, and ``listed_in`` its
+    inverse: the bitset of the blocks whose removal set holds this one.
+    ``queued`` is set while the block sits on the engine's refiner
+    worklist, and ``anc`` names its ancestor class. A block keeps no
+    split-time scratch: ``split`` returns its pairs.
     """
 
     __slots__ = ("index", "begin", "end", "pre_e", "remove", "listed_in", "queued", "anc")
@@ -45,8 +81,8 @@ class Block:
         self.begin = begin
         self.end = end
         self.pre_e: dict[Block, None] = {}
-        self.remove: list[Block] = []
-        self.listed_in: list[Block] = []
+        self.remove = 0
+        self.listed_in = 0
         self.queued = False
         # id of this block's ancestor at the start of the current partition
         # stabilization call; blocks with equal ancestors are exactly the
@@ -92,33 +128,35 @@ class SimulationResult:
     def order_pairs(self) -> list[tuple[int, int]]:
         """Non-diagonal related block index pairs, row-major."""
         k = len(self.partition)
-        return [
-            (i, j)
-            for i in range(k)
-            for j in range(k)
-            if i != j and self.leq[i][j]
-        ]
+        out: list[tuple[int, int]] = []
+        for i, row in enumerate(self.leq):
+            out.extend(zip(repeat(i), compress(range(i), row)))
+            out.extend(zip(repeat(i), compress(range(i + 1, k), islice(row, i + 1, None))))
+        return out
 
 
 class PartitionRelationPair:
     """The engine's mutable core: segmented state ordering, block table,
-    and the block relation matrix.
+    and the block relation.
 
     ``states[p]`` is the state at position p, ``pos`` its inverse, and
     ``state_block[s]`` the block owning state s. Every entry of ``blocks``
     is live: a split registers a new half only for a block it cuts
     properly, so the table doubles as the live list in creation order.
+    The relation is held twice, as bitsets over block ids: bit c of
+    ``up[b]`` and bit b of ``down[c]`` are set iff block b is related
+    below block c. Every writer keeps the two in step.
     """
 
-    __slots__ = ("states", "pos", "state_block", "blocks", "rel")
+    __slots__ = ("states", "pos", "state_block", "blocks", "up", "down")
 
-    def __init__(self, states, pos, state_block, blocks, rel):
+    def __init__(self, states, pos, state_block, blocks, up, down):
         self.states: list[int] = states
         self.pos: list[int] = pos
         self.state_block: list[Block] = state_block
         self.blocks: list[Block] = blocks
-        # rel[b][c] is 1 iff block b is related below block c
-        self.rel: list[bytearray] = rel
+        self.up: list[int] = up
+        self.down: list[int] = down
 
     @property
     def num_states(self) -> int:
@@ -132,11 +170,9 @@ class PartitionRelationPair:
 
     def up_set_states(self, block: Block) -> set[int]:
         """Union of the segments of all blocks that ``block`` relates into."""
-        row = self.rel[block.index]
         out: set[int] = set()
-        for other in self.blocks:
-            if row[other.index]:
-                out.update(self.block_states(other))
+        for c in bits(self.up[block.index]):
+            out.update(self.block_states(self.blocks[c]))
         return out
 
     def split(self, splitter: Iterable[int]) -> list[tuple[Block, Block]]:
@@ -181,14 +217,15 @@ class PartitionRelationPair:
         """Deep copy the converged pair into an immutable result."""
         ordered = sorted(self.blocks, key=lambda b: min(self.block_states(b)))
         partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
-        rows = self.rel
+        up = self.up
+        nb = len(self.blocks)
         idx = [b.index for b in ordered]
         if len(idx) > 1:
             get = itemgetter(*idx)
-            leq = tuple(tuple(map(bool, get(rows[i]))) for i in idx)
+            leq = tuple(tuple(map(bool, get(bit_flags(up[i], nb)))) for i in idx)
         else:
             # an itemgetter of one index returns a scalar, not a tuple
-            leq = tuple((bool(rows[i][i]),) for i in idx)
+            leq = tuple((bool(up[i] >> i & 1),) for i in idx)
         return SimulationResult(partition, leq)
 
 
@@ -209,7 +246,5 @@ def init_pr(ks: KripkeStructure) -> PartitionRelationPair:
             pos[s] = len(states)
             states.append(s)
             state_block[s] = b
-    rel = [bytearray(len(blocks)) for _ in blocks]
-    for b in blocks:
-        rel[b.index][b.index] = 1
-    return PartitionRelationPair(states, pos, state_block, blocks, rel)
+    identity = [1 << b.index for b in blocks]
+    return PartitionRelationPair(states, pos, state_block, blocks, identity, identity[:])

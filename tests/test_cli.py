@@ -169,7 +169,13 @@ class TestGenerate:
         assert out.exit_code == 1
 
     @pytest.mark.parametrize(
-        "params", [["tree", "64", "2"], ["chain", str(MAX_STATES + 1)]]
+        "params",
+        [
+            ["tree", "64", "2"],
+            ["chain", str(MAX_STATES + 1)],
+            # refused before its 10^10 edge draws, so it returns at once
+            ["random", "100000", "1", "0.0"],
+        ],
     )
     def test_above_state_cap(self, runner, params):
         out = runner.invoke(main, ["generate", *params])

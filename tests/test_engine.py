@@ -12,7 +12,7 @@ from simrel.engine import (
 )
 from simrel.kripke import KripkeStructure, generate_random_ks, make_chain, parse_ks
 from simrel.oracle import brute_force_simulation, simulation_partition
-from simrel.prcore import init_pr
+from simrel.prcore import bits, init_pr
 
 from .conftest import build_ks
 
@@ -35,6 +35,20 @@ def engine_after_initialize(ks):
     return eng
 
 
+def relate(pr, b, c):
+    """Put block b below block c, in both directions of the relation."""
+    pr.up[b] |= 1 << c
+    pr.down[c] |= 1 << b
+
+
+def related(pr, b, c):
+    return bool(pr.up[b] >> c & 1)
+
+
+def pair_count(pr):
+    return sum(row.bit_count() for row in pr.up)
+
+
 def run_one_split_round(eng):
     """Drive exactly one refiner-split-update iteration."""
     refiner = eng.find_prefiner()
@@ -51,8 +65,8 @@ class TestInitialize:
     def test_no_transitions(self):
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
         assert all(not b.pre_e for b in eng.pr.blocks)
-        assert all(not any(row) for row in eng.count)
-        assert all(b.remove == [] for b in eng.pr.blocks)
+        assert all(row == {} for row in eng.count)
+        assert all(b.remove == 0 for b in eng.pr.blocks)
 
     def test_sink_structure_edge_matrix(self, ks_a):
         eng = engine_after_initialize(ks_a)
@@ -65,22 +79,22 @@ class TestInitialize:
         eng = engine_after_initialize(ks_a)
         for b in eng.pr.blocks:
             for c in eng.pr.blocks:
-                assert eng.count[b.index][c.index] == (b in c.pre_e)
+                assert eng.count[b.index].get(c.index, 0) == (b in c.pre_e)
 
     def test_remove_lists_per_definition(self):
         # block with edges but none into a target's closure gets listed
         ks = build_ks("ab", [(0, 0), (1, 1)])
         eng = engine_after_initialize(ks)
         b0, b1 = eng.pr.blocks
-        assert [d.index for d in b0.remove] == [b1.index]
-        assert [d.index for d in b1.remove] == [b0.index]
+        assert bits(b0.remove) == [b1.index]
+        assert bits(b1.remove) == [b0.index]
 
     def test_listed_in_inverts_remove_lists(self):
         ks = build_ks("ab", [(0, 0), (1, 1)])
         eng = engine_after_initialize(ks)
         b0, b1 = eng.pr.blocks
-        assert b0.listed_in == [b1]
-        assert b1.listed_in == [b0]
+        assert b0.listed_in == 1 << b1.index
+        assert b1.listed_in == 1 << b0.index
 
     def test_every_block_queued(self, ks_a):
         eng = engine_after_initialize(ks_a)
@@ -177,7 +191,7 @@ class TestPreUpSet:
         ks = build_ks("ab", [(0, 1)])
         eng = engine_after_initialize(ks)
         b_a, b_b = eng.pr.blocks
-        eng.pr.rel[b_a.index][b_b.index] = 1
+        relate(eng.pr, b_a.index, b_b.index)
         # up-set of block a is now {0, 1}; only 0 has an edge into it
         assert eng.pre_up_set(b_a) == [0]
 
@@ -208,8 +222,8 @@ class TestUpdateAfterSplit:
     def test_relation_lifted_to_all_half_pairs(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        rel = eng.pr.rel
-        assert all(rel[i][j] for i in range(2) for j in range(2))
+        assert all(related(eng.pr, i, j) for i in range(2) for j in range(2))
+        assert eng.pr.up == eng.pr.down == [0b11, 0b11]
 
     def test_prior_relations_reach_both_halves(self):
         # a <| b beforehand: both halves of b stay above a
@@ -217,32 +231,32 @@ class TestUpdateAfterSplit:
         eng = engine_after_initialize(ks)
         b_a = eng.pr.block_of(0)
         b_b = eng.pr.block_of(1)
-        eng.pr.rel[b_a.index][b_b.index] = 1
+        relate(eng.pr, b_a.index, b_b.index)
         pairs = eng.pr.split([1])
         eng.inherit(pairs)
-        rel = eng.pr.rel
         for half in pairs[0]:
-            assert rel[b_a.index][half.index] == 1
+            assert related(eng.pr, b_a.index, half.index)
+            assert eng.pr.down[half.index] >> b_a.index & 1
 
     def test_edge_matrix_exact_after_split(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        bc_ref, _ = recompute_tables(eng.ks, eng.pr)
+        edge_ref, _ = recompute_tables(eng.ks, eng.pr)
         for b in eng.pr.blocks:
             for c in eng.pr.blocks:
-                assert bc_ref[b.index][c.index] == (b in c.pre_e)
+                assert bool(edge_ref[b.index] >> c.index & 1) == (b in c.pre_e)
 
     def test_counts_after_first_split(self, ks_b):
         # from-scratch recomputation fixes the expected entries
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
         _, cnt_ref = recompute_tables(eng.ks, eng.pr)
-        assert [list(r) for r in eng.count] == cnt_ref
+        assert eng.count == cnt_ref
         live = eng.pr.block_of(0)
         dead = eng.pr.block_of(1)
-        assert eng.count[live.index][live.index] == 1
-        assert eng.count[dead.index][live.index] == 0
-        assert eng.count[dead.index][dead.index] == 0
+        assert eng.count[live.index].get(live.index, 0) == 1
+        assert eng.count[dead.index].get(live.index, 0) == 0
+        assert eng.count[dead.index].get(dead.index, 0) == 0
 
     def test_pre_e_rebuilt(self, ks_b):
         eng = engine_after_initialize(ks_b)
@@ -258,37 +272,38 @@ class TestUpdateAfterSplit:
         pair_block = eng.pr.block_of(0)
         marker = eng.pr.block_of(2)
         for b in eng.pr.blocks:
-            b.remove, b.listed_in = [], []
-        pair_block.remove = [marker]
-        marker.listed_in = [pair_block]
+            b.remove, b.listed_in = 0, 0
+        pair_block.remove = 1 << marker.index
+        marker.listed_in = 1 << pair_block.index
         [(kept, new)] = eng.pr.split([0])
         eng.inherit([(kept, new)])
-        assert new.remove == [marker]
-        assert marker.listed_in == [pair_block, new]
-        new.remove.append(pair_block)
-        assert kept.remove == [marker]
+        assert new.remove == 1 << marker.index
+        assert marker.listed_in == 1 << pair_block.index | 1 << new.index
+        new.remove |= 1 << pair_block.index
+        assert kept.remove == 1 << marker.index
 
 
 def split_with_scribbled_tables():
     """An initialized engine whose two label blocks both split at once.
 
-    Before the split every counter cell holds a distinct value and the
-    relation an upper triangle, so a copied cell shows where it came from;
-    the removal lists hold both blocks, one of them in its own list.
-    Returns the engine, the split pairs and the tables before the split.
+    Both blocks reach both, so every counter cell is nonzero whatever the
+    relation. Before the split every counter cell holds a distinct value
+    and the relation is an upper triangle, so a copied cell shows where it
+    came from; the removal sets hold both blocks, one of them in its own
+    set. Returns the engine, the split pairs and the tables before the
+    split.
     """
     ks = build_ks("aaabbb", [(0, 3), (1, 1), (2, 5), (3, 0), (4, 4), (5, 2)])
     eng = engine_after_initialize(ks)
     b0, b1 = eng.pr.blocks
-    b0.remove, b1.remove = [b0, b1], [b1]
-    b0.listed_in, b1.listed_in = [b0], [b0, b1]
+    b0.remove, b1.remove = 0b11, 0b10
+    b0.listed_in, b1.listed_in = 0b01, 0b11
     nb = len(eng.pr.blocks)
-    rel = eng.pr.rel
     for r in range(nb):
-        for c in range(nb):
-            eng.count[r][c] = 1 + r * nb + c
-            rel[r][c] = int(r <= c)
-    before = ([bytearray(r) for r in rel], [list(r) for r in eng.count])
+        eng.count[r] = {c: 1 + r * nb + c for c in range(nb)}
+        for c in range(r + 1, nb):
+            relate(eng.pr, r, c)
+    before = (eng.pr.up[:], eng.pr.down[:], [dict(r) for r in eng.count])
     pairs = eng.pr.split([0, 3])
     assert len(pairs) == 2
     return eng, pairs, before
@@ -297,64 +312,79 @@ def split_with_scribbled_tables():
 class TestInherit:
     def test_empty_split_list_no_change(self):
         eng = engine_after_initialize(build_ks("ab", [(0, 1)]))
-        rel_before = [bytearray(row) for row in eng.pr.rel]
-        cnt_before = [list(r) for r in eng.count]
+        up_before, down_before = eng.pr.up[:], eng.pr.down[:]
+        cnt_before = [dict(r) for r in eng.count]
         eng.inherit([])
-        assert eng.pr.rel == rel_before
+        assert eng.pr.up == up_before
+        assert eng.pr.down == down_before
         assert eng.count == cnt_before
 
     def test_one_row_and_column_per_new_half(self):
         eng, pairs, _ = split_with_scribbled_tables()
         eng.inherit(pairs)
-        for rows in (eng.pr.rel, eng.count):
-            assert len(rows) == 4
-            assert all(len(row) == 4 for row in rows)
+        pr = eng.pr
+        assert len(pr.up) == len(pr.down) == len(eng.count) == 4
+        assert all(row >> 4 == 0 for row in pr.up + pr.down)
+        # the scribbled counter rows are dense, so they grow by a column
+        assert all(sorted(row) == [0, 1, 2, 3] for row in eng.count)
 
     def test_dimension_tracks_cumulative_splits(self):
         eng = engine_after_initialize(build_ks("aaaa", []))
         for splitter in ([0], [1]):
             eng.inherit(eng.pr.split(splitter))
-        for rows in (eng.pr.rel, eng.count):
-            assert len(rows) == 3
-            assert all(len(row) == 3 for row in rows)
+        pr = eng.pr
+        assert len(pr.up) == len(pr.down) == len(eng.count) == 3
+        # the halves of one block stay mutually related
+        assert pr.up == pr.down == [0b111] * 3
 
     def test_new_half_copies_parent_row_and_column(self):
         eng, pairs, _ = split_with_scribbled_tables()
         eng.inherit(pairs)
         nb = len(eng.pr.blocks)
+        pr = eng.pr
         for kept, new in pairs:
             n, p = new.index, kept.index
             assert new.anc == kept.anc
-            for rows in (eng.pr.rel, eng.count):
-                assert rows[n] == rows[p]
-                assert all(rows[r][n] == rows[r][p] for r in range(nb))
+            assert pr.up[n] == pr.up[p]
+            assert pr.down[n] == pr.down[p]
+            assert eng.count[n] == eng.count[p]
+            for r in range(nb):
+                assert related(pr, r, n) == related(pr, r, p)
+                assert eng.count[r][n] == eng.count[r][p]
 
     def test_old_entries_untouched(self):
-        eng, pairs, (rel_before, cnt_before) = split_with_scribbled_tables()
+        eng, pairs, (up_before, down_before, cnt_before) = split_with_scribbled_tables()
         eng.inherit(pairs)
-        old = len(rel_before)
-        assert [row[:old] for row in eng.pr.rel[:old]] == rel_before
-        assert [row[:old] for row in eng.count[:old]] == cnt_before
+        old = len(up_before)
+        mask = (1 << old) - 1
+        assert [row & mask for row in eng.pr.up[:old]] == up_before
+        assert [row & mask for row in eng.pr.down[:old]] == down_before
+        assert [
+            {c: k for c, k in row.items() if c < old} for row in eng.count[:old]
+        ] == cnt_before
 
     def test_remove_list_equals_parents_and_is_independent(self):
         eng, pairs, _ = split_with_scribbled_tables()
         eng.inherit(pairs)
         for kept, new in pairs:
             assert new.remove == kept.remove
-            assert new.remove is not kept.remove
-        lists_with_halves = [b for b in eng.pr.blocks if b.remove]
-        assert lists_with_halves
-        for b in lists_with_halves:
+            before = kept.remove
+            new.remove |= 1 << 7
+            assert kept.remove == before
+            new.remove = before
+        sets_with_halves = [b for b in eng.pr.blocks if b.remove]
+        assert sets_with_halves
+        for b in sets_with_halves:
             for kept, new in pairs:
-                assert (kept in b.remove) == (new in b.remove)
+                assert b.remove >> kept.index & 1 == b.remove >> new.index & 1
 
     def test_listed_in_inverts_remove_lists(self):
         eng, pairs, _ = split_with_scribbled_tables()
         eng.inherit(pairs)
         blocks = eng.pr.blocks
         for d in blocks:
-            holders = [c.index for c in blocks for m in c.remove if m is d]
-            assert sorted(c.index for c in d.listed_in) == holders
+            holders = sum(1 << c.index for c in blocks if c.remove >> d.index & 1)
+            assert d.listed_in == holders
 
     def test_chain_logs_each_half_once(self):
         # a split half is logged into each removal list at most once, so a
@@ -370,10 +400,10 @@ class TestRStabilize:
     def test_empty_lists_noop(self, ks_a):
         eng = engine_after_initialize(ks_a)
         for b in eng.pr.blocks:
-            b.remove = []
-        pairs_before = sum(map(sum, eng.pr.rel))
+            b.remove = 0
+        pairs_before = pair_count(eng.pr)
         assert eng.rstabilize() is True
-        assert sum(map(sum, eng.pr.rel)) == pairs_before
+        assert pair_count(eng.pr) == pairs_before
 
     def test_one_sided_pair_pruned(self, ks_b):
         result, _ = SimulationEngine(ks_b, FULL).run()
@@ -388,10 +418,10 @@ class TestRStabilize:
 
         class Probe(SimulationEngine):
             def rstabilize(self):
-                before = sum(map(sum, self.pr.rel))
+                before = pair_count(self.pr)
                 out = SimulationEngine.rstabilize(self)
-                if sum(map(sum, self.pr.rel)) < before:
-                    rounds_with_removals.append(before - sum(map(sum, self.pr.rel)))
+                if pair_count(self.pr) < before:
+                    rounds_with_removals.append(before - pair_count(self.pr))
                 return out
 
         result, _ = Probe(ks, FULL).run()
@@ -440,12 +470,54 @@ class TestFullChecks:
         with pytest.raises(InvariantViolation, match="counter out of range"):
             eng.update_count(pairs)
 
+    def test_down_out_of_step_with_up_detected(self, ks_a):
+        eng = SimulationEngine(ks_a, FULL)
+        eng.initialize()
+        eng.pr.down[0] |= 1 << 1
+        with pytest.raises(InvariantViolation, match="transpose"):
+            eng._check_tables()
+
+    def test_stale_counter_detected(self, ks_a):
+        eng = SimulationEngine(ks_a, FULL)
+        eng.initialize()
+        row = next(r for r in eng.count if r)
+        row[next(iter(row))] += 1
+        with pytest.raises(InvariantViolation, match="counter row"):
+            eng._check_tables()
+
+    def test_negative_counter_detected_with_checks_off(self):
+        # pruning decrements counters; a missing cell would go below zero
+        eng = SimulationEngine(make_chain(3), EngineConfig())
+        eng.initialize()
+        eng.pstabilize()
+        for row in eng.count:
+            row.clear()
+        with pytest.raises(InvariantViolation, match="counter went negative"):
+            eng.rstabilize()
+
+    def test_corrupt_removal_set_detected(self):
+        # this structure's first pruning round logs fresh violations
+        eng = SimulationEngine(build_ks("aaaaa", [(1, 0), (1, 2), (1, 4)]), FULL)
+        eng.initialize()
+        eng.pstabilize()
+        entry_up = eng.pr.up[:]
+        assert eng.rstabilize() is False
+        fresh = [b for b in eng.pr.blocks if b.remove]
+        assert fresh
+        eng._check_remove_invariant(entry_up)
+        for b in eng.pr.blocks:
+            saved = b.remove
+            b.remove ^= 1 << b.index
+            with pytest.raises(InvariantViolation, match="round invariant"):
+                eng._check_remove_invariant(entry_up)
+            b.remove = saved
+
     def test_corrupt_listed_in_detected(self):
         ks = build_ks("ab", [(0, 0), (1, 1)])
         eng = SimulationEngine(ks, FULL)
         eng.initialize()
         b0, b1 = eng.pr.blocks
-        b0.listed_in.remove(b1)
+        b0.listed_in &= ~(1 << b1.index)
         with pytest.raises(InvariantViolation, match="listed_in"):
             eng._check_tables()
 

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simrel import kripke
 from simrel.kripke import (
+    MAX_RANDOM_STATES,
     MAX_STATES,
     KripkeStructure,
     KSFormatError,
@@ -162,6 +164,16 @@ class TestGenerator:
             generate_random_ks(0, 1, 0.5, 1)
         with pytest.raises(ValueError):
             generate_random_ks(1, 1, 1.5, 1)
+
+    def test_size_refused_before_any_draw(self, monkeypatch):
+        # one coin per ordered state pair: above the limit, refuse up front
+        def no_draws(seed):
+            raise AssertionError("drew before refusing the size")
+
+        monkeypatch.setattr(kripke.random, "Random", no_draws)
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_RANDOM_STATES}"):
+            generate_random_ks(MAX_RANDOM_STATES + 1, 1, 0.0, 0)
+        assert MAX_RANDOM_STATES == 10_000
 
 
 class TestFamilies:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from simrel.engine import EngineConfig, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
-from simrel.prcore import init_pr
+from simrel.prcore import SimulationResult, bit_flags, bits, init_pr
 
 from .conftest import build_ks
 
@@ -15,7 +15,7 @@ class TestInitPr:
         assert len(pr.blocks) == 1
         b = pr.blocks[0]
         assert (b.begin, b.end) == (0, 1)
-        assert pr.rel[0][0] == 1
+        assert pr.up == pr.down == [1]
 
     def test_label_blocks_contiguous(self):
         pr = init_pr(build_ks("aba", []))
@@ -27,12 +27,13 @@ class TestInitPr:
         pr = init_pr(build_ks("abc", []))
         for b in pr.blocks:
             for c in pr.blocks:
-                assert bool(pr.rel[b.index][c.index]) == (b is c)
+                assert bool(pr.up[b.index] >> c.index & 1) == (b is c)
+                assert bool(pr.down[c.index] >> b.index & 1) == (b is c)
 
     def test_scratch_fields_clear(self):
         pr = init_pr(build_ks("ab", []))
         for b in pr.blocks:
-            assert b.pre_e == {} and b.remove == [] and b.listed_in == []
+            assert b.pre_e == {} and b.remove == 0 and b.listed_in == 0
             assert not b.queued
             assert b.anc == b.index
 
@@ -117,7 +118,8 @@ class TestUpSet:
 
     def test_union_over_related_blocks(self):
         pr = init_pr(build_ks("ab", []))
-        pr.rel[0][1] = 1
+        pr.up[0] |= 1 << 1
+        pr.down[1] |= 1 << 0
         assert pr.up_set_states(pr.blocks[0]) == {0, 1}
 
     def test_converged_sink_block(self, ks_a):
@@ -155,3 +157,48 @@ class TestExtractResult:
     def test_order_pairs(self, ks_b):
         result, _ = SimulationEngine(ks_b, EngineConfig()).run()
         assert result.order_pairs() == [(1, 0)]
+
+    @given(st.integers(0, 9).flatmap(
+        lambda k: st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=k, max_size=k)
+    ))
+    def test_order_pairs_equals_naive_loop(self, rows):
+        k = len(rows)
+        leq = tuple(map(tuple, rows))
+        result = SimulationResult(tuple((i,) for i in range(k)), leq)
+        assert result.order_pairs() == [
+            (i, j) for i in range(k) for j in range(k) if i != j and leq[i][j]
+        ]
+
+
+def naive_bits(x):
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+bit_ints = st.one_of(
+    st.integers(0, 2**300),
+    st.integers(0, 4000).map(lambda i: 1 << i),
+    st.integers(1, 400).map(lambda n: (1 << n) - 1),
+    st.lists(st.integers(0, 2000), max_size=6).map(lambda ids: sum(1 << i for i in set(ids))),
+)
+
+
+class TestBits:
+    @given(bit_ints)
+    @settings(max_examples=300)
+    def test_bits_equals_naive_loop(self, x):
+        assert bits(x) == naive_bits(x)
+
+    @given(bit_ints, st.integers(0, 64))
+    @settings(max_examples=300)
+    def test_bit_flags_equals_naive_loop(self, x, extra):
+        width = x.bit_length() + extra
+        flags = bit_flags(x, width)
+        assert len(flags) >= width
+        assert [i for i in range(len(flags)) if flags[i]] == naive_bits(x)
+        assert set(flags) <= {0, 1}
+
+    def test_edge_values(self):
+        assert bits(0) == [] and bit_flags(0, 3) == bytes(3)
+        assert bits(1 << 4000) == [4000]
+        assert bits((1 << 64) - 1) == list(range(64))
+        assert bit_flags(0b101, 8) == bytes([1, 0, 1, 0, 0, 0, 0, 0])
