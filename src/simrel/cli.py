@@ -63,7 +63,10 @@ def _report_text(result, stats) -> str:
 def _report_json(result, stats) -> str:
     doc = {
         "partition": result.partition,
-        "order": [list(p) for p in result.order_pairs()],
+        # json.dumps writes tuples as lists, so no list is built per pair.
+        # perfbench/tests/test_perfbench.py::test_corrupted_result_fails
+        # corrupts the document by editing this line's text; keep it.
+        "order": [p for p in result.order_pairs()],
         "stats": stats.to_dict() if stats is not None else None,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -12,19 +12,19 @@ Between splits, four tables are maintained: the block relation (row and
 column bitsets ``up`` and ``down``), the per-block predecessor block sets
 ``pre_e`` (the only record of which blocks have edges into which), the
 counters (one dict of nonzero cells per row, updated by rescanning only
-the smaller half of each split pair), and the removal sets, bitsets of
-block ids, with their inverse ``listed_in`` per block. Each table is
-sized by what is set in it, and the work on it follows its set bits and
+the smaller half of each split pair), and the removal sets, one bitset
+of block ids per block and no other record of them. Each table is sized
+by what is set in it, and the work on it follows its set bits and
 nonzero cells, not the square of the block count. ``split`` returns one
 ``(kept, new)`` pair per block it cuts, and the pairs are passed on:
 ``inherit`` gives each new half a copy of its parent's entry in every
 table (its row and column in the relation and the counters, its
-ancestor class, a place in exactly the removal sets ``listed_in``
-names, and a copy of the parent's own removal set), and
-``update_count`` then corrects the counters and logs every half that
-just lost its last counted successor block above some block c into c's
-set. Without that logging, pairs created mutually related by a split
-would never be pruned again.
+ancestor class, a place in exactly the removal sets that hold its
+parent, found with one AND per block, and a copy of the parent's own
+removal set), and ``update_count`` then corrects the counters and logs
+every half that just lost its last counted successor block above some
+block c into c's set. Without that logging, pairs created mutually
+related by a split would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
@@ -192,9 +192,6 @@ class SimulationEngine:
                 reaching[c] |= 1 << b.index
         for c in blocks:
             c.remove = has_out & ~reaching[c.index]
-            cbit = 1 << c.index
-            for d in bits(c.remove):
-                blocks[d].listed_in |= cbit
             if self.cfg.stats_enabled:
                 self.stats.remove_elements_total += c.remove.bit_count()
         self._queue(blocks)
@@ -231,7 +228,6 @@ class SimulationEngine:
                 raise InvariantViolation("refiner produced no split")
             if self.cfg.stats_enabled:
                 self.stats.splits_total += len(pairs)
-                self.stats.new_blocks_total += 2 * len(pairs)
             self.inherit(pairs)
             self.update_pre_e()
             self.update_count(pairs)
@@ -358,8 +354,11 @@ class SimulationEngine:
         ``down[kept]`` names, the counter column into the rows of blocks
         with an edge into ``up[kept]``, which are exactly its nonzero
         cells. Columns are copied before rows, so a new half's row already
-        holds the new halves of its parent's row. The removal sets are
-        copied after the places are made for the same reason.
+        holds the new halves of its parent's row. The sets holding a
+        parent are found in one pass over the blocks: each set is ANDed
+        with the mask of all parents, and only a set that meets it is
+        tested bit by bit against the pairs. The removal sets are copied
+        after the places are made, for the same reason as the rows.
         ``update_count`` then corrects the counters.
         """
         pr = self.pr
@@ -381,22 +380,23 @@ class SimulationEngine:
             nbit = 1 << new.index
             for c in bits(up[new.index]):
                 down[c] |= nbit
-        track = self.cfg.stats_enabled
+        # the new halves' removal sets are still empty, so they hold none
+        shifts = [(kept.index, 1 << new.index) for kept, new in pairs]
+        parents = reduce(or_, (1 << k for k, _ in shifts), 0)
+        placed = 0
+        for owner in blocks:
+            held = owner.remove & parents
+            if held:
+                for k, nbit in shifts:
+                    if held >> k & 1:
+                        owner.remove |= nbit
+                        placed += 1
         for kept, new in pairs:
             new.anc = kept.anc
-            nbit = 1 << new.index
-            for owner in bits(kept.listed_in):
-                blocks[owner].remove |= nbit
-            new.listed_in = kept.listed_in
-            if track:
-                self.stats.remove_elements_total += kept.listed_in.bit_count()
-        for kept, new in pairs:
             new.remove = kept.remove
-            nbit = 1 << new.index
-            for m in bits(kept.remove):
-                blocks[m].listed_in |= nbit
-            if track:
-                self.stats.remove_elements_total += kept.remove.bit_count()
+            placed += kept.remove.bit_count()
+        if self.cfg.stats_enabled:
+            self.stats.remove_elements_total += placed
 
     def update_pre_e(self) -> None:
         """Rebuild every block's predecessor block set, in first-edge order."""
@@ -425,10 +425,11 @@ class SimulationEngine:
         ``kept -> new``. Every column walk follows the set bits of a
         ``down`` column. Finally every half whose counter just dropped to
         zero against some block c, a key its row had and lost, is logged
-        into c's removal set; these are exactly the blocks whose states
-        lost their last edge into c's upward closure by losing their
-        sibling states. The two halves of a split block have equal
-        columns, so such a half is logged into both halves' sets.
+        by setting its bit in c's removal set, the only record of that
+        set; these are exactly the blocks whose states lost their last
+        edge into c's upward closure by losing their sibling states. The
+        two halves of a split block have equal columns, so such a half is
+        logged into both halves' sets.
         """
         pr = self.pr
         blocks = pr.blocks
@@ -494,7 +495,6 @@ class SimulationEngine:
             dropped = old - cnt[h.index].keys()
             for c in dropped:
                 blocks[c].remove |= hbit
-                h.listed_in |= 1 << c
             if track:
                 stats.remove_elements_total += len(dropped)
 
@@ -539,7 +539,6 @@ class SimulationEngine:
         pending = [b.remove for b in blocks]
         for b in blocks:
             b.remove = 0
-            b.listed_in = 0
         entry_up = up[:] if self.cfg.full else None
         removed = False
         for sel in blocks:
@@ -577,7 +576,6 @@ class SimulationEngine:
                         elif left == 0:
                             del fr[pi]
                             pred.remove |= 1 << f.index
-                            f.listed_in |= pbit
                             if track:
                                 self.stats.remove_elements_total += 1
                         else:
@@ -631,8 +629,8 @@ class SimulationEngine:
 
     def _check_tables(self) -> None:
         """Full check: ``pre_e`` and the counters equal their from-scratch
-        recomputation, ``down`` is the transpose of ``up``, and
-        ``listed_in`` inverts the removal sets."""
+        recomputation, and ``down`` is the transpose of ``up``. The removal
+        sets are recomputed by ``_check_remove_invariant``."""
         pr = self.pr
         if transpose(pr.up) != pr.down:
             raise InvariantViolation("down is not the transpose of up")
@@ -644,12 +642,6 @@ class SimulationEngine:
         for i, (row, ref) in enumerate(zip(self.count, cnt_ref)):
             if row != ref:
                 raise InvariantViolation(f"counter row {i} stale")
-        listed = transpose([b.remove for b in pr.blocks])
-        for d in pr.blocks:
-            if d.listed_in != listed[d.index]:
-                raise InvariantViolation(
-                    f"listed_in of block {d.index} does not invert the removal sets"
-                )
 
     def _check_order(self, require_antisymmetric: bool) -> None:
         """Reflexive, transitive (the rows above i lie within i's row) and,

@@ -31,13 +31,17 @@ class RunStats:
     """
 
     splits_total: int = 0
-    new_blocks_total: int = 0
     prefiner_calls: int = 0
     findprefiner_null_returns: int = 0
     smaller_half_state_scans: Counter = field(default_factory=Counter)
     remove_elements_total: int = 0
     pairs_removed_total: int = 0
     remove_trace: list = field(default_factory=list, repr=False)
+
+    @property
+    def new_blocks_total(self) -> int:
+        """Blocks created by splits: each split cuts one block into two."""
+        return 2 * self.splits_total
 
     @property
     def max_smaller_half_scans(self) -> int:
@@ -83,13 +87,23 @@ def assert_remove_disjointness(trace) -> bool:
     ``trace`` is a sequence of ``(selected_states, removed_union_states)``
     frozenset pairs. For any two entries whose selected blocks are nested
     (or equal), the removal unions must be disjoint.
+
+    Precondition: the selections are nonempty blocks of a refining
+    partition, so any two are nested or disjoint. Two entries then share
+    a selected state exactly when they are nested, and the rule becomes:
+    no (selected, removed) state pair shows up twice. That is checked in
+    one pass, with per selected state an int bitset of the states removed
+    so far, instead of comparing every pair of entries.
     """
-    entries = list(trace)
-    for i in range(len(entries)):
-        sel_i, union_i = entries[i]
-        for j in range(i + 1, len(entries)):
-            sel_j, union_j = entries[j]
-            if sel_i >= sel_j or sel_j >= sel_i:
-                if union_i & union_j:
-                    return False
+    removed: dict[int, int] = {}
+    for sel, union in trace:
+        flags = bytearray(max(union, default=0) // 8 + 1)
+        for t in union:
+            flags[t >> 3] |= 1 << (t & 7)
+        mask = int.from_bytes(flags, "little")
+        for s in sel:
+            seen = removed.get(s, 0)
+            if seen & mask:
+                return False
+            removed[s] = seen | mask
     return True

@@ -9,11 +9,11 @@ single swap at the segment boundary, so a split costs O(splitter size)
 and touches no other block. Block ids are never recycled; they index the
 block relation, held here as Python-int bitsets over block ids in both
 directions (``up[b]``, the blocks above b, and ``down[c]``, the blocks
-below c), each block's removal set and its inverse (also bitsets), and
-the engine's sparse counter rows. The engine gives each new half its
-kept half's row and column. Which blocks have edges into which is
-recorded once, in each block's ``pre_e``. ``bits`` and ``bit_flags``
-read a bitset back as indices or as one byte per bit.
+below c), each block's removal set (also a bitset), and the engine's
+sparse counter rows. The engine gives each new half its kept half's row
+and column. Which blocks have edges into which is recorded once, in
+each block's ``pre_e``. ``bits`` and ``bit_flags`` read a bitset back
+as indices or as one byte per bit.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ class Block:
     the relation and counter tables, and ``[begin, end)`` its segment of
     the state ordering. ``pre_e`` holds, in first-edge order, every block
     with a transition into this one; its values are unused. ``remove`` is
-    the block's removal set, a bitset of block ids, and ``listed_in`` its
-    inverse: the bitset of the blocks whose removal set holds this one.
+    the block's removal set, a bitset of block ids; no inverse is kept,
+    since finding the sets that hold a block costs one AND per block.
     ``queued`` is set while the block sits on the engine's refiner
     worklist, and ``anc`` names its ancestor class. A block keeps no
     split-time scratch: ``split`` returns its pairs.
     """
 
-    __slots__ = ("index", "begin", "end", "pre_e", "remove", "listed_in", "queued", "anc")
+    __slots__ = ("index", "begin", "end", "pre_e", "remove", "queued", "anc")
 
     def __init__(self, index: int, begin: int, end: int):
         self.index = index
@@ -82,7 +82,6 @@ class Block:
         self.end = end
         self.pre_e: dict[Block, None] = {}
         self.remove = 0
-        self.listed_in = 0
         self.queued = False
         # id of this block's ancestor at the start of the current partition
         # stabilization call; blocks with equal ancestors are exactly the

@@ -89,13 +89,6 @@ class TestInitialize:
         assert bits(b0.remove) == [b1.index]
         assert bits(b1.remove) == [b0.index]
 
-    def test_listed_in_inverts_remove_lists(self):
-        ks = build_ks("ab", [(0, 0), (1, 1)])
-        eng = engine_after_initialize(ks)
-        b0, b1 = eng.pr.blocks
-        assert b0.listed_in == 1 << b1.index
-        assert b1.listed_in == 1 << b0.index
-
     def test_every_block_queued(self, ks_a):
         eng = engine_after_initialize(ks_a)
         assert sorted(eng.worklist) == [b.index for b in eng.pr.blocks]
@@ -271,14 +264,12 @@ class TestUpdateAfterSplit:
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.block_of(0)
         marker = eng.pr.block_of(2)
-        for b in eng.pr.blocks:
-            b.remove, b.listed_in = 0, 0
         pair_block.remove = 1 << marker.index
-        marker.listed_in = 1 << pair_block.index
+        marker.remove = 1 << pair_block.index
         [(kept, new)] = eng.pr.split([0])
         eng.inherit([(kept, new)])
         assert new.remove == 1 << marker.index
-        assert marker.listed_in == 1 << pair_block.index | 1 << new.index
+        assert marker.remove == 1 << pair_block.index | 1 << new.index
         new.remove |= 1 << pair_block.index
         assert kept.remove == 1 << marker.index
 
@@ -297,7 +288,6 @@ def split_with_scribbled_tables():
     eng = engine_after_initialize(ks)
     b0, b1 = eng.pr.blocks
     b0.remove, b1.remove = 0b11, 0b10
-    b0.listed_in, b1.listed_in = 0b01, 0b11
     nb = len(eng.pr.blocks)
     for r in range(nb):
         eng.count[r] = {c: 1 + r * nb + c for c in range(nb)}
@@ -377,14 +367,6 @@ class TestInherit:
         for b in sets_with_halves:
             for kept, new in pairs:
                 assert b.remove >> kept.index & 1 == b.remove >> new.index & 1
-
-    def test_listed_in_inverts_remove_lists(self):
-        eng, pairs, _ = split_with_scribbled_tables()
-        eng.inherit(pairs)
-        blocks = eng.pr.blocks
-        for d in blocks:
-            holders = sum(1 << c.index for c in blocks if c.remove >> d.index & 1)
-            assert d.listed_in == holders
 
     def test_chain_logs_each_half_once(self):
         # a split half is logged into each removal list at most once, so a
@@ -511,15 +493,6 @@ class TestFullChecks:
             with pytest.raises(InvariantViolation, match="round invariant"):
                 eng._check_remove_invariant(entry_up)
             b.remove = saved
-
-    def test_corrupt_listed_in_detected(self):
-        ks = build_ks("ab", [(0, 0), (1, 1)])
-        eng = SimulationEngine(ks, FULL)
-        eng.initialize()
-        b0, b1 = eng.pr.blocks
-        b0.listed_in &= ~(1 << b1.index)
-        with pytest.raises(InvariantViolation, match="listed_in"):
-            eng._check_tables()
 
 
 class TestSimulationCheck:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from simrel.engine import EngineConfig, compute_simulation
 from simrel.instrument import (
@@ -44,7 +45,7 @@ class TestBlockBound:
             assert assert_block_bound(stats, p_ell, p_sim)
 
     def test_detects_violation(self):
-        stats = RunStats(new_blocks_total=3)
+        stats = RunStats(splits_total=2)
         assert not assert_block_bound(stats, 1, 2)
 
 
@@ -113,6 +114,49 @@ class TestRemoveDisjointness:
             (frozenset({1}), frozenset({5})),
         ]
         assert assert_remove_disjointness(trace)
+
+    def test_agrees_with_pairwise_definition(self):
+        # engine traces and the same traces with a nested duplicate
+        # planted: a removed state selected again under a singleton inside
+        # the selection, or under the whole state set. Both keep every two
+        # selections nested or disjoint, the law's precondition.
+        rng = random.Random(2024)
+        verdicts = Counter()
+        for _ in range(120):
+            n = rng.randint(1, 14)
+            ks = generate_random_ks(
+                n, rng.randint(1, 3), rng.choice([0.1, 0.3, 0.6]), rng.randrange(2**32)
+            )
+            _, stats, _, _ = run(ks)
+            trace = stats.remove_trace
+            variants = [trace]
+            if trace:
+                at = rng.randrange(len(trace))
+                sel, union = trace[at]
+                dup = frozenset({rng.choice(sorted(union))})
+                for planted in (frozenset({rng.choice(sorted(sel))}), frozenset(range(n))):
+                    variants.append(
+                        trace[: at + 1] + [(planted, dup)] + trace[at + 1 :]
+                    )
+            for t in variants:
+                expected = pairwise_disjointness(t)
+                assert assert_remove_disjointness(t) == expected, t
+                verdicts[expected] += 1
+        assert verdicts[True] and verdicts[False]
+
+
+def pairwise_disjointness(trace) -> bool:
+    """The law by its definition: every two entries with nested or equal
+    selections have disjoint removal unions."""
+    entries = list(trace)
+    for i in range(len(entries)):
+        sel_i, union_i = entries[i]
+        for j in range(i + 1, len(entries)):
+            sel_j, union_j = entries[j]
+            if sel_i >= sel_j or sel_j >= sel_i:
+                if union_i & union_j:
+                    return False
+    return True
 
 
 class TestCertificationCounter:

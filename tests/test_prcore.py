@@ -33,7 +33,7 @@ class TestInitPr:
     def test_scratch_fields_clear(self):
         pr = init_pr(build_ks("ab", []))
         for b in pr.blocks:
-            assert b.pre_e == {} and b.remove == 0 and b.listed_in == 0
+            assert b.pre_e == {} and b.remove == 0
             assert not b.queued
             assert b.anc == b.index
 
