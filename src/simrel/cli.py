@@ -11,6 +11,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -36,17 +37,26 @@ from .oracle import brute_force_simulation
 ORACLE_STATE_CAP = 64
 
 
+def _input_error(message: str) -> NoReturn:
+    """Report bad input on stderr and exit with the input-error code."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(1)
+
+
 def _load_ks(path: str) -> KripkeStructure:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
-        click.echo(f"error: cannot open {path}: {exc.strerror}", err=True)
-        sys.exit(1)
+        _input_error(f"cannot open {path}: {exc.strerror}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        _input_error(f"{path}: line {line_no}: not valid UTF-8")
     try:
         return parse_ks(text)
     except KSFormatError as exc:
-        click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(1)
+        _input_error(f"{path}: {exc}")
 
 
 def _report_text(result, stats) -> str:
@@ -121,8 +131,11 @@ def verify(input_path, random_count, max_states, seed):
     instances: list[tuple[str, KripkeStructure, str | None]] = []
     if random_count is not None:
         if random_count < 1 or max_states < 1:
-            click.echo("error: --random and --max-states must be positive", err=True)
-            sys.exit(1)
+            _input_error("--random and --max-states must be positive")
+        if max_states > ORACLE_STATE_CAP:
+            _input_error(
+                f"--max-states {max_states} exceeds the oracle cap of {ORACLE_STATE_CAP}"
+            )
         rng = random.Random(seed)
         for i in range(random_count):
             n = rng.randint(1, max_states)
@@ -139,17 +152,14 @@ def verify(input_path, random_count, max_states, seed):
     elif input_path is not None:
         instances.append((input_path, _load_ks(input_path), None))
     else:
-        click.echo("error: give a FILE or --random N", err=True)
-        sys.exit(1)
+        _input_error("give a FILE or --random N")
 
     for name, ks, replay in instances:
         if ks.num_states > ORACLE_STATE_CAP:
-            click.echo(
-                f"error: {name}: {ks.num_states} states exceeds the "
-                f"oracle cap of {ORACLE_STATE_CAP}",
-                err=True,
+            _input_error(
+                f"{name}: {ks.num_states} states exceeds the "
+                f"oracle cap of {ORACLE_STATE_CAP}"
             )
-            sys.exit(1)
         mismatch = _verify_one(ks)
         if mismatch is not None:
             s, t = mismatch
@@ -182,8 +192,7 @@ def generate(kind, params, seed):
         else:
             ks = make_clique(int(params[0]))
     except (IndexError, ValueError) as exc:
-        click.echo(f"error: invalid parameters for {kind}: {exc}", err=True)
-        sys.exit(1)
+        _input_error(f"invalid parameters for {kind}: {exc}")
     click.echo(serialize_ks(ks), nl=False)
 
 
@@ -197,8 +206,7 @@ def bench(corpus_dir, fmt):
     """
     root = Path(corpus_dir)
     if not root.is_dir():
-        click.echo(f"error: cannot open {corpus_dir}: not a directory", err=True)
-        sys.exit(1)
+        _input_error(f"cannot open {corpus_dir}: not a directory")
     rows = []
     all_ok = True
     for path in sorted(p for p in root.iterdir() if p.is_file()):

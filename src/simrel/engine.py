@@ -18,29 +18,33 @@ by what is set in it, and the work on it follows its set bits and
 nonzero cells, not the square of the block count. ``split`` returns one
 ``(kept, new)`` pair per block it cuts, and the pairs are passed on:
 ``inherit`` gives each new half a copy of its parent's entry in every
-table (its row and column in the relation and the counters, its
-ancestor class, a place in exactly the removal sets that hold its
-parent, found with one AND per block, and a copy of the parent's own
-removal set), and ``update_count`` then corrects the counters and logs
-every half that just lost its last counted successor block above some
-block c into c's set. Without that logging, pairs created mutually
+table (its row and column in the relation and the counters, a place in
+exactly the removal sets that hold its parent, found with one AND per
+block, and a copy of the parent's own removal set), and
+``update_count`` then corrects the counters and logs every half that
+just lost its last counted successor block above some block c into c's
+set. Without that logging, pairs created mutually
 related by a split would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
 depends only on the block's counter row, its successor blocks and their
-ancestor classes. A min-heap of block ids (the worklist, with a
-``queued`` flag per block) holds every block whose hosting may have
-changed since it was last found clean; popping the smallest id keeps the
-first-hit-in-index-order rule of a full scan. Four rules queue blocks:
+classes. A block's class is read off the relation: the blocks mutually
+related with it, which during partition stabilization are the blocks
+descended from one block by splits. A min-heap of block ids (the
+worklist, with a ``queued`` flag per block) holds every block whose
+hosting may have changed since it was last found clean; popping the
+smallest id keeps the first-hit-in-index-order rule of a full scan.
+Three rules queue blocks:
 
 1. ``initialize`` queues every block;
 2. after a split, ``update_count`` queues both halves and every block in
    either half's ``pre_e``, the only rows it changes;
 3. ``rstabilize`` queues ``d.pre_e`` for every pruned pair ``(pred, d)``,
-   the rows it decrements;
-4. when ``pstabilize`` resets the ancestor classes, it queues the
-   ``pre_e`` of every block in a class of more than one block.
+   the rows it decrements, and ``pred.pre_e`` too when ``d`` was still
+   related below ``pred``: the pair was mutual, so ``pred``'s class falls
+   apart. Every member of a class of several blocks is an end of such a
+   pair, since pruning leaves the relation antisymmetric.
 
 The terminal refiner search in ``run`` queues every block first, so it
 stays a full scan and a worklist that missed a block fails loudly.
@@ -203,22 +207,8 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # partition stabilization
 
-    def pstabilize(self) -> bool:
-        """Split until no partition refiner remains.
-
-        Returns True iff the partition did not change at all, which then
-        certifies joint stability to the driver.
-        """
-        blocks = self.pr.blocks
-        # a class of several blocks falls apart into singletons: the hosting
-        # of every block reaching into it may change
-        class_size = Counter(b.anc for b in blocks)
-        for b in blocks:
-            if class_size[b.anc] > 1:
-                self._queue(b.pre_e)
-        for b in blocks:
-            b.anc = b.index
-        any_split = False
+    def pstabilize(self) -> None:
+        """Split until no partition refiner remains."""
         while True:
             refiner = self.find_prefiner()
             if refiner is None:
@@ -231,14 +221,12 @@ class SimulationEngine:
             self.inherit(pairs)
             self.update_pre_e()
             self.update_count(pairs)
-            any_split = True
             if self.cfg.cheap:
                 self._check_structure()
             if self.cfg.full:
                 self._check_tables()
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
-        return not any_split
 
     def find_prefiner(self) -> Block | None:
         """First block whose upward closure's preimage cuts some block.
@@ -255,7 +243,7 @@ class SimulationEngine:
         Only blocks on the worklist are searched, smallest id first, which
         finds what a scan of every block in index order would: a block off
         the worklist hosts no refiner (see the module docstring for the
-        four rules that keep this true). A host stays queued, since the
+        three rules that keep this true). A host stays queued, since the
         split it causes changes it; a clean block is popped. Under the full
         check level an empty search is confirmed by scanning every block.
         """
@@ -287,30 +275,35 @@ class SimulationEngine:
         return None
 
     def post_candidates(self, b: Block) -> list[tuple[Block, int]]:
-        """Ancestor classes k reached by b with 0 < |b n pre(union k)| < |b|.
+        """Classes k reached by b with 0 < |b n pre(union k)| < |b|.
 
-        One pass over b's outgoing transitions, with local tables only: a
-        set of the successor blocks seen so far counts the distinct member
-        blocks of each class that b reaches, and the last state counted
-        for each class makes each state count at most once per class. Each
-        candidate is returned as its representative block (the one whose
-        id is the class's ancestor id) with its number of reached member
-        blocks, in the order in which b's transitions first reach the
-        classes.
+        A block's class is the set of blocks mutually related with it,
+        ``up[c] & down[c]``; mid-call these are the blocks descended from
+        one entry block, whose id is the lowest in the class. One pass
+        over b's outgoing transitions, with local tables only: a dict
+        names each successor block's class the first time it is met and
+        so counts the distinct member blocks of each class that b
+        reaches, and the last state counted for each class makes each
+        state count at most once per class. Each candidate is returned as
+        its representative block (the one with the class's lowest id)
+        with its number of reached member blocks, in the order in which
+        b's transitions first reach the classes.
         """
-        blocks = self.pr.blocks
-        state_block = self.pr.state_block
+        pr = self.pr
+        up, down, state_block, blocks = pr.up, pr.down, pr.state_block, pr.blocks
         succ = self.ks.succ
-        seen: set[Block] = set()
+        class_of: dict[Block, int] = {}  # successor block -> its class id
         class_blocks: dict[int, int] = {}  # first-touch order of classes
         class_states: dict[int, int] = {}
         counted_for: dict[int, int] = {}
-        for s in self.pr.states[b.begin : b.end]:
+        for s in pr.states[b.begin : b.end]:
             for y in succ[s]:
                 c = state_block[y]
-                a = c.anc
-                if c not in seen:
-                    seen.add(c)
+                try:
+                    a = class_of[c]
+                except KeyError:
+                    mutual = up[c.index] & down[c.index]
+                    a = class_of[c] = (mutual & -mutual).bit_length() - 1
                     class_blocks[a] = class_blocks.get(a, 0) + 1
                 if counted_for.get(a) != s:
                     counted_for[a] = s
@@ -346,8 +339,8 @@ class SimulationEngine:
 
         For each ``(kept, new)`` pair from ``split``, ``new`` gets the row
         and column of ``kept`` (its parent's, unchanged by the split) in
-        the relation and the counters, its ancestor class, a place in
-        every removal set that holds it, and a copy of its removal set.
+        the relation and the counters, a place in every removal set that
+        holds it, and a copy of its removal set.
         ``split`` numbers the new halves in pair order, so appending in
         that order puts each row at its half's id. A column is copied only
         where it has entries: the relation column into the rows that
@@ -392,7 +385,6 @@ class SimulationEngine:
                         owner.remove |= nbit
                         placed += 1
         for kept, new in pairs:
-            new.anc = kept.anc
             new.remove = kept.remove
             placed += kept.remove.bit_count()
         if self.cfg.stats_enabled:
@@ -559,6 +551,9 @@ class SimulationEngine:
                 hit = up[pi] & dropped
                 if not hit:
                     continue
+                if hit & down[pi]:
+                    # a mutual pair breaks, so pred's class falls apart
+                    self._queue(pred.pre_e)
                 up[pi] ^= hit
                 removed = True
                 pbit = 1 << pi

@@ -70,11 +70,12 @@ class Block:
     the block's removal set, a bitset of block ids; no inverse is kept,
     since finding the sets that hold a block costs one AND per block.
     ``queued`` is set while the block sits on the engine's refiner
-    worklist, and ``anc`` names its ancestor class. A block keeps no
-    split-time scratch: ``split`` returns its pairs.
+    worklist. A block keeps no split-time scratch: ``split`` returns its
+    pairs, and the blocks descended from one block are read off the
+    relation as the mutually related ones.
     """
 
-    __slots__ = ("index", "begin", "end", "pre_e", "remove", "queued", "anc")
+    __slots__ = ("index", "begin", "end", "pre_e", "remove", "queued")
 
     def __init__(self, index: int, begin: int, end: int):
         self.index = index
@@ -83,10 +84,6 @@ class Block:
         self.pre_e: dict[Block, None] = {}
         self.remove = 0
         self.queued = False
-        # id of this block's ancestor at the start of the current partition
-        # stabilization call; blocks with equal ancestors are exactly the
-        # mutually related ones mid-call
-        self.anc = index
 
     @property
     def size(self) -> int:

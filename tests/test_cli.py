@@ -67,6 +67,14 @@ class TestCompute:
         assert out.exit_code == 1
         assert "line 1" in out.output
 
+    def test_file_not_utf8(self, runner, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"states 2\ntrans 0 1\n\xff\n")
+        out = runner.invoke(main, ["compute", str(bad)])
+        assert out.exit_code == 1
+        assert f"error: {bad}: line 3: not valid UTF-8" in out.output
+        assert out.exception is None or isinstance(out.exception, SystemExit)
+
     def test_stats_flag(self, runner, ks_files):
         out = runner.invoke(main, ["compute", "--stats", ks_files["b"]])
         assert out.exit_code == 0
@@ -113,6 +121,26 @@ class TestVerify:
         out = runner.invoke(main, ["verify", str(big)])
         assert out.exit_code == 1
         assert "cap" in out.output
+
+    def test_max_states_above_oracle_cap_refused_before_drawing(
+        self, runner, monkeypatch
+    ):
+        drawn = []
+        monkeypatch.setattr(
+            cli_mod, "generate_random_ks", lambda *args: drawn.append(args)
+        )
+        out = runner.invoke(
+            main, ["verify", "--random", "40", "--max-states", "65", "--seed", "1"]
+        )
+        assert out.exit_code == 1
+        assert "error: --max-states 65 exceeds the oracle cap of 64" in out.output
+        assert drawn == []
+
+    def test_max_states_at_oracle_cap_accepted(self, runner):
+        out = runner.invoke(
+            main, ["verify", "--random", "2", "--max-states", "64", "--seed", "1"]
+        )
+        assert out.exit_code == 0, out.output
 
     def test_requires_input(self, runner):
         out = runner.invoke(main, ["verify"])
@@ -212,3 +240,14 @@ class TestBench:
     def test_missing_dir(self, runner):
         out = runner.invoke(main, ["bench", "nowhere"])
         assert out.exit_code == 1
+
+    def test_file_not_utf8(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a_ok.txt").write_text(KS_B_TEXT)
+        bad = corpus / "b_latin1.txt"
+        bad.write_bytes(b"states 1\n# caf\xe9\n")
+        out = runner.invoke(main, ["bench", str(corpus)])
+        assert out.exit_code == 1
+        assert f"error: {bad}: line 2: not valid UTF-8" in out.output
+        assert out.exception is None or isinstance(out.exception, SystemExit)

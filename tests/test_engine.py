@@ -125,7 +125,8 @@ class TestPostCandidates:
         ks = build_ks("aabc", [(0, 2), (0, 3)])
         eng = engine_after_initialize(ks)
         b_b, b_c = eng.pr.block_of(2), eng.pr.block_of(3)
-        b_c.anc = b_b.index
+        relate(eng.pr, b_b.index, b_c.index)
+        relate(eng.pr, b_c.index, b_b.index)
         assert eng.post_candidates(eng.pr.block_of(0)) == [(b_b, 2)]
 
     def test_candidates_in_first_touch_order(self):
@@ -199,12 +200,12 @@ class TestPStabilize:
     def test_already_stable_true_no_mutation(self, ks_a):
         eng = engine_after_initialize(ks_a)
         before = [pr_b.size for pr_b in eng.pr.blocks]
-        assert eng.pstabilize() is True
+        eng.pstabilize()
         assert [b.size for b in eng.pr.blocks] == before
 
-    def test_one_split_returns_false(self, ks_b):
+    def test_one_split_separates_live_and_dead_state(self, ks_b):
         eng = engine_after_initialize(ks_b)
-        assert eng.pstabilize() is False
+        eng.pstabilize()
         assert len(eng.pr.blocks) == 2
         assert sorted(map(tuple, map(sorted, (
             eng.pr.block_states(b) for b in eng.pr.blocks
@@ -334,7 +335,6 @@ class TestInherit:
         pr = eng.pr
         for kept, new in pairs:
             n, p = new.index, kept.index
-            assert new.anc == kept.anc
             assert pr.up[n] == pr.up[p]
             assert pr.down[n] == pr.down[p]
             assert eng.count[n] == eng.count[p]
@@ -409,6 +409,31 @@ class TestRStabilize:
         result, _ = Probe(ks, FULL).run()
         assert len(rounds_with_removals) >= 2
         assert result.state_matrix() == brute_force_simulation(ks).matrix
+
+    def test_broken_mutual_pair_queues_predecessors_of_both_ends(self):
+        # pstabilize leaves blocks 0 and 2 mutually related, and pruning 2
+        # below 0 breaks their class: the blocks reaching block 2 may host
+        # a refiner again, block 1 among them, which reaches no block that
+        # lost a pair above it
+        eng = engine_after_initialize(generate_random_ks(4, 2, 1.5 / 4, 1))
+        eng.pstabilize()
+        pr = eng.pr
+        while eng.worklist:
+            pr.blocks[eng.worklist.pop()].queued = False
+        up_before = pr.up[:]
+        eng.rstabilize()
+        pruned = [
+            (p, d) for p, row in enumerate(up_before) for d in bits(row & ~pr.up[p])
+        ]
+        broken = [(p, d) for p, d in pruned if up_before[d] >> p & 1]
+        assert broken
+        queued = {b for b in pr.blocks if b.queued}
+        assert {b.index for b in queued} == set(eng.worklist)
+        for p, _ in broken:
+            assert set(pr.blocks[p].pre_e) <= queued
+        block1 = pr.blocks[1]
+        assert block1.queued
+        assert all(block1 not in pr.blocks[d].pre_e for _, d in pruned)
 
     def test_dead_half_pair_pruned_via_logged_witness(self):
         # dead states split away from movers must lose the pair claiming

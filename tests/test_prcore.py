@@ -35,7 +35,6 @@ class TestInitPr:
         for b in pr.blocks:
             assert b.pre_e == {} and b.remove == 0
             assert not b.queued
-            assert b.anc == b.index
 
 
 class TestSplit:
