@@ -60,26 +60,45 @@ def _load_ks(path: str) -> KripkeStructure:
 
 
 def _report_text(result, stats) -> str:
-    lines = []
-    for i, members in enumerate(result.partition):
-        lines.append(f"block {i}: {{{', '.join(str(s) for s in members)}}}")
-    for i, j in result.order_pairs():
-        lines.append(f"order: {i} ⊴ {j}")
+    lines = [
+        f"block {i}: {{{', '.join(map(str, members))}}}"
+        for i, members in enumerate(result.partition)
+    ]
+    lines += ["order: %d ⊴ %d" % pair for pair in result.order_pairs()]
     if stats is not None:
         lines.append(stats.to_text())
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str]) -> str:
+    """A top-level list of already rendered, already indented items."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def _report_json(result, stats) -> str:
-    doc = {
-        "partition": result.partition,
-        # json.dumps writes tuples as lists, so no list is built per pair.
-        # perfbench/tests/test_perfbench.py::test_corrupted_result_fails
-        # corrupts the document by editing this line's text; keep it.
-        "order": [p for p in result.order_pairs()],
-        "stats": stats.to_dict() if stats is not None else None,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    r"""The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+
+    The stdlib's indenting encoder is pure Python and builds a chunk per
+    token, so the document is written from one template per order pair
+    and per block instead; only the small ``stats`` object goes through
+    ``json.dumps``.
+    """
+    # perfbench/tests/test_perfbench.py::test_corrupted_result_fails
+    # corrupts the document by editing the text of this comprehension,
+    # so it stays the expression that shapes the order list.
+    order = ["    [\n      %d,\n      %d\n    ]" % p for p in result.order_pairs()]
+    partition = [
+        "    [\n      " + ",\n      ".join(map(str, members)) + "\n    ]"
+        for members in result.partition
+    ]
+    if stats is None:
+        stats_json = "null"
+    else:
+        stats_json = json.dumps(stats.to_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        f'{{\n  "order": {_json_list(order)},\n  "partition": {_json_list(partition)},'
+        f'\n  "stats": {stats_json}\n}}\n'
+    )
 
 
 @click.group()

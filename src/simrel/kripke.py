@@ -106,7 +106,9 @@ def parse_ks(text: str | Iterable[str]) -> KripkeStructure:
     ``[0, n)`` raise :class:`KSFormatError` with the line number.
     """
     if isinstance(text, str):
-        lines = text.splitlines()
+        # only "\n" ends a line, as for grep -n; a CR before it is stripped
+        # below as whitespace
+        lines = text.split("\n")
     else:
         lines = [ln.rstrip("\n") for ln in text]
 

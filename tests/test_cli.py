@@ -1,11 +1,23 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simrel.cli as cli_mod
 from simrel.cli import main
-from simrel.kripke import MAX_STATES, parse_ks
+from simrel.engine import EngineConfig, compute_simulation
+from simrel.kripke import (
+    MAX_STATES,
+    generate_random_ks,
+    make_chain,
+    make_clique,
+    make_tree,
+    parse_ks,
+    serialize_ks,
+)
 from simrel.prcore import SimulationResult
 
 KS_A_TEXT = "states 3\nlabel 0 a\nlabel 1 a\nlabel 2 b\ntrans 0 2\ntrans 1 2\ntrans 2 2\n"
@@ -101,6 +113,89 @@ class TestCompute:
             for _ in range(2)
         ]
         assert outs[0] == outs[1]
+
+
+def stdlib_document(result, stats):
+    """The reference bytes of the JSON report: the stdlib's own encoder."""
+    doc = {
+        "partition": result.partition,
+        "order": [list(p) for p in result.order_pairs()],
+        "stats": stats.to_dict() if stats is not None else None,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def assert_report_matches_stdlib(ks):
+    """Without stats (``null``, as ``compute`` prints it) and with them."""
+    result, stats = compute_simulation(ks, EngineConfig(stats_enabled=True))
+    for shown in (None, stats):
+        assert cli_mod._report_json(result, shown) == stdlib_document(result, shown)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            parse_ks("states 0\n"),
+            parse_ks("states 1\n"),
+            parse_ks("states 1\ntrans 0 0\n"),
+            make_clique(5),
+            make_chain(9),
+            make_tree(3, 2),
+            generate_random_ks(12, 2, 0.2, 7),
+            generate_random_ks(30, 3, 0.1, 11),
+            generate_random_ks(40, 1, 0.05, 3),
+        ],
+        ids=[
+            "states-0",
+            "one-state",
+            "one-state-loop",
+            "clique-5",
+            "chain-9",
+            "tree-3-2",
+            "random-12",
+            "random-30",
+            "random-40",
+        ],
+    )
+    def test_bytes_equal_stdlib(self, ks):
+        assert_report_matches_stdlib(ks)
+
+    @given(
+        st.builds(
+            generate_random_ks,
+            n_states=st.integers(1, 12),
+            n_labels=st.integers(1, 3),
+            edge_prob=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_stdlib_random(self, ks):
+        assert_report_matches_stdlib(ks)
+
+
+class TestReportText:
+    # sha256 of the text report of make_chain(64); these bytes are the
+    # CLI's output contract, whatever builds the lines
+    CHAIN_64 = {
+        (): "0473342261b8617cff00e3c1f6d976dbe271ed0443ad258c543d4cb57dd14200",
+        ("--stats",): "25510fa35c3326545035fc98bc1b5ab0c3f54a4475b7c0799e2c14bccb04bec9",
+    }
+
+    @pytest.mark.parametrize("flags", list(CHAIN_64), ids=["plain", "stats"])
+    def test_chain_64_bytes_pinned(self, runner, tmp_path, flags):
+        path = tmp_path / "chain64.ks"
+        path.write_text(serialize_ks(make_chain(64)))
+        out = runner.invoke(main, ["compute", *flags, str(path)])
+        assert out.exit_code == 0
+        assert out.output.count("order: ") == 64 * 63 // 2
+        assert hashlib.sha256(out.output.encode()).hexdigest() == self.CHAIN_64[flags]
+
+    def test_multi_member_blocks(self, runner, ks_files):
+        out = runner.invoke(main, ["compute", ks_files["a"]])
+        assert out.exit_code == 0
+        assert out.output == "block 0: {0, 1}\nblock 1: {2}\n"
 
 
 class TestVerify:

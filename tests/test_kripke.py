@@ -53,6 +53,25 @@ class TestParse:
         with pytest.raises(KSFormatError, match="line 3"):
             parse_ks("states 2\nlabel 0 a\ntrans 0\n")
 
+    def test_form_feed_is_not_a_line_break(self):
+        # grep -n sees one line; so does the parser
+        with pytest.raises(KSFormatError, match="line 1: missing 'states <n>' header"):
+            parse_ks("states 2\x0ctrans 0 5\n")
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c", "\r"])
+    def test_only_newline_breaks_lines(self, sep):
+        # the comment runs to the "\n", so the bad transition after sep is
+        # commented out and the error is on the real line 3
+        text = f"states 2\n# note{sep}trans 0 5\ntrans 0\n"
+        with pytest.raises(KSFormatError, match="line 3: trans needs"):
+            parse_ks(text)
+
+    def test_crlf_parses_as_lf(self):
+        lf = "# c\nstates 3\nlabel 0 a b\n\ntrans 0 1\ntrans 1 2  # e\n"
+        assert parse_ks(lf.replace("\n", "\r\n")) == parse_ks(lf)
+        with pytest.raises(KSFormatError, match="line 3"):
+            parse_ks("states 2\r\nlabel 0 a\r\ntrans 0\r\n")
+
     def test_state_count_above_cap_refused(self):
         with pytest.raises(KSFormatError, match="line 1: .*exceeds the limit"):
             parse_ks(f"states {MAX_STATES + 1}\n")
