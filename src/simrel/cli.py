@@ -36,6 +36,9 @@ from .oracle import brute_force_simulation
 
 ORACLE_STATE_CAP = 64
 
+# number of parameters each ``generate`` kind takes
+GENERATE_ARITY = {"random": 3, "chain": 1, "tree": 2, "clique": 1}
+
 
 def _input_error(message: str) -> NoReturn:
     """Report bad input on stderr and exit with the input-error code."""
@@ -148,6 +151,8 @@ def verify(input_path, random_count, max_states, seed):
     """Check engine output against the brute-force reference."""
     # (name, structure, command that regenerates it or None)
     instances: list[tuple[str, KripkeStructure, str | None]] = []
+    if random_count is not None and input_path is not None:
+        _input_error("give a FILE or --random N, not both")
     if random_count is not None:
         if random_count < 1 or max_states < 1:
             _input_error("--random and --max-states must be positive")
@@ -191,7 +196,7 @@ def verify(input_path, random_count, max_states, seed):
 
 
 @main.command()
-@click.argument("kind", type=click.Choice(["random", "chain", "tree", "clique"]))
+@click.argument("kind", type=click.Choice(list(GENERATE_ARITY)))
 @click.argument("params", nargs=-1)
 @click.option("--seed", type=int, default=0, show_default=True)
 def generate(kind, params, seed):
@@ -200,6 +205,11 @@ def generate(kind, params, seed):
     Parameter shapes: random N LABELS PROB; chain N; tree DEPTH BRANCHING;
     clique N.
     """
+    if len(params) != GENERATE_ARITY[kind]:
+        _input_error(
+            f"invalid parameters for {kind}: takes {GENERATE_ARITY[kind]}, "
+            f"got {len(params)}"
+        )
     try:
         if kind == "random":
             n, labels, prob = int(params[0]), int(params[1]), float(params[2])
@@ -210,7 +220,7 @@ def generate(kind, params, seed):
             ks = make_tree(int(params[0]), int(params[1]))
         else:
             ks = make_clique(int(params[0]))
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         _input_error(f"invalid parameters for {kind}: {exc}")
     click.echo(serialize_ks(ks), nl=False)
 

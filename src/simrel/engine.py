@@ -13,8 +13,10 @@ column bitsets ``up`` and ``down``), the per-block predecessor block sets
 ``pre_e`` (the only record of which blocks have edges into which), the
 counters (one dict of nonzero cells per row, updated by rescanning only
 the smaller half of each split pair), and the removal sets, one bitset
-of block ids per block and no other record of them. Each table is sized
-by what is set in it, and the work on it follows its set bits and
+of block ids per block and no other record of them. The counter rows,
+the removal sets and the worklist flags are the engine's lists indexed
+by block id; ``pre_e`` is the one table a block carries. Each table is
+sized by what is set in it, and the work on it follows its set bits and
 nonzero cells, not the square of the block count. ``split`` returns one
 ``(kept, new)`` pair per block it cuts, and the pairs are passed on:
 ``inherit`` gives each new half a copy of its parent's entry in every
@@ -22,29 +24,32 @@ table (its row and column in the relation and the counters, a place in
 exactly the removal sets that hold its parent, found with one AND per
 block, and a copy of the parent's own removal set), and
 ``update_count`` then corrects the counters and logs every half that
-just lost its last counted successor block above some block c into c's
-set. Without that logging, pairs created mutually
-related by a split would never be pruned again.
+loses its last counted successor block above some block c into c's set
+where the loss happens: when a rescanned smaller half's new row lacks a
+key of its old one, and when a decrement deletes a cell of a larger
+half's row. Without that logging, pairs created mutually related by a
+split would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
 depends only on the block's counter row, its successor blocks and their
 classes. A block's class is read off the relation: the blocks mutually
 related with it, which during partition stabilization are the blocks
-descended from one block by splits. A min-heap of block ids (the
-worklist, with a ``queued`` flag per block) holds every block whose
-hosting may have changed since it was last found clean; popping the
-smallest id keeps the first-hit-in-index-order rule of a full scan.
-Three rules queue blocks:
+descended from one block by splits. The worklist is one ``bytearray``
+of flags indexed by block id: a block's flag is set while its hosting
+may have changed since it was last found clean. Walking the flags
+lowest id first keeps the first-hit-in-index-order rule of a full scan.
+Three rules queue blocks, that is, set their flags:
 
 1. ``initialize`` queues every block;
 2. after a split, ``update_count`` queues both halves and every block in
    either half's ``pre_e``, the only rows it changes;
 3. ``rstabilize`` queues ``d.pre_e`` for every pruned pair ``(pred, d)``,
-   the rows it decrements, and ``pred.pre_e`` too when ``d`` was still
-   related below ``pred``: the pair was mutual, so ``pred``'s class falls
-   apart. Every member of a class of several blocks is an end of such a
-   pair, since pruning leaves the relation antisymmetric.
+   the rows it decrements, inside the decrement loop, and ``pred.pre_e``
+   too when ``d`` was still related below ``pred``: the pair was mutual,
+   so ``pred``'s class falls apart. Every member of a class of several
+   blocks is an end of such a pair, since pruning leaves the relation
+   antisymmetric.
 
 The terminal refiner search in ``run`` queues every block first, so it
 stays a full scan and a worklist that missed a block fails loudly.
@@ -55,7 +60,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from heapq import heappop, heappush
 from itertools import chain, compress
 from operator import or_
 
@@ -113,9 +117,11 @@ class SimulationEngine:
         # into, so a missing cell tests "b reaches nothing above c" in O(1);
         # a row holds only its nonzero cells
         self.count: list[dict[int, int]] = [{} for _ in self.pr.blocks]
-        # min-heap of the ids of queued blocks: those that may host a
-        # refiner; every block off the heap is known not to
-        self.worklist: list[int] = []
+        # remove[c]: c's removal set, a bitset of block ids
+        self.remove: list[int] = [0] * len(self.pr.blocks)
+        # worklist[b] is 1 while block b may host a refiner; a block whose
+        # flag is 0 is known not to
+        self.worklist = bytearray(len(self.pr.blocks))
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -161,12 +167,10 @@ class SimulationEngine:
         return (len(self.pr.blocks), sum(row.bit_count() for row in self.pr.up))
 
     def _queue(self, blocks) -> None:
-        """Put every block not yet on the refiner worklist onto it."""
-        heap = self.worklist
+        """Set the worklist flag of every block in ``blocks``."""
+        flags = self.worklist
         for b in blocks:
-            if not b.queued:
-                b.queued = True
-                heappush(heap, b.index)
+            flags[b.index] = 1
 
     # ------------------------------------------------------------------
     # table initialization
@@ -194,10 +198,9 @@ class SimulationEngine:
         for b in blocks:
             for c in cnt[b.index]:
                 reaching[c] |= 1 << b.index
-        for c in blocks:
-            c.remove = has_out & ~reaching[c.index]
-            if self.cfg.stats_enabled:
-                self.stats.remove_elements_total += c.remove.bit_count()
+        self.remove = [has_out & ~r for r in reaching]
+        if self.cfg.stats_enabled:
+            self.stats.remove_elements_total += sum(map(int.bit_count, self.remove))
         self._queue(blocks)
         if self.cfg.cheap:
             self._check_structure()
@@ -240,24 +243,25 @@ class SimulationEngine:
         partial order, classes are singletons and the test degenerates to
         the counter equalling one.
 
-        Only blocks on the worklist are searched, smallest id first, which
-        finds what a scan of every block in index order would: a block off
-        the worklist hosts no refiner (see the module docstring for the
-        three rules that keep this true). A host stays queued, since the
-        split it causes changes it; a clean block is popped. Under the full
-        check level an empty search is confirmed by scanning every block.
+        Only blocks whose worklist flag is set are searched, lowest id
+        first, which finds what a scan of every block in index order
+        would: a block whose flag is clear hosts no refiner (see the module
+        docstring for the three rules that keep this true). A host keeps
+        its flag, since the split it causes changes it; a clean block's
+        flag is cleared. Under the full check level an empty search is
+        confirmed by scanning every block.
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
         blocks = self.pr.blocks
-        heap = self.worklist
-        while heap:
-            b = blocks[heap[0]]
-            rep = self._hosted_refiner(b)
+        flags = self.worklist
+        i = flags.find(1)
+        while i >= 0:
+            rep = self._hosted_refiner(blocks[i])
             if rep is not None:
                 return rep
-            heappop(heap)
-            b.queued = False
+            flags[i] = 0
+            i = flags.find(1, i + 1)
         if self.cfg.full:
             for b in blocks:
                 if self._hosted_refiner(b) is not None:
@@ -340,9 +344,10 @@ class SimulationEngine:
         For each ``(kept, new)`` pair from ``split``, ``new`` gets the row
         and column of ``kept`` (its parent's, unchanged by the split) in
         the relation and the counters, a place in every removal set that
-        holds it, and a copy of its removal set.
-        ``split`` numbers the new halves in pair order, so appending in
-        that order puts each row at its half's id. A column is copied only
+        holds it, a copy of its removal set and a clear worklist flag.
+        ``split`` numbers the new halves in pair order, so appending to the
+        lists indexed by block id in that order puts each entry at its
+        half's id. A column is copied only
         where it has entries: the relation column into the rows that
         ``down[kept]`` names, the counter column into the rows of blocks
         with an edge into ``up[kept]``, which are exactly its nonzero
@@ -356,6 +361,7 @@ class SimulationEngine:
         """
         pr = self.pr
         up, down, blocks, cnt = pr.up, pr.down, pr.blocks, self.count
+        remove = self.remove
         for kept, new in pairs:
             k, nbit = kept.index, 1 << new.index
             for r in bits(down[k]):
@@ -373,20 +379,21 @@ class SimulationEngine:
             nbit = 1 << new.index
             for c in bits(up[new.index]):
                 down[c] |= nbit
-        # the new halves' removal sets are still empty, so they hold none
+        # the new halves have no removal sets yet, so they hold none
         shifts = [(kept.index, 1 << new.index) for kept, new in pairs]
         parents = reduce(or_, (1 << k for k, _ in shifts), 0)
         placed = 0
-        for owner in blocks:
-            held = owner.remove & parents
+        for owner, held in enumerate(remove):
+            held &= parents
             if held:
                 for k, nbit in shifts:
                     if held >> k & 1:
-                        owner.remove |= nbit
+                        remove[owner] |= nbit
                         placed += 1
         for kept, new in pairs:
-            new.remove = kept.remove
-            placed += kept.remove.bit_count()
+            remove.append(remove[kept.index])
+            placed += remove[kept.index].bit_count()
+        self.worklist.extend(bytes(len(pairs)))
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += placed
 
@@ -415,18 +422,19 @@ class SimulationEngine:
         with edges into both halves. A successor block's family is found
         through two maps built from the pairs, ``new -> kept`` and
         ``kept -> new``. Every column walk follows the set bits of a
-        ``down`` column. Finally every half whose counter just dropped to
-        zero against some block c, a key its row had and lost, is logged
-        by setting its bit in c's removal set, the only record of that
-        set; these are exactly the blocks whose states lost their last
-        edge into c's upward closure by losing their sibling states. The
-        two halves of a split block have equal columns, so such a half is
-        logged into both halves' sets.
+        ``down`` column. Every half whose counter drops to zero against
+        some block c is logged where the drop happens, by setting its bit
+        in c's removal set: for a smaller half, each key of its old row
+        missing from the rescanned one; for a larger half, each cell a
+        decrement deletes. These are exactly the blocks whose states lost
+        their last edge into c's upward closure by losing their sibling
+        states. The two halves of a split block have equal columns, so
+        such a half is logged into both halves' sets.
         """
         pr = self.pr
-        blocks = pr.blocks
-        nb = len(blocks)
+        nb = len(pr.blocks)
         cnt = self.count
+        remove = self.remove
         down = pr.down
         track = self.cfg.stats_enabled
         stats = self.stats
@@ -438,12 +446,6 @@ class SimulationEngine:
             for kept, new in pairs
         ]
         small_halves = {x for x, _ in small}
-        # keys before the update; a smaller half's row is replaced, not
-        # changed, so a view of its old row stays as it was
-        old_keys = {}
-        for x, z in small:
-            old_keys[x] = cnt[x.index].keys()
-            old_keys[z] = set(cnt[z.index])
 
         states = pr.states
         state_block = pr.state_block
@@ -454,10 +456,18 @@ class SimulationEngine:
                 for s in x_states:
                     stats.smaller_half_state_scans[s] += 1
             reached = {state_block[y] for s in x_states for y in succ[s]}
-            cnt[x.index] = dict(
+            old = cnt[x.index]
+            cnt[x.index] = row = dict(
                 Counter(chain.from_iterable(bits(down[v.index]) for v in reached))
             )
+            dropped = old.keys() - row.keys()
+            xbit = 1 << x.index
+            for c in dropped:
+                remove[c] |= xbit
+            if track:
+                stats.remove_elements_total += len(dropped)
             zr = cnt[z.index]
+            zbit = 1 << z.index
             for rep in {kept_of.get(v, v) for v in reached}:
                 new = new_of.get(rep)
                 if z in rep.pre_e or (new is not None and z in new.pre_e):
@@ -468,6 +478,9 @@ class SimulationEngine:
                         zr[c] = left
                     elif left == 0:
                         del zr[c]
+                        remove[c] |= zbit
+                        if track:
+                            stats.remove_elements_total += 1
                     else:
                         raise InvariantViolation("counter went negative")
 
@@ -481,27 +494,14 @@ class SimulationEngine:
                     for c in below_x:
                         dr[c] = dr.get(c, 0) + 1
 
-        # log halves that just lost their last counted block above some c
-        for h, old in old_keys.items():
-            hbit = 1 << h.index
-            dropped = old - cnt[h.index].keys()
-            for c in dropped:
-                blocks[c].remove |= hbit
-            if track:
-                stats.remove_elements_total += len(dropped)
-
         # every changed row: the halves' and those of their predecessors
-        for kept, new in pairs:
-            self._queue((kept, new))
-            self._queue(kept.pre_e)
-            self._queue(new.pre_e)
-
+        changed = [b for pair in pairs for h in pair for b in (h, *h.pre_e)]
+        self._queue(changed)
         if self.cfg.cheap:
-            for kept, new in pairs:
-                for b in (kept, new, *kept.pre_e, *new.pre_e):
-                    row = cnt[b.index].values()
-                    if row and (min(row) < 1 or max(row) > nb):
-                        raise InvariantViolation("counter out of range")
+            for b in changed:
+                row = cnt[b.index].values()
+                if row and (min(row) < 1 or max(row) > nb):
+                    raise InvariantViolation("counter out of range")
 
     # ------------------------------------------------------------------
     # relation stabilization
@@ -509,9 +509,10 @@ class SimulationEngine:
     def rstabilize(self) -> bool:
         """One relation-pruning round over the pending removal sets.
 
-        Snapshots and clears every removal set, then for each selected
-        block c with a pending set, prunes every related pair (b, d) with
-        b a predecessor block of c and d in the snapshot, all of b's at
+        Takes the removal sets as the pending ones and starts an empty
+        list for the next round, then for each selected block c with a
+        pending set, prunes every related pair (b, d) with b a
+        predecessor block of c and d in c's pending set, all of b's at
         once as ``up[b] & pending``; each pruning decrements the counters
         of d's predecessors against b, and a counter reaching zero logs the
         fresh violation into b's set for the next round. The pruned pairs,
@@ -527,14 +528,13 @@ class SimulationEngine:
         blocks = pr.blocks
         up, down = pr.up, pr.down
         cnt = self.count
+        flags = self.worklist
         track = self.cfg.stats_enabled
-        pending = [b.remove for b in blocks]
-        for b in blocks:
-            b.remove = 0
+        pending = self.remove
+        self.remove = remove = [0] * len(blocks)
         entry_up = up[:] if self.cfg.full else None
         removed = False
-        for sel in blocks:
-            dropped = pending[sel.index]
+        for sel, dropped in zip(blocks, pending):
             if not dropped:
                 continue
             if track:
@@ -562,15 +562,16 @@ class SimulationEngine:
                     d = blocks[di]
                     if track:
                         self.stats.pairs_removed_total += 1
-                    self._queue(d.pre_e)
                     for f in d.pre_e:
-                        fr = cnt[f.index]
+                        fi = f.index
+                        flags[fi] = 1
+                        fr = cnt[fi]
                         left = fr.get(pi, 0) - 1
                         if left > 0:
                             fr[pi] = left
                         elif left == 0:
                             del fr[pi]
-                            pred.remove |= 1 << f.index
+                            remove[pi] |= 1 << fi
                             if track:
                                 self.stats.remove_elements_total += 1
                         else:
@@ -664,7 +665,7 @@ class SimulationEngine:
             entry, now = entry_up[c.index], pr.up[c.index]
             # a row the round left alone loses no reach
             expected = reaching(entry) & ~reaching(now) if entry != now else 0
-            if c.remove != expected:
+            if self.remove[c.index] != expected:
                 raise InvariantViolation(
                     f"removal set of block {c.index} violates the round invariant"
                 )

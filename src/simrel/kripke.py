@@ -45,8 +45,9 @@ class KripkeStructure:
 
     States are dense integers ``0 .. num_states-1``, fixed for the lifetime
     of the structure. Successor lists are duplicate free and kept in first
-    occurrence order. Instances are immutable after construction and safe
-    to share across threads.
+    occurrence order. States with equal label sets share one frozenset
+    object. Instances are immutable after construction and safe to share
+    across threads.
     """
 
     __slots__ = ("num_states", "labels", "succ")
@@ -56,10 +57,16 @@ class KripkeStructure:
             raise ValueError("num_states must be non-negative")
         self.num_states = num_states
         labels = labels or {}
+        unlabeled = frozenset()
+        shared = {unlabeled: unlabeled}
         lab = []
         for s in range(num_states):
             atoms = labels.get(s, ()) if isinstance(labels, dict) else labels[s]
-            lab.append(frozenset(sys.intern(str(a)) for a in atoms))
+            if atoms:
+                key = frozenset(map(sys.intern, map(str, atoms)))
+                lab.append(shared.setdefault(key, key))
+            else:
+                lab.append(unlabeled)
         self.labels = tuple(lab)
         succ = succ or {}
         out = []

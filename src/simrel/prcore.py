@@ -9,11 +9,11 @@ single swap at the segment boundary, so a split costs O(splitter size)
 and touches no other block. Block ids are never recycled; they index the
 block relation, held here as Python-int bitsets over block ids in both
 directions (``up[b]``, the blocks above b, and ``down[c]``, the blocks
-below c), each block's removal set (also a bitset), and the engine's
-sparse counter rows. The engine gives each new half its kept half's row
+below c), and the engine's own lists: sparse counter rows, removal sets
+and worklist flags. The engine gives each new half its kept half's row
 and column. Which blocks have edges into which is recorded once, in
-each block's ``pre_e``. ``bits`` and ``bit_flags`` read a bitset back
-as indices or as one byte per bit.
+each block's ``pre_e``, the only table a block carries. ``bits`` and
+``bit_flags`` read a bitset back as indices or as one byte per bit.
 """
 
 from __future__ import annotations
@@ -61,29 +61,25 @@ def bit_flags(x: int, width: int) -> bytes:
 
 class Block:
     """A live partition block: a segment of the state ordering plus its
-    per-block tables.
+    predecessor block set.
 
-    ``index`` is the block's id, its bit in every bitset and its row in
-    the relation and counter tables, and ``[begin, end)`` its segment of
-    the state ordering. ``pre_e`` holds, in first-edge order, every block
-    with a transition into this one; its values are unused. ``remove`` is
-    the block's removal set, a bitset of block ids; no inverse is kept,
-    since finding the sets that hold a block costs one AND per block.
-    ``queued`` is set while the block sits on the engine's refiner
-    worklist. A block keeps no split-time scratch: ``split`` returns its
-    pairs, and the blocks descended from one block are read off the
-    relation as the mutually related ones.
+    ``index`` is the block's id, its bit in every bitset and its entry in
+    every table indexed by block id: the relation here, the engine's
+    counter rows, removal sets and worklist flags. ``[begin, end)`` is its
+    segment of the state ordering. ``pre_e`` holds, in first-edge order,
+    every block with a transition into this one; its values are unused.
+    A block keeps no engine bookkeeping and no split-time scratch:
+    ``split`` returns its pairs, and the blocks descended from one block
+    are read off the relation as the mutually related ones.
     """
 
-    __slots__ = ("index", "begin", "end", "pre_e", "remove", "queued")
+    __slots__ = ("index", "begin", "end", "pre_e")
 
     def __init__(self, index: int, begin: int, end: int):
         self.index = index
         self.begin = begin
         self.end = end
         self.pre_e: dict[Block, None] = {}
-        self.remove = 0
-        self.queued = False
 
     @property
     def size(self) -> int:

@@ -241,6 +241,21 @@ class TestVerify:
         out = runner.invoke(main, ["verify"])
         assert out.exit_code == 1
 
+    def test_file_with_random_refused_before_drawing(self, runner, tmp_path, monkeypatch):
+        # the file is above the oracle cap, so checking it alone is refused
+        # too; with --random it must not be dropped for a random corpus
+        chain = tmp_path / "chain.ks"
+        chain.write_text(serialize_ks(make_chain(70)))
+        drawn = []
+        monkeypatch.setattr(
+            cli_mod, "generate_random_ks", lambda *args: drawn.append(args)
+        )
+        out = runner.invoke(main, ["verify", str(chain), "--random", "2"])
+        assert out.exit_code == 1
+        assert "error: give a FILE or --random N, not both" in out.output
+        assert "PASS" not in out.output
+        assert drawn == []
+
     def test_mutation_detected(self, runner, ks_files, monkeypatch):
         monkeypatch.setattr(cli_mod, "compute_simulation", claim_all_equivalent)
         out = runner.invoke(main, ["verify", ks_files["a"]])
@@ -290,6 +305,25 @@ class TestGenerate:
         assert out.exit_code == 1
         out = runner.invoke(main, ["generate", "random", "5"])
         assert out.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["chain", "3", "99"],
+            ["tree", "2", "2", "5"],
+            ["clique", "2", "2"],
+            ["random", "5", "2", "0.3", "1"],
+            ["chain"],
+            ["tree", "2"],
+            ["random", "5", "2"],
+        ],
+    )
+    def test_parameter_count_other_than_arity_refused(self, runner, params):
+        out = runner.invoke(main, ["generate", *params])
+        assert out.exit_code == 1
+        assert isinstance(out.exception, SystemExit)
+        assert f"error: invalid parameters for {params[0]}" in out.output
+        assert "Traceback" not in out.output
 
     @pytest.mark.parametrize(
         "params",

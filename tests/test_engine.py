@@ -49,6 +49,11 @@ def pair_count(pr):
     return sum(row.bit_count() for row in pr.up)
 
 
+def queued(eng):
+    """Ids of the blocks whose worklist flag is set."""
+    return {i for i, flag in enumerate(eng.worklist) if flag}
+
+
 def run_one_split_round(eng):
     """Drive exactly one refiner-split-update iteration."""
     refiner = eng.find_prefiner()
@@ -66,7 +71,7 @@ class TestInitialize:
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
         assert all(not b.pre_e for b in eng.pr.blocks)
         assert all(row == {} for row in eng.count)
-        assert all(b.remove == 0 for b in eng.pr.blocks)
+        assert eng.remove == [0] * len(eng.pr.blocks)
 
     def test_sink_structure_edge_matrix(self, ks_a):
         eng = engine_after_initialize(ks_a)
@@ -86,13 +91,12 @@ class TestInitialize:
         ks = build_ks("ab", [(0, 0), (1, 1)])
         eng = engine_after_initialize(ks)
         b0, b1 = eng.pr.blocks
-        assert bits(b0.remove) == [b1.index]
-        assert bits(b1.remove) == [b0.index]
+        assert bits(eng.remove[b0.index]) == [b1.index]
+        assert bits(eng.remove[b1.index]) == [b0.index]
 
     def test_every_block_queued(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        assert sorted(eng.worklist) == [b.index for b in eng.pr.blocks]
-        assert all(b.queued for b in eng.pr.blocks)
+        assert eng.worklist == bytearray([1] * len(eng.pr.blocks))
 
     def test_pre_e_duplicate_free(self):
         ks = build_ks("aa", [(0, 1), (1, 1), (0, 0)])
@@ -160,16 +164,15 @@ class TestFindPRefiner:
         eng = engine_after_initialize(ks_b)
         host = eng.pr.blocks[0]
         eng.find_prefiner()
-        assert eng.worklist == [host.index] and host.queued
+        assert queued(eng) == {host.index}
         eng.pstabilize()
-        assert eng.worklist == []
-        assert not any(b.queued for b in eng.pr.blocks)
+        assert not any(eng.worklist)
 
     def test_split_queues_halves_and_their_predecessors(self, ks_b):
         eng = engine_after_initialize(ks_b)
         [(kept, new)] = run_one_split_round(eng)
         expected = {kept, new, *kept.pre_e, *new.pre_e}
-        assert {b for b in eng.pr.blocks if b.queued} == expected
+        assert {eng.pr.blocks[i] for i in queued(eng)} == expected
 
 
 class TestPreUpSet:
@@ -265,14 +268,15 @@ class TestUpdateAfterSplit:
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.block_of(0)
         marker = eng.pr.block_of(2)
-        pair_block.remove = 1 << marker.index
-        marker.remove = 1 << pair_block.index
+        remove = eng.remove
+        remove[pair_block.index] = 1 << marker.index
+        remove[marker.index] = 1 << pair_block.index
         [(kept, new)] = eng.pr.split([0])
         eng.inherit([(kept, new)])
-        assert new.remove == 1 << marker.index
-        assert marker.remove == 1 << pair_block.index | 1 << new.index
-        new.remove |= 1 << pair_block.index
-        assert kept.remove == 1 << marker.index
+        assert remove[new.index] == 1 << marker.index
+        assert remove[marker.index] == 1 << pair_block.index | 1 << new.index
+        remove[new.index] |= 1 << pair_block.index
+        assert remove[kept.index] == 1 << marker.index
 
 
 def split_with_scribbled_tables():
@@ -287,8 +291,7 @@ def split_with_scribbled_tables():
     """
     ks = build_ks("aaabbb", [(0, 3), (1, 1), (2, 5), (3, 0), (4, 4), (5, 2)])
     eng = engine_after_initialize(ks)
-    b0, b1 = eng.pr.blocks
-    b0.remove, b1.remove = 0b11, 0b10
+    eng.remove[:] = [0b11, 0b10]
     nb = len(eng.pr.blocks)
     for r in range(nb):
         eng.count[r] = {c: 1 + r * nb + c for c in range(nb)}
@@ -315,6 +318,7 @@ class TestInherit:
         eng.inherit(pairs)
         pr = eng.pr
         assert len(pr.up) == len(pr.down) == len(eng.count) == 4
+        assert len(eng.remove) == len(eng.worklist) == 4
         assert all(row >> 4 == 0 for row in pr.up + pr.down)
         # the scribbled counter rows are dense, so they grow by a column
         assert all(sorted(row) == [0, 1, 2, 3] for row in eng.count)
@@ -356,17 +360,18 @@ class TestInherit:
     def test_remove_list_equals_parents_and_is_independent(self):
         eng, pairs, _ = split_with_scribbled_tables()
         eng.inherit(pairs)
+        remove = eng.remove
         for kept, new in pairs:
-            assert new.remove == kept.remove
-            before = kept.remove
-            new.remove |= 1 << 7
-            assert kept.remove == before
-            new.remove = before
-        sets_with_halves = [b for b in eng.pr.blocks if b.remove]
+            assert remove[new.index] == remove[kept.index]
+            before = remove[kept.index]
+            remove[new.index] |= 1 << 7
+            assert remove[kept.index] == before
+            remove[new.index] = before
+        sets_with_halves = [s for s in remove if s]
         assert sets_with_halves
-        for b in sets_with_halves:
+        for s in sets_with_halves:
             for kept, new in pairs:
-                assert b.remove >> kept.index & 1 == b.remove >> new.index & 1
+                assert s >> kept.index & 1 == s >> new.index & 1
 
     def test_chain_logs_each_half_once(self):
         # a split half is logged into each removal list at most once, so a
@@ -381,8 +386,7 @@ class TestInherit:
 class TestRStabilize:
     def test_empty_lists_noop(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        for b in eng.pr.blocks:
-            b.remove = 0
+        eng.remove = [0] * len(eng.pr.blocks)
         pairs_before = pair_count(eng.pr)
         assert eng.rstabilize() is True
         assert pair_count(eng.pr) == pairs_before
@@ -418,8 +422,7 @@ class TestRStabilize:
         eng = engine_after_initialize(generate_random_ks(4, 2, 1.5 / 4, 1))
         eng.pstabilize()
         pr = eng.pr
-        while eng.worklist:
-            pr.blocks[eng.worklist.pop()].queued = False
+        eng.worklist[:] = bytes(len(pr.blocks))
         up_before = pr.up[:]
         eng.rstabilize()
         pruned = [
@@ -427,12 +430,12 @@ class TestRStabilize:
         ]
         broken = [(p, d) for p, d in pruned if up_before[d] >> p & 1]
         assert broken
-        queued = {b for b in pr.blocks if b.queued}
-        assert {b.index for b in queued} == set(eng.worklist)
+        flagged = {pr.blocks[i] for i in queued(eng)}
+        assert len(eng.worklist) == len(pr.blocks)
         for p, _ in broken:
-            assert set(pr.blocks[p].pre_e) <= queued
+            assert set(pr.blocks[p].pre_e) <= flagged
         block1 = pr.blocks[1]
-        assert block1.queued
+        assert block1 in flagged
         assert all(block1 not in pr.blocks[d].pre_e for _, d in pruned)
 
     def test_dead_half_pair_pruned_via_logged_witness(self):
@@ -458,9 +461,7 @@ class TestFullChecks:
     def test_emptied_worklist_detected(self, ks_b):
         eng = SimulationEngine(ks_b, FULL)
         eng.initialize()
-        for b in eng.pr.blocks:
-            b.queued = False
-        eng.worklist.clear()
+        eng.worklist[:] = bytes(len(eng.pr.blocks))
         with pytest.raises(InvariantViolation, match="worklist missed"):
             eng.find_prefiner()
 
@@ -509,15 +510,14 @@ class TestFullChecks:
         eng.pstabilize()
         entry_up = eng.pr.up[:]
         assert eng.rstabilize() is False
-        fresh = [b for b in eng.pr.blocks if b.remove]
-        assert fresh
+        assert any(eng.remove)
         eng._check_remove_invariant(entry_up)
         for b in eng.pr.blocks:
-            saved = b.remove
-            b.remove ^= 1 << b.index
+            saved = eng.remove[b.index]
+            eng.remove[b.index] ^= 1 << b.index
             with pytest.raises(InvariantViolation, match="round invariant"):
                 eng._check_remove_invariant(entry_up)
-            b.remove = saved
+            eng.remove[b.index] = saved
 
 
 class TestSimulationCheck:

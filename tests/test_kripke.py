@@ -241,3 +241,16 @@ class TestStructure:
     def test_transition_count(self):
         ks = KripkeStructure(3, {}, {0: [1, 2], 2: [0]})
         assert ks.num_transitions == 3
+
+    def test_one_label_object_per_distinct_label_set(self):
+        structures = [
+            parse_ks(
+                "states 6\nlabel 0 a\nlabel 1 a\nlabel 2 b a\nlabel 3 a b\n"
+                "label 4 a\nlabel 4 b\n"
+            ),
+            generate_random_ks(200, 3, 0.05, 7),
+            KripkeStructure(5, {0: ["p"], 1: ("p",), 3: {"p", "q"}, 4: ["q", "p"]}),
+            KripkeStructure(4, [["x"], [], ("x",), iter(())]),
+        ]
+        for ks in structures:
+            assert len({id(lab) for lab in ks.labels}) == len(set(ks.labels))

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from simrel.engine import EngineConfig, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
-from simrel.prcore import SimulationResult, bit_flags, bits, init_pr
+from simrel.prcore import Block, SimulationResult, bit_flags, bits, init_pr
 
 from .conftest import build_ks
 
@@ -31,10 +31,17 @@ class TestInitPr:
                 assert bool(pr.down[c.index] >> b.index & 1) == (b is c)
 
     def test_scratch_fields_clear(self):
-        pr = init_pr(build_ks("ab", []))
+        ks = build_ks("ab", [])
+        pr = init_pr(ks)
         for b in pr.blocks:
-            assert b.pre_e == {} and b.remove == 0
-            assert not b.queued
+            assert b.pre_e == {}
+        # the removal sets and worklist flags are the engine's lists
+        eng = SimulationEngine(ks)
+        assert eng.remove == [0, 0]
+        assert eng.worklist == bytearray(2)
+
+    def test_block_holds_segment_and_pre_e_only(self):
+        assert Block.__slots__ == ("index", "begin", "end", "pre_e")
 
 
 class TestSplit:
