@@ -8,21 +8,23 @@ A run alternates two phases over a partition-relation pair:
 * relation stabilization prunes block pairs driven by per-block removal
   sets, chaining through counter decrements until no violation remains.
 
-Between splits, four tables are maintained: the block relation (row and
-column bitsets ``up`` and ``down``), the per-block predecessor block sets
-``pre_e`` (the only record of which blocks have edges into which), the
-counters (one dict of nonzero cells per row, updated by rescanning only
-the smaller half of each split pair), and the removal sets, one bitset
-of block ids per block and no other record of them. The counter rows,
-the removal sets and the worklist flags are the engine's lists indexed
-by block id; ``pre_e`` is the one table a block carries. Each table is
-sized by what is set in it, and the work on it follows its set bits and
-nonzero cells, not the square of the block count. ``split`` returns one
-``(kept, new)`` pair per block it cuts, and the pairs are passed on:
+A block is its int id. Between splits, four tables are maintained: the
+block relation (row and column bitsets ``up`` and ``down``, held by the
+pair), the per-block predecessor block sets ``pre_e`` (the only record of
+which blocks have edges into which), the counters (one dict of nonzero
+cells per row, updated by rescanning only the smaller half of each split
+pair), and the removal sets, one bitset of block ids per block and no
+other record of them. The predecessor sets, the counter rows, the
+removal sets and the worklist flags are the engine's lists indexed by
+block id. Each table is sized by what is set in it, and the work on it
+follows its set bits and nonzero cells, not the square of the block
+count. ``split`` returns one ``(kept, new)`` id pair per block it cuts,
+and the pairs are passed on:
 ``inherit`` gives each new half a copy of its parent's entry in every
 table (its row and column in the relation and the counters, a place in
 exactly the removal sets that hold its parent, found with one AND per
-block, and a copy of the parent's own removal set), and
+block, and a copy of the parent's own removal set) but no
+predecessors, ``update_pre_e`` rebuilds the predecessor sets, and
 ``update_count`` then corrects the counters and logs every half that
 loses its last counted successor block above some block c into c's set
 where the loss happens: when a rescanned smaller half's new row lacks a
@@ -44,8 +46,8 @@ Three rules queue blocks, that is, set their flags:
 1. ``initialize`` queues every block;
 2. after a split, ``update_count`` queues both halves and every block in
    either half's ``pre_e``, the only rows it changes;
-3. ``rstabilize`` queues ``d.pre_e`` for every pruned pair ``(pred, d)``,
-   the rows it decrements, inside the decrement loop, and ``pred.pre_e``
+3. ``rstabilize`` queues ``pre_e[d]`` for every pruned pair ``(pred, d)``,
+   the rows it decrements, inside the decrement loop, and ``pre_e[pred]``
    too when ``d`` was still related below ``pred``: the pair was mutual,
    so ``pred``'s class falls apart. Every member of a class of several
    blocks is an end of such a pair, since pruning leaves the relation
@@ -65,7 +67,7 @@ from operator import or_
 
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
-from .prcore import Block, PartitionRelationPair, SimulationResult, bit_flags, bits, init_pr
+from .prcore import PartitionRelationPair, SimulationResult, bit_flags, bits, init_pr
 
 CHECK_LEVELS = ("off", "cheap", "full")
 
@@ -113,15 +115,19 @@ class SimulationEngine:
         self.ks = ks
         self.cfg = cfg or EngineConfig()
         self.pr: PartitionRelationPair = init_pr(ks)
+        nb = len(self.pr.begin)
+        # pre_e[c]: every block with a transition into c, in first-edge
+        # order; the values are unused
+        self.pre_e: list[dict[int, None]] = [{} for _ in range(nb)]
         # count[b][c]: blocks e with c related-below e that b has edges
         # into, so a missing cell tests "b reaches nothing above c" in O(1);
         # a row holds only its nonzero cells
-        self.count: list[dict[int, int]] = [{} for _ in self.pr.blocks]
+        self.count: list[dict[int, int]] = [{} for _ in range(nb)]
         # remove[c]: c's removal set, a bitset of block ids
-        self.remove: list[int] = [0] * len(self.pr.blocks)
+        self.remove: list[int] = [0] * nb
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
-        self.worklist = bytearray(len(self.pr.blocks))
+        self.worklist = bytearray(nb)
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -153,7 +159,7 @@ class SimulationEngine:
                     raise InvariantViolation("no progress between driver iterations")
                 prev_shape = shape
         # terminal certification: one full refiner search on the stable pair
-        self._queue(self.pr.blocks)
+        self._queue(range(len(self.pr.begin)))
         if self.find_prefiner() is not None:
             raise InvariantViolation("pair not partition stable at exit")
         if self.cfg.stats_enabled:
@@ -164,44 +170,43 @@ class SimulationEngine:
         return result, self.stats
 
     def _shape(self) -> tuple[int, int]:
-        return (len(self.pr.blocks), sum(row.bit_count() for row in self.pr.up))
+        return (len(self.pr.begin), sum(row.bit_count() for row in self.pr.up))
 
     def _queue(self, blocks) -> None:
-        """Set the worklist flag of every block in ``blocks``."""
+        """Set the worklist flag of every block id in ``blocks``."""
         flags = self.worklist
         for b in blocks:
-            flags[b.index] = 1
+            flags[b] = 1
 
     # ------------------------------------------------------------------
     # table initialization
 
     def initialize(self) -> None:
         """Fill the predecessor, counter, and removal tables."""
-        pr = self.pr
+        down = self.pr.down
         self.update_pre_e()
 
-        blocks = pr.blocks
         cnt = self.count
         has_out = 0
-        for d in blocks:
-            if not d.pre_e:
+        for d, preds in enumerate(self.pre_e):
+            if not preds:
                 continue
-            cols = bits(pr.down[d.index])
-            for b in d.pre_e:
-                has_out |= 1 << b.index
-                row = cnt[b.index]
+            cols = bits(down[d])
+            for b in preds:
+                has_out |= 1 << b
+                row = cnt[b]
                 for c in cols:
                     row[c] = row.get(c, 0) + 1
 
         # c's removal set: the blocks with edges that reach nothing above c
-        reaching = [0] * len(blocks)
-        for b in blocks:
-            for c in cnt[b.index]:
-                reaching[c] |= 1 << b.index
+        reaching = [0] * len(cnt)
+        for b, row in enumerate(cnt):
+            for c in row:
+                reaching[c] |= 1 << b
         self.remove = [has_out & ~r for r in reaching]
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += sum(map(int.bit_count, self.remove))
-        self._queue(blocks)
+        self._queue(range(len(cnt)))
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -231,8 +236,9 @@ class SimulationEngine:
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
 
-    def find_prefiner(self) -> Block | None:
-        """First block whose upward closure's preimage cuts some block.
+    def find_prefiner(self) -> int | None:
+        """Id of the first block whose upward closure's preimage cuts some
+        block, or None; test the result with ``is None``, as 0 is an id.
 
         Mid-call the relation is the entry partial order lifted through
         splits, so blocks descended from one entry block are mutually
@@ -253,32 +259,29 @@ class SimulationEngine:
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
-        blocks = self.pr.blocks
         flags = self.worklist
         i = flags.find(1)
         while i >= 0:
-            rep = self._hosted_refiner(blocks[i])
+            rep = self._hosted_refiner(i)
             if rep is not None:
                 return rep
             flags[i] = 0
             i = flags.find(1, i + 1)
         if self.cfg.full:
-            for b in blocks:
+            for b in range(len(flags)):
                 if self._hosted_refiner(b) is not None:
-                    raise InvariantViolation(
-                        f"refiner worklist missed block {b.index}"
-                    )
+                    raise InvariantViolation(f"refiner worklist missed block {b}")
         return None
 
-    def _hosted_refiner(self, b: Block) -> Block | None:
+    def _hosted_refiner(self, b: int) -> int | None:
         """The first qualifying candidate class of b, or None."""
-        row = self.count[b.index]
+        row = self.count[b]
         for rep, blocks_reached in self.post_candidates(b):
-            if row.get(rep.index) == blocks_reached:
+            if row.get(rep) == blocks_reached:
                 return rep
         return None
 
-    def post_candidates(self, b: Block) -> list[tuple[Block, int]]:
+    def post_candidates(self, b: int) -> list[tuple[int, int]]:
         """Classes k reached by b with 0 < |b n pre(union k)| < |b|.
 
         A block's class is the set of blocks mutually related with it,
@@ -289,48 +292,46 @@ class SimulationEngine:
         so counts the distinct member blocks of each class that b
         reaches, and the last state counted for each class makes each
         state count at most once per class. Each candidate is returned as
-        its representative block (the one with the class's lowest id)
-        with its number of reached member blocks, in the order in which
-        b's transitions first reach the classes.
+        the id of its representative block, the class's lowest id, with
+        its number of reached member blocks, in the order in which b's
+        transitions first reach the classes.
         """
         pr = self.pr
-        up, down, state_block, blocks = pr.up, pr.down, pr.state_block, pr.blocks
+        up, down, state_block = pr.up, pr.down, pr.state_block
         succ = self.ks.succ
-        class_of: dict[Block, int] = {}  # successor block -> its class id
+        class_of: dict[int, int] = {}  # successor block -> its class id
         class_blocks: dict[int, int] = {}  # first-touch order of classes
         class_states: dict[int, int] = {}
         counted_for: dict[int, int] = {}
-        for s in pr.states[b.begin : b.end]:
+        lo, hi = pr.begin[b], pr.end[b]
+        for s in pr.states[lo:hi]:
             for y in succ[s]:
                 c = state_block[y]
                 try:
                     a = class_of[c]
                 except KeyError:
-                    mutual = up[c.index] & down[c.index]
+                    mutual = up[c] & down[c]
                     a = class_of[c] = (mutual & -mutual).bit_length() - 1
                     class_blocks[a] = class_blocks.get(a, 0) + 1
                 if counted_for.get(a) != s:
                     counted_for[a] = s
                     class_states[a] = class_states.get(a, 0) + 1
-        size = b.size
-        return [
-            (blocks[a], n) for a, n in class_blocks.items() if class_states[a] < size
-        ]
+        return [(a, n) for a, n in class_blocks.items() if class_states[a] < hi - lo]
 
-    def pre_up_set(self, c: Block) -> list[int]:
+    def pre_up_set(self, c: int) -> list[int]:
         """Duplicate-free list of states with an edge into c's upward closure.
 
         One pass over all transitions against a byte-flag copy of c's row;
         scanning per source state means the first hit settles that state, no
         marking needed.
         """
-        above = bit_flags(self.pr.up[c.index], len(self.pr.blocks))
+        above = bit_flags(self.pr.up[c], len(self.pr.begin))
         state_block = self.pr.state_block
         succ = self.ks.succ
         out: list[int] = []
         for s in range(self.ks.num_states):
             for y in succ[s]:
-                if above[state_block[y].index]:
+                if above[state_block[y]]:
                     out.append(s)
                     break
         return out
@@ -338,16 +339,19 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # incremental table updates after a split
 
-    def inherit(self, pairs: list[tuple[Block, Block]]) -> None:
+    def inherit(self, pairs: list[tuple[int, int]]) -> None:
         """Give every new half a copy of its parent's entry in every table.
 
-        For each ``(kept, new)`` pair from ``split``, ``new`` gets the row
-        and column of ``kept`` (its parent's, unchanged by the split) in
-        the relation and the counters, a place in every removal set that
-        holds it, a copy of its removal set and a clear worklist flag.
-        ``split`` numbers the new halves in pair order, so appending to the
-        lists indexed by block id in that order puts each entry at its
-        half's id. A column is copied only
+        For each ``(kept, new)`` id pair from ``split``, ``new`` gets the
+        row and column of ``kept`` (its parent's, unchanged by the split)
+        in the relation and the counters, a place in every removal set
+        that holds it, a copy of its removal set, a clear worklist flag and
+        an empty predecessor set. ``split`` numbers the new halves in pair
+        order, so appending to the lists indexed by block id in that order
+        puts each entry at its half's id. Until ``update_pre_e`` runs, a
+        new half met in ``up[kept]`` counts as having no predecessors: its
+        parent, also in ``up[kept]``, still lists every block with an edge
+        into it. A column is copied only
         where it has entries: the relation column into the rows that
         ``down[kept]`` names, the counter column into the rows of blocks
         with an edge into ``up[kept]``, which are exactly its nonzero
@@ -360,27 +364,27 @@ class SimulationEngine:
         ``update_count`` then corrects the counters.
         """
         pr = self.pr
-        up, down, blocks, cnt = pr.up, pr.down, pr.blocks, self.count
+        up, down, cnt, pre_e = pr.up, pr.down, self.count, self.pre_e
         remove = self.remove
-        for kept, new in pairs:
-            k, nbit = kept.index, 1 << new.index
+        pre_e.extend({} for _ in pairs)
+        for k, new in pairs:
+            nbit = 1 << new
             for r in bits(down[k]):
                 up[r] |= nbit
             for e in bits(up[k]):
-                for f in blocks[e].pre_e:
-                    row = cnt[f.index]
-                    row[new.index] = row[k]
-        for kept, new in pairs:
-            k = kept.index
+                for f in pre_e[e]:
+                    row = cnt[f]
+                    row[new] = row[k]
+        for k, new in pairs:
             up.append(up[k])
             down.append(down[k])
             cnt.append(dict(cnt[k]))
-        for kept, new in pairs:
-            nbit = 1 << new.index
-            for c in bits(up[new.index]):
+        for k, new in pairs:
+            nbit = 1 << new
+            for c in bits(up[new]):
                 down[c] |= nbit
         # the new halves have no removal sets yet, so they hold none
-        shifts = [(kept.index, 1 << new.index) for kept, new in pairs]
+        shifts = [(k, 1 << new) for k, new in pairs]
         parents = reduce(or_, (1 << k for k, _ in shifts), 0)
         placed = 0
         for owner, held in enumerate(remove):
@@ -390,9 +394,9 @@ class SimulationEngine:
                     if held >> k & 1:
                         remove[owner] |= nbit
                         placed += 1
-        for kept, new in pairs:
-            remove.append(remove[kept.index])
-            placed += remove[kept.index].bit_count()
+        for k, new in pairs:
+            remove.append(remove[k])
+            placed += remove[k].bit_count()
         self.worklist.extend(bytes(len(pairs)))
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += placed
@@ -403,18 +407,18 @@ class SimulationEngine:
         succ = self.ks.succ
         states = pr.states
         state_block = pr.state_block
-        for b in pr.blocks:
-            b.pre_e = {}
-        for b in pr.blocks:
-            for s in states[b.begin : b.end]:
+        self.pre_e = pre_e = [{} for _ in pr.begin]
+        for b, (lo, hi) in enumerate(zip(pr.begin, pr.end)):
+            for s in states[lo:hi]:
                 for y in succ[s]:
-                    state_block[y].pre_e[b] = None
+                    pre_e[state_block[y]][b] = None
 
-    def update_count(self, pairs: list[tuple[Block, Block]]) -> None:
+    def update_count(self, pairs: list[tuple[int, int]]) -> None:
         """Make the counter matrix exact for the new partition.
 
-        ``inherit`` gave every half its parent's row and column. Per
-        ``(kept, new)`` pair the smaller half X is now rescanned from
+        ``inherit`` gave every half its parent's row and column, and
+        ``update_pre_e`` rebuilt the predecessor sets. Per ``(kept, new)``
+        id pair the smaller half X, by segment length, is now rescanned from
         scratch while the larger half Z is adjusted: one decrement per
         successor *family* (both halves of a pair count as one family,
         matching the granularity of the inherited parent value) that Z no
@@ -432,17 +436,20 @@ class SimulationEngine:
         such a half is logged into both halves' sets.
         """
         pr = self.pr
-        nb = len(pr.blocks)
+        begin, end, down = pr.begin, pr.end, pr.down
+        nb = len(begin)
         cnt = self.count
         remove = self.remove
-        down = pr.down
+        pre_e = self.pre_e
         track = self.cfg.stats_enabled
         stats = self.stats
         new_of = dict(pairs)
         kept_of = {new: kept for kept, new in pairs}
 
         small = [
-            (kept, new) if kept.size <= new.size else (new, kept)
+            (kept, new)
+            if end[kept] - begin[kept] <= end[new] - begin[new]
+            else (new, kept)
             for kept, new in pairs
         ]
         small_halves = {x for x, _ in small}
@@ -451,28 +458,26 @@ class SimulationEngine:
         state_block = pr.state_block
         succ = self.ks.succ
         for x, z in small:
-            x_states = states[x.begin : x.end]
+            x_states = states[begin[x] : end[x]]
             if track:
                 for s in x_states:
                     stats.smaller_half_state_scans[s] += 1
             reached = {state_block[y] for s in x_states for y in succ[s]}
-            old = cnt[x.index]
-            cnt[x.index] = row = dict(
-                Counter(chain.from_iterable(bits(down[v.index]) for v in reached))
-            )
+            old = cnt[x]
+            cnt[x] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
             dropped = old.keys() - row.keys()
-            xbit = 1 << x.index
+            xbit = 1 << x
             for c in dropped:
                 remove[c] |= xbit
             if track:
                 stats.remove_elements_total += len(dropped)
-            zr = cnt[z.index]
-            zbit = 1 << z.index
+            zr = cnt[z]
+            zbit = 1 << z
             for rep in {kept_of.get(v, v) for v in reached}:
                 new = new_of.get(rep)
-                if z in rep.pre_e or (new is not None and z in new.pre_e):
+                if z in pre_e[rep] or (new is not None and z in pre_e[new]):
                     continue
-                for c in bits(down[rep.index]):
+                for c in bits(down[rep]):
                     left = zr.get(c, 0) - 1
                     if left > 0:
                         zr[c] = left
@@ -486,20 +491,20 @@ class SimulationEngine:
 
             # rows with edges into both halves now count two blocks where
             # the copied parent value counted one; rescanned rows excluded
-            both = [d for d in x.pre_e if d in z.pre_e and d not in small_halves]
+            both = [d for d in pre_e[x] if d in pre_e[z] and d not in small_halves]
             if both:
-                below_x = bits(down[x.index])
+                below_x = bits(down[x])
                 for d in both:
-                    dr = cnt[d.index]
+                    dr = cnt[d]
                     for c in below_x:
                         dr[c] = dr.get(c, 0) + 1
 
         # every changed row: the halves' and those of their predecessors
-        changed = [b for pair in pairs for h in pair for b in (h, *h.pre_e)]
+        changed = [b for pair in pairs for h in pair for b in (h, *pre_e[h])]
         self._queue(changed)
         if self.cfg.cheap:
             for b in changed:
-                row = cnt[b.index].values()
+                row = cnt[b].values()
                 if row and (min(row) < 1 or max(row) > nb):
                     raise InvariantViolation("counter out of range")
 
@@ -525,53 +530,48 @@ class SimulationEngine:
         pruned.
         """
         pr = self.pr
-        blocks = pr.blocks
         up, down = pr.up, pr.down
         cnt = self.count
+        pre_e = self.pre_e
         flags = self.worklist
         track = self.cfg.stats_enabled
         pending = self.remove
-        self.remove = remove = [0] * len(blocks)
+        self.remove = remove = [0] * len(pending)
         entry_up = up[:] if self.cfg.full else None
         removed = False
-        for sel, dropped in zip(blocks, pending):
+        for sel, dropped in enumerate(pending):
             if not dropped:
                 continue
             if track:
                 self.stats.remove_trace.append(
                     (
                         frozenset(pr.block_states(sel)),
-                        frozenset(
-                            s for d in bits(dropped) for s in pr.block_states(blocks[d])
-                        ),
+                        frozenset(s for d in bits(dropped) for s in pr.block_states(d)),
                     )
                 )
-            for pred in sel.pre_e:
-                pi = pred.index
-                hit = up[pi] & dropped
+            for pred in pre_e[sel]:
+                hit = up[pred] & dropped
                 if not hit:
                     continue
-                if hit & down[pi]:
+                if hit & down[pred]:
                     # a mutual pair breaks, so pred's class falls apart
-                    self._queue(pred.pre_e)
-                up[pi] ^= hit
+                    self._queue(pre_e[pred])
+                up[pred] ^= hit
                 removed = True
-                pbit = 1 << pi
-                for di in bits(hit):
-                    down[di] ^= pbit
-                    d = blocks[di]
+                pbit = 1 << pred
+                for d in bits(hit):
+                    down[d] ^= pbit
                     if track:
                         self.stats.pairs_removed_total += 1
-                    for f in d.pre_e:
-                        fi = f.index
-                        flags[fi] = 1
-                        fr = cnt[fi]
-                        left = fr.get(pi, 0) - 1
+                    for f in pre_e[d]:
+                        flags[f] = 1
+                        fr = cnt[f]
+                        left = fr.get(pred, 0) - 1
                         if left > 0:
-                            fr[pi] = left
+                            fr[pred] = left
                         elif left == 0:
-                            del fr[pi]
-                            remove[pi] |= 1 << fi
+                            del fr[pred]
+                            remove[pred] |= 1 << f
                             if track:
                                 self.stats.remove_elements_total += 1
                         else:
@@ -593,13 +593,13 @@ class SimulationEngine:
         n = len(pr.states)
         seen = bytearray(n)
         covered = 0
-        for b in pr.blocks:
-            if b.begin >= b.end:
-                raise InvariantViolation(f"empty live block {b}")
-            covered += b.size
-            for p in range(b.begin, b.end):
+        for b, (lo, hi) in enumerate(zip(pr.begin, pr.end)):
+            if lo >= hi:
+                raise InvariantViolation(f"empty live block {b}, [{lo},{hi})")
+            covered += hi - lo
+            for p in range(lo, hi):
                 s = pr.states[p]
-                if pr.state_block[s] is not b:
+                if pr.state_block[s] != b:
                     raise InvariantViolation("segment and block pointer disagree")
                 if seen[s]:
                     raise InvariantViolation("state appears twice")
@@ -608,19 +608,18 @@ class SimulationEngine:
                     raise InvariantViolation("position index stale")
         if covered != n:
             raise InvariantViolation("segments do not cover the state ordering")
-        up = pr.up
-        for b in pr.blocks:
-            if not up[b.index] >> b.index & 1:
+        for b, row in enumerate(pr.up):
+            if not row >> b & 1:
                 raise InvariantViolation("relation lost reflexivity")
 
     def _edge_rows(self) -> list[int]:
         """Edge-existence rows read off ``pre_e``: bit c of row b is set iff
-        b is in c.pre_e. Transient, for the full checks only."""
-        rows = [0] * len(self.pr.blocks)
-        for c in self.pr.blocks:
-            cbit = 1 << c.index
-            for b in c.pre_e:
-                rows[b.index] |= cbit
+        b is in pre_e[c]. Transient, for the full checks only."""
+        rows = [0] * len(self.pre_e)
+        for c, preds in enumerate(self.pre_e):
+            cbit = 1 << c
+            for b in preds:
+                rows[b] |= cbit
         return rows
 
     def _check_tables(self) -> None:
@@ -661,13 +660,12 @@ class SimulationEngine:
         def reaching(above: int) -> int:
             return reduce(or_, map(into.__getitem__, bits(above)), 0)
 
-        for c in pr.blocks:
-            entry, now = entry_up[c.index], pr.up[c.index]
+        for c, (entry, now) in enumerate(zip(entry_up, pr.up)):
             # a row the round left alone loses no reach
             expected = reaching(entry) & ~reaching(now) if entry != now else 0
-            if self.remove[c.index] != expected:
+            if self.remove[c] != expected:
                 raise InvariantViolation(
-                    f"removal set of block {c.index} violates the round invariant"
+                    f"removal set of block {c} violates the round invariant"
                 )
 
 
@@ -692,12 +690,11 @@ def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
     kept only where nonzero. Only the columns below some block b reaches
     can be nonzero, so only those are computed.
     """
-    nb = len(pr.blocks)
-    bidx = [b.index for b in pr.state_block]
-    edge = [0] * nb
+    state_block = pr.state_block
+    edge = [0] * len(pr.begin)
     for s in range(ks.num_states):
         for y in ks.succ[s]:
-            edge[bidx[s]] |= 1 << bidx[y]
+            edge[state_block[s]] |= 1 << state_block[y]
     up, down = pr.up, pr.down
     count = []
     for row in edge:
@@ -716,41 +713,31 @@ def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bo
     preimage of any block's upward closure. Quadratic in blocks times
     edges; a verification oracle, not a hot path.
     """
-    blocks = pr.blocks
+    blocks = range(len(pr.begin))
     up = pr.up
-    members = {b.index: pr.block_states(b) for b in blocks}
+    members = [pr.block_states(b) for b in blocks]
 
     for b in blocks:
-        for c in bits(up[b.index]):
-            lab = ks.labels[members[b.index][0]]
-            if any(ks.labels[s] != lab for s in members[b.index]):
+        for c in bits(up[b]):
+            lab = ks.labels[members[b][0]]
+            if any(ks.labels[s] != lab for s in members[b]):
                 return False
             if any(ks.labels[s] != lab for s in members[c]):
                 return False
 
-    up_pre = {}
-    for c in blocks:
-        up_pre[c.index] = pre_of(ks, pr.up_set_states(c))
-
-    reaches = {}
-    for b in blocks:
-        targets = set()
-        for s in members[b.index]:
-            for y in ks.succ[s]:
-                targets.add(pr.block_of(y).index)
-        reaches[b.index] = targets
+    up_pre = [pre_of(ks, pr.up_set_states(c)) for c in blocks]
+    reaches = [{pr.state_block[y] for s in members[b] for y in ks.succ[s]} for b in blocks]
 
     for b in blocks:
-        for ci in reaches[b.index]:
-            for d in bits(up[b.index]):
-                if not any(s in up_pre[ci] for s in members[d]):
+        for c in reaches[b]:
+            for d in bits(up[b]):
+                if not any(s in up_pre[c] for s in members[d]):
                     return False
 
-    for c in blocks:
-        splitter = up_pre[c.index]
+    for splitter in up_pre:
         for b in blocks:
-            inside = sum(1 for s in members[b.index] if s in splitter)
-            if 0 < inside < len(members[b.index]):
+            inside = sum(1 for s in members[b] if s in splitter)
+            if 0 < inside < len(members[b]):
                 return False
     return True
 

@@ -1,19 +1,20 @@
 """Mutable partition-relation state shared by the refinement engine.
 
-The state set is kept as one ordered array of state ids in which every
-live block owns a contiguous segment ``[begin, end)``; ``pos`` maps a
-state back to its position and ``state_block`` to its block. ``split``
-cuts each block the splitter meets properly into a ``(kept, new)`` pair
-and returns the pairs: moving a state into its block's new half is a
-single swap at the segment boundary, so a split costs O(splitter size)
-and touches no other block. Block ids are never recycled; they index the
-block relation, held here as Python-int bitsets over block ids in both
-directions (``up[b]``, the blocks above b, and ``down[c]``, the blocks
-below c), and the engine's own lists: sparse counter rows, removal sets
-and worklist flags. The engine gives each new half its kept half's row
-and column. Which blocks have edges into which is recorded once, in
-each block's ``pre_e``, the only table a block carries. ``bits`` and
-``bit_flags`` read a bitset back as indices or as one byte per bit.
+A block is its int id, and every table about blocks is a list indexed
+by id. The state set is kept as one ordered array of state ids in which
+block b owns the contiguous segment ``[begin[b], end[b])``; ``pos`` maps
+a state back to its position and ``state_block`` to its block's id.
+``split`` cuts each block the splitter meets properly into a
+``(kept, new)`` id pair and returns the pairs: moving a state into its
+block's new half is a single swap at the segment boundary, so a split
+costs O(splitter size) and touches no other block. Block ids are never
+recycled; they index the segment lists, the block relation, held here
+as Python-int bitsets over block ids in both directions (``up[b]``, the
+blocks above b, and ``down[c]``, the blocks below c), and the engine's
+own lists: predecessor block sets, sparse counter rows, removal sets and
+worklist flags. The engine gives each new half its kept half's entries.
+``bits`` and ``bit_flags`` read a bitset back as indices or as one byte
+per bit.
 """
 
 from __future__ import annotations
@@ -59,36 +60,6 @@ def bit_flags(x: int, width: int) -> bytes:
     return bin(x)[:1:-1].encode().translate(_DIGIT_FLAGS).ljust(width, b"\0")
 
 
-class Block:
-    """A live partition block: a segment of the state ordering plus its
-    predecessor block set.
-
-    ``index`` is the block's id, its bit in every bitset and its entry in
-    every table indexed by block id: the relation here, the engine's
-    counter rows, removal sets and worklist flags. ``[begin, end)`` is its
-    segment of the state ordering. ``pre_e`` holds, in first-edge order,
-    every block with a transition into this one; its values are unused.
-    A block keeps no engine bookkeeping and no split-time scratch:
-    ``split`` returns its pairs, and the blocks descended from one block
-    are read off the relation as the mutually related ones.
-    """
-
-    __slots__ = ("index", "begin", "end", "pre_e")
-
-    def __init__(self, index: int, begin: int, end: int):
-        self.index = index
-        self.begin = begin
-        self.end = end
-        self.pre_e: dict[Block, None] = {}
-
-    @property
-    def size(self) -> int:
-        return self.end - self.begin
-
-    def __repr__(self):
-        return f"Block(#{self.index}, [{self.begin},{self.end}))"
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Immutable final partition plus the partial order on its blocks.
@@ -128,25 +99,27 @@ class SimulationResult:
 
 
 class PartitionRelationPair:
-    """The engine's mutable core: segmented state ordering, block table,
+    """The engine's mutable core: segmented state ordering, block segments,
     and the block relation.
 
-    ``states[p]`` is the state at position p, ``pos`` its inverse, and
-    ``state_block[s]`` the block owning state s. Every entry of ``blocks``
-    is live: a split registers a new half only for a block it cuts
-    properly, so the table doubles as the live list in creation order.
-    The relation is held twice, as bitsets over block ids: bit c of
-    ``up[b]`` and bit b of ``down[c]`` are set iff block b is related
-    below block c. Every writer keeps the two in step.
+    A block is its int id. ``states[p]`` is the state at position p,
+    ``pos`` its inverse, and ``state_block[s]`` the id of the block owning
+    state s. Block b owns the segment ``[begin[b], end[b])``; every id
+    below ``len(begin)`` is live, since a split registers a new half only
+    for a block it cuts properly. The relation is held twice, as bitsets
+    over block ids: bit c of ``up[b]`` and bit b of ``down[c]`` are set
+    iff block b is related below block c. Every writer keeps the two in
+    step.
     """
 
-    __slots__ = ("states", "pos", "state_block", "blocks", "up", "down")
+    __slots__ = ("states", "pos", "state_block", "begin", "end", "up", "down")
 
-    def __init__(self, states, pos, state_block, blocks, up, down):
+    def __init__(self, states, pos, state_block, begin, end, up, down):
         self.states: list[int] = states
         self.pos: list[int] = pos
-        self.state_block: list[Block] = state_block
-        self.blocks: list[Block] = blocks
+        self.state_block: list[int] = state_block
+        self.begin: list[int] = begin
+        self.end: list[int] = end
         self.up: list[int] = up
         self.down: list[int] = down
 
@@ -154,23 +127,20 @@ class PartitionRelationPair:
     def num_states(self) -> int:
         return len(self.states)
 
-    def block_of(self, state: int) -> Block:
-        return self.state_block[state]
+    def block_states(self, b: int) -> list[int]:
+        return self.states[self.begin[b] : self.end[b]]
 
-    def block_states(self, block: Block) -> list[int]:
-        return self.states[block.begin : block.end]
-
-    def up_set_states(self, block: Block) -> set[int]:
-        """Union of the segments of all blocks that ``block`` relates into."""
+    def up_set_states(self, b: int) -> set[int]:
+        """Union of the segments of all blocks that block b relates into."""
         out: set[int] = set()
-        for c in bits(self.up[block.index]):
-            out.update(self.block_states(self.blocks[c]))
+        for c in bits(self.up[b]):
+            out.update(self.block_states(c))
         return out
 
-    def split(self, splitter: Iterable[int]) -> list[tuple[Block, Block]]:
+    def split(self, splitter: Iterable[int]) -> list[tuple[int, int]]:
         """Refine the partition against a duplicate-free list of states.
 
-        Returns one ``(kept, new)`` pair per block cut properly in two:
+        Returns one ``(kept, new)`` id pair per block cut properly in two:
         ``kept`` keeps the block's id and its states outside the splitter,
         ``new`` gets the next free id and the states inside. Pairs, and so
         new ids, follow the first splitter state of each cut block. Blocks
@@ -180,44 +150,41 @@ class PartitionRelationPair:
         splitter = list(splitter)
         state_block = self.state_block
         inside = Counter(state_block[s] for s in splitter)
-        blocks = self.blocks
-        states = self.states
-        pos = self.pos
-        new_of: dict[Block, Block] = {}
+        states, pos, begin, end = self.states, self.pos, self.begin, self.end
+        new_of: dict[int, int] = {}
         for s in splitter:
             b = state_block[s]
             new = new_of.get(b)
             if new is None:
-                # no state of b has moved yet, so b.size is still its own
-                if inside[b] == b.size:
+                # no state of b has moved yet, so its segment is still whole
+                if inside[b] == end[b] - begin[b]:
                     continue  # fully inside: leave alone
-                new = new_of[b] = Block(len(blocks), b.end, b.end)
-                blocks.append(new)
+                new = new_of[b] = len(begin)
+                begin.append(end[b])
+                end.append(end[b])
             p = pos[s]
-            q = b.end - 1
+            q = end[b] - 1
             if p != q:
                 other = states[q]
                 states[p], states[q] = other, s
                 pos[s] = q
                 pos[other] = p
-            b.end -= 1
-            new.begin -= 1
+            end[b] = begin[new] = q
             state_block[s] = new
         return list(new_of.items())
 
     def extract_result(self) -> SimulationResult:
         """Deep copy the converged pair into an immutable result."""
-        ordered = sorted(self.blocks, key=lambda b: min(self.block_states(b)))
+        nb = len(self.begin)
+        ordered = sorted(range(nb), key=lambda b: min(self.block_states(b)))
         partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
         up = self.up
-        nb = len(self.blocks)
-        idx = [b.index for b in ordered]
-        if len(idx) > 1:
-            get = itemgetter(*idx)
-            leq = tuple(tuple(map(bool, get(bit_flags(up[i], nb)))) for i in idx)
+        if nb > 1:
+            get = itemgetter(*ordered)
+            leq = tuple(tuple(map(bool, get(bit_flags(up[i], nb)))) for i in ordered)
         else:
             # an itemgetter of one index returns a scalar, not a tuple
-            leq = tuple((bool(up[i] >> i & 1),) for i in idx)
+            leq = tuple((bool(up[i] >> i & 1),) for i in ordered)
         return SimulationResult(partition, leq)
 
 
@@ -227,16 +194,19 @@ def init_pr(ks: KripkeStructure) -> PartitionRelationPair:
     States are laid out so each label block is contiguous; blocks are
     created in smallest-member order.
     """
-    blocks: list[Block] = []
     states: list[int] = []
+    begin: list[int] = []
+    end: list[int] = []
     pos = [0] * ks.num_states
-    state_block: list[Block] = [None] * ks.num_states
-    for members in initial_label_partition(ks):
-        b = Block(len(blocks), len(states), len(states) + len(members))
-        blocks.append(b)
+    state_block = [0] * ks.num_states
+    for b, members in enumerate(initial_label_partition(ks)):
+        begin.append(len(states))
         for s in members:
             pos[s] = len(states)
             states.append(s)
             state_block[s] = b
-    identity = [1 << b.index for b in blocks]
-    return PartitionRelationPair(states, pos, state_block, blocks, identity, identity[:])
+        end.append(len(states))
+    identity = [1 << b for b in range(len(begin))]
+    return PartitionRelationPair(
+        states, pos, state_block, begin, end, identity, identity[:]
+    )

@@ -332,6 +332,8 @@ class TestGenerate:
             ["chain", str(MAX_STATES + 1)],
             # refused before its 10^10 edge draws, so it returns at once
             ["random", "100000", "1", "0.0"],
+            # refused before building its 10^10 successor entries
+            ["clique", "100000"],
         ],
     )
     def test_above_state_cap(self, runner, params):

@@ -49,6 +49,11 @@ def pair_count(pr):
     return sum(row.bit_count() for row in pr.up)
 
 
+def block_ids(pr):
+    """Every live block id, in creation order."""
+    return range(len(pr.begin))
+
+
 def queued(eng):
     """Ids of the blocks whose worklist flag is set."""
     return {i for i, flag in enumerate(eng.worklist) if flag}
@@ -69,79 +74,79 @@ def run_one_split_round(eng):
 class TestInitialize:
     def test_no_transitions(self):
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
-        assert all(not b.pre_e for b in eng.pr.blocks)
+        assert all(not preds for preds in eng.pre_e)
         assert all(row == {} for row in eng.count)
-        assert eng.remove == [0] * len(eng.pr.blocks)
+        assert eng.remove == [0] * len(eng.pr.begin)
 
     def test_sink_structure_edge_matrix(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        b_pair = eng.pr.block_of(0)
-        b_sink = eng.pr.block_of(2)
-        assert list(b_sink.pre_e) == [b_pair, b_sink]
-        assert b_pair.pre_e == {}
+        b_pair = eng.pr.state_block[0]
+        b_sink = eng.pr.state_block[2]
+        assert list(eng.pre_e[b_sink]) == [b_pair, b_sink]
+        assert eng.pre_e[b_pair] == {}
 
     def test_count_equals_existence_under_identity(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        for b in eng.pr.blocks:
-            for c in eng.pr.blocks:
-                assert eng.count[b.index].get(c.index, 0) == (b in c.pre_e)
+        for b in block_ids(eng.pr):
+            for c in block_ids(eng.pr):
+                assert eng.count[b].get(c, 0) == (b in eng.pre_e[c])
 
     def test_remove_lists_per_definition(self):
         # block with edges but none into a target's closure gets listed
         ks = build_ks("ab", [(0, 0), (1, 1)])
         eng = engine_after_initialize(ks)
-        b0, b1 = eng.pr.blocks
-        assert bits(eng.remove[b0.index]) == [b1.index]
-        assert bits(eng.remove[b1.index]) == [b0.index]
+        b0, b1 = block_ids(eng.pr)
+        assert bits(eng.remove[b0]) == [b1]
+        assert bits(eng.remove[b1]) == [b0]
 
     def test_every_block_queued(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        assert eng.worklist == bytearray([1] * len(eng.pr.blocks))
+        assert eng.worklist == bytearray([1] * len(eng.pr.begin))
 
     def test_pre_e_duplicate_free(self):
         ks = build_ks("aa", [(0, 1), (1, 1), (0, 0)])
         eng = engine_after_initialize(ks)
-        b = eng.pr.blocks[0]
-        assert len(b.pre_e) == len({x.index for x in b.pre_e}) == 1
+        preds = eng.pre_e[0]
+        assert len(preds) == len(set(preds)) == 1
 
 
 class TestPostCandidates:
     def test_block_without_transitions(self):
         eng = engine_after_initialize(build_ks("aa", []))
-        assert eng.post_candidates(eng.pr.blocks[0]) == []
+        assert eng.post_candidates(0) == []
 
     def test_partial_reach_counts_states(self):
         # only state 0 of the pair block reaches the sink block
         ks = build_ks("aab", [(0, 2)])
         eng = engine_after_initialize(ks)
-        pair_block = eng.pr.block_of(0)
+        pair_block = eng.pr.state_block[0]
         # one of the pair block's two states reaches the sink's class
-        assert eng.post_candidates(pair_block) == [(eng.pr.block_of(2), 1)]
+        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1)]
 
     def test_full_reach_excluded(self):
         ks = build_ks("aab", [(0, 2), (1, 2)])
         eng = engine_after_initialize(ks)
-        assert eng.post_candidates(eng.pr.block_of(0)) == []
+        assert eng.post_candidates(eng.pr.state_block[0]) == []
 
     def test_per_state_successor_dedup(self):
         # a state with edges into two member blocks of one class counts
         # once for that class: one of two states reaches it, a proper cut
         ks = build_ks("aabc", [(0, 2), (0, 3)])
         eng = engine_after_initialize(ks)
-        b_b, b_c = eng.pr.block_of(2), eng.pr.block_of(3)
-        relate(eng.pr, b_b.index, b_c.index)
-        relate(eng.pr, b_c.index, b_b.index)
-        assert eng.post_candidates(eng.pr.block_of(0)) == [(b_b, 2)]
+        b_b, b_c = eng.pr.state_block[2], eng.pr.state_block[3]
+        relate(eng.pr, b_b, b_c)
+        relate(eng.pr, b_c, b_b)
+        assert eng.post_candidates(eng.pr.state_block[0]) == [(b_b, 2)]
 
     def test_candidates_in_first_touch_order(self):
         # state 0 reaches block 2 before block 1, so block-id order and
         # first-touch order differ; the refiner choice follows the latter
         ks = build_ks("aacb", [(0, 3), (0, 2)])
         eng = engine_after_initialize(ks)
-        b_a, b_c, b_b = eng.pr.blocks
-        assert (eng.pr.block_of(2), eng.pr.block_of(3)) == (b_c, b_b)
+        b_a, b_c, b_b = block_ids(eng.pr)
+        assert (eng.pr.state_block[2], eng.pr.state_block[3]) == (b_c, b_b)
         assert eng.post_candidates(b_a) == [(b_b, 1), (b_c, 1)]
-        assert eng.find_prefiner() is b_b
+        assert eng.find_prefiner() == b_b
 
 
 class TestFindPRefiner:
@@ -152,7 +157,7 @@ class TestFindPRefiner:
     def test_one_sided_structure_finds_own_block(self, ks_b):
         eng = engine_after_initialize(ks_b)
         refiner = eng.find_prefiner()
-        assert refiner is eng.pr.blocks[0]
+        assert refiner == 0
 
     def test_converged_pair_has_none(self, ks_a, ks_b):
         for ks in (ks_a, ks_b):
@@ -162,56 +167,57 @@ class TestFindPRefiner:
 
     def test_clean_blocks_popped_host_kept(self, ks_b):
         eng = engine_after_initialize(ks_b)
-        host = eng.pr.blocks[0]
+        host = 0
         eng.find_prefiner()
-        assert queued(eng) == {host.index}
+        assert queued(eng) == {host}
         eng.pstabilize()
         assert not any(eng.worklist)
 
     def test_split_queues_halves_and_their_predecessors(self, ks_b):
         eng = engine_after_initialize(ks_b)
         [(kept, new)] = run_one_split_round(eng)
-        expected = {kept, new, *kept.pre_e, *new.pre_e}
-        assert {eng.pr.blocks[i] for i in queued(eng)} == expected
+        expected = {kept, new, *eng.pre_e[kept], *eng.pre_e[new]}
+        assert queued(eng) == expected
 
 
 class TestPreUpSet:
     def test_unreachable_block(self):
         eng = engine_after_initialize(build_ks("ab", []))
-        assert eng.pre_up_set(eng.pr.blocks[0]) == []
+        assert eng.pre_up_set(0) == []
 
     def test_sink_closure_preimage(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        assert sorted(eng.pre_up_set(eng.pr.block_of(2))) == [0, 1, 2]
+        assert sorted(eng.pre_up_set(eng.pr.state_block[2])) == [0, 1, 2]
 
     def test_union_when_related(self):
         ks = build_ks("ab", [(0, 1)])
         eng = engine_after_initialize(ks)
-        b_a, b_b = eng.pr.blocks
-        relate(eng.pr, b_a.index, b_b.index)
+        b_a, b_b = block_ids(eng.pr)
+        relate(eng.pr, b_a, b_b)
         # up-set of block a is now {0, 1}; only 0 has an edge into it
         assert eng.pre_up_set(b_a) == [0]
 
     def test_no_duplicates(self):
         ks = build_ks("aa", [(0, 0), (0, 1), (1, 0)])
         eng = engine_after_initialize(ks)
-        out = eng.pre_up_set(eng.pr.blocks[0])
+        out = eng.pre_up_set(0)
         assert len(out) == len(set(out))
 
 
 class TestPStabilize:
     def test_already_stable_true_no_mutation(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        before = [pr_b.size for pr_b in eng.pr.blocks]
+        pr = eng.pr
+        before = [e - b for b, e in zip(pr.begin, pr.end)]
         eng.pstabilize()
-        assert [b.size for b in eng.pr.blocks] == before
+        assert [e - b for b, e in zip(pr.begin, pr.end)] == before
 
     def test_one_split_separates_live_and_dead_state(self, ks_b):
         eng = engine_after_initialize(ks_b)
         eng.pstabilize()
-        assert len(eng.pr.blocks) == 2
+        assert len(eng.pr.begin) == 2
         assert sorted(map(tuple, map(sorted, (
-            eng.pr.block_states(b) for b in eng.pr.blocks
+            eng.pr.block_states(b) for b in block_ids(eng.pr)
         )))) == [(0,), (1,)]
 
 
@@ -226,22 +232,22 @@ class TestUpdateAfterSplit:
         # a <| b beforehand: both halves of b stay above a
         ks = build_ks("abb", [(0, 1), (1, 1), (2, 0)])
         eng = engine_after_initialize(ks)
-        b_a = eng.pr.block_of(0)
-        b_b = eng.pr.block_of(1)
-        relate(eng.pr, b_a.index, b_b.index)
+        b_a = eng.pr.state_block[0]
+        b_b = eng.pr.state_block[1]
+        relate(eng.pr, b_a, b_b)
         pairs = eng.pr.split([1])
         eng.inherit(pairs)
         for half in pairs[0]:
-            assert related(eng.pr, b_a.index, half.index)
-            assert eng.pr.down[half.index] >> b_a.index & 1
+            assert related(eng.pr, b_a, half)
+            assert eng.pr.down[half] >> b_a & 1
 
     def test_edge_matrix_exact_after_split(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
         edge_ref, _ = recompute_tables(eng.ks, eng.pr)
-        for b in eng.pr.blocks:
-            for c in eng.pr.blocks:
-                assert bool(edge_ref[b.index] >> c.index & 1) == (b in c.pre_e)
+        for b in block_ids(eng.pr):
+            for c in block_ids(eng.pr):
+                assert bool(edge_ref[b] >> c & 1) == (b in eng.pre_e[c])
 
     def test_counts_after_first_split(self, ks_b):
         # from-scratch recomputation fixes the expected entries
@@ -249,34 +255,34 @@ class TestUpdateAfterSplit:
         run_one_split_round(eng)
         _, cnt_ref = recompute_tables(eng.ks, eng.pr)
         assert eng.count == cnt_ref
-        live = eng.pr.block_of(0)
-        dead = eng.pr.block_of(1)
-        assert eng.count[live.index].get(live.index, 0) == 1
-        assert eng.count[dead.index].get(live.index, 0) == 0
-        assert eng.count[dead.index].get(dead.index, 0) == 0
+        live = eng.pr.state_block[0]
+        dead = eng.pr.state_block[1]
+        assert eng.count[live].get(live, 0) == 1
+        assert eng.count[dead].get(live, 0) == 0
+        assert eng.count[dead].get(dead, 0) == 0
 
     def test_pre_e_rebuilt(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        live = eng.pr.block_of(0)
-        dead = eng.pr.block_of(1)
-        assert [x.index for x in live.pre_e] == [live.index]
-        assert dead.pre_e == {}
+        live = eng.pr.state_block[0]
+        dead = eng.pr.state_block[1]
+        assert list(eng.pre_e[live]) == [live]
+        assert eng.pre_e[dead] == {}
 
     def test_update_rem_copies_independently(self):
         ks = build_ks("aab", [(0, 2)])
         eng = engine_after_initialize(ks)
-        pair_block = eng.pr.block_of(0)
-        marker = eng.pr.block_of(2)
+        pair_block = eng.pr.state_block[0]
+        marker = eng.pr.state_block[2]
         remove = eng.remove
-        remove[pair_block.index] = 1 << marker.index
-        remove[marker.index] = 1 << pair_block.index
+        remove[pair_block] = 1 << marker
+        remove[marker] = 1 << pair_block
         [(kept, new)] = eng.pr.split([0])
         eng.inherit([(kept, new)])
-        assert remove[new.index] == 1 << marker.index
-        assert remove[marker.index] == 1 << pair_block.index | 1 << new.index
-        remove[new.index] |= 1 << pair_block.index
-        assert remove[kept.index] == 1 << marker.index
+        assert remove[new] == 1 << marker
+        assert remove[marker] == 1 << pair_block | 1 << new
+        remove[new] |= 1 << pair_block
+        assert remove[kept] == 1 << marker
 
 
 def split_with_scribbled_tables():
@@ -292,7 +298,7 @@ def split_with_scribbled_tables():
     ks = build_ks("aaabbb", [(0, 3), (1, 1), (2, 5), (3, 0), (4, 4), (5, 2)])
     eng = engine_after_initialize(ks)
     eng.remove[:] = [0b11, 0b10]
-    nb = len(eng.pr.blocks)
+    nb = len(eng.pr.begin)
     for r in range(nb):
         eng.count[r] = {c: 1 + r * nb + c for c in range(nb)}
         for c in range(r + 1, nb):
@@ -335,10 +341,9 @@ class TestInherit:
     def test_new_half_copies_parent_row_and_column(self):
         eng, pairs, _ = split_with_scribbled_tables()
         eng.inherit(pairs)
-        nb = len(eng.pr.blocks)
+        nb = len(eng.pr.begin)
         pr = eng.pr
-        for kept, new in pairs:
-            n, p = new.index, kept.index
+        for p, n in pairs:
             assert pr.up[n] == pr.up[p]
             assert pr.down[n] == pr.down[p]
             assert eng.count[n] == eng.count[p]
@@ -362,16 +367,16 @@ class TestInherit:
         eng.inherit(pairs)
         remove = eng.remove
         for kept, new in pairs:
-            assert remove[new.index] == remove[kept.index]
-            before = remove[kept.index]
-            remove[new.index] |= 1 << 7
-            assert remove[kept.index] == before
-            remove[new.index] = before
+            assert remove[new] == remove[kept]
+            before = remove[kept]
+            remove[new] |= 1 << 7
+            assert remove[kept] == before
+            remove[new] = before
         sets_with_halves = [s for s in remove if s]
         assert sets_with_halves
         for s in sets_with_halves:
             for kept, new in pairs:
-                assert s >> kept.index & 1 == s >> new.index & 1
+                assert s >> kept & 1 == s >> new & 1
 
     def test_chain_logs_each_half_once(self):
         # a split half is logged into each removal list at most once, so a
@@ -386,7 +391,7 @@ class TestInherit:
 class TestRStabilize:
     def test_empty_lists_noop(self, ks_a):
         eng = engine_after_initialize(ks_a)
-        eng.remove = [0] * len(eng.pr.blocks)
+        eng.remove = [0] * len(eng.pr.begin)
         pairs_before = pair_count(eng.pr)
         assert eng.rstabilize() is True
         assert pair_count(eng.pr) == pairs_before
@@ -422,7 +427,7 @@ class TestRStabilize:
         eng = engine_after_initialize(generate_random_ks(4, 2, 1.5 / 4, 1))
         eng.pstabilize()
         pr = eng.pr
-        eng.worklist[:] = bytes(len(pr.blocks))
+        eng.worklist[:] = bytes(len(pr.begin))
         up_before = pr.up[:]
         eng.rstabilize()
         pruned = [
@@ -430,13 +435,12 @@ class TestRStabilize:
         ]
         broken = [(p, d) for p, d in pruned if up_before[d] >> p & 1]
         assert broken
-        flagged = {pr.blocks[i] for i in queued(eng)}
-        assert len(eng.worklist) == len(pr.blocks)
+        flagged = queued(eng)
+        assert len(eng.worklist) == len(pr.begin)
         for p, _ in broken:
-            assert set(pr.blocks[p].pre_e) <= flagged
-        block1 = pr.blocks[1]
-        assert block1 in flagged
-        assert all(block1 not in pr.blocks[d].pre_e for _, d in pruned)
+            assert set(eng.pre_e[p]) <= flagged
+        assert 1 in flagged
+        assert all(1 not in eng.pre_e[d] for _, d in pruned)
 
     def test_dead_half_pair_pruned_via_logged_witness(self):
         # dead states split away from movers must lose the pair claiming
@@ -453,15 +457,15 @@ class TestFullChecks:
     def test_stale_edge_set_detected(self, ks_a):
         eng = engine_after_initialize(ks_a)
         eng._check_tables()
-        victim = next(b for b in eng.pr.blocks if b.pre_e)
-        del victim.pre_e[next(iter(victim.pre_e))]
+        victim = next(preds for preds in eng.pre_e if preds)
+        del victim[next(iter(victim))]
         with pytest.raises(InvariantViolation, match="edge-existence"):
             eng._check_tables()
 
     def test_emptied_worklist_detected(self, ks_b):
         eng = SimulationEngine(ks_b, FULL)
         eng.initialize()
-        eng.worklist[:] = bytes(len(eng.pr.blocks))
+        eng.worklist[:] = bytes(len(eng.pr.begin))
         with pytest.raises(InvariantViolation, match="worklist missed"):
             eng.find_prefiner()
 
@@ -473,8 +477,9 @@ class TestFullChecks:
         eng.inherit(pairs)
         eng.update_pre_e()
         [(kept, new)] = pairs
-        larger = new if kept.size <= new.size else kept
-        eng.count[larger.index][kept.index] = -1
+        begin, end = eng.pr.begin, eng.pr.end
+        larger = new if end[kept] - begin[kept] <= end[new] - begin[new] else kept
+        eng.count[larger][kept] = -1
         with pytest.raises(InvariantViolation, match="counter out of range"):
             eng.update_count(pairs)
 
@@ -512,12 +517,12 @@ class TestFullChecks:
         assert eng.rstabilize() is False
         assert any(eng.remove)
         eng._check_remove_invariant(entry_up)
-        for b in eng.pr.blocks:
-            saved = eng.remove[b.index]
-            eng.remove[b.index] ^= 1 << b.index
+        for b in block_ids(eng.pr):
+            saved = eng.remove[b]
+            eng.remove[b] ^= 1 << b
             with pytest.raises(InvariantViolation, match="round invariant"):
                 eng._check_remove_invariant(entry_up)
-            eng.remove[b.index] = saved
+            eng.remove[b] = saved
 
 
 class TestSimulationCheck:
@@ -541,12 +546,12 @@ class TestDeadStates:
         eng = engine_after_initialize(ks)
         eng.pstabilize()
         dead_blocks = {
-            b.index for b in eng.pr.blocks if all(
+            b for b in block_ids(eng.pr) if all(
                 not ks.succ[s] for s in eng.pr.block_states(b)
             )
         }
-        for b in eng.pr.blocks:
-            assert not ({x.index for x in b.pre_e} & dead_blocks)
+        for preds in eng.pre_e:
+            assert not (set(preds) & dead_blocks)
 
     def test_all_dead(self):
         ks = KripkeStructure(4, {}, {})
@@ -662,7 +667,7 @@ class FullScanEngine(SimulationEngine):
     """The engine with a full scan for every refiner search."""
 
     def find_prefiner(self):
-        self._queue(self.pr.blocks)
+        self._queue(block_ids(self.pr))
         return SimulationEngine.find_prefiner(self)
 
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simrel import kripke
 from simrel.kripke import (
+    MAX_CLIQUE_STATES,
     MAX_RANDOM_STATES,
     MAX_STATES,
     KripkeStructure,
@@ -227,6 +230,19 @@ class TestFamilies:
             with pytest.raises(ValueError, match="exceeds the limit"):
                 build()
         assert make_tree(21, 1).num_states == 22
+
+    def test_clique_size_refused_before_building(self):
+        # one transition per ordered state pair: above the limit, refuse
+        # before the first successor list is built
+        tracemalloc.start()
+        try:
+            limit = f"exceeds the limit of {MAX_CLIQUE_STATES}"
+            with pytest.raises(ValueError, match=limit):
+                make_clique(MAX_CLIQUE_STATES + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestStructure:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from simrel.engine import EngineConfig, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
-from simrel.prcore import Block, SimulationResult, bit_flags, bits, init_pr
+from simrel.prcore import SimulationResult, bit_flags, bits, init_pr
 
 from .conftest import build_ks
 
@@ -12,50 +12,58 @@ from .conftest import build_ks
 class TestInitPr:
     def test_single_state(self):
         pr = init_pr(KripkeStructure(1, {0: {"a"}}, {}))
-        assert len(pr.blocks) == 1
-        b = pr.blocks[0]
-        assert (b.begin, b.end) == (0, 1)
+        assert pr.begin == [0] and pr.end == [1]
         assert pr.up == pr.down == [1]
 
     def test_label_blocks_contiguous(self):
         pr = init_pr(build_ks("aba", []))
-        assert len(pr.blocks) == 2
-        assert pr.block_states(pr.blocks[0]) == [0, 2]
-        assert pr.block_states(pr.blocks[1]) == [1]
+        assert len(pr.begin) == 2
+        assert pr.block_states(0) == [0, 2]
+        assert pr.block_states(1) == [1]
 
     def test_identity_relation(self):
         pr = init_pr(build_ks("abc", []))
-        for b in pr.blocks:
-            for c in pr.blocks:
-                assert bool(pr.up[b.index] >> c.index & 1) == (b is c)
-                assert bool(pr.down[c.index] >> b.index & 1) == (b is c)
+        for b in range(len(pr.begin)):
+            for c in range(len(pr.begin)):
+                assert bool(pr.up[b] >> c & 1) == (b == c)
+                assert bool(pr.down[c] >> b & 1) == (b == c)
 
     def test_scratch_fields_clear(self):
         ks = build_ks("ab", [])
-        pr = init_pr(ks)
-        for b in pr.blocks:
-            assert b.pre_e == {}
-        # the removal sets and worklist flags are the engine's lists
+        # the predecessor sets, removal sets and worklist flags are the
+        # engine's lists
         eng = SimulationEngine(ks)
+        assert eng.pre_e == [{}, {}]
         assert eng.remove == [0, 0]
         assert eng.worklist == bytearray(2)
 
-    def test_block_holds_segment_and_pre_e_only(self):
-        assert Block.__slots__ == ("index", "begin", "end", "pre_e")
+    def test_blocks_are_plain_int_ids(self):
+        # a block is its id: the pair holds ints and split returns them
+        ks = build_ks("aab", [(0, 2)])
+        pr = init_pr(ks)
+        assert pr.state_block == [0, 0, 1]
+        assert all(type(b) is int for b in pr.state_block)
+        assert not hasattr(pr, "blocks")
+        [(kept, new)] = pr.split([0])
+        assert (type(kept), type(new)) == (int, int) and (kept, new) == (0, 2)
+        assert pr.state_block == [2, 0, 1]
+        eng = SimulationEngine(ks)
+        eng.initialize()
+        assert type(eng.find_prefiner()) is int
 
 
 class TestSplit:
     def test_splitter_covering_everything_is_noop(self):
         pr = init_pr(build_ks("aaa", []))
         assert pr.split([0, 1, 2]) == []
-        assert len(pr.blocks) == 1
-        assert sorted(pr.block_states(pr.blocks[0])) == [0, 1, 2]
+        assert len(pr.begin) == 1
+        assert sorted(pr.block_states(0)) == [0, 1, 2]
 
     def test_proper_split(self):
         pr = init_pr(build_ks("aaa", []))
         [(kept, new)] = pr.split([0, 1])
-        assert pr.blocks == [kept, new]
-        assert (kept.index, new.index) == (0, 1)
+        assert len(pr.begin) == len(pr.end) == 2
+        assert (kept, new) == (0, 1)
         assert sorted(pr.block_states(kept)) == [2]
         assert sorted(pr.block_states(new)) == [0, 1]
 
@@ -64,14 +72,15 @@ class TestSplit:
         pr = init_pr(build_ks("aabb", []))
         out = pr.split([1, 2])
         assert len(out) == 2
-        halves = {tuple(sorted(pr.block_states(b))) for b in pr.blocks}
+        halves = {tuple(sorted(pr.block_states(b))) for b in range(len(pr.begin))}
         assert halves == {(0,), (1,), (2,), (3,)}
 
     def test_ids_never_reused(self):
         pr = init_pr(build_ks("aaa", []))
-        pr.split([0])
-        pr.split([1])
-        assert [b.index for b in pr.blocks] == [0, 1, 2]
+        assert pr.split([0]) == [(0, 1)]
+        assert pr.split([1]) == [(0, 2)]
+        assert len(pr.begin) == 3
+        assert sorted(pr.state_block) == [0, 1, 2]
 
     def test_empty_splitter(self):
         pr = init_pr(build_ks("aa", []))
@@ -90,13 +99,13 @@ class TestSplit:
             # duplicate-free, in drawn order, so pair order is exercised
             splitter = list(dict.fromkeys(s % n for s in raw))
             inside = set(splitter)
-            before = {b: set(pr.block_states(b)) for b in pr.blocks}
+            nb = len(pr.begin)
+            before = {b: set(pr.block_states(b)) for b in range(nb)}
             met = list(dict.fromkeys(pr.state_block[s] for s in splitter))
-            nb = len(pr.blocks)
             pairs = pr.split(splitter)
             # new ids run upward from the old block count, in pair order
-            assert [new.index for _, new in pairs] == list(range(nb, nb + len(pairs)))
-            assert pr.blocks[nb:] == [new for _, new in pairs]
+            assert [new for _, new in pairs] == list(range(nb, nb + len(pairs)))
+            assert len(pr.begin) == len(pr.end) == nb + len(pairs)
             for kept, new in pairs:
                 assert set(pr.block_states(kept)) == before[kept] - inside
                 assert set(pr.block_states(new)) == before[kept] & inside
@@ -107,31 +116,32 @@ class TestSplit:
                 if b not in cut:
                     assert members <= inside or not members & inside
                     assert set(pr.block_states(b)) == members
-        covered = sorted(s for b in pr.blocks for s in pr.block_states(b))
+        blocks = range(len(pr.begin))
+        covered = sorted(s for b in blocks for s in pr.block_states(b))
         assert covered == list(range(n))
-        for b in pr.blocks:
-            assert b.size == b.end - b.begin > 0
-            for p in range(b.begin, b.end):
+        for b in blocks:
+            assert pr.end[b] - pr.begin[b] > 0
+            for p in range(pr.begin[b], pr.end[b]):
                 s = pr.states[p]
-                assert pr.state_block[s] is b
+                assert pr.state_block[s] == b
                 assert pr.pos[s] == p
 
 
 class TestUpSet:
     def test_identity_relation_gives_own_segment(self):
         pr = init_pr(build_ks("ab", []))
-        assert pr.up_set_states(pr.blocks[0]) == {0}
+        assert pr.up_set_states(0) == {0}
 
     def test_union_over_related_blocks(self):
         pr = init_pr(build_ks("ab", []))
         pr.up[0] |= 1 << 1
         pr.down[1] |= 1 << 0
-        assert pr.up_set_states(pr.blocks[0]) == {0, 1}
+        assert pr.up_set_states(0) == {0, 1}
 
     def test_converged_sink_block(self, ks_a):
         eng = SimulationEngine(ks_a, EngineConfig())
         eng.run()
-        sink_block = eng.pr.block_of(2)
+        sink_block = eng.pr.state_block[2]
         assert eng.pr.up_set_states(sink_block) == {2}
 
 
