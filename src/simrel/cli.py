@@ -46,6 +46,16 @@ def _input_error(message: str) -> NoReturn:
     sys.exit(1)
 
 
+def _run_engine(ks: KripkeStructure, cfg: EngineConfig | None = None):
+    """``compute_simulation``, with an engine self-check failure reported on
+    stderr and turned into exit code 2."""
+    try:
+        return compute_simulation(ks, cfg)
+    except InvariantViolation as exc:
+        click.echo(f"error: internal invariant violated: {exc}", err=True)
+        sys.exit(2)
+
+
 def _load_ks(path: str) -> KripkeStructure:
     try:
         data = Path(path).read_bytes()
@@ -118,11 +128,7 @@ def compute(input_path, fmt, with_stats, check):
     """Compute the simulation partition and block order of FILE."""
     ks = _load_ks(input_path)
     cfg = EngineConfig(check_level=check, stats_enabled=with_stats)
-    try:
-        result, stats = compute_simulation(ks, cfg)
-    except InvariantViolation as exc:
-        click.echo(f"error: internal invariant violated: {exc}", err=True)
-        sys.exit(2)
+    result, stats = _run_engine(ks, cfg)
     shown = stats if with_stats else None
     out = _report_text(result, shown) if fmt == "text" else _report_json(result, shown)
     click.echo(out, nl=False)
@@ -130,7 +136,7 @@ def compute(input_path, fmt, with_stats, check):
 
 def _verify_one(ks: KripkeStructure) -> tuple[int, int] | None:
     """Return the first differing state pair, or None when relations match."""
-    result, _ = compute_simulation(ks)
+    result, _ = _run_engine(ks)
     engine_rows = result.state_matrix()
     oracle_rows = brute_force_simulation(ks).matrix
     for s in range(ks.num_states):
@@ -242,7 +248,7 @@ def bench(corpus_dir, fmt):
         ks = _load_ks(str(path))
         cfg = EngineConfig(stats_enabled=True)
         started = time.perf_counter()
-        result, stats = compute_simulation(ks, cfg)
+        result, stats = _run_engine(ks, cfg)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         p_ell = len(initial_label_partition(ks))
         p_sim = len(result.partition)

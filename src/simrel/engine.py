@@ -10,24 +10,29 @@ A run alternates two phases over a partition-relation pair:
 
 A block is its int id. Between splits, four tables are maintained: the
 block relation (row and column bitsets ``up`` and ``down``, held by the
-pair), the per-block predecessor block sets ``pre_e`` (the only record of
-which blocks have edges into which), the counters (one dict of nonzero
-cells per row, updated by rescanning only the smaller half of each split
+pair), the edge multiplicities (``post_e[b][d]`` and ``pre_e[d][b]``,
+the number of transitions from block b into block d, held in both
+directions and only where nonzero), the counters (one dict of nonzero
+cells per row, updated by recounting only the smaller half of each split
 pair), and the removal sets, one bitset of block ids per block and no
-other record of them. The predecessor sets, the counter rows, the
-removal sets and the worklist flags are the engine's lists indexed by
-block id. Each table is sized by what is set in it, and the work on it
-follows its set bits and nonzero cells, not the square of the block
-count. ``split`` returns one ``(kept, new)`` id pair per block it cuts,
-and the pairs are passed on:
-``inherit`` gives each new half a copy of its parent's entry in every
-table (its row and column in the relation and the counters, a place in
-exactly the removal sets that hold its parent, found with one AND per
-block, and a copy of the parent's own removal set) but no
-predecessors, ``update_pre_e`` rebuilds the predecessor sets, and
+other record of them. The edge tables, the counter rows, the removal
+sets and the worklist flags are the engine's lists indexed by block id.
+Each table is sized by what is set in it, and the work on it follows its
+set bits and nonzero cells, not the square of the block count.
+
+Only ``initialize`` walks every transition: it builds the predecessor
+index, the sources of each state's in-edges in flat arrays of about four
+bytes per transition, and the edge tables. ``pre_up_set`` then walks the
+in-edges of the up-set's states. ``split`` returns one ``(kept, new)`` id
+pair per block it cuts, and the pairs are passed on: ``inherit`` gives
+each new half a copy of its parent's entry in the relation, the counters
+and the removal sets (its row and column, a place in exactly the removal
+sets that hold its parent, found with one AND per block, and a copy of
+the parent's own removal set); ``update_edges`` splits each parent's edge
+cells between its halves from the smaller half's in- and out-edges; and
 ``update_count`` then corrects the counters and logs every half that
 loses its last counted successor block above some block c into c's set
-where the loss happens: when a rescanned smaller half's new row lacks a
+where the loss happens: when a recounted smaller half's new row lacks a
 key of its old one, and when a decrement deletes a cell of a larger
 half's row. Without that logging, pairs created mutually related by a
 split would never be pruned again.
@@ -59,17 +64,22 @@ stays a full scan and a worklist that missed a block fails loudly.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress
-from operator import or_
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter, or_
 
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
-from .prcore import PartitionRelationPair, SimulationResult, bit_flags, bits, init_pr
+from .prcore import PartitionRelationPair, SimulationResult, bits, init_pr
 
 CHECK_LEVELS = ("off", "cheap", "full")
+
+# states pre_up_set looks up at once: its lookup tuples stay small next
+# to its result on a block of tens of thousands of states
+_PICK_CHUNK = 1024
 
 
 class InvariantViolation(AssertionError):
@@ -116,9 +126,17 @@ class SimulationEngine:
         self.cfg = cfg or EngineConfig()
         self.pr: PartitionRelationPair = init_pr(ks)
         nb = len(self.pr.begin)
-        # pre_e[c]: every block with a transition into c, in first-edge
-        # order; the values are unused
-        self.pre_e: list[dict[int, None]] = [{} for _ in range(nb)]
+        # pre_e[d][b] and post_e[b][d]: the number of transitions from
+        # block b into block d, held only where nonzero and in both
+        # directions, written in step
+        self.pre_e: list[dict[int, int]] = [{} for _ in range(nb)]
+        self.post_e: list[dict[int, int]] = [{} for _ in range(nb)]
+        # predecessor index: the sources of the transitions into state y
+        # are pred_src[pred_start[y] : pred_start[y + 1]], and pred_fan[y]
+        # is y's in-degree capped at 2; filled by initialize
+        self.pred_start = array("I")
+        self.pred_src = array("I")
+        self.pred_fan = b""
         # count[b][c]: blocks e with c related-below e that b has edges
         # into, so a missing cell tests "b reaches nothing above c" in O(1);
         # a row holds only its nonzero cells
@@ -182,13 +200,25 @@ class SimulationEngine:
     # table initialization
 
     def initialize(self) -> None:
-        """Fill the predecessor, counter, and removal tables."""
-        down = self.pr.down
-        self.update_pre_e()
+        """Fill the predecessor index and the edge, counter and removal
+        tables. Apart from the full checks, these are a run's only passes
+        over all transitions."""
+        pr = self.pr
+        down, state_block = pr.down, pr.state_block
+        succ = self.ks.succ
+        self.pred_start, self.pred_src, self.pred_fan = predecessor_index(self.ks)
+
+        post_e, pre_e = self.post_e, self.pre_e
+        for b in range(len(post_e)):
+            successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(b)))
+            post_e[b] = dict(Counter(map(state_block.__getitem__, successors)))
+        for b, row in enumerate(post_e):
+            for d, m in row.items():
+                pre_e[d][b] = m
 
         cnt = self.count
         has_out = 0
-        for d, preds in enumerate(self.pre_e):
+        for d, preds in enumerate(pre_e):
             if not preds:
                 continue
             cols = bits(down[d])
@@ -227,7 +257,7 @@ class SimulationEngine:
             if self.cfg.stats_enabled:
                 self.stats.splits_total += len(pairs)
             self.inherit(pairs)
-            self.update_pre_e()
+            self.update_edges(pairs)
             self.update_count(pairs)
             if self.cfg.cheap:
                 self._check_structure()
@@ -319,22 +349,27 @@ class SimulationEngine:
         return [(a, n) for a, n in class_blocks.items() if class_states[a] < hi - lo]
 
     def pre_up_set(self, c: int) -> list[int]:
-        """Duplicate-free list of states with an edge into c's upward closure.
+        """States with an edge into c's upward closure, ascending, each once.
 
-        One pass over all transitions against a byte-flag copy of c's row;
-        scanning per source state means the first hit settles that state, no
-        marking needed.
+        Walks the in-edges of the closure's states through the predecessor
+        index, not every transition. ``split`` numbers new halves and lays
+        out their segments in splitter order, so the order is part of the
+        result.
         """
-        above = bit_flags(self.pr.up[c], len(self.pr.begin))
-        state_block = self.pr.state_block
-        succ = self.ks.succ
-        out: list[int] = []
-        for s in range(self.ks.num_states):
-            for y in succ[s]:
-                if above[state_block[y]]:
-                    out.append(s)
-                    break
-        return out
+        pr = self.pr
+        states, begin, end = pr.states, pr.begin, pr.end
+        start, src, fan = self.pred_start, self.pred_src, self.pred_fan
+        hit: set[int] = set()
+        for a in bits(pr.up[c]):
+            for lo in range(begin[a], end[a], _PICK_CHUNK):
+                ys = states[lo : min(lo + _PICK_CHUNK, end[a])]
+                fans = _pick(fan, ys)
+                # the first in-edge of every state that has one, in three
+                # C-level lookups; the rest of the in-edges state by state
+                hit.update(_pick(src, _pick(start, compress(ys, fans))))
+                for y in compress(ys, map((1).__lt__, fans)):
+                    hit.update(src[start[y] + 1 : start[y + 1]])
+        return sorted(hit)
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -346,12 +381,13 @@ class SimulationEngine:
         row and column of ``kept`` (its parent's, unchanged by the split)
         in the relation and the counters, a place in every removal set
         that holds it, a copy of its removal set, a clear worklist flag and
-        an empty predecessor set. ``split`` numbers the new halves in pair
-        order, so appending to the lists indexed by block id in that order
-        puts each entry at its half's id. Until ``update_pre_e`` runs, a
-        new half met in ``up[kept]`` counts as having no predecessors: its
-        parent, also in ``up[kept]``, still lists every block with an edge
-        into it. A column is copied only
+        empty edge-multiplicity entries. ``split`` numbers the new halves in
+        pair order, so appending to the lists indexed by block id in that
+        order puts each entry at its half's id. The edge tables still
+        describe the partition before the split, which ``update_edges``
+        then corrects: here a new half met in ``up[kept]`` has no
+        predecessors, and its parent, also in ``up[kept]``, still counts
+        every edge into it. A column is copied only
         where it has entries: the relation column into the rows that
         ``down[kept]`` names, the counter column into the rows of blocks
         with an edge into ``up[kept]``, which are exactly its nonzero
@@ -367,6 +403,7 @@ class SimulationEngine:
         up, down, cnt, pre_e = pr.up, pr.down, self.count, self.pre_e
         remove = self.remove
         pre_e.extend({} for _ in pairs)
+        self.post_e.extend({} for _ in pairs)
         for k, new in pairs:
             nbit = 1 << new
             for r in bits(down[k]):
@@ -401,46 +438,85 @@ class SimulationEngine:
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += placed
 
-    def update_pre_e(self) -> None:
-        """Rebuild every block's predecessor block set, in first-edge order."""
+    def update_edges(self, pairs: list[tuple[int, int]]) -> None:
+        """Move the edge multiplicities of every split block onto its halves.
+
+        Per ``(kept, new)`` id pair only the smaller half X, by segment
+        length, is walked: first its in-edges, through the predecessor
+        index, which split the parent's column ``pre_e[kept]``, then its
+        out-edges, which split the parent's row ``post_e[kept]``. The
+        larger half Z gets the parent's cells less X's. Columns go first,
+        with every source counted at its block before the split (a new
+        half at its parent), so that each pair's column split sees the
+        rows of no other pair split yet; rows then go with every target at
+        its block after the split, so each row split sees every column
+        split. When X keeps the parent's id, Z's cells move from ``kept``
+        to ``new`` in the transposed table: the blocks to visit are the
+        keys of Z's row or column, not the edges of Z's states.
+        """
         pr = self.pr
+        begin, end, states, state_block = pr.begin, pr.end, pr.states, pr.state_block
         succ = self.ks.succ
-        states = pr.states
-        state_block = pr.state_block
-        self.pre_e = pre_e = [{} for _ in pr.begin]
-        for b, (lo, hi) in enumerate(zip(pr.begin, pr.end)):
-            for s in states[lo:hi]:
-                for y in succ[s]:
-                    pre_e[state_block[y]][b] = None
+        start, src = self.pred_start, self.pred_src
+        pre_e, post_e = self.pre_e, self.post_e
+        first_new = len(begin) - len(pairs)
+        parent = [kept for kept, _ in pairs]
+        halves = []  # (kept, new, whether kept is the smaller, X's states)
+        for k, w in pairs:
+            small_kept = end[k] - begin[k] <= end[w] - begin[w]
+            lo, hi = (begin[k], end[k]) if small_kept else (begin[w], end[w])
+            halves.append((k, w, small_kept, states[lo:hi]))
+        if self.cfg.stats_enabled:
+            for *_, x_states in halves:
+                self.stats.smaller_half_state_scans.update(x_states)
+
+        # columns: the sources of the in-edges of X, at their parent blocks
+        for k, w, small_kept, x_states in halves:
+            into = Counter(
+                map(state_block.__getitem__, chain.from_iterable(
+                    src[start[y] : start[y + 1]] for y in x_states
+                ))
+            )
+            for b in [b for b in into if b >= first_new]:
+                into[parent[b - first_new]] += into.pop(b)
+            _split_cells(k, w, small_kept, dict(into), pre_e, post_e)
+
+        # rows: the targets of the out-edges of X, at their current blocks
+        for k, w, small_kept, x_states in halves:
+            out = Counter(
+                map(state_block.__getitem__, chain.from_iterable(map(succ.__getitem__, x_states)))
+            )
+            _split_cells(k, w, small_kept, dict(out), post_e, pre_e)
 
     def update_count(self, pairs: list[tuple[int, int]]) -> None:
         """Make the counter matrix exact for the new partition.
 
         ``inherit`` gave every half its parent's row and column, and
-        ``update_pre_e`` rebuilt the predecessor sets. Per ``(kept, new)``
-        id pair the smaller half X, by segment length, is now rescanned from
-        scratch while the larger half Z is adjusted: one decrement per
-        successor *family* (both halves of a pair count as one family,
-        matching the granularity of the inherited parent value) that Z no
-        longer reaches, and one increment for any other non-rescanned row
-        with edges into both halves. A successor block's family is found
-        through two maps built from the pairs, ``new -> kept`` and
-        ``kept -> new``. Every column walk follows the set bits of a
-        ``down`` column. Every half whose counter drops to zero against
-        some block c is logged where the drop happens, by setting its bit
-        in c's removal set: for a smaller half, each key of its old row
-        missing from the rescanned one; for a larger half, each cell a
-        decrement deletes. These are exactly the blocks whose states lost
-        their last edge into c's upward closure by losing their sibling
-        states. The two halves of a split block have equal columns, so
-        such a half is logged into both halves' sets.
+        ``update_edges`` split the edge tables. Per ``(kept, new)`` id pair
+        the smaller half X, by segment length, is now recounted from its
+        successor blocks, the keys of ``post_e[x]``, while the larger half
+        Z is adjusted: one decrement per successor *family* (both halves
+        of a pair count as one family, matching the granularity of the
+        inherited parent value) that Z no longer reaches, and one
+        increment for any other row not recounted with edges into both
+        halves. A successor block's family is found through two maps
+        built from the pairs, ``new -> kept`` and ``kept -> new``. Every
+        column walk follows the set bits of a ``down`` column. Every half
+        whose counter drops to zero against some block c is logged where
+        the drop happens, by setting its bit in c's removal set: for a
+        smaller half, each key of its old row missing from the recounted
+        one; for a larger half, each cell a decrement deletes. These are
+        exactly the blocks whose states lost their last edge into c's
+        upward closure by losing their sibling states. The two halves of a
+        split block have equal columns, so such a half is logged into both
+        halves' sets.
         """
         pr = self.pr
         begin, end, down = pr.begin, pr.end, pr.down
         nb = len(begin)
         cnt = self.count
         remove = self.remove
-        pre_e = self.pre_e
+        pre_e, post_e = self.pre_e, self.post_e
         track = self.cfg.stats_enabled
         stats = self.stats
         new_of = dict(pairs)
@@ -454,15 +530,8 @@ class SimulationEngine:
         ]
         small_halves = {x for x, _ in small}
 
-        states = pr.states
-        state_block = pr.state_block
-        succ = self.ks.succ
         for x, z in small:
-            x_states = states[begin[x] : end[x]]
-            if track:
-                for s in x_states:
-                    stats.smaller_half_state_scans[s] += 1
-            reached = {state_block[y] for s in x_states for y in succ[s]}
+            reached = post_e[x]
             old = cnt[x]
             cnt[x] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
             dropped = old.keys() - row.keys()
@@ -490,7 +559,7 @@ class SimulationEngine:
                         raise InvariantViolation("counter went negative")
 
             # rows with edges into both halves now count two blocks where
-            # the copied parent value counted one; rescanned rows excluded
+            # the copied parent value counted one; recounted rows excluded
             both = [d for d in pre_e[x] if d in pre_e[z] and d not in small_halves]
             if both:
                 below_x = bits(down[x])
@@ -612,31 +681,28 @@ class SimulationEngine:
             if not row >> b & 1:
                 raise InvariantViolation("relation lost reflexivity")
 
-    def _edge_rows(self) -> list[int]:
-        """Edge-existence rows read off ``pre_e``: bit c of row b is set iff
-        b is in pre_e[c]. Transient, for the full checks only."""
-        rows = [0] * len(self.pre_e)
-        for c, preds in enumerate(self.pre_e):
-            cbit = 1 << c
-            for b in preds:
-                rows[b] |= cbit
-        return rows
-
     def _check_tables(self) -> None:
-        """Full check: ``pre_e`` and the counters equal their from-scratch
-        recomputation, and ``down`` is the transpose of ``up``. The removal
-        sets are recomputed by ``_check_remove_invariant``."""
+        """Full check: both edge tables and the counters equal their
+        from-scratch recomputation, and ``down`` is the transpose of ``up``.
+        The removal sets are recomputed by ``_check_remove_invariant``."""
         pr = self.pr
         if transpose(pr.up) != pr.down:
             raise InvariantViolation("down is not the transpose of up")
-        edge_ref, cnt_ref = recompute_tables(self.ks, pr)
-        edge = self._edge_rows()
-        for i, (row, ref) in enumerate(zip(edge, edge_ref)):
-            if row != ref:
-                raise InvariantViolation(f"edge-existence row {i} stale")
-        for i, (row, ref) in enumerate(zip(self.count, cnt_ref)):
-            if row != ref:
-                raise InvariantViolation(f"counter row {i} stale")
+        post_ref, cnt_ref = recompute_tables(self.ks, pr)
+        post_e, pre_e = self.post_e, self.pre_e
+        rows = ("edge-multiplicity row", post_e, post_ref), ("counter row", self.count, cnt_ref)
+        for name, table, ref in rows:
+            for i, (row, row_ref) in enumerate(zip(table, ref)):
+                if row != row_ref:
+                    raise InvariantViolation(f"{name} {i} stale")
+        # pre_e is the transpose of post_e: each of its cells is found
+        # there, and the two hold the same number of cells
+        for d, col in enumerate(pre_e):
+            if list(map(dict.get, map(post_e.__getitem__, col), repeat(d))) != list(col.values()):
+                raise InvariantViolation(f"edge-multiplicity column {d} stale")
+        blocks = len(post_ref)
+        if not len(post_e) == len(pre_e) == blocks or sum(map(len, pre_e)) != sum(map(len, post_e)):
+            raise InvariantViolation("edge-multiplicity columns do not cover the rows")
 
     def _check_order(self, require_antisymmetric: bool) -> None:
         """Reflexive, transitive (the rows above i lie within i's row) and,
@@ -655,7 +721,7 @@ class SimulationEngine:
         reach c's upward closure at round entry but no longer can."""
         pr = self.pr
         # into[e]: the blocks with an edge into e
-        into = transpose(self._edge_rows())
+        into = [reduce(or_, map((1).__lshift__, preds), 0) for preds in self.pre_e]
 
         def reaching(above: int) -> int:
             return reduce(or_, map(into.__getitem__, bits(above)), 0)
@@ -667,6 +733,88 @@ class SimulationEngine:
                 raise InvariantViolation(
                     f"removal set of block {c} violates the round invariant"
                 )
+
+
+def predecessor_index(ks: KripkeStructure) -> tuple[array, array, bytes]:
+    """The in-edges of every state, grouped by target in flat arrays.
+
+    Returns ``(start, src, fan)``: the sources of the transitions into
+    state y are ``src[start[y] : start[y + 1]]``, ascending, and
+    ``fan[y]`` is y's in-degree capped at 2. Four bytes per transition
+    and five per state.
+    """
+    # arrays only: a Counter or a list of ints over the states would take
+    # several times the index's memory on a large sparse structure
+    n = ks.num_states
+    start = array("I", bytes(4 * (n + 1)))
+    for y in chain.from_iterable(ks.succ):
+        start[y + 1] += 1
+    fan = bytes(map(min, islice(start, 1, None), repeat(2)))
+    start = array("I", accumulate(start))
+    src = array("I", bytes(4 * start[n]))
+    fill = start[:n]
+    for s, targets in enumerate(ks.succ):
+        for y in targets:
+            p = fill[y]
+            src[p] = s
+            fill[y] = p + 1
+    return start, src, fan
+
+
+def _pick(seq, indices) -> tuple:
+    """``seq[i]`` for every i in ``indices``, in one C-level lookup."""
+    indices = tuple(indices)
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    # an itemgetter of one index returns a scalar, not a tuple
+    return tuple(seq[i] for i in indices)
+
+
+def _split_cells(
+    kept: int,
+    new: int,
+    small_kept: bool,
+    x_cells: dict[int, int],
+    table: list[dict[int, int]],
+    other: list[dict[int, int]],
+) -> None:
+    """Split the parent's entry ``table[kept]`` between its two halves.
+
+    ``x_cells`` counts the smaller half's edges per block at the other
+    end; the larger half keeps the parent's cells less those. ``other`` is
+    the transposed table, whose cells at ``kept`` and ``new`` are written
+    in step. When the smaller half is ``new`` this costs its own cells.
+    When it is ``kept``, the parent's dict passes to ``new`` and every one
+    of its keys is visited once to move its transposed cell.
+    """
+    z_cells = table[kept]
+    for b, m in x_cells.items():
+        left = z_cells[b] - m
+        if left:
+            z_cells[b] = left
+        else:
+            del z_cells[b]
+    if small_kept:
+        # a fresh dict: one that shrank keeps the capacity of its peak
+        z_cells = dict(z_cells)
+        table[kept], table[new] = x_cells, z_cells
+        for b, m in z_cells.items():
+            cells = other[b]
+            cells[new] = m
+            if b not in x_cells:
+                del cells[kept]
+        for b, m in x_cells.items():
+            other[b][kept] = m
+    else:
+        table[new] = x_cells
+        for b, m in x_cells.items():
+            cells = other[b]
+            cells[new] = m
+            left = cells[kept] - m
+            if left:
+                cells[kept] = left
+            else:
+                del cells[kept]
 
 
 def transpose(rows: list[int]) -> list[int]:
@@ -681,27 +829,31 @@ def transpose(rows: list[int]) -> list[int]:
 
 
 def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
-    """From-scratch edge-existence rows and counter rows for the current pair.
+    """From-scratch edge multiplicities and counter rows for the current pair.
 
-    Independent of the maintained ``pre_e`` sets and counters; used as the
-    oracle for their exactness. Bit c of ``edge[b]`` is set iff some state
-    of b has a transition into c, and ``count[b][c]`` is the number of
-    blocks above c that b has edges into, ``(edge[b] & up[c]).bit_count()``,
-    kept only where nonzero. Only the columns below some block b reaches
-    can be nonzero, so only those are computed.
+    Independent of the maintained edge tables and counters; used as the
+    oracle for their exactness. ``post[b][d]`` is the number of
+    transitions from states of b into states of d, kept only where
+    nonzero, counted in one pass over the transitions. ``count[b][c]`` is
+    the number of blocks above c that b has edges into, kept only where
+    nonzero. Only the columns below some block b reaches can be nonzero,
+    so only those are computed.
     """
     state_block = pr.state_block
-    edge = [0] * len(pr.begin)
+    post: list[dict[int, int]] = [{} for _ in pr.begin]
     for s in range(ks.num_states):
+        row = post[state_block[s]]
         for y in ks.succ[s]:
-            edge[state_block[s]] |= 1 << state_block[y]
+            d = state_block[y]
+            row[d] = row.get(d, 0) + 1
     up, down = pr.up, pr.down
     count = []
-    for row in edge:
-        cols = bits(reduce(or_, map(down.__getitem__, bits(row)), 0))
+    for cells in post:
+        row = reduce(or_, map((1).__lshift__, cells), 0)
+        cols = bits(reduce(or_, map(down.__getitem__, cells), 0))
         counts = list(map(int.bit_count, map(row.__and__, map(up.__getitem__, cols))))
         count.append(dict(compress(zip(cols, counts), counts)))
-    return edge, count
+    return post, count
 
 
 def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bool:

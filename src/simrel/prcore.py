@@ -11,7 +11,7 @@ costs O(splitter size) and touches no other block. Block ids are never
 recycled; they index the segment lists, the block relation, held here
 as Python-int bitsets over block ids in both directions (``up[b]``, the
 blocks above b, and ``down[c]``, the blocks below c), and the engine's
-own lists: predecessor block sets, sparse counter rows, removal sets and
+own lists: edge multiplicities, sparse counter rows, removal sets and
 worklist flags. The engine gives each new half its kept half's entries.
 ``bits`` and ``bit_flags`` read a bitset back as indices or as one byte
 per bit.
@@ -149,7 +149,7 @@ class PartitionRelationPair:
         """
         splitter = list(splitter)
         state_block = self.state_block
-        inside = Counter(state_block[s] for s in splitter)
+        inside = Counter(map(state_block.__getitem__, splitter))
         states, pos, begin, end = self.states, self.pos, self.begin, self.end
         new_of: dict[int, int] = {}
         for s in splitter:

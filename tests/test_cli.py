@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import simrel.cli as cli_mod
 from simrel.cli import main
-from simrel.engine import EngineConfig, compute_simulation
+from simrel.engine import EngineConfig, InvariantViolation, compute_simulation
 from simrel.kripke import (
     MAX_STATES,
     generate_random_ks,
@@ -28,6 +28,11 @@ def claim_all_equivalent(ks, cfg=None):
     """A corrupted engine: every state simulates every other."""
     result = SimulationResult((tuple(range(ks.num_states)),), ((True,),))
     return result, None
+
+
+def violate_invariant(ks, cfg=None):
+    """An engine whose self-check fails on every structure."""
+    raise InvariantViolation("forced for the test harness")
 
 
 @pytest.fixture
@@ -97,12 +102,7 @@ class TestCompute:
         assert out.exit_code == 0
 
     def test_invariant_violation_exit_code(self, runner, ks_files, monkeypatch):
-        from simrel.engine import InvariantViolation
-
-        def broken(ks, cfg=None):
-            raise InvariantViolation("forced for the test harness")
-
-        monkeypatch.setattr(cli_mod, "compute_simulation", broken)
+        monkeypatch.setattr(cli_mod, "compute_simulation", violate_invariant)
         out = runner.invoke(main, ["compute", "--check", "full", ks_files["a"]])
         assert out.exit_code == 2
         assert "invariant" in out.output
@@ -256,6 +256,13 @@ class TestVerify:
         assert "PASS" not in out.output
         assert drawn == []
 
+    def test_invariant_violation_exit_code(self, runner, ks_files, monkeypatch):
+        monkeypatch.setattr(cli_mod, "compute_simulation", violate_invariant)
+        out = runner.invoke(main, ["verify", ks_files["a"]])
+        assert out.exit_code == 2
+        assert "error: internal invariant violated: forced" in out.output
+        assert out.exception is None or isinstance(out.exception, SystemExit)
+
     def test_mutation_detected(self, runner, ks_files, monkeypatch):
         monkeypatch.setattr(cli_mod, "compute_simulation", claim_all_equivalent)
         out = runner.invoke(main, ["verify", ks_files["a"]])
@@ -367,6 +374,16 @@ class TestBench:
             # chains end fully refined: the block law pins new block count
             assert row["p_sim"] == row["states"]
             assert row["new_blocks"] == 2 * (row["p_sim"] - 1)
+
+    def test_invariant_violation_exit_code(self, runner, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "ks_b.txt").write_text(KS_B_TEXT)
+        monkeypatch.setattr(cli_mod, "compute_simulation", violate_invariant)
+        out = runner.invoke(main, ["bench", str(corpus)])
+        assert out.exit_code == 2
+        assert "error: internal invariant violated: forced" in out.output
+        assert out.exception is None or isinstance(out.exception, SystemExit)
 
     def test_missing_dir(self, runner):
         out = runner.invoke(main, ["bench", "nowhere"])

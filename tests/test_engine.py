@@ -10,7 +10,7 @@ from simrel.engine import (
     compute_simulation,
     recompute_tables,
 )
-from simrel.kripke import KripkeStructure, generate_random_ks, make_chain, parse_ks
+from simrel.kripke import KripkeStructure, generate_random_ks, make_chain, parse_ks, pre_of
 from simrel.oracle import brute_force_simulation, simulation_partition
 from simrel.prcore import bits, init_pr
 
@@ -66,7 +66,7 @@ def run_one_split_round(eng):
     pairs = eng.pr.split(eng.pre_up_set(refiner))
     assert pairs
     eng.inherit(pairs)
-    eng.update_pre_e()
+    eng.update_edges(pairs)
     eng.update_count(pairs)
     return pairs
 
@@ -197,6 +197,17 @@ class TestPreUpSet:
         # up-set of block a is now {0, 1}; only 0 has an edge into it
         assert eng.pre_up_set(b_a) == [0]
 
+    def test_block_larger_than_one_lookup_chunk(self):
+        # one block of 2,100 states, looked up in several chunks: a path,
+        # so that every state but the last is the source of its
+        # successor's first in-edge, plus some second in-edges
+        n = 2100
+        succ = {s: [s + 1] + [(3 * s + 1) % n] * (s % 5 == 0) for s in range(n - 1)}
+        ks = KripkeStructure(n, {}, succ)
+        eng = engine_after_initialize(ks)
+        assert set(eng.pred_fan) == {0, 1, 2}
+        assert eng.pre_up_set(0) == sorted(pre_of(ks, range(n)))
+
     def test_no_duplicates(self):
         ks = build_ks("aa", [(0, 0), (0, 1), (1, 0)])
         eng = engine_after_initialize(ks)
@@ -244,10 +255,11 @@ class TestUpdateAfterSplit:
     def test_edge_matrix_exact_after_split(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        edge_ref, _ = recompute_tables(eng.ks, eng.pr)
+        post_ref, _ = recompute_tables(eng.ks, eng.pr)
         for b in block_ids(eng.pr):
             for c in block_ids(eng.pr):
-                assert bool(edge_ref[b] >> c & 1) == (b in eng.pre_e[c])
+                assert post_ref[b].get(c, 0) == eng.post_e[b].get(c, 0)
+                assert post_ref[b].get(c, 0) == eng.pre_e[c].get(b, 0)
 
     def test_counts_after_first_split(self, ks_b):
         # from-scratch recomputation fixes the expected entries
@@ -307,6 +319,76 @@ def split_with_scribbled_tables():
     pairs = eng.pr.split([0, 3])
     assert len(pairs) == 2
     return eng, pairs, before
+
+
+def assert_edge_tables_exact(eng):
+    """Every cell of both edge-multiplicity tables equals the recount."""
+    post_ref, _ = recompute_tables(eng.ks, eng.pr)
+    nb = len(eng.pr.begin)
+    assert len(eng.post_e) == len(eng.pre_e) == nb
+    for b in range(nb):
+        for d in range(nb):
+            m = post_ref[b].get(d, 0)
+            assert eng.post_e[b].get(d, 0) == m, (b, d)
+            assert eng.pre_e[d].get(b, 0) == m, (b, d)
+    # only nonzero cells are held
+    assert all(0 not in cells.values() for cells in eng.post_e + eng.pre_e)
+
+
+class TestUpdateEdges:
+    @given(
+        st.builds(
+            generate_random_ks,
+            n_states=st.integers(1, 40),
+            n_labels=st.integers(1, 3),
+            edge_prob=st.sampled_from([0.1, 0.3]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_equal_recount_after_every_split_round(self, ks):
+        eng = engine_after_initialize(ks)
+        assert_edge_tables_exact(eng)
+        while True:
+            refiner = eng.find_prefiner()
+            while refiner is not None:
+                splitter = eng.pre_up_set(refiner)
+                assert splitter == sorted(pre_of(ks, eng.pr.up_set_states(refiner)))
+                pairs = eng.pr.split(splitter)
+                eng.inherit(pairs)
+                eng.update_edges(pairs)
+                eng.update_count(pairs)
+                assert_edge_tables_exact(eng)
+                refiner = eng.find_prefiner()
+            if eng.rstabilize():
+                break
+        result, _ = compute_simulation(ks)
+        assert eng.pr.extract_result() == result
+
+    def test_one_split_cutting_three_blocks(self):
+        # blocks a = {0, 1, 2}, b = {3, 4, 5, 6}, c = {7, 8}, d = {9}; the
+        # splitter cuts a, b and c. Edges 0 -> 3 and 6 -> 1 join halves of
+        # two different pairs, 4 -> 5 and 1 -> 2 stay inside one half, and
+        # 6 -> 4 crosses the halves of one pair
+        edges = [
+            (0, 3), (6, 1), (7, 6), (4, 5), (1, 2), (3, 3), (2, 8), (8, 0),
+            (5, 7), (6, 4), (0, 1), (9, 0), (9, 6), (2, 9),
+        ]
+        ks = build_ks("aaabbbbccd", edges)
+        eng = engine_after_initialize(ks)
+        pr = eng.pr
+        pairs = pr.split([0, 3, 4, 5, 7])
+        assert pairs == [(0, 4), (1, 5), (2, 6)]
+        size = [e - b for b, e in zip(pr.begin, pr.end)]
+        # a's smaller half is new, b's smaller half keeps the id, and c's
+        # halves tie, so its kept half counts as the smaller
+        assert size[4] < size[0] and size[1] < size[5] and size[2] == size[6]
+        eng.inherit(pairs)
+        eng.update_edges(pairs)
+        assert_edge_tables_exact(eng)
+        assert eng.post_e[1] == {0: 1, 5: 1}
+        assert eng.pre_e[5] == {4: 1, 5: 2, 1: 1}
+        assert eng.post_e[3] == {4: 1, 1: 1}
 
 
 class TestInherit:
@@ -459,7 +541,7 @@ class TestFullChecks:
         eng._check_tables()
         victim = next(preds for preds in eng.pre_e if preds)
         del victim[next(iter(victim))]
-        with pytest.raises(InvariantViolation, match="edge-existence"):
+        with pytest.raises(InvariantViolation, match="edge-multiplicity column"):
             eng._check_tables()
 
     def test_emptied_worklist_detected(self, ks_b):
@@ -475,7 +557,7 @@ class TestFullChecks:
         eng.initialize()
         pairs = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
         eng.inherit(pairs)
-        eng.update_pre_e()
+        eng.update_edges(pairs)
         [(kept, new)] = pairs
         begin, end = eng.pr.begin, eng.pr.end
         larger = new if end[kept] - begin[kept] <= end[new] - begin[new] else kept

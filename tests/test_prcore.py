@@ -30,10 +30,10 @@ class TestInitPr:
 
     def test_scratch_fields_clear(self):
         ks = build_ks("ab", [])
-        # the predecessor sets, removal sets and worklist flags are the
+        # the edge tables, removal sets and worklist flags are the
         # engine's lists
         eng = SimulationEngine(ks)
-        assert eng.pre_e == [{}, {}]
+        assert eng.pre_e == eng.post_e == [{}, {}]
         assert eng.remove == [0, 0]
         assert eng.worklist == bytearray(2)
 
