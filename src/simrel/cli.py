@@ -155,8 +155,6 @@ def _verify_one(ks: KripkeStructure) -> tuple[int, int] | None:
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify(input_path, random_count, max_states, seed):
     """Check engine output against the brute-force reference."""
-    # (name, structure, command that regenerates it or None)
-    instances: list[tuple[str, KripkeStructure, str | None]] = []
     if random_count is not None and input_path is not None:
         _input_error("give a FILE or --random N, not both")
     if random_count is not None:
@@ -166,24 +164,13 @@ def verify(input_path, random_count, max_states, seed):
             _input_error(
                 f"--max-states {max_states} exceeds the oracle cap of {ORACLE_STATE_CAP}"
             )
-        rng = random.Random(seed)
-        for i in range(random_count):
-            n = rng.randint(1, max_states)
-            labels = rng.randint(1, 3)
-            prob = rng.choice([0.1, 0.3, 0.6])
-            ks_seed = rng.randrange(2**32)
-            instances.append(
-                (
-                    f"random[{i}]",
-                    generate_random_ks(n, labels, prob, ks_seed),
-                    f"simrel generate random {n} {labels} {prob} --seed {ks_seed}",
-                )
-            )
+        instances = _random_instances(random_count, max_states, seed)
     elif input_path is not None:
-        instances.append((input_path, _load_ks(input_path), None))
+        instances = [(input_path, _load_ks(input_path), None)]
     else:
         _input_error("give a FILE or --random N")
 
+    checked = 0
     for name, ks, replay in instances:
         if ks.num_states > ORACLE_STATE_CAP:
             _input_error(
@@ -198,7 +185,24 @@ def verify(input_path, random_count, max_states, seed):
                 line += f"; replay with: {replay}"
             click.echo(line)
             sys.exit(3)
-    click.echo(f"PASS: {len(instances)} instance(s) match the reference")
+        checked += 1
+    click.echo(f"PASS: {checked} instance(s) match the reference")
+
+
+def _random_instances(count: int, max_states: int, seed: int):
+    """Draw ``count`` structures from ``seed``, one at a time, each as
+    ``(name, structure, command that regenerates it)``."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, max_states)
+        labels = rng.randint(1, 3)
+        prob = rng.choice([0.1, 0.3, 0.6])
+        ks_seed = rng.randrange(2**32)
+        yield (
+            f"random[{i}]",
+            generate_random_ks(n, labels, prob, ks_seed),
+            f"simrel generate random {n} {labels} {prob} --seed {ks_seed}",
+        )
 
 
 @main.command()

@@ -10,32 +10,33 @@ A run alternates two phases over a partition-relation pair:
 
 A block is its int id. Between splits, four tables are maintained: the
 block relation (row and column bitsets ``up`` and ``down``, held by the
-pair), the edge multiplicities (``post_e[b][d]`` and ``pre_e[d][b]``,
-the number of transitions from block b into block d, held in both
-directions and only where nonzero), the counters (one dict of nonzero
-cells per row, updated by recounting only the smaller half of each split
-pair), and the removal sets, one bitset of block ids per block and no
-other record of them. The edge tables, the counter rows, the removal
-sets and the worklist flags are the engine's lists indexed by block id.
-Each table is sized by what is set in it, and the work on it follows its
-set bits and nonzero cells, not the square of the block count.
+pair), the edge multiplicities (``pre_e[d][b]``, the number of
+transitions from block b into block d, held once, by target block, and
+only where nonzero), the counters (one dict of nonzero cells per row,
+updated by recounting only the smaller half of each split pair), and the
+removal sets, one bitset of block ids per block and no other record of
+them. The edge table, the counter rows, the removal sets and the
+worklist flags are the engine's lists indexed by block id. Each table is
+sized by what is set in it, and the work on it follows its set bits and
+nonzero cells, not the square of the block count.
 
 Only ``initialize`` walks every transition: it builds the predecessor
 index, the sources of each state's in-edges in flat arrays of about four
-bytes per transition, and the edge tables. ``pre_up_set`` then walks the
+bytes per transition, and the edge table. ``pre_up_set`` then walks the
 in-edges of the up-set's states. ``split`` returns one ``(kept, new)`` id
-pair per block it cuts, and the pairs are passed on: ``inherit`` gives
-each new half a copy of its parent's entry in the relation, the counters
-and the removal sets (its row and column, a place in exactly the removal
-sets that hold its parent, found with one AND per block, and a copy of
-the parent's own removal set); ``update_edges`` splits each parent's edge
-cells between its halves from the smaller half's in- and out-edges; and
-``update_count`` then corrects the counters and logs every half that
-loses its last counted successor block above some block c into c's set
-where the loss happens: when a recounted smaller half's new row lacks a
-key of its old one, and when a decrement deletes a cell of a larger
-half's row. Without that logging, pairs created mutually related by a
-split would never be pruned again.
+pair per block it cuts, ``new`` being always the smaller half, and the
+pairs are passed on: ``inherit`` gives each new half a copy of its
+parent's entry in the relation and the removal sets (its row and column,
+a place in exactly the removal sets that hold its parent, found with one
+AND per block, and a copy of the parent's own removal set) and its
+parent's counter column; ``update_edges`` splits each parent's edge
+cells between its halves from the new half's in- and out-edges; and
+``update_count`` then counts the new half's row, corrects the kept
+half's and logs every half that loses its last counted successor block
+above some block c into c's set where the loss happens: when a new
+half's row lacks a key of its parent's, and when a decrement deletes a
+cell of a kept half's row. Without that logging, pairs created mutually
+related by a split would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
@@ -126,11 +127,9 @@ class SimulationEngine:
         self.cfg = cfg or EngineConfig()
         self.pr: PartitionRelationPair = init_pr(ks)
         nb = len(self.pr.begin)
-        # pre_e[d][b] and post_e[b][d]: the number of transitions from
-        # block b into block d, held only where nonzero and in both
-        # directions, written in step
+        # pre_e[d][b]: the number of transitions from block b into block
+        # d, held only where nonzero
         self.pre_e: list[dict[int, int]] = [{} for _ in range(nb)]
-        self.post_e: list[dict[int, int]] = [{} for _ in range(nb)]
         # predecessor index: the sources of the transitions into state y
         # are pred_src[pred_start[y] : pred_start[y + 1]], and pred_fan[y]
         # is y's in-degree capped at 2; filled by initialize
@@ -208,12 +207,10 @@ class SimulationEngine:
         succ = self.ks.succ
         self.pred_start, self.pred_src, self.pred_fan = predecessor_index(self.ks)
 
-        post_e, pre_e = self.post_e, self.pre_e
-        for b in range(len(post_e)):
+        pre_e = self.pre_e
+        for b in range(len(pre_e)):
             successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(b)))
-            post_e[b] = dict(Counter(map(state_block.__getitem__, successors)))
-        for b, row in enumerate(post_e):
-            for d, m in row.items():
+            for d, m in Counter(map(state_block.__getitem__, successors)).items():
                 pre_e[d][b] = m
 
         cnt = self.count
@@ -306,6 +303,10 @@ class SimulationEngine:
     def _hosted_refiner(self, b: int) -> int | None:
         """The first qualifying candidate class of b, or None."""
         row = self.count[b]
+        if not row:
+            # the relation is reflexive, so only a block without
+            # transitions has an empty row, and it hosts no refiner
+            return None
         for rep, blocks_reached in self.post_candidates(b):
             if row.get(rep) == blocks_reached:
                 return rep
@@ -375,35 +376,36 @@ class SimulationEngine:
     # incremental table updates after a split
 
     def inherit(self, pairs: list[tuple[int, int]]) -> None:
-        """Give every new half a copy of its parent's entry in every table.
+        """Give every new half a copy of its parent's entry in the relation
+        and the removal sets, and a place in the other tables.
 
         For each ``(kept, new)`` id pair from ``split``, ``new`` gets the
         row and column of ``kept`` (its parent's, unchanged by the split)
-        in the relation and the counters, a place in every removal set
-        that holds it, a copy of its removal set, a clear worklist flag and
-        empty edge-multiplicity entries. ``split`` numbers the new halves in
-        pair order, so appending to the lists indexed by block id in that
-        order puts each entry at its half's id. The edge tables still
-        describe the partition before the split, which ``update_edges``
-        then corrects: here a new half met in ``up[kept]`` has no
-        predecessors, and its parent, also in ``up[kept]``, still counts
-        every edge into it. A column is copied only
-        where it has entries: the relation column into the rows that
+        in the relation, the counter column of ``kept``, a place in every
+        removal set that holds it, a copy of its removal set, a clear
+        worklist flag and empty counter row and edge-multiplicity column.
+        ``split`` numbers the new halves in pair order, so appending to the
+        lists indexed by block id in that order puts each entry at its
+        half's id. The edge table still describes the partition before the
+        split, which ``update_edges`` then corrects: here a new half met in
+        ``up[kept]`` has no predecessors, and its parent, also in
+        ``up[kept]``, still counts every edge into it. A column is copied
+        only where it has entries: the relation column into the rows that
         ``down[kept]`` names, the counter column into the rows of blocks
         with an edge into ``up[kept]``, which are exactly its nonzero
-        cells. Columns are copied before rows, so a new half's row already
-        holds the new halves of its parent's row. The sets holding a
-        parent are found in one pass over the blocks: each set is ANDed
+        cells. Relation columns are copied before rows, so a new half's row
+        already holds the new halves of its parent's row. The sets holding
+        a parent are found in one pass over the blocks: each set is ANDed
         with the mask of all parents, and only a set that meets it is
         tested bit by bit against the pairs. The removal sets are copied
         after the places are made, for the same reason as the rows.
-        ``update_count`` then corrects the counters.
+        ``update_count`` then recounts the new halves' counter rows.
         """
         pr = self.pr
         up, down, cnt, pre_e = pr.up, pr.down, self.count, self.pre_e
         remove = self.remove
         pre_e.extend({} for _ in pairs)
-        self.post_e.extend({} for _ in pairs)
+        cnt.extend({} for _ in pairs)
         for k, new in pairs:
             nbit = 1 << new
             for r in bits(down[k]):
@@ -415,7 +417,6 @@ class SimulationEngine:
         for k, new in pairs:
             up.append(up[k])
             down.append(down[k])
-            cnt.append(dict(cnt[k]))
         for k, new in pairs:
             nbit = 1 << new
             for c in bits(up[new]):
@@ -441,131 +442,133 @@ class SimulationEngine:
     def update_edges(self, pairs: list[tuple[int, int]]) -> None:
         """Move the edge multiplicities of every split block onto its halves.
 
-        Per ``(kept, new)`` id pair only the smaller half X, by segment
-        length, is walked: first its in-edges, through the predecessor
-        index, which split the parent's column ``pre_e[kept]``, then its
-        out-edges, which split the parent's row ``post_e[kept]``. The
-        larger half Z gets the parent's cells less X's. Columns go first,
-        with every source counted at its block before the split (a new
-        half at its parent), so that each pair's column split sees the
-        rows of no other pair split yet; rows then go with every target at
-        its block after the split, so each row split sees every column
-        split. When X keeps the parent's id, Z's cells move from ``kept``
-        to ``new`` in the transposed table: the blocks to visit are the
-        keys of Z's row or column, not the edges of Z's states.
+        Per ``(kept, new)`` id pair only ``new``, the smaller half, is
+        walked: first its in-edges, through the predecessor index, which
+        split the parent's column ``pre_e[kept]``, then its out-edges,
+        which split the parent's cell ``pre_e[d][kept]`` in every column d
+        that new reaches. ``kept`` keeps the parent's cells less new's; its
+        column is rebuilt as a fresh dict, which costs one step per
+        predecessor block of the parent.
+        Columns go first, with every source counted at its block before the
+        split (a new half at its parent), so that each pair's column split
+        sees the cells of no other pair split yet; the cells then go with
+        every target at its block after the split, so each of them sees
+        every column split.
         """
         pr = self.pr
         begin, end, states, state_block = pr.begin, pr.end, pr.states, pr.state_block
         succ = self.ks.succ
         start, src = self.pred_start, self.pred_src
-        pre_e, post_e = self.pre_e, self.post_e
+        pre_e = self.pre_e
         first_new = len(begin) - len(pairs)
         parent = [kept for kept, _ in pairs]
-        halves = []  # (kept, new, whether kept is the smaller, X's states)
-        for k, w in pairs:
-            small_kept = end[k] - begin[k] <= end[w] - begin[w]
-            lo, hi = (begin[k], end[k]) if small_kept else (begin[w], end[w])
-            halves.append((k, w, small_kept, states[lo:hi]))
+        new_states = [states[begin[w] : end[w]] for _, w in pairs]
         if self.cfg.stats_enabled:
-            for *_, x_states in halves:
-                self.stats.smaller_half_state_scans.update(x_states)
+            for w_states in new_states:
+                self.stats.smaller_half_state_scans.update(w_states)
 
-        # columns: the sources of the in-edges of X, at their parent blocks
-        for k, w, small_kept, x_states in halves:
+        # columns: the sources of the in-edges of new, at their parent blocks
+        for (k, w), w_states in zip(pairs, new_states):
             into = Counter(
                 map(state_block.__getitem__, chain.from_iterable(
-                    src[start[y] : start[y + 1]] for y in x_states
+                    src[start[y] : start[y + 1]] for y in w_states
                 ))
             )
             for b in [b for b in into if b >= first_new]:
                 into[parent[b - first_new]] += into.pop(b)
-            _split_cells(k, w, small_kept, dict(into), pre_e, post_e)
+            pre_e[w] = dict(into)
+            # a fresh dict: one that shrank keeps the capacity of its peak
+            pre_e[k] = {b: left for b, m in pre_e[k].items() if (left := m - into.get(b, 0))}
 
-        # rows: the targets of the out-edges of X, at their current blocks
-        for k, w, small_kept, x_states in halves:
+        # cells: the targets of the out-edges of new, at their current blocks
+        for (k, w), w_states in zip(pairs, new_states):
             out = Counter(
-                map(state_block.__getitem__, chain.from_iterable(map(succ.__getitem__, x_states)))
+                map(state_block.__getitem__, chain.from_iterable(map(succ.__getitem__, w_states)))
             )
-            _split_cells(k, w, small_kept, dict(out), post_e, pre_e)
+            for d, m in out.items():
+                cells = pre_e[d]
+                cells[w] = m
+                left = cells[k] - m
+                if left:
+                    cells[k] = left
+                else:
+                    del cells[k]
 
     def update_count(self, pairs: list[tuple[int, int]]) -> None:
         """Make the counter matrix exact for the new partition.
 
-        ``inherit`` gave every half its parent's row and column, and
-        ``update_edges`` split the edge tables. Per ``(kept, new)`` id pair
-        the smaller half X, by segment length, is now recounted from its
-        successor blocks, the keys of ``post_e[x]``, while the larger half
-        Z is adjusted: one decrement per successor *family* (both halves
-        of a pair count as one family, matching the granularity of the
-        inherited parent value) that Z no longer reaches, and one
-        increment for any other row not recounted with edges into both
-        halves. A successor block's family is found through two maps
-        built from the pairs, ``new -> kept`` and ``kept -> new``. Every
-        column walk follows the set bits of a ``down`` column. Every half
-        whose counter drops to zero against some block c is logged where
-        the drop happens, by setting its bit in c's removal set: for a
-        smaller half, each key of its old row missing from the recounted
-        one; for a larger half, each cell a decrement deletes. These are
-        exactly the blocks whose states lost their last edge into c's
-        upward closure by losing their sibling states. The two halves of a
-        split block have equal columns, so such a half is logged into both
-        halves' sets.
+        ``inherit`` gave every new half its parent's column and an empty
+        row, and ``update_edges`` split the edge table. Per ``(kept, new)``
+        id pair the smaller half ``new`` is now counted from the successor
+        blocks of its states, while the parent's row is adjusted for
+        ``kept`` and then copied into a fresh dict: one decrement per
+        successor *family* (both halves of a pair count as one family,
+        matching the granularity of the parent's value) that ``kept`` no
+        longer reaches, and one increment for any row not recounted, that
+        is of a block that is not a new half, with edges into both
+        halves. A successor block's
+        family is found through two maps built from the pairs, ``new ->
+        kept`` and ``kept -> new``. Every column walk follows the set bits
+        of a ``down`` column. Every half whose counter drops to zero
+        against some block c is logged where the drop happens, by setting
+        its bit in c's removal set: for ``new``, each key of the parent's
+        row missing from its own; for ``kept``, each cell a decrement
+        deletes. These are exactly the blocks whose states lost their last
+        edge into c's upward closure by losing their sibling states. The
+        two halves of a split block have equal columns, so such a half is
+        logged into both halves' sets.
         """
         pr = self.pr
-        begin, end, down = pr.begin, pr.end, pr.down
+        begin, end, down, states = pr.begin, pr.end, pr.down, pr.states
+        state_block, succ = pr.state_block, self.ks.succ
         nb = len(begin)
+        first_new = nb - len(pairs)
         cnt = self.count
         remove = self.remove
-        pre_e, post_e = self.pre_e, self.post_e
+        pre_e = self.pre_e
         track = self.cfg.stats_enabled
         stats = self.stats
         new_of = dict(pairs)
         kept_of = {new: kept for kept, new in pairs}
 
-        small = [
-            (kept, new)
-            if end[kept] - begin[kept] <= end[new] - begin[new]
-            else (new, kept)
-            for kept, new in pairs
-        ]
-        small_halves = {x for x, _ in small}
-
-        for x, z in small:
-            reached = post_e[x]
-            old = cnt[x]
-            cnt[x] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
-            dropped = old.keys() - row.keys()
-            xbit = 1 << x
+        for k, w in pairs:
+            successors = chain.from_iterable(map(succ.__getitem__, states[begin[w] : end[w]]))
+            reached = set(map(state_block.__getitem__, successors))
+            kr = cnt[k]
+            cnt[w] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
+            dropped = kr.keys() - row.keys()
+            wbit = 1 << w
             for c in dropped:
-                remove[c] |= xbit
+                remove[c] |= wbit
             if track:
                 stats.remove_elements_total += len(dropped)
-            zr = cnt[z]
-            zbit = 1 << z
+            kbit = 1 << k
             for rep in {kept_of.get(v, v) for v in reached}:
                 new = new_of.get(rep)
-                if z in pre_e[rep] or (new is not None and z in pre_e[new]):
+                if k in pre_e[rep] or (new is not None and k in pre_e[new]):
                     continue
                 for c in bits(down[rep]):
-                    left = zr.get(c, 0) - 1
+                    left = kr.get(c, 0) - 1
                     if left > 0:
-                        zr[c] = left
+                        kr[c] = left
                     elif left == 0:
-                        del zr[c]
-                        remove[c] |= zbit
+                        del kr[c]
+                        remove[c] |= kbit
                         if track:
                             stats.remove_elements_total += 1
                     else:
                         raise InvariantViolation("counter went negative")
 
+            cnt[k] = dict(kr)  # fresh, as for pre_e[kept]
+
             # rows with edges into both halves now count two blocks where
-            # the copied parent value counted one; recounted rows excluded
-            both = [d for d in pre_e[x] if d in pre_e[z] and d not in small_halves]
+            # the parent value counted one; recounted rows excluded
+            both = [d for d in pre_e[w] if d in pre_e[k] and d < first_new]
             if both:
-                below_x = bits(down[x])
+                below_w = bits(down[w])
                 for d in both:
                     dr = cnt[d]
-                    for c in below_x:
+                    for c in below_w:
                         dr[c] = dr.get(c, 0) + 1
 
         # every changed row: the halves' and those of their predecessors
@@ -682,27 +685,28 @@ class SimulationEngine:
                 raise InvariantViolation("relation lost reflexivity")
 
     def _check_tables(self) -> None:
-        """Full check: both edge tables and the counters equal their
-        from-scratch recomputation, and ``down`` is the transpose of ``up``.
-        The removal sets are recomputed by ``_check_remove_invariant``."""
+        """Full check: the edge table equals the transpose of its
+        from-scratch recount, the counters equal theirs, and ``down`` is
+        the transpose of ``up``. The removal sets are recomputed by
+        ``_check_remove_invariant``."""
         pr = self.pr
         if transpose(pr.up) != pr.down:
             raise InvariantViolation("down is not the transpose of up")
         post_ref, cnt_ref = recompute_tables(self.ks, pr)
-        post_e, pre_e = self.post_e, self.pre_e
-        rows = ("edge-multiplicity row", post_e, post_ref), ("counter row", self.count, cnt_ref)
-        for name, table, ref in rows:
+        pre_ref: list[dict[int, int]] = [{} for _ in post_ref]
+        for b, row in enumerate(post_ref):
+            for d, m in row.items():
+                pre_ref[d][b] = m
+        tables = (
+            ("edge-multiplicity column", self.pre_e, pre_ref),
+            ("counter row", self.count, cnt_ref),
+        )
+        for name, table, ref in tables:
+            if len(table) != len(ref):
+                raise InvariantViolation(f"{name}s do not cover the blocks")
             for i, (row, row_ref) in enumerate(zip(table, ref)):
                 if row != row_ref:
                     raise InvariantViolation(f"{name} {i} stale")
-        # pre_e is the transpose of post_e: each of its cells is found
-        # there, and the two hold the same number of cells
-        for d, col in enumerate(pre_e):
-            if list(map(dict.get, map(post_e.__getitem__, col), repeat(d))) != list(col.values()):
-                raise InvariantViolation(f"edge-multiplicity column {d} stale")
-        blocks = len(post_ref)
-        if not len(post_e) == len(pre_e) == blocks or sum(map(len, pre_e)) != sum(map(len, post_e)):
-            raise InvariantViolation("edge-multiplicity columns do not cover the rows")
 
     def _check_order(self, require_antisymmetric: bool) -> None:
         """Reflexive, transitive (the rows above i lie within i's row) and,
@@ -768,53 +772,6 @@ def _pick(seq, indices) -> tuple:
         return itemgetter(*indices)(seq)
     # an itemgetter of one index returns a scalar, not a tuple
     return tuple(seq[i] for i in indices)
-
-
-def _split_cells(
-    kept: int,
-    new: int,
-    small_kept: bool,
-    x_cells: dict[int, int],
-    table: list[dict[int, int]],
-    other: list[dict[int, int]],
-) -> None:
-    """Split the parent's entry ``table[kept]`` between its two halves.
-
-    ``x_cells`` counts the smaller half's edges per block at the other
-    end; the larger half keeps the parent's cells less those. ``other`` is
-    the transposed table, whose cells at ``kept`` and ``new`` are written
-    in step. When the smaller half is ``new`` this costs its own cells.
-    When it is ``kept``, the parent's dict passes to ``new`` and every one
-    of its keys is visited once to move its transposed cell.
-    """
-    z_cells = table[kept]
-    for b, m in x_cells.items():
-        left = z_cells[b] - m
-        if left:
-            z_cells[b] = left
-        else:
-            del z_cells[b]
-    if small_kept:
-        # a fresh dict: one that shrank keeps the capacity of its peak
-        z_cells = dict(z_cells)
-        table[kept], table[new] = x_cells, z_cells
-        for b, m in z_cells.items():
-            cells = other[b]
-            cells[new] = m
-            if b not in x_cells:
-                del cells[kept]
-        for b, m in x_cells.items():
-            other[b][kept] = m
-    else:
-        table[new] = x_cells
-        for b, m in x_cells.items():
-            cells = other[b]
-            cells[new] = m
-            left = cells[kept] - m
-            if left:
-                cells[kept] = left
-            else:
-                del cells[kept]
 
 
 def transpose(rows: list[int]) -> list[int]:

@@ -5,8 +5,11 @@ by id. The state set is kept as one ordered array of state ids in which
 block b owns the contiguous segment ``[begin[b], end[b])``; ``pos`` maps
 a state back to its position and ``state_block`` to its block's id.
 ``split`` cuts each block the splitter meets properly into a
-``(kept, new)`` id pair and returns the pairs: moving a state into its
-block's new half is a single swap at the segment boundary, so a split
+``(kept, new)`` id pair and returns the pairs. The new id always goes to
+the smaller half, as in Valmari's refinable partition, so the engine
+needs to walk only the new half's states and edges. Moving a state to
+the splitter's side of its block is a single swap at the segment
+boundary, and only the new half's states are relabelled, so a split
 costs O(splitter size) and touches no other block. Block ids are never
 recycled; they index the segment lists, the block relation, held here
 as Python-int bitsets over block ids in both directions (``up[b]``, the
@@ -141,11 +144,13 @@ class PartitionRelationPair:
         """Refine the partition against a duplicate-free list of states.
 
         Returns one ``(kept, new)`` id pair per block cut properly in two:
-        ``kept`` keeps the block's id and its states outside the splitter,
-        ``new`` gets the next free id and the states inside. Pairs, and so
-        new ids, follow the first splitter state of each cut block. Blocks
-        fully inside or outside the splitter are left untouched, and only
-        segments of cut blocks are permuted.
+        ``new`` is the next free id and gets the smaller part, the states
+        inside the splitter on a tie, and ``kept`` keeps the block's id
+        and the larger part. Pairs, and so new ids, follow the first
+        splitter state of each cut block. Blocks fully inside or outside
+        the splitter are left untouched, and only segments of cut blocks
+        are permuted. ``state_block`` is written only for the states of
+        the new parts, so a split costs O(splitter size).
         """
         splitter = list(splitter)
         state_block = self.state_block
@@ -170,7 +175,14 @@ class PartitionRelationPair:
                 pos[s] = q
                 pos[other] = p
             end[b] = begin[new] = q
-            state_block[s] = new
+        for b, new in new_of.items():
+            # new holds the splitter's part so far; the other part takes
+            # the new id when it is the smaller
+            if end[new] - begin[new] > end[b] - begin[b]:
+                begin[b], begin[new] = begin[new], begin[b]
+                end[b], end[new] = end[new], end[b]
+            for s in states[begin[new] : end[new]]:
+                state_block[s] = new
         return list(new_of.items())
 
     def extract_result(self) -> SimulationResult:

@@ -269,6 +269,22 @@ class TestVerify:
         assert out.exit_code == 3
         assert "differing state pair" in out.output
 
+    def test_random_stops_drawing_at_the_first_failure(self, runner, monkeypatch):
+        # structures are drawn one at a time, so a mismatch on the first
+        # is reported before a second is built
+        drawn = []
+        draw = cli_mod.generate_random_ks
+        monkeypatch.setattr(
+            cli_mod, "generate_random_ks", lambda *args: drawn.append(args) or draw(*args)
+        )
+        monkeypatch.setattr(cli_mod, "_verify_one", lambda ks: (0, 0))
+        out = runner.invoke(main, ["verify", "--random", "2000", "--seed", "5"])
+        assert out.exit_code == 3
+        assert len(drawn) == 1
+        assert out.output.startswith(
+            "FAIL random[0]: first differing state pair (0, 0); replay with:"
+        )
+
     def test_random_failure_prints_replay(self, runner, monkeypatch):
         # the FAIL line must regenerate the instance it failed on
         monkeypatch.setattr(cli_mod, "compute_simulation", claim_all_equivalent)

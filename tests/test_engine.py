@@ -115,6 +115,20 @@ class TestPostCandidates:
         eng = engine_after_initialize(build_ks("aa", []))
         assert eng.post_candidates(0) == []
 
+    def test_block_without_transitions_is_never_walked(self, monkeypatch):
+        # a block without transitions has an empty counter row, and the
+        # refiner search skips it without walking its states
+        walked = []
+        walk = SimulationEngine.post_candidates
+        monkeypatch.setattr(
+            SimulationEngine, "post_candidates", lambda eng, b: walked.append(b) or walk(eng, b)
+        )
+        ks = build_ks("aabba", [])
+        result, _ = compute_simulation(ks, FULL)
+        assert walked == []
+        assert result.partition == ((0, 1, 4), (2, 3))
+        assert result.state_matrix() == brute_force_simulation(ks).matrix
+
     def test_partial_reach_counts_states(self):
         # only state 0 of the pair block reaches the sink block
         ks = build_ks("aab", [(0, 2)])
@@ -258,7 +272,6 @@ class TestUpdateAfterSplit:
         post_ref, _ = recompute_tables(eng.ks, eng.pr)
         for b in block_ids(eng.pr):
             for c in block_ids(eng.pr):
-                assert post_ref[b].get(c, 0) == eng.post_e[b].get(c, 0)
                 assert post_ref[b].get(c, 0) == eng.pre_e[c].get(b, 0)
 
     def test_counts_after_first_split(self, ks_b):
@@ -322,17 +335,15 @@ def split_with_scribbled_tables():
 
 
 def assert_edge_tables_exact(eng):
-    """Every cell of both edge-multiplicity tables equals the recount."""
+    """Every cell of the edge-multiplicity table equals the recount."""
     post_ref, _ = recompute_tables(eng.ks, eng.pr)
     nb = len(eng.pr.begin)
-    assert len(eng.post_e) == len(eng.pre_e) == nb
+    assert len(eng.pre_e) == nb
     for b in range(nb):
         for d in range(nb):
-            m = post_ref[b].get(d, 0)
-            assert eng.post_e[b].get(d, 0) == m, (b, d)
-            assert eng.pre_e[d].get(b, 0) == m, (b, d)
+            assert eng.pre_e[d].get(b, 0) == post_ref[b].get(d, 0), (b, d)
     # only nonzero cells are held
-    assert all(0 not in cells.values() for cells in eng.post_e + eng.pre_e)
+    assert all(0 not in cells.values() for cells in eng.pre_e)
 
 
 class TestUpdateEdges:
@@ -379,16 +390,19 @@ class TestUpdateEdges:
         pr = eng.pr
         pairs = pr.split([0, 3, 4, 5, 7])
         assert pairs == [(0, 4), (1, 5), (2, 6)]
-        size = [e - b for b, e in zip(pr.begin, pr.end)]
-        # a's smaller half is new, b's smaller half keeps the id, and c's
-        # halves tie, so its kept half counts as the smaller
-        assert size[4] < size[0] and size[1] < size[5] and size[2] == size[6]
+        # every new half is the smaller: a's is its splitter part; b's
+        # splitter part is the larger, so b's id stays with it and its
+        # other state gets the new id; c's halves tie, and the splitter's
+        # part gets the new id
+        assert [sorted(pr.block_states(b)) for b in block_ids(pr)] == [
+            [1, 2], [3, 4, 5], [8], [9], [0], [6], [7],
+        ]
         eng.inherit(pairs)
         eng.update_edges(pairs)
         assert_edge_tables_exact(eng)
-        assert eng.post_e[1] == {0: 1, 5: 1}
-        assert eng.pre_e[5] == {4: 1, 5: 2, 1: 1}
-        assert eng.post_e[3] == {4: 1, 1: 1}
+        assert eng.pre_e[0] == {0: 1, 4: 1, 5: 1}
+        assert eng.pre_e[1] == {1: 2, 4: 1, 5: 1}
+        assert eng.pre_e[5] == {3: 1, 6: 1}
 
 
 class TestInherit:
@@ -408,8 +422,10 @@ class TestInherit:
         assert len(pr.up) == len(pr.down) == len(eng.count) == 4
         assert len(eng.remove) == len(eng.worklist) == 4
         assert all(row >> 4 == 0 for row in pr.up + pr.down)
-        # the scribbled counter rows are dense, so they grow by a column
-        assert all(sorted(row) == [0, 1, 2, 3] for row in eng.count)
+        # the scribbled counter rows are dense, so they grow by a column;
+        # update_count fills the new halves' rows
+        assert all(sorted(row) == [0, 1, 2, 3] for row in eng.count[:2])
+        assert eng.count[2:] == [{}, {}]
 
     def test_dimension_tracks_cumulative_splits(self):
         eng = engine_after_initialize(build_ks("aaaa", []))
@@ -428,10 +444,24 @@ class TestInherit:
         for p, n in pairs:
             assert pr.up[n] == pr.up[p]
             assert pr.down[n] == pr.down[p]
-            assert eng.count[n] == eng.count[p]
             for r in range(nb):
                 assert related(pr, r, n) == related(pr, r, p)
+            for r in range(nb - len(pairs)):
                 assert eng.count[r][n] == eng.count[r][p]
+
+    def test_update_count_copies_each_kept_row_once(self):
+        # a kept row that loses cells is a fresh dict, not the parent's
+        # dict with the capacity of its peak; the new half's row is counted
+        ks = build_ks("aaaab", [(0, 4), (1, 4), (2, 4)])
+        eng = engine_after_initialize(ks)
+        parent_row = eng.count[0]
+        [(kept, new)] = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
+        eng.inherit([(kept, new)])
+        assert eng.count[kept] is parent_row and eng.count[new] == {}
+        eng.update_edges([(kept, new)])
+        eng.update_count([(kept, new)])
+        assert eng.count[kept] is not parent_row
+        assert eng.count == recompute_tables(ks, eng.pr)[1]
 
     def test_old_entries_untouched(self):
         eng, pairs, (up_before, down_before, cnt_before) = split_with_scribbled_tables()
@@ -560,8 +590,10 @@ class TestFullChecks:
         eng.update_edges(pairs)
         [(kept, new)] = pairs
         begin, end = eng.pr.begin, eng.pr.end
-        larger = new if end[kept] - begin[kept] <= end[new] - begin[new] else kept
-        eng.count[larger][kept] = -1
+        # the larger half keeps the id, and its row is adjusted, not recounted
+        assert end[kept] - begin[kept] >= end[new] - begin[new]
+        # above the block count, and still above it after a decrement
+        eng.count[kept][kept] = 99
         with pytest.raises(InvariantViolation, match="counter out of range"):
             eng.update_count(pairs)
 

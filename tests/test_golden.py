@@ -55,10 +55,10 @@ GOLDEN = {
         {
             "splits_total": 381,
             "new_blocks_total": 762,
-            "prefiner_calls": 66,
+            "prefiner_calls": 64,
             "findprefiner_null_returns": 1,
-            "smaller_half_max_scans": 4,
-            "smaller_half_total_scans": 1070,
+            "smaller_half_max_scans": 5,
+            "smaller_half_total_scans": 1066,
             "remove_elements_total": 80953,
             "pairs_removed_total": 15803,
         },
@@ -69,10 +69,10 @@ GOLDEN = {
         {
             "splits_total": 373,
             "new_blocks_total": 746,
-            "prefiner_calls": 63,
+            "prefiner_calls": 61,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1076,
+            "smaller_half_total_scans": 1053,
             "remove_elements_total": 76629,
             "pairs_removed_total": 14982,
         },
@@ -83,10 +83,10 @@ GOLDEN = {
         {
             "splits_total": 376,
             "new_blocks_total": 752,
-            "prefiner_calls": 58,
+            "prefiner_calls": 63,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1070,
+            "smaller_half_total_scans": 1081,
             "remove_elements_total": 80388,
             "pairs_removed_total": 15528,
         },

@@ -33,7 +33,7 @@ class TestInitPr:
         # the edge tables, removal sets and worklist flags are the
         # engine's lists
         eng = SimulationEngine(ks)
-        assert eng.pre_e == eng.post_e == [{}, {}]
+        assert eng.pre_e == [{}, {}]
         assert eng.remove == [0, 0]
         assert eng.worklist == bytearray(2)
 
@@ -60,12 +60,29 @@ class TestSplit:
         assert sorted(pr.block_states(0)) == [0, 1, 2]
 
     def test_proper_split(self):
-        pr = init_pr(build_ks("aaa", []))
-        [(kept, new)] = pr.split([0, 1])
+        pr = init_pr(build_ks("aaaa", []))
+        [(kept, new)] = pr.split([0])
         assert len(pr.begin) == len(pr.end) == 2
         assert (kept, new) == (0, 1)
-        assert sorted(pr.block_states(kept)) == [2]
-        assert sorted(pr.block_states(new)) == [0, 1]
+        assert sorted(pr.block_states(kept)) == [1, 2, 3]
+        assert sorted(pr.block_states(new)) == [0]
+
+    def test_new_id_goes_to_the_smaller_part(self):
+        # the splitter's part is the larger, so the block's id stays with
+        # it and the new id goes to the state outside the splitter
+        pr = init_pr(build_ks("aaa", []))
+        [(kept, new)] = pr.split([0, 1])
+        assert (kept, new) == (0, 1)
+        assert sorted(pr.block_states(kept)) == [0, 1]
+        assert pr.block_states(new) == [2]
+        assert pr.state_block == [0, 0, 1]
+
+    def test_tie_gives_the_new_id_to_the_splitter_part(self):
+        pr = init_pr(build_ks("aaaa", []))
+        [(kept, new)] = pr.split([3, 1])
+        assert sorted(pr.block_states(kept)) == [0, 2]
+        assert sorted(pr.block_states(new)) == [1, 3]
+        assert pr.state_block == [0, 1, 0, 1]
 
     def test_double_split(self):
         # two blocks, splitter straddling both: both split
@@ -107,8 +124,12 @@ class TestSplit:
             assert [new for _, new in pairs] == list(range(nb, nb + len(pairs)))
             assert len(pr.begin) == len(pr.end) == nb + len(pairs)
             for kept, new in pairs:
-                assert set(pr.block_states(kept)) == before[kept] - inside
-                assert set(pr.block_states(new)) == before[kept] & inside
+                parts = before[kept] & inside, before[kept] - inside
+                # new gets the smaller part, the splitter's on a tie
+                small, large = parts if len(parts[0]) <= len(parts[1]) else parts[::-1]
+                assert set(pr.block_states(new)) == small
+                assert set(pr.block_states(kept)) == large
+                assert len(pr.block_states(new)) <= len(pr.block_states(kept))
             # pairs follow the first splitter state of each cut block
             cut = [kept for kept, _ in pairs]
             assert cut == [b for b in met if b in cut]
@@ -116,6 +137,8 @@ class TestSplit:
                 if b not in cut:
                     assert members <= inside or not members & inside
                     assert set(pr.block_states(b)) == members
+            for b in range(len(pr.begin)):
+                assert all(pr.state_block[s] == b for s in pr.block_states(b))
         blocks = range(len(pr.begin))
         covered = sorted(s for b in blocks for s in pr.block_states(b))
         assert covered == list(range(n))
