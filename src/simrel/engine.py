@@ -23,19 +23,21 @@ nonzero cells, not the square of the block count.
 Only ``initialize`` walks every transition: it builds the predecessor
 index, the sources of each state's in-edges in flat arrays of about four
 bytes per transition, and the edge table. ``pre_up_set`` then walks the
-in-edges of the up-set's states. ``split`` returns one ``(kept, new)`` id
-pair per block it cuts, ``new`` being always the smaller half, and the
-pairs are passed on: ``inherit`` gives each new half a copy of its
+in-edges of the up-set's states. ``cut`` applies the splitter one block
+at a time: ``split`` cuts one block into a ``(kept, new)`` id pair,
+``new`` being always the smaller half, and the tables are updated for
+that pair before the next block is cut, so after every cut they describe
+a real partition exactly. ``inherit`` gives the new half a copy of its
 parent's entry in the relation and the removal sets (its row and column,
 a place in exactly the removal sets that hold its parent, found with one
-AND per block, and a copy of the parent's own removal set) and its
-parent's counter column; ``update_edges`` splits each parent's edge
-cells between its halves from the new half's in- and out-edges; and
+C-level pass over the sets, and a copy of the parent's own removal set)
+and its parent's counter column; ``update_edges`` splits the parent's
+edge cells between the halves from the new half's in- and out-edges; and
 ``update_count`` then counts the new half's row, corrects the kept
 half's and logs every half that loses its last counted successor block
-above some block c into c's set where the loss happens: when a new
+above some block c into c's set where the loss happens: when the new
 half's row lacks a key of its parent's, and when a decrement deletes a
-cell of a kept half's row. Without that logging, pairs created mutually
+cell of the kept half's row. Without that logging, pairs created mutually
 related by a split would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
@@ -50,7 +52,7 @@ lowest id first keeps the first-hit-in-index-order rule of a full scan.
 Three rules queue blocks, that is, set their flags:
 
 1. ``initialize`` queues every block;
-2. after a split, ``update_count`` queues both halves and every block in
+2. after each cut, ``update_count`` queues both halves and every block in
    either half's ``pre_e``, the only rows it changes;
 3. ``rstabilize`` queues ``pre_e[d]`` for every pruned pair ``(pred, d)``,
    the rows it decrements, inside the decrement loop, and ``pre_e[pred]``
@@ -66,7 +68,7 @@ stays a full scan and a worklist that missed a block fails loudly.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress, islice, repeat
@@ -93,9 +95,9 @@ class EngineConfig:
 
     ``check_level``: "off" disables runtime assertions apart from the
     counter decrements, which always refuse to go below zero. "cheap"
-    adds structural checks after every split and every pruning round,
+    adds structural checks after every splitter and every pruning round,
     each linear in states and blocks, plus a range check of the nonzero
-    cells of the counter rows a split changed: those of each half and of
+    cells of the counter rows each cut changed: those of each half and of
     each predecessor block of a half. "full" adds from-scratch table
     recomputation and order-algebra checks after every phase, as bitset
     operations over the relation. Checks never change results.
@@ -243,25 +245,53 @@ class SimulationEngine:
     # partition stabilization
 
     def pstabilize(self) -> None:
-        """Split until no partition refiner remains."""
+        """Split until no partition refiner remains.
+
+        Each refiner's splitter is applied by ``cut``, one block at a time.
+        The self-checks and the check that the refiner cut some block run
+        once per refiner.
+        """
         while True:
             refiner = self.find_prefiner()
             if refiner is None:
                 break
-            pairs = self.pr.split(self.pre_up_set(refiner))
+            pairs = self.cut(self.pre_up_set(refiner))
             if self.cfg.full and not pairs:
                 raise InvariantViolation("refiner produced no split")
-            if self.cfg.stats_enabled:
-                self.stats.splits_total += len(pairs)
-            self.inherit(pairs)
-            self.update_edges(pairs)
-            self.update_count(pairs)
             if self.cfg.cheap:
                 self._check_structure()
             if self.cfg.full:
                 self._check_tables()
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
+
+    def cut(self, splitter: list[int]) -> list[tuple[int, int]]:
+        """Split every block the splitter cuts properly, one block at a time.
+
+        The splitter's states are grouped by block in one pass, the groups
+        in the order of their first states, and a block lying fully inside
+        the splitter is left alone. Each cut is a ``split`` followed by
+        ``inherit``, ``update_edges`` and ``update_count`` on its ``(kept,
+        new)`` pair, so after each cut every table describes the partition
+        exactly. Returns the pairs in cut order, which is the order of
+        their new ids.
+        """
+        pr = self.pr
+        state_block, begin, end = pr.state_block, pr.begin, pr.end
+        parts: dict[int, list[int]] = defaultdict(list)
+        for s in splitter:
+            parts[state_block[s]].append(s)
+        pairs = []
+        for b, inside in parts.items():
+            if len(inside) < end[b] - begin[b]:
+                k, w = pr.split(inside)
+                self.inherit(k, w)
+                self.update_edges(k, w)
+                self.update_count(k, w)
+                pairs.append((k, w))
+        if self.cfg.stats_enabled:
+            self.stats.splits_total += len(pairs)
+        return pairs
 
     def find_prefiner(self) -> int | None:
         """Id of the first block whose upward closure's preimage cuts some
@@ -353,9 +383,9 @@ class SimulationEngine:
         """States with an edge into c's upward closure, ascending, each once.
 
         Walks the in-edges of the closure's states through the predecessor
-        index, not every transition. ``split`` numbers new halves and lays
-        out their segments in splitter order, so the order is part of the
-        result.
+        index, not every transition. ``cut`` numbers the new halves, and
+        ``split`` lays out each segment, in splitter order, so the order is
+        part of the result.
         """
         pr = self.pr
         states, begin, end = pr.states, pr.begin, pr.end
@@ -375,206 +405,163 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # incremental table updates after a split
 
-    def inherit(self, pairs: list[tuple[int, int]]) -> None:
-        """Give every new half a copy of its parent's entry in the relation
+    def inherit(self, k: int, w: int) -> None:
+        """Give the new half w a copy of its parent's entry in the relation
         and the removal sets, and a place in the other tables.
 
-        For each ``(kept, new)`` id pair from ``split``, ``new`` gets the
-        row and column of ``kept`` (its parent's, unchanged by the split)
-        in the relation, the counter column of ``kept``, a place in every
-        removal set that holds it, a copy of its removal set, a clear
-        worklist flag and empty counter row and edge-multiplicity column.
-        ``split`` numbers the new halves in pair order, so appending to the
-        lists indexed by block id in that order puts each entry at its
-        half's id. The edge table still describes the partition before the
-        split, which ``update_edges`` then corrects: here a new half met in
-        ``up[kept]`` has no predecessors, and its parent, also in
-        ``up[kept]``, still counts every edge into it. A column is copied
-        only where it has entries: the relation column into the rows that
-        ``down[kept]`` names, the counter column into the rows of blocks
-        with an edge into ``up[kept]``, which are exactly its nonzero
-        cells. Relation columns are copied before rows, so a new half's row
-        already holds the new halves of its parent's row. The sets holding
-        a parent are found in one pass over the blocks: each set is ANDed
-        with the mask of all parents, and only a set that meets it is
-        tested bit by bit against the pairs. The removal sets are copied
-        after the places are made, for the same reason as the rows.
-        ``update_count`` then recounts the new halves' counter rows.
+        ``split`` just cut block k into the pair ``(k, w)``, so k's entries
+        are still its parent's. w gets the row and column of k in the
+        relation, the counter column of k, a place in every removal set
+        that holds k, a copy of k's removal set, a clear worklist flag and
+        an empty counter row and edge-multiplicity column. The edge table
+        still describes the partition before the cut, which
+        ``update_edges`` then corrects: here w, met in ``up[k]``, has no
+        predecessors, and k still counts every edge into it. A column is
+        copied only where it has entries: the relation column into the
+        rows that ``down[k]`` names, the counter column into the rows of
+        blocks with an edge into ``up[k]``, which are exactly its nonzero
+        cells. The relation column is copied before the row, so w's row
+        holds w, and the places in the removal sets are made before k's set
+        is copied, for the same reason. ``update_count`` then counts w's
+        counter row.
         """
         pr = self.pr
         up, down, cnt, pre_e = pr.up, pr.down, self.count, self.pre_e
         remove = self.remove
-        pre_e.extend({} for _ in pairs)
-        cnt.extend({} for _ in pairs)
-        for k, new in pairs:
-            nbit = 1 << new
-            for r in bits(down[k]):
-                up[r] |= nbit
-            for e in bits(up[k]):
-                for f in pre_e[e]:
-                    row = cnt[f]
-                    row[new] = row[k]
-        for k, new in pairs:
-            up.append(up[k])
-            down.append(down[k])
-        for k, new in pairs:
-            nbit = 1 << new
-            for c in bits(up[new]):
-                down[c] |= nbit
-        # the new halves have no removal sets yet, so they hold none
-        shifts = [(k, 1 << new) for k, new in pairs]
-        parents = reduce(or_, (1 << k for k, _ in shifts), 0)
-        placed = 0
-        for owner, held in enumerate(remove):
-            held &= parents
-            if held:
-                for k, nbit in shifts:
-                    if held >> k & 1:
-                        remove[owner] |= nbit
-                        placed += 1
-        for k, new in pairs:
-            remove.append(remove[k])
-            placed += remove[k].bit_count()
-        self.worklist.extend(bytes(len(pairs)))
+        pre_e.append({})
+        cnt.append({})
+        wbit = 1 << w
+        for r in bits(down[k]):
+            up[r] |= wbit
+        for e in bits(up[k]):
+            for f in pre_e[e]:
+                row = cnt[f]
+                row[w] = row[k]
+        up.append(up[k])
+        down.append(down[k])
+        for c in bits(up[w]):
+            down[c] |= wbit
+        # one C-level pass finds the sets that hold k
+        holders = list(compress(range(len(remove)), map((1 << k).__and__, remove)))
+        for owner in holders:
+            remove[owner] |= wbit
+        remove.append(remove[k])
+        self.worklist.append(0)
         if self.cfg.stats_enabled:
-            self.stats.remove_elements_total += placed
+            self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
 
-    def update_edges(self, pairs: list[tuple[int, int]]) -> None:
-        """Move the edge multiplicities of every split block onto its halves.
+    def update_edges(self, k: int, w: int) -> None:
+        """Move the edge multiplicities of the cut block onto its halves.
 
-        Per ``(kept, new)`` id pair only ``new``, the smaller half, is
-        walked: first its in-edges, through the predecessor index, which
-        split the parent's column ``pre_e[kept]``, then its out-edges,
-        which split the parent's cell ``pre_e[d][kept]`` in every column d
-        that new reaches. ``kept`` keeps the parent's cells less new's; its
-        column is rebuilt as a fresh dict, which costs one step per
-        predecessor block of the parent.
-        Columns go first, with every source counted at its block before the
-        split (a new half at its parent), so that each pair's column split
-        sees the cells of no other pair split yet; the cells then go with
-        every target at its block after the split, so each of them sees
-        every column split.
+        Only w, the smaller half, is walked: first its in-edges, through
+        the predecessor index, which split the parent's column
+        ``pre_e[k]``, with every source counted at its block before the
+        cut (w's own states at k), then its out-edges, which split the
+        parent's cell ``pre_e[d][k]`` in every column d that w reaches,
+        with every target at its block after the cut. k keeps the parent's
+        cells less w's; its column is rebuilt as a fresh dict, which costs
+        one step per predecessor block of the parent.
         """
         pr = self.pr
-        begin, end, states, state_block = pr.begin, pr.end, pr.states, pr.state_block
-        succ = self.ks.succ
+        state_block, succ = pr.state_block, self.ks.succ
         start, src = self.pred_start, self.pred_src
         pre_e = self.pre_e
-        first_new = len(begin) - len(pairs)
-        parent = [kept for kept, _ in pairs]
-        new_states = [states[begin[w] : end[w]] for _, w in pairs]
+        w_states = pr.block_states(w)
         if self.cfg.stats_enabled:
-            for w_states in new_states:
-                self.stats.smaller_half_state_scans.update(w_states)
+            self.stats.smaller_half_state_scans.update(w_states)
 
-        # columns: the sources of the in-edges of new, at their parent blocks
-        for (k, w), w_states in zip(pairs, new_states):
-            into = Counter(
-                map(state_block.__getitem__, chain.from_iterable(
-                    src[start[y] : start[y + 1]] for y in w_states
-                ))
-            )
-            for b in [b for b in into if b >= first_new]:
-                into[parent[b - first_new]] += into.pop(b)
-            pre_e[w] = dict(into)
-            # a fresh dict: one that shrank keeps the capacity of its peak
-            pre_e[k] = {b: left for b, m in pre_e[k].items() if (left := m - into.get(b, 0))}
+        into = Counter(
+            map(state_block.__getitem__, chain.from_iterable(
+                src[start[y] : start[y + 1]] for y in w_states
+            ))
+        )
+        if w in into:
+            into[k] += into.pop(w)
+        pre_e[w] = dict(into)
+        # a fresh dict: one that shrank keeps the capacity of its peak
+        pre_e[k] = {b: left for b, m in pre_e[k].items() if (left := m - into.get(b, 0))}
 
-        # cells: the targets of the out-edges of new, at their current blocks
-        for (k, w), w_states in zip(pairs, new_states):
-            out = Counter(
-                map(state_block.__getitem__, chain.from_iterable(map(succ.__getitem__, w_states)))
-            )
-            for d, m in out.items():
-                cells = pre_e[d]
-                cells[w] = m
-                left = cells[k] - m
-                if left:
-                    cells[k] = left
-                else:
-                    del cells[k]
+        out = Counter(
+            map(state_block.__getitem__, chain.from_iterable(map(succ.__getitem__, w_states)))
+        )
+        for d, m in out.items():
+            cells = pre_e[d]
+            cells[w] = m
+            left = cells[k] - m
+            if left:
+                cells[k] = left
+            else:
+                del cells[k]
 
-    def update_count(self, pairs: list[tuple[int, int]]) -> None:
-        """Make the counter matrix exact for the new partition.
+    def update_count(self, k: int, w: int) -> None:
+        """Make the counter matrix exact after the cut of k into ``(k, w)``.
 
-        ``inherit`` gave every new half its parent's column and an empty
-        row, and ``update_edges`` split the edge table. Per ``(kept, new)``
-        id pair the smaller half ``new`` is now counted from the successor
-        blocks of its states, while the parent's row is adjusted for
-        ``kept`` and then copied into a fresh dict: one decrement per
-        successor *family* (both halves of a pair count as one family,
-        matching the granularity of the parent's value) that ``kept`` no
-        longer reaches, and one increment for any row not recounted, that
-        is of a block that is not a new half, with edges into both
-        halves. A successor block's
-        family is found through two maps built from the pairs, ``new ->
-        kept`` and ``kept -> new``. Every column walk follows the set bits
-        of a ``down`` column. Every half whose counter drops to zero
-        against some block c is logged where the drop happens, by setting
-        its bit in c's removal set: for ``new``, each key of the parent's
-        row missing from its own; for ``kept``, each cell a decrement
-        deletes. These are exactly the blocks whose states lost their last
-        edge into c's upward closure by losing their sibling states. The
-        two halves of a split block have equal columns, so such a half is
-        logged into both halves' sets.
+        ``inherit`` gave w its parent's column and an empty row, and
+        ``update_edges`` split the edge table. The smaller half w is now
+        counted from the successor blocks of its states, while the
+        parent's row is adjusted for k and then copied into a fresh dict:
+        one decrement per successor *family* (both halves count as one
+        family, matching the granularity of the parent's value) that k no
+        longer reaches, and one increment for every other row with edges
+        into both halves. Every column walk follows the set bits of a
+        ``down`` column. Every half whose counter drops to zero against
+        some block c is logged where the drop happens, by setting its bit
+        in c's removal set: for w, each key of the parent's row missing
+        from its own; for k, each cell a decrement deletes. These are
+        exactly the blocks whose states lost their last edge into c's
+        upward closure by losing their sibling states. The two halves have
+        equal columns, so such a half is logged into both halves' sets.
         """
         pr = self.pr
-        begin, end, down, states = pr.begin, pr.end, pr.down, pr.states
-        state_block, succ = pr.state_block, self.ks.succ
-        nb = len(begin)
-        first_new = nb - len(pairs)
+        down, state_block, succ = pr.down, pr.state_block, self.ks.succ
         cnt = self.count
         remove = self.remove
         pre_e = self.pre_e
         track = self.cfg.stats_enabled
         stats = self.stats
-        new_of = dict(pairs)
-        kept_of = {new: kept for kept, new in pairs}
 
-        for k, w in pairs:
-            successors = chain.from_iterable(map(succ.__getitem__, states[begin[w] : end[w]]))
-            reached = set(map(state_block.__getitem__, successors))
-            kr = cnt[k]
-            cnt[w] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
-            dropped = kr.keys() - row.keys()
-            wbit = 1 << w
-            for c in dropped:
-                remove[c] |= wbit
-            if track:
-                stats.remove_elements_total += len(dropped)
-            kbit = 1 << k
-            for rep in {kept_of.get(v, v) for v in reached}:
-                new = new_of.get(rep)
-                if k in pre_e[rep] or (new is not None and k in pre_e[new]):
-                    continue
-                for c in bits(down[rep]):
-                    left = kr.get(c, 0) - 1
-                    if left > 0:
-                        kr[c] = left
-                    elif left == 0:
-                        del kr[c]
-                        remove[c] |= kbit
-                        if track:
-                            stats.remove_elements_total += 1
-                    else:
-                        raise InvariantViolation("counter went negative")
+        successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(w)))
+        reached = set(map(state_block.__getitem__, successors))
+        kr = cnt[k]
+        cnt[w] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
+        dropped = kr.keys() - row.keys()
+        wbit = 1 << w
+        for c in dropped:
+            remove[c] |= wbit
+        if track:
+            stats.remove_elements_total += len(dropped)
+        kbit = 1 << k
+        for rep in {k if v == w else v for v in reached}:
+            if k in pre_e[rep] or (rep == k and k in pre_e[w]):
+                continue
+            for c in bits(down[rep]):
+                left = kr.get(c, 0) - 1
+                if left > 0:
+                    kr[c] = left
+                elif left == 0:
+                    del kr[c]
+                    remove[c] |= kbit
+                    if track:
+                        stats.remove_elements_total += 1
+                else:
+                    raise InvariantViolation("counter went negative")
+        cnt[k] = dict(kr)  # fresh, as for pre_e[k]
 
-            cnt[k] = dict(kr)  # fresh, as for pre_e[kept]
-
-            # rows with edges into both halves now count two blocks where
-            # the parent value counted one; recounted rows excluded
-            both = [d for d in pre_e[w] if d in pre_e[k] and d < first_new]
-            if both:
-                below_w = bits(down[w])
-                for d in both:
-                    dr = cnt[d]
-                    for c in below_w:
-                        dr[c] = dr.get(c, 0) + 1
+        # rows with edges into both halves now count two blocks where the
+        # parent value counted one; w's recounted row excluded
+        both = [d for d in pre_e[w] if d in pre_e[k] and d != w]
+        if both:
+            below_w = bits(down[w])
+            for d in both:
+                dr = cnt[d]
+                for c in below_w:
+                    dr[c] = dr.get(c, 0) + 1
 
         # every changed row: the halves' and those of their predecessors
-        changed = [b for pair in pairs for h in pair for b in (h, *pre_e[h])]
+        changed = [k, *pre_e[k], w, *pre_e[w]]
         self._queue(changed)
         if self.cfg.cheap:
+            nb = len(pr.begin)
             for b in changed:
                 row = cnt[b].values()
                 if row and (min(row) < 1 or max(row) > nb):

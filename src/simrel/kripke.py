@@ -187,12 +187,19 @@ def serialize_ks(ks: KripkeStructure) -> str:
     """Emit the text format. Round trips through :func:`parse_ks` exactly.
 
     Output is deterministic: labels by state id with atoms sorted, then
-    transitions by source in stored successor order.
+    transitions by source in stored successor order. An atom the format
+    cannot hold, one that is empty or holds whitespace or ``#``, raises
+    ``ValueError`` naming the state and the atom.
     """
     lines = [f"states {ks.num_states}"]
     for s in range(ks.num_states):
         if ks.labels[s]:
-            lines.append(f"label {s} {' '.join(sorted(ks.labels[s]))}")
+            atoms = sorted(ks.labels[s])
+            for atom in atoms:
+                # parse_ks cuts comments at "#" and splits a line into tokens
+                if "#" in atom or atom.split() != [atom]:
+                    raise ValueError(f"state {s}: atom {atom!r} cannot be written as one token")
+            lines.append(f"label {s} {' '.join(atoms)}")
     for s in range(ks.num_states):
         for t in ks.succ[s]:
             lines.append(f"trans {s} {t}")

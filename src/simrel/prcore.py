@@ -4,29 +4,28 @@ A block is its int id, and every table about blocks is a list indexed
 by id. The state set is kept as one ordered array of state ids in which
 block b owns the contiguous segment ``[begin[b], end[b])``; ``pos`` maps
 a state back to its position and ``state_block`` to its block's id.
-``split`` cuts each block the splitter meets properly into a
-``(kept, new)`` id pair and returns the pairs. The new id always goes to
-the smaller half, as in Valmari's refinable partition, so the engine
-needs to walk only the new half's states and edges. Moving a state to
-the splitter's side of its block is a single swap at the segment
-boundary, and only the new half's states are relabelled, so a split
-costs O(splitter size) and touches no other block. Block ids are never
-recycled; they index the segment lists, the block relation, held here
-as Python-int bitsets over block ids in both directions (``up[b]``, the
-blocks above b, and ``down[c]``, the blocks below c), and the engine's
-own lists: edge multiplicities, sparse counter rows, removal sets and
-worklist flags. The engine gives each new half its kept half's entries.
+``split`` cuts one block properly in two, given the states of one part,
+and returns the ``(kept, new)`` id pair. The new id always goes to the
+smaller half, as in Valmari's refinable partition, so the engine needs
+to walk only the new half's states and edges. Moving a state to the
+given part's side of its block is a single swap at the segment boundary,
+and only the new half's states are relabelled, so a split costs O(part
+size) and touches no other block. Block ids are never recycled; they
+index the segment lists, the block relation, held here as Python-int
+bitsets over block ids in both directions (``up[b]``, the blocks above
+b, and ``down[c]``, the blocks below c), and the engine's own lists:
+edge multiplicities, sparse counter rows, removal sets and worklist
+flags. The engine gives each new half its kept half's entries before it
+cuts the next block.
 ``bits`` and ``bit_flags`` read a bitset back as indices or as one byte
 per bit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import itemgetter
-from typing import Iterable
 
 from .kripke import KripkeStructure, initial_label_partition
 
@@ -140,50 +139,45 @@ class PartitionRelationPair:
             out.update(self.block_states(c))
         return out
 
-    def split(self, splitter: Iterable[int]) -> list[tuple[int, int]]:
-        """Refine the partition against a duplicate-free list of states.
+    def split(self, inside: list[int]) -> tuple[int, int]:
+        """Cut one block in two and return the ``(kept, new)`` id pair.
 
-        Returns one ``(kept, new)`` id pair per block cut properly in two:
-        ``new`` is the next free id and gets the smaller part, the states
-        inside the splitter on a tie, and ``kept`` keeps the block's id
-        and the larger part. Pairs, and so new ids, follow the first
-        splitter state of each cut block. Blocks fully inside or outside
-        the splitter are left untouched, and only segments of cut blocks
-        are permuted. ``state_block`` is written only for the states of
-        the new parts, so a split costs O(splitter size).
+        ``inside`` is a duplicate-free, proper and nonempty part of one
+        block's states, in splitter order. ``new`` is the next free id and
+        gets the smaller part, the ``inside`` part on a tie, and ``kept``
+        keeps the block's id and the larger part. Each state of ``inside``
+        is swapped to the end of the block's segment, so only that
+        segment is permuted, and ``state_block`` is written only for the
+        states of the new part: a split costs O(|inside|) and touches no
+        other block.
         """
-        splitter = list(splitter)
-        state_block = self.state_block
-        inside = Counter(map(state_block.__getitem__, splitter))
-        states, pos, begin, end = self.states, self.pos, self.begin, self.end
-        new_of: dict[int, int] = {}
-        for s in splitter:
-            b = state_block[s]
-            new = new_of.get(b)
-            if new is None:
-                # no state of b has moved yet, so its segment is still whole
-                if inside[b] == end[b] - begin[b]:
-                    continue  # fully inside: leave alone
-                new = new_of[b] = len(begin)
-                begin.append(end[b])
-                end.append(end[b])
+        states, pos, state_block, begin, end = (
+            self.states, self.pos, self.state_block, self.begin, self.end
+        )
+        kept = state_block[inside[0]]
+        lo, hi = begin[kept], end[kept]
+        q = hi
+        for s in inside:
+            q -= 1
             p = pos[s]
-            q = end[b] - 1
             if p != q:
                 other = states[q]
                 states[p], states[q] = other, s
                 pos[s] = q
                 pos[other] = p
-            end[b] = begin[new] = q
-        for b, new in new_of.items():
-            # new holds the splitter's part so far; the other part takes
-            # the new id when it is the smaller
-            if end[new] - begin[new] > end[b] - begin[b]:
-                begin[b], begin[new] = begin[new], begin[b]
-                end[b], end[new] = end[new], end[b]
-            for s in states[begin[new] : end[new]]:
-                state_block[s] = new
-        return list(new_of.items())
+        new = len(begin)
+        # [q, hi) now holds inside; the smaller part takes the new id
+        if hi - q > q - lo:
+            begin.append(lo)
+            end.append(q)
+            begin[kept] = q
+        else:
+            begin.append(q)
+            end.append(hi)
+            end[kept] = q
+        for s in states[begin[new] : end[new]]:
+            state_block[s] = new
+        return kept, new
 
     def extract_result(self) -> SimulationResult:
         """Deep copy the converged pair into an immutable result."""

@@ -1,6 +1,7 @@
 import pytest
 
 from simrel import KripkeStructure
+from simrel.engine import SimulationEngine
 
 
 def build_ks(labels, edges):
@@ -12,6 +13,13 @@ def build_ks(labels, edges):
     for s, t in edges:
         succ.setdefault(s, []).append(t)
     return KripkeStructure(n, lab, succ)
+
+
+def engine_after_initialize(ks):
+    """An engine with default config whose tables are filled."""
+    eng = SimulationEngine(ks)
+    eng.initialize()
+    return eng
 
 
 @pytest.fixture

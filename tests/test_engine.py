@@ -14,7 +14,7 @@ from simrel.kripke import KripkeStructure, generate_random_ks, make_chain, parse
 from simrel.oracle import brute_force_simulation, simulation_partition
 from simrel.prcore import bits, init_pr
 
-from .conftest import build_ks
+from .conftest import build_ks, engine_after_initialize
 
 FULL = EngineConfig(check_level="full", stats_enabled=True)
 
@@ -27,12 +27,6 @@ def random_ks(max_states=8):
         edge_prob=st.sampled_from([0.1, 0.3, 0.6]),
         seed=st.integers(0, 2**32 - 1),
     )
-
-
-def engine_after_initialize(ks):
-    eng = SimulationEngine(ks, EngineConfig())
-    eng.initialize()
-    return eng
 
 
 def relate(pr, b, c):
@@ -63,11 +57,8 @@ def run_one_split_round(eng):
     """Drive exactly one refiner-split-update iteration."""
     refiner = eng.find_prefiner()
     assert refiner is not None
-    pairs = eng.pr.split(eng.pre_up_set(refiner))
+    pairs = eng.cut(eng.pre_up_set(refiner))
     assert pairs
-    eng.inherit(pairs)
-    eng.update_edges(pairs)
-    eng.update_count(pairs)
     return pairs
 
 
@@ -260,9 +251,9 @@ class TestUpdateAfterSplit:
         b_a = eng.pr.state_block[0]
         b_b = eng.pr.state_block[1]
         relate(eng.pr, b_a, b_b)
-        pairs = eng.pr.split([1])
-        eng.inherit(pairs)
-        for half in pairs[0]:
+        pair = eng.pr.split([1])
+        eng.inherit(*pair)
+        for half in pair:
             assert related(eng.pr, b_a, half)
             assert eng.pr.down[half] >> b_a & 1
 
@@ -302,8 +293,8 @@ class TestUpdateAfterSplit:
         remove = eng.remove
         remove[pair_block] = 1 << marker
         remove[marker] = 1 << pair_block
-        [(kept, new)] = eng.pr.split([0])
-        eng.inherit([(kept, new)])
+        kept, new = eng.pr.split([0])
+        eng.inherit(kept, new)
         assert remove[new] == 1 << marker
         assert remove[marker] == 1 << pair_block | 1 << new
         remove[new] |= 1 << pair_block
@@ -311,14 +302,15 @@ class TestUpdateAfterSplit:
 
 
 def split_with_scribbled_tables():
-    """An initialized engine whose two label blocks both split at once.
+    """An initialized engine whose two label blocks are split one after
+    the other, each split followed by ``inherit``.
 
     Both blocks reach both, so every counter cell is nonzero whatever the
-    relation. Before the split every counter cell holds a distinct value
+    relation. Before the splits every counter cell holds a distinct value
     and the relation is an upper triangle, so a copied cell shows where it
     came from; the removal sets hold both blocks, one of them in its own
     set. Returns the engine, the split pairs and the tables before the
-    split.
+    splits.
     """
     ks = build_ks("aaabbb", [(0, 3), (1, 1), (2, 5), (3, 0), (4, 4), (5, 2)])
     eng = engine_after_initialize(ks)
@@ -329,8 +321,12 @@ def split_with_scribbled_tables():
         for c in range(r + 1, nb):
             relate(eng.pr, r, c)
     before = (eng.pr.up[:], eng.pr.down[:], [dict(r) for r in eng.count])
-    pairs = eng.pr.split([0, 3])
-    assert len(pairs) == 2
+    pairs = []
+    for inside in ([0], [3]):
+        pair = eng.pr.split(inside)
+        eng.inherit(*pair)
+        pairs.append(pair)
+    assert pairs == [(0, 2), (1, 3)]
     return eng, pairs, before
 
 
@@ -346,6 +342,21 @@ def assert_edge_tables_exact(eng):
     assert all(0 not in cells.values() for cells in eng.pre_e)
 
 
+class ExactAfterEveryPair(SimulationEngine):
+    """The engine with its edge table and counter rows recounted after
+    every cut block; ``checked`` lists the ``(kept, new)`` pairs checked."""
+
+    def __init__(self, ks):
+        super().__init__(ks)
+        self.checked = []
+
+    def update_count(self, k, w):
+        SimulationEngine.update_count(self, k, w)
+        assert_edge_tables_exact(self)
+        assert self.count == recompute_tables(self.ks, self.pr)[1]
+        self.checked.append((k, w))
+
+
 class TestUpdateEdges:
     @given(
         st.builds(
@@ -358,18 +369,19 @@ class TestUpdateEdges:
     )
     @settings(max_examples=60, deadline=None)
     def test_tables_equal_recount_after_every_split_round(self, ks):
-        eng = engine_after_initialize(ks)
+        # the edge table and the counter rows are exact after every pair,
+        # not only after every splitter
+        eng = ExactAfterEveryPair(ks)
+        eng.initialize()
         assert_edge_tables_exact(eng)
         while True:
             refiner = eng.find_prefiner()
             while refiner is not None:
                 splitter = eng.pre_up_set(refiner)
                 assert splitter == sorted(pre_of(ks, eng.pr.up_set_states(refiner)))
-                pairs = eng.pr.split(splitter)
-                eng.inherit(pairs)
-                eng.update_edges(pairs)
-                eng.update_count(pairs)
-                assert_edge_tables_exact(eng)
+                pairs = eng.cut(splitter)
+                assert pairs and eng.checked == pairs
+                eng.checked.clear()
                 refiner = eng.find_prefiner()
             if eng.rstabilize():
                 break
@@ -378,7 +390,8 @@ class TestUpdateEdges:
 
     def test_one_split_cutting_three_blocks(self):
         # blocks a = {0, 1, 2}, b = {3, 4, 5, 6}, c = {7, 8}, d = {9}; the
-        # splitter cuts a, b and c. Edges 0 -> 3 and 6 -> 1 join halves of
+        # splitter cuts a, b and c, one after the other, and the tables are
+        # recounted after each cut. Edges 0 -> 3 and 6 -> 1 join halves of
         # two different pairs, 4 -> 5 and 1 -> 2 stay inside one half, and
         # 6 -> 4 crosses the halves of one pair
         edges = [
@@ -386,10 +399,11 @@ class TestUpdateEdges:
             (5, 7), (6, 4), (0, 1), (9, 0), (9, 6), (2, 9),
         ]
         ks = build_ks("aaabbbbccd", edges)
-        eng = engine_after_initialize(ks)
+        eng = ExactAfterEveryPair(ks)
+        eng.initialize()
         pr = eng.pr
-        pairs = pr.split([0, 3, 4, 5, 7])
-        assert pairs == [(0, 4), (1, 5), (2, 6)]
+        pairs = eng.cut([0, 3, 4, 5, 7])
+        assert pairs == eng.checked == [(0, 4), (1, 5), (2, 6)]
         # every new half is the smaller: a's is its splitter part; b's
         # splitter part is the larger, so b's id stays with it and its
         # other state gets the new id; c's halves tie, and the splitter's
@@ -397,9 +411,6 @@ class TestUpdateEdges:
         assert [sorted(pr.block_states(b)) for b in block_ids(pr)] == [
             [1, 2], [3, 4, 5], [8], [9], [0], [6], [7],
         ]
-        eng.inherit(pairs)
-        eng.update_edges(pairs)
-        assert_edge_tables_exact(eng)
         assert eng.pre_e[0] == {0: 1, 4: 1, 5: 1}
         assert eng.pre_e[1] == {1: 2, 4: 1, 5: 1}
         assert eng.pre_e[5] == {3: 1, 6: 1}
@@ -407,17 +418,24 @@ class TestUpdateEdges:
 
 class TestInherit:
     def test_empty_split_list_no_change(self):
-        eng = engine_after_initialize(build_ks("ab", [(0, 1)]))
-        up_before, down_before = eng.pr.up[:], eng.pr.down[:]
-        cnt_before = [dict(r) for r in eng.count]
-        eng.inherit([])
-        assert eng.pr.up == up_before
-        assert eng.pr.down == down_before
-        assert eng.count == cnt_before
+        # a splitter that cuts no block changes no table
+        eng = engine_after_initialize(build_ks("aab", [(0, 2), (1, 2)]))
+
+        def tables():
+            pr = eng.pr
+            return (
+                pr.states[:], pr.begin[:], pr.end[:], pr.up[:], pr.down[:],
+                [dict(r) for r in eng.count], [dict(c) for c in eng.pre_e],
+                eng.remove[:], bytes(eng.worklist),
+            )
+
+        before = tables()
+        for splitter in ([], [0, 1], [0, 1, 2]):
+            assert eng.cut(splitter) == []
+            assert tables() == before
 
     def test_one_row_and_column_per_new_half(self):
         eng, pairs, _ = split_with_scribbled_tables()
-        eng.inherit(pairs)
         pr = eng.pr
         assert len(pr.up) == len(pr.down) == len(eng.count) == 4
         assert len(eng.remove) == len(eng.worklist) == 4
@@ -430,7 +448,7 @@ class TestInherit:
     def test_dimension_tracks_cumulative_splits(self):
         eng = engine_after_initialize(build_ks("aaaa", []))
         for splitter in ([0], [1]):
-            eng.inherit(eng.pr.split(splitter))
+            eng.inherit(*eng.pr.split(splitter))
         pr = eng.pr
         assert len(pr.up) == len(pr.down) == len(eng.count) == 3
         # the halves of one block stay mutually related
@@ -438,7 +456,6 @@ class TestInherit:
 
     def test_new_half_copies_parent_row_and_column(self):
         eng, pairs, _ = split_with_scribbled_tables()
-        eng.inherit(pairs)
         nb = len(eng.pr.begin)
         pr = eng.pr
         for p, n in pairs:
@@ -455,17 +472,16 @@ class TestInherit:
         ks = build_ks("aaaab", [(0, 4), (1, 4), (2, 4)])
         eng = engine_after_initialize(ks)
         parent_row = eng.count[0]
-        [(kept, new)] = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
-        eng.inherit([(kept, new)])
+        kept, new = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
+        eng.inherit(kept, new)
         assert eng.count[kept] is parent_row and eng.count[new] == {}
-        eng.update_edges([(kept, new)])
-        eng.update_count([(kept, new)])
+        eng.update_edges(kept, new)
+        eng.update_count(kept, new)
         assert eng.count[kept] is not parent_row
         assert eng.count == recompute_tables(ks, eng.pr)[1]
 
     def test_old_entries_untouched(self):
         eng, pairs, (up_before, down_before, cnt_before) = split_with_scribbled_tables()
-        eng.inherit(pairs)
         old = len(up_before)
         mask = (1 << old) - 1
         assert [row & mask for row in eng.pr.up[:old]] == up_before
@@ -476,7 +492,6 @@ class TestInherit:
 
     def test_remove_list_equals_parents_and_is_independent(self):
         eng, pairs, _ = split_with_scribbled_tables()
-        eng.inherit(pairs)
         remove = eng.remove
         for kept, new in pairs:
             assert remove[new] == remove[kept]
@@ -585,17 +600,16 @@ class TestFullChecks:
         # the cheap level range-checks the rows update_count writes
         eng = SimulationEngine(ks_b, EngineConfig(check_level="cheap"))
         eng.initialize()
-        pairs = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
-        eng.inherit(pairs)
-        eng.update_edges(pairs)
-        [(kept, new)] = pairs
+        kept, new = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
+        eng.inherit(kept, new)
+        eng.update_edges(kept, new)
         begin, end = eng.pr.begin, eng.pr.end
         # the larger half keeps the id, and its row is adjusted, not recounted
         assert end[kept] - begin[kept] >= end[new] - begin[new]
         # above the block count, and still above it after a decrement
         eng.count[kept][kept] = 99
         with pytest.raises(InvariantViolation, match="counter out of range"):
-            eng.update_count(pairs)
+            eng.update_count(kept, new)
 
     def test_down_out_of_step_with_up_detected(self, ks_a):
         eng = SimulationEngine(ks_a, FULL)

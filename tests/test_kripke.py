@@ -116,6 +116,13 @@ class TestSerialize:
     def test_round_trip(self, ks):
         assert parse_ks(serialize_ks(ks)) == ks
 
+    @pytest.mark.parametrize("atom", ["a b", "#x", ""])
+    def test_atom_the_format_cannot_hold_raises(self, atom):
+        # written as is, each would parse back as other atoms or fail to parse
+        ks = KripkeStructure(2, {0: {"a"}, 1: {atom}}, {})
+        with pytest.raises(ValueError, match=f"state 1: atom {atom!r}"):
+            serialize_ks(ks)
+
 
 class TestLabelPartition:
     def test_single_label(self):

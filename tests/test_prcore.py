@@ -6,7 +6,7 @@ from simrel.engine import EngineConfig, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
 from simrel.prcore import SimulationResult, bit_flags, bits, init_pr
 
-from .conftest import build_ks
+from .conftest import build_ks, engine_after_initialize
 
 
 class TestInitPr:
@@ -44,7 +44,7 @@ class TestInitPr:
         assert pr.state_block == [0, 0, 1]
         assert all(type(b) is int for b in pr.state_block)
         assert not hasattr(pr, "blocks")
-        [(kept, new)] = pr.split([0])
+        kept, new = pr.split([0])
         assert (type(kept), type(new)) == (int, int) and (kept, new) == (0, 2)
         assert pr.state_block == [2, 0, 1]
         eng = SimulationEngine(ks)
@@ -53,15 +53,18 @@ class TestInitPr:
 
 
 class TestSplit:
+    # ``split`` cuts one block; the engine's ``cut`` groups a splitter by
+    # block and cuts each block it meets properly
     def test_splitter_covering_everything_is_noop(self):
-        pr = init_pr(build_ks("aaa", []))
-        assert pr.split([0, 1, 2]) == []
+        eng = engine_after_initialize(build_ks("aaa", []))
+        pr = eng.pr
+        assert eng.cut([0, 1, 2]) == []
         assert len(pr.begin) == 1
         assert sorted(pr.block_states(0)) == [0, 1, 2]
 
     def test_proper_split(self):
         pr = init_pr(build_ks("aaaa", []))
-        [(kept, new)] = pr.split([0])
+        kept, new = pr.split([0])
         assert len(pr.begin) == len(pr.end) == 2
         assert (kept, new) == (0, 1)
         assert sorted(pr.block_states(kept)) == [1, 2, 3]
@@ -71,7 +74,7 @@ class TestSplit:
         # the splitter's part is the larger, so the block's id stays with
         # it and the new id goes to the state outside the splitter
         pr = init_pr(build_ks("aaa", []))
-        [(kept, new)] = pr.split([0, 1])
+        kept, new = pr.split([0, 1])
         assert (kept, new) == (0, 1)
         assert sorted(pr.block_states(kept)) == [0, 1]
         assert pr.block_states(new) == [2]
@@ -79,29 +82,30 @@ class TestSplit:
 
     def test_tie_gives_the_new_id_to_the_splitter_part(self):
         pr = init_pr(build_ks("aaaa", []))
-        [(kept, new)] = pr.split([3, 1])
+        kept, new = pr.split([3, 1])
         assert sorted(pr.block_states(kept)) == [0, 2]
         assert sorted(pr.block_states(new)) == [1, 3]
         assert pr.state_block == [0, 1, 0, 1]
 
     def test_double_split(self):
         # two blocks, splitter straddling both: both split
-        pr = init_pr(build_ks("aabb", []))
-        out = pr.split([1, 2])
-        assert len(out) == 2
+        eng = engine_after_initialize(build_ks("aabb", []))
+        pr = eng.pr
+        assert eng.cut([1, 2]) == [(0, 2), (1, 3)]
         halves = {tuple(sorted(pr.block_states(b))) for b in range(len(pr.begin))}
         assert halves == {(0,), (1,), (2,), (3,)}
 
     def test_ids_never_reused(self):
         pr = init_pr(build_ks("aaa", []))
-        assert pr.split([0]) == [(0, 1)]
-        assert pr.split([1]) == [(0, 2)]
+        assert pr.split([0]) == (0, 1)
+        assert pr.split([1]) == (0, 2)
         assert len(pr.begin) == 3
         assert sorted(pr.state_block) == [0, 1, 2]
 
     def test_empty_splitter(self):
-        pr = init_pr(build_ks("aa", []))
-        assert pr.split([]) == []
+        eng = engine_after_initialize(build_ks("aa", []))
+        assert eng.cut([]) == []
+        assert eng.pr.begin == [0] and eng.pr.end == [2]
 
     @given(
         st.integers(2, 10),
@@ -111,7 +115,8 @@ class TestSplit:
     @settings(max_examples=60)
     def test_segments_cover_after_random_splits(self, n, raw_splitters, seed):
         ks = generate_random_ks(n, 2, 0.3, seed)
-        pr = init_pr(ks)
+        eng = engine_after_initialize(ks)
+        pr = eng.pr
         for raw in raw_splitters:
             # duplicate-free, in drawn order, so pair order is exercised
             splitter = list(dict.fromkeys(s % n for s in raw))
@@ -119,7 +124,7 @@ class TestSplit:
             nb = len(pr.begin)
             before = {b: set(pr.block_states(b)) for b in range(nb)}
             met = list(dict.fromkeys(pr.state_block[s] for s in splitter))
-            pairs = pr.split(splitter)
+            pairs = eng.cut(splitter)
             # new ids run upward from the old block count, in pair order
             assert [new for _, new in pairs] == list(range(nb, nb + len(pairs)))
             assert len(pr.begin) == len(pr.end) == nb + len(pairs)
