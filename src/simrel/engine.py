@@ -2,9 +2,9 @@
 
 A run alternates two phases over a partition-relation pair:
 
-* partition stabilization splits blocks against splitters of the form
-  pre(union of blocks above a refiner block), found in O(edges) per probe
-  through the counter table;
+* partition stabilization cuts, one block at a time, every block that
+  the preimage of some block's upward closure cuts properly, each cut
+  found in O(edges) per probe through the counter table;
 * relation stabilization prunes block pairs driven by per-block removal
   sets, chaining through counter decrements until no violation remains.
 
@@ -22,12 +22,17 @@ nonzero cells, not the square of the block count.
 
 Only ``initialize`` walks every transition: it builds the predecessor
 index, the sources of each state's in-edges in flat arrays of about four
-bytes per transition, and the edge table. ``pre_up_set`` then walks the
-in-edges of the up-set's states. ``cut`` applies the splitter one block
-at a time: ``split`` cuts one block into a ``(kept, new)`` id pair,
+bytes per transition, and the edge table. The refiner search returns the
+cut itself. A block b that hosts class a reaches nothing strictly above
+a, so the preimage of a's upward closure meets b in exactly b's states
+with an edge into a, which the search has just walked. Any other block
+that this preimage cuts hosts a refiner too (the highest class it reaches
+inside the closure) and is cut by a later search: Paige and Tarjan's
+argument that splitting any one block by a splitter is sound. ``cut``
+cuts the one block: ``split`` cuts it into a ``(kept, new)`` id pair,
 ``new`` being always the smaller half, and the tables are updated for
-that pair before the next block is cut, so after every cut they describe
-a real partition exactly. ``inherit`` gives the new half a copy of its
+that pair before the next search, so after every cut they describe a
+real partition exactly. ``inherit`` gives the new half a copy of its
 parent's entry in the relation and the removal sets (its row and column,
 a place in exactly the removal sets that hold its parent, found with one
 C-level pass over the sets, and a copy of the parent's own removal set)
@@ -47,9 +52,11 @@ classes. A block's class is read off the relation: the blocks mutually
 related with it, which during partition stabilization are the blocks
 descended from one block by splits. The worklist is one ``bytearray``
 of flags indexed by block id: a block's flag is set while its hosting
-may have changed since it was last found clean. Walking the flags
-lowest id first keeps the first-hit-in-index-order rule of a full scan.
-Three rules queue blocks, that is, set their flags:
+may have changed since it was last found clean. The walk starts at the
+last host and wraps around once, so it finds what a scan of every block
+from the same start would, and the blocks that a cut flags below its
+host are not rewalked before the host is found clean. Three rules queue
+blocks, that is, set their flags:
 
 1. ``initialize`` queues every block;
 2. after each cut, ``update_count`` queues both halves and every block in
@@ -68,21 +75,18 @@ stays a full scan and a worklist that missed a block fails loudly.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import itemgetter, or_
+from itertools import accumulate, chain, compress
+from operator import or_
 
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
 from .prcore import PartitionRelationPair, SimulationResult, bits, init_pr
 
 CHECK_LEVELS = ("off", "cheap", "full")
-
-# states pre_up_set looks up at once: its lookup tuples stay small next
-# to its result on a block of tens of thousands of states
-_PICK_CHUNK = 1024
 
 
 class InvariantViolation(AssertionError):
@@ -95,7 +99,7 @@ class EngineConfig:
 
     ``check_level``: "off" disables runtime assertions apart from the
     counter decrements, which always refuse to go below zero. "cheap"
-    adds structural checks after every splitter and every pruning round,
+    adds structural checks after every cut and every pruning round,
     each linear in states and blocks, plus a range check of the nonzero
     cells of the counter rows each cut changed: those of each half and of
     each predecessor block of a half. "full" adds from-scratch table
@@ -133,11 +137,10 @@ class SimulationEngine:
         # d, held only where nonzero
         self.pre_e: list[dict[int, int]] = [{} for _ in range(nb)]
         # predecessor index: the sources of the transitions into state y
-        # are pred_src[pred_start[y] : pred_start[y + 1]], and pred_fan[y]
-        # is y's in-degree capped at 2; filled by initialize
+        # are pred_src[pred_start[y] : pred_start[y + 1]]; filled by
+        # initialize
         self.pred_start = array("I")
         self.pred_src = array("I")
-        self.pred_fan = b""
         # count[b][c]: blocks e with c related-below e that b has edges
         # into, so a missing cell tests "b reaches nothing above c" in O(1);
         # a row holds only its nonzero cells
@@ -147,6 +150,8 @@ class SimulationEngine:
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
         self.worklist = bytearray(nb)
+        # the last host found; the next refiner search starts there
+        self.resume = 0
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -207,7 +212,7 @@ class SimulationEngine:
         pr = self.pr
         down, state_block = pr.down, pr.state_block
         succ = self.ks.succ
-        self.pred_start, self.pred_src, self.pred_fan = predecessor_index(self.ks)
+        self.pred_start, self.pred_src = predecessor_index(self.ks)
 
         pre_e = self.pre_e
         for b in range(len(pre_e)):
@@ -245,19 +250,13 @@ class SimulationEngine:
     # partition stabilization
 
     def pstabilize(self) -> None:
-        """Split until no partition refiner remains.
+        """Cut until no partition refiner remains.
 
-        Each refiner's splitter is applied by ``cut``, one block at a time.
-        The self-checks and the check that the refiner cut some block run
-        once per refiner.
+        Each refiner is one ``cut`` of its host block, and the self-checks
+        run after every cut.
         """
-        while True:
-            refiner = self.find_prefiner()
-            if refiner is None:
-                break
-            pairs = self.cut(self.pre_up_set(refiner))
-            if self.cfg.full and not pairs:
-                raise InvariantViolation("refiner produced no split")
+        while (found := self.find_prefiner()) is not None:
+            self.cut(found[1])
             if self.cfg.cheap:
                 self._check_structure()
             if self.cfg.full:
@@ -265,84 +264,81 @@ class SimulationEngine:
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
 
-    def cut(self, splitter: list[int]) -> list[tuple[int, int]]:
-        """Split every block the splitter cuts properly, one block at a time.
+    def cut(self, inside: list[int]) -> tuple[int, int]:
+        """Cut the block that ``inside`` is a proper part of, and return
+        the ``(kept, new)`` pair.
 
-        The splitter's states are grouped by block in one pass, the groups
-        in the order of their first states, and a block lying fully inside
-        the splitter is left alone. Each cut is a ``split`` followed by
-        ``inherit``, ``update_edges`` and ``update_count`` on its ``(kept,
-        new)`` pair, so after each cut every table describes the partition
-        exactly. Returns the pairs in cut order, which is the order of
-        their new ids.
+        ``inside`` lists states of one block, each once. The cut is a
+        ``split`` followed by ``inherit``, ``update_edges`` and
+        ``update_count``, so afterwards every table describes the partition
+        exactly. The full check level first checks that the part is
+        proper.
         """
         pr = self.pr
-        state_block, begin, end = pr.state_block, pr.begin, pr.end
-        parts: dict[int, list[int]] = defaultdict(list)
-        for s in splitter:
-            parts[state_block[s]].append(s)
-        pairs = []
-        for b, inside in parts.items():
-            if len(inside) < end[b] - begin[b]:
-                k, w = pr.split(inside)
-                self.inherit(k, w)
-                self.update_edges(k, w)
-                self.update_count(k, w)
-                pairs.append((k, w))
+        if self.cfg.full:
+            b = pr.state_block[inside[0]]
+            if len(inside) >= pr.end[b] - pr.begin[b]:
+                raise InvariantViolation(f"refiner produced no split of block {b}")
+        k, w = pr.split(inside)
+        self.inherit(k, w)
+        self.update_count(k, w, self.update_edges(k, w))
         if self.cfg.stats_enabled:
-            self.stats.splits_total += len(pairs)
-        return pairs
+            self.stats.splits_total += 1
+        return k, w
 
-    def find_prefiner(self) -> int | None:
-        """Id of the first block whose upward closure's preimage cuts some
-        block, or None; test the result with ``is None``, as 0 is an id.
+    def find_prefiner(self) -> tuple[int, list[int]] | None:
+        """The first refiner class and the part of its host block to cut,
+        as ``(rep, states)``, or None.
 
         Mid-call the relation is the entry partial order lifted through
         splits, so blocks descended from one entry block are mutually
         related and share an upward closure. A candidate class of block b
         qualifies when the counter says b reaches nothing strictly above
         the class: then the splitter pre(up-set) meets b in exactly the
-        states with an edge into the class, a proper nonempty cut. On a
-        partial order, classes are singletons and the test degenerates to
-        the counter equalling one.
+        states with an edge into the class, a proper nonempty cut, and
+        these are ``states``. On a partial order, classes are singletons
+        and the test degenerates to the counter equalling one.
 
-        Only blocks whose worklist flag is set are searched, lowest id
-        first, which finds what a scan of every block in index order
-        would: a block whose flag is clear hosts no refiner (see the module
-        docstring for the three rules that keep this true). A host keeps
-        its flag, since the split it causes changes it; a clean block's
-        flag is cleared. Under the full check level an empty search is
-        confirmed by scanning every block.
+        Only blocks whose worklist flag is set are searched, from the last
+        host up and then from id 0 up to it, which finds what a scan of
+        every block from the same start would: a block whose flag is clear
+        hosts no refiner (see the module docstring for the three rules
+        that keep this true). A host keeps its flag, since the cut it
+        causes changes it; a clean block's flag is cleared. Under the full
+        check level an empty search is confirmed by scanning every block.
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
         flags = self.worklist
-        i = flags.find(1)
-        while i >= 0:
-            rep = self._hosted_refiner(i)
-            if rep is not None:
-                return rep
-            flags[i] = 0
-            i = flags.find(1, i + 1)
+        resume = self.resume
+        for lo, hi in ((resume, len(flags)), (0, resume)):
+            i = flags.find(1, lo, hi)
+            while i >= 0:
+                found = self._hosted_refiner(i)
+                if found is not None:
+                    self.resume = i
+                    return found
+                flags[i] = 0
+                i = flags.find(1, i + 1, hi)
         if self.cfg.full:
             for b in range(len(flags)):
                 if self._hosted_refiner(b) is not None:
                     raise InvariantViolation(f"refiner worklist missed block {b}")
         return None
 
-    def _hosted_refiner(self, b: int) -> int | None:
-        """The first qualifying candidate class of b, or None."""
+    def _hosted_refiner(self, b: int) -> tuple[int, list[int]] | None:
+        """The first qualifying candidate class of b with its states, or None."""
         row = self.count[b]
         if not row:
             # the relation is reflexive, so only a block without
             # transitions has an empty row, and it hosts no refiner
             return None
-        for rep, blocks_reached in self.post_candidates(b):
+        for rep, blocks_reached, states in self.post_candidates(b):
             if row.get(rep) == blocks_reached:
-                return rep
+                return rep, states
         return None
 
-    def post_candidates(self, b: int) -> list[tuple[int, int]]:
+    def post_candidates(self, b: int) -> list[tuple[int, int, list[int]]]:
         """Classes k reached by b with 0 < |b n pre(union k)| < |b|.
 
         A block's class is the set of blocks mutually related with it,
@@ -351,19 +347,21 @@ class SimulationEngine:
         over b's outgoing transitions, with local tables only: a dict
         names each successor block's class the first time it is met and
         so counts the distinct member blocks of each class that b
-        reaches, and the last state counted for each class makes each
-        state count at most once per class. Each candidate is returned as
-        the id of its representative block, the class's lowest id, with
-        its number of reached member blocks, in the order in which b's
-        transitions first reach the classes.
+        reaches, and a list per class collects b's states with an edge
+        into the class. A state's edges are walked together, so a state
+        already listed is the list's last entry. Each candidate is
+        returned as ``(rep, blocks_reached, states)``: the id of its
+        representative block, the class's lowest id, its number of
+        reached member blocks, and its states in segment order. The
+        candidates come in the order in which b's transitions first reach
+        the classes.
         """
         pr = self.pr
         up, down, state_block = pr.up, pr.down, pr.state_block
         succ = self.ks.succ
         class_of: dict[int, int] = {}  # successor block -> its class id
         class_blocks: dict[int, int] = {}  # first-touch order of classes
-        class_states: dict[int, int] = {}
-        counted_for: dict[int, int] = {}
+        parts: dict[int, list[int]] = {}
         lo, hi = pr.begin[b], pr.end[b]
         for s in pr.states[lo:hi]:
             for y in succ[s]:
@@ -374,33 +372,11 @@ class SimulationEngine:
                     mutual = up[c] & down[c]
                     a = class_of[c] = (mutual & -mutual).bit_length() - 1
                     class_blocks[a] = class_blocks.get(a, 0) + 1
-                if counted_for.get(a) != s:
-                    counted_for[a] = s
-                    class_states[a] = class_states.get(a, 0) + 1
-        return [(a, n) for a, n in class_blocks.items() if class_states[a] < hi - lo]
-
-    def pre_up_set(self, c: int) -> list[int]:
-        """States with an edge into c's upward closure, ascending, each once.
-
-        Walks the in-edges of the closure's states through the predecessor
-        index, not every transition. ``cut`` numbers the new halves, and
-        ``split`` lays out each segment, in splitter order, so the order is
-        part of the result.
-        """
-        pr = self.pr
-        states, begin, end = pr.states, pr.begin, pr.end
-        start, src, fan = self.pred_start, self.pred_src, self.pred_fan
-        hit: set[int] = set()
-        for a in bits(pr.up[c]):
-            for lo in range(begin[a], end[a], _PICK_CHUNK):
-                ys = states[lo : min(lo + _PICK_CHUNK, end[a])]
-                fans = _pick(fan, ys)
-                # the first in-edge of every state that has one, in three
-                # C-level lookups; the rest of the in-edges state by state
-                hit.update(_pick(src, _pick(start, compress(ys, fans))))
-                for y in compress(ys, map((1).__lt__, fans)):
-                    hit.update(src[start[y] + 1 : start[y + 1]])
-        return sorted(hit)
+                    parts.setdefault(a, [s])
+                part = parts[a]
+                if part[-1] != s:
+                    part.append(s)
+        return [(a, n, parts[a]) for a, n in class_blocks.items() if len(parts[a]) < hi - lo]
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -450,8 +426,9 @@ class SimulationEngine:
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
 
-    def update_edges(self, k: int, w: int) -> None:
-        """Move the edge multiplicities of the cut block onto its halves.
+    def update_edges(self, k: int, w: int) -> KeysView[int]:
+        """Move the edge multiplicities of the cut block onto its halves,
+        and return the blocks that w's states have edges into.
 
         Only w, the smaller half, is walked: first its in-edges, through
         the predecessor index, which split the parent's column
@@ -492,13 +469,15 @@ class SimulationEngine:
                 cells[k] = left
             else:
                 del cells[k]
+        return out.keys()
 
-    def update_count(self, k: int, w: int) -> None:
+    def update_count(self, k: int, w: int, reached: KeysView[int]) -> None:
         """Make the counter matrix exact after the cut of k into ``(k, w)``.
 
         ``inherit`` gave w its parent's column and an empty row, and
-        ``update_edges`` split the edge table. The smaller half w is now
-        counted from the successor blocks of its states, while the
+        ``update_edges`` split the edge table and returned ``reached``, the
+        blocks that w's states have edges into. The smaller half w is now
+        counted from these blocks, while the
         parent's row is adjusted for k and then copied into a fresh dict:
         one decrement per successor *family* (both halves count as one
         family, matching the granularity of the parent's value) that k no
@@ -513,15 +492,13 @@ class SimulationEngine:
         equal columns, so such a half is logged into both halves' sets.
         """
         pr = self.pr
-        down, state_block, succ = pr.down, pr.state_block, self.ks.succ
+        down = pr.down
         cnt = self.count
         remove = self.remove
         pre_e = self.pre_e
         track = self.cfg.stats_enabled
         stats = self.stats
 
-        successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(w)))
-        reached = set(map(state_block.__getitem__, successors))
         kr = cnt[k]
         cnt[w] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
         dropped = kr.keys() - row.keys()
@@ -726,13 +703,12 @@ class SimulationEngine:
                 )
 
 
-def predecessor_index(ks: KripkeStructure) -> tuple[array, array, bytes]:
+def predecessor_index(ks: KripkeStructure) -> tuple[array, array]:
     """The in-edges of every state, grouped by target in flat arrays.
 
-    Returns ``(start, src, fan)``: the sources of the transitions into
-    state y are ``src[start[y] : start[y + 1]]``, ascending, and
-    ``fan[y]`` is y's in-degree capped at 2. Four bytes per transition
-    and five per state.
+    Returns ``(start, src)``: the sources of the transitions into state y
+    are ``src[start[y] : start[y + 1]]``, ascending. Four bytes per
+    transition and four per state.
     """
     # arrays only: a Counter or a list of ints over the states would take
     # several times the index's memory on a large sparse structure
@@ -740,7 +716,6 @@ def predecessor_index(ks: KripkeStructure) -> tuple[array, array, bytes]:
     start = array("I", bytes(4 * (n + 1)))
     for y in chain.from_iterable(ks.succ):
         start[y + 1] += 1
-    fan = bytes(map(min, islice(start, 1, None), repeat(2)))
     start = array("I", accumulate(start))
     src = array("I", bytes(4 * start[n]))
     fill = start[:n]
@@ -749,16 +724,7 @@ def predecessor_index(ks: KripkeStructure) -> tuple[array, array, bytes]:
             p = fill[y]
             src[p] = s
             fill[y] = p + 1
-    return start, src, fan
-
-
-def _pick(seq, indices) -> tuple:
-    """``seq[i]`` for every i in ``indices``, in one C-level lookup."""
-    indices = tuple(indices)
-    if len(indices) > 1:
-        return itemgetter(*indices)(seq)
-    # an itemgetter of one index returns a scalar, not a tuple
-    return tuple(seq[i] for i in indices)
+    return start, src
 
 
 def transpose(rows: list[int]) -> list[int]:

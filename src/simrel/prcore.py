@@ -143,7 +143,8 @@ class PartitionRelationPair:
         """Cut one block in two and return the ``(kept, new)`` id pair.
 
         ``inside`` is a duplicate-free, proper and nonempty part of one
-        block's states, in splitter order. ``new`` is the next free id and
+        block's states; its order sets the order of the segment, and no
+        result depends on it. ``new`` is the next free id and
         gets the smaller part, the ``inside`` part on a tie, and ``kept``
         keeps the block's id and the larger part. Each state of ``inside``
         is swapped to the end of the block's segment, so only that

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simrel.engine import (
@@ -54,12 +54,19 @@ def queued(eng):
 
 
 def run_one_split_round(eng):
-    """Drive exactly one refiner-split-update iteration."""
-    refiner = eng.find_prefiner()
-    assert refiner is not None
-    pairs = eng.cut(eng.pre_up_set(refiner))
-    assert pairs
-    return pairs
+    """Drive exactly one refiner-cut-update iteration; return its pair."""
+    found = eng.find_prefiner()
+    assert found is not None
+    return eng.cut(found[1])
+
+
+def host_share(eng, rep, states):
+    """The states of the block holding ``states[0]`` with an edge into
+    rep's upward closure, in segment order: what a refiner hit on
+    ``(rep, states)`` must cut."""
+    pr = eng.pr
+    splitter = pre_of(eng.ks, pr.up_set_states(rep))
+    return [s for s in pr.block_states(pr.state_block[states[0]]) if s in splitter]
 
 
 class TestInitialize:
@@ -94,6 +101,16 @@ class TestInitialize:
         eng = engine_after_initialize(ks_a)
         assert eng.worklist == bytearray([1] * len(eng.pr.begin))
 
+    @given(random_ks(max_states=30))
+    @settings(max_examples=40, deadline=None)
+    def test_predecessor_index_lists_every_in_edge(self, ks):
+        eng = engine_after_initialize(ks)
+        start, src = eng.pred_start, eng.pred_src
+        assert len(start) == ks.num_states + 1 and len(src) == start[-1]
+        for y in range(ks.num_states):
+            sources = [s for s in range(ks.num_states) for t in ks.succ[s] if t == y]
+            assert list(src[start[y] : start[y + 1]]) == sources
+
     def test_pre_e_duplicate_free(self):
         ks = build_ks("aa", [(0, 1), (1, 1), (0, 0)])
         eng = engine_after_initialize(ks)
@@ -126,7 +143,7 @@ class TestPostCandidates:
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
         # one of the pair block's two states reaches the sink's class
-        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1)]
+        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1, [0])]
 
     def test_full_reach_excluded(self):
         ks = build_ks("aab", [(0, 2), (1, 2)])
@@ -134,14 +151,14 @@ class TestPostCandidates:
         assert eng.post_candidates(eng.pr.state_block[0]) == []
 
     def test_per_state_successor_dedup(self):
-        # a state with edges into two member blocks of one class counts
+        # a state with edges into two member blocks of one class is listed
         # once for that class: one of two states reaches it, a proper cut
         ks = build_ks("aabc", [(0, 2), (0, 3)])
         eng = engine_after_initialize(ks)
         b_b, b_c = eng.pr.state_block[2], eng.pr.state_block[3]
         relate(eng.pr, b_b, b_c)
         relate(eng.pr, b_c, b_b)
-        assert eng.post_candidates(eng.pr.state_block[0]) == [(b_b, 2)]
+        assert eng.post_candidates(eng.pr.state_block[0]) == [(b_b, 2, [0])]
 
     def test_candidates_in_first_touch_order(self):
         # state 0 reaches block 2 before block 1, so block-id order and
@@ -150,8 +167,19 @@ class TestPostCandidates:
         eng = engine_after_initialize(ks)
         b_a, b_c, b_b = block_ids(eng.pr)
         assert (eng.pr.state_block[2], eng.pr.state_block[3]) == (b_c, b_b)
-        assert eng.post_candidates(b_a) == [(b_b, 1), (b_c, 1)]
-        assert eng.find_prefiner() == b_b
+        assert eng.post_candidates(b_a) == [(b_b, 1, [0]), (b_c, 1, [0])]
+        assert eng.find_prefiner() == (b_b, [0])
+
+    def test_states_listed_once_in_segment_order(self):
+        # three of block a's states reach block b, state 2 by two edges;
+        # with a's segment reversed, they are listed in segment order
+        ks = build_ks("aaaabb", [(0, 4), (2, 4), (2, 5), (3, 5)])
+        eng = engine_after_initialize(ks)
+        pr = eng.pr
+        pr.states[0:4] = [3, 2, 1, 0]
+        for p, s in enumerate(pr.states):
+            pr.pos[s] = p
+        assert eng.post_candidates(0) == [(1, 1, [3, 2, 0])]
 
 
 class TestFindPRefiner:
@@ -161,8 +189,23 @@ class TestFindPRefiner:
 
     def test_one_sided_structure_finds_own_block(self, ks_b):
         eng = engine_after_initialize(ks_b)
-        refiner = eng.find_prefiner()
-        assert refiner == 0
+        assert eng.find_prefiner() == (0, [0])
+
+    def test_search_starts_at_the_last_host(self):
+        # both blocks host a refiner; the search starts at ``resume``
+        ks = build_ks("aabb", [(0, 0), (2, 2)])
+        eng = engine_after_initialize(ks)
+        eng.resume = 1
+        assert eng.find_prefiner() == (1, [2])
+        assert eng.resume == 1 and queued(eng) == {0, 1}
+
+    def test_search_wraps_around_to_a_host_below_the_start(self):
+        # the only host, block 0, lies below the start; block 1 has no
+        # transitions, is found clean and loses its flag
+        eng = engine_after_initialize(build_ks("aab", [(0, 0)]))
+        eng.resume = 1
+        assert eng.find_prefiner() == (0, [0])
+        assert eng.resume == 0 and queued(eng) == {0}
 
     def test_converged_pair_has_none(self, ks_a, ks_b):
         for ks in (ks_a, ks_b):
@@ -180,44 +223,9 @@ class TestFindPRefiner:
 
     def test_split_queues_halves_and_their_predecessors(self, ks_b):
         eng = engine_after_initialize(ks_b)
-        [(kept, new)] = run_one_split_round(eng)
+        kept, new = run_one_split_round(eng)
         expected = {kept, new, *eng.pre_e[kept], *eng.pre_e[new]}
         assert queued(eng) == expected
-
-
-class TestPreUpSet:
-    def test_unreachable_block(self):
-        eng = engine_after_initialize(build_ks("ab", []))
-        assert eng.pre_up_set(0) == []
-
-    def test_sink_closure_preimage(self, ks_a):
-        eng = engine_after_initialize(ks_a)
-        assert sorted(eng.pre_up_set(eng.pr.state_block[2])) == [0, 1, 2]
-
-    def test_union_when_related(self):
-        ks = build_ks("ab", [(0, 1)])
-        eng = engine_after_initialize(ks)
-        b_a, b_b = block_ids(eng.pr)
-        relate(eng.pr, b_a, b_b)
-        # up-set of block a is now {0, 1}; only 0 has an edge into it
-        assert eng.pre_up_set(b_a) == [0]
-
-    def test_block_larger_than_one_lookup_chunk(self):
-        # one block of 2,100 states, looked up in several chunks: a path,
-        # so that every state but the last is the source of its
-        # successor's first in-edge, plus some second in-edges
-        n = 2100
-        succ = {s: [s + 1] + [(3 * s + 1) % n] * (s % 5 == 0) for s in range(n - 1)}
-        ks = KripkeStructure(n, {}, succ)
-        eng = engine_after_initialize(ks)
-        assert set(eng.pred_fan) == {0, 1, 2}
-        assert eng.pre_up_set(0) == sorted(pre_of(ks, range(n)))
-
-    def test_no_duplicates(self):
-        ks = build_ks("aa", [(0, 0), (0, 1), (1, 0)])
-        eng = engine_after_initialize(ks)
-        out = eng.pre_up_set(0)
-        assert len(out) == len(set(out))
 
 
 class TestPStabilize:
@@ -350,8 +358,8 @@ class ExactAfterEveryPair(SimulationEngine):
         super().__init__(ks)
         self.checked = []
 
-    def update_count(self, k, w):
-        SimulationEngine.update_count(self, k, w)
+    def update_count(self, k, w, reached):
+        SimulationEngine.update_count(self, k, w, reached)
         assert_edge_tables_exact(self)
         assert self.count == recompute_tables(self.ks, self.pr)[1]
         self.checked.append((k, w))
@@ -369,28 +377,27 @@ class TestUpdateEdges:
     )
     @settings(max_examples=60, deadline=None)
     def test_tables_equal_recount_after_every_split_round(self, ks):
-        # the edge table and the counter rows are exact after every pair,
-        # not only after every splitter
+        # the edge table and the counter rows are exact after every cut
         eng = ExactAfterEveryPair(ks)
         eng.initialize()
         assert_edge_tables_exact(eng)
         while True:
-            refiner = eng.find_prefiner()
-            while refiner is not None:
-                splitter = eng.pre_up_set(refiner)
-                assert splitter == sorted(pre_of(ks, eng.pr.up_set_states(refiner)))
-                pairs = eng.cut(splitter)
-                assert pairs and eng.checked == pairs
+            found = eng.find_prefiner()
+            while found is not None:
+                rep, states = found
+                assert states == host_share(eng, rep, states)
+                pair = eng.cut(states)
+                assert eng.checked == [pair]
                 eng.checked.clear()
-                refiner = eng.find_prefiner()
+                found = eng.find_prefiner()
             if eng.rstabilize():
                 break
         result, _ = compute_simulation(ks)
         assert eng.pr.extract_result() == result
 
     def test_one_split_cutting_three_blocks(self):
-        # blocks a = {0, 1, 2}, b = {3, 4, 5, 6}, c = {7, 8}, d = {9}; the
-        # splitter cuts a, b and c, one after the other, and the tables are
+        # blocks a = {0, 1, 2}, b = {3, 4, 5, 6}, c = {7, 8}, d = {9}; three
+        # cuts split a, b and c, one after the other, and the tables are
         # recounted after each cut. Edges 0 -> 3 and 6 -> 1 join halves of
         # two different pairs, 4 -> 5 and 1 -> 2 stay inside one half, and
         # 6 -> 4 crosses the halves of one pair
@@ -402,12 +409,15 @@ class TestUpdateEdges:
         eng = ExactAfterEveryPair(ks)
         eng.initialize()
         pr = eng.pr
-        pairs = eng.cut([0, 3, 4, 5, 7])
+        pairs = []
+        for inside in ([0], [3, 4, 5], [7]):
+            pairs.append(eng.cut(inside))
+            assert_edge_tables_exact(eng)
         assert pairs == eng.checked == [(0, 4), (1, 5), (2, 6)]
-        # every new half is the smaller: a's is its splitter part; b's
-        # splitter part is the larger, so b's id stays with it and its
-        # other state gets the new id; c's halves tie, and the splitter's
-        # part gets the new id
+        # every new half is the smaller: a's is the given part; b's given
+        # part is the larger, so b's id stays with it and its other state
+        # gets the new id; c's halves tie, and the given part gets the new
+        # id
         assert [sorted(pr.block_states(b)) for b in block_ids(pr)] == [
             [1, 2], [3, 4, 5], [8], [9], [0], [6], [7],
         ]
@@ -415,11 +425,27 @@ class TestUpdateEdges:
         assert eng.pre_e[1] == {1: 2, 4: 1, 5: 1}
         assert eng.pre_e[5] == {3: 1, 6: 1}
 
+    @given(random_ks(max_states=16))
+    @settings(max_examples=40, deadline=None)
+    def test_returns_the_blocks_the_new_half_reaches(self, ks):
+        eng = engine_after_initialize(ks)
+        found = eng.find_prefiner()
+        assume(found is not None)
+        kept, new = eng.pr.split(found[1])
+        eng.inherit(kept, new)
+        reached = eng.update_edges(kept, new)
+        succ, state_block = ks.succ, eng.pr.state_block
+        assert set(reached) == {
+            state_block[y] for s in eng.pr.block_states(new) for y in succ[s]
+        }
+
 
 class TestInherit:
     def test_empty_split_list_no_change(self):
-        # a splitter that cuts no block changes no table
-        eng = engine_after_initialize(build_ks("aab", [(0, 2), (1, 2)]))
+        # a part that is a whole block is refused at the full level, before
+        # it changes any table
+        eng = SimulationEngine(build_ks("aab", [(0, 2), (1, 2)]), FULL)
+        eng.initialize()
 
         def tables():
             pr = eng.pr
@@ -430,8 +456,9 @@ class TestInherit:
             )
 
         before = tables()
-        for splitter in ([], [0, 1], [0, 1, 2]):
-            assert eng.cut(splitter) == []
+        for inside in ([0, 1], [1, 0], [2]):
+            with pytest.raises(InvariantViolation, match="no split"):
+                eng.cut(inside)
             assert tables() == before
 
     def test_one_row_and_column_per_new_half(self):
@@ -472,11 +499,10 @@ class TestInherit:
         ks = build_ks("aaaab", [(0, 4), (1, 4), (2, 4)])
         eng = engine_after_initialize(ks)
         parent_row = eng.count[0]
-        kept, new = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
+        kept, new = eng.pr.split(eng.find_prefiner()[1])
         eng.inherit(kept, new)
         assert eng.count[kept] is parent_row and eng.count[new] == {}
-        eng.update_edges(kept, new)
-        eng.update_count(kept, new)
+        eng.update_count(kept, new, eng.update_edges(kept, new))
         assert eng.count[kept] is not parent_row
         assert eng.count == recompute_tables(ks, eng.pr)[1]
 
@@ -600,16 +626,16 @@ class TestFullChecks:
         # the cheap level range-checks the rows update_count writes
         eng = SimulationEngine(ks_b, EngineConfig(check_level="cheap"))
         eng.initialize()
-        kept, new = eng.pr.split(eng.pre_up_set(eng.find_prefiner()))
+        kept, new = eng.pr.split(eng.find_prefiner()[1])
         eng.inherit(kept, new)
-        eng.update_edges(kept, new)
+        reached = eng.update_edges(kept, new)
         begin, end = eng.pr.begin, eng.pr.end
         # the larger half keeps the id, and its row is adjusted, not recounted
         assert end[kept] - begin[kept] >= end[new] - begin[new]
         # above the block count, and still above it after a decrement
         eng.count[kept][kept] = 99
         with pytest.raises(InvariantViolation, match="counter out of range"):
-            eng.update_count(kept, new)
+            eng.update_count(kept, new, reached)
 
     def test_down_out_of_step_with_up_detected(self, ks_a):
         eng = SimulationEngine(ks_a, FULL)
@@ -799,7 +825,31 @@ class FullScanEngine(SimulationEngine):
         return SimulationEngine.find_prefiner(self)
 
 
+class HitsChecked(SimulationEngine):
+    """The engine checking every refiner hit: the part it returns is the
+    host block's share of pre(up(rep)). ``hits`` counts the hits."""
+
+    hits = 0
+
+    def find_prefiner(self):
+        found = SimulationEngine.find_prefiner(self)
+        if found is not None:
+            rep, states = found
+            assert states == host_share(self, rep, states)
+            self.hits += 1
+        return found
+
+
 class TestEngineProperties:
+    @given(random_ks(max_states=24))
+    @settings(max_examples=80, deadline=None)
+    def test_every_hit_cuts_the_hosts_share_of_the_splitter(self, ks):
+        eng = HitsChecked(ks, EngineConfig(check_level="cheap", stats_enabled=True))
+        result, stats = eng.run()
+        # every hit is one cut
+        assert eng.hits == stats.splits_total
+        assert result == compute_simulation(ks)[0]
+
     @given(random_ks(max_states=16))
     @settings(max_examples=80, deadline=None)
     def test_worklist_search_equals_full_scan(self, ks):

@@ -55,10 +55,10 @@ GOLDEN = {
         {
             "splits_total": 381,
             "new_blocks_total": 762,
-            "prefiner_calls": 64,
+            "prefiner_calls": 390,
             "findprefiner_null_returns": 1,
-            "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1066,
+            "smaller_half_max_scans": 4,
+            "smaller_half_total_scans": 1082,
             "remove_elements_total": 80953,
             "pairs_removed_total": 15803,
         },
@@ -69,10 +69,10 @@ GOLDEN = {
         {
             "splits_total": 373,
             "new_blocks_total": 746,
-            "prefiner_calls": 61,
+            "prefiner_calls": 381,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1053,
+            "smaller_half_total_scans": 1074,
             "remove_elements_total": 76629,
             "pairs_removed_total": 14982,
         },
@@ -83,10 +83,10 @@ GOLDEN = {
         {
             "splits_total": 376,
             "new_blocks_total": 752,
-            "prefiner_calls": 63,
+            "prefiner_calls": 384,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1081,
+            "smaller_half_total_scans": 1079,
             "remove_elements_total": 80388,
             "pairs_removed_total": 15528,
         },

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simrel.engine import EngineConfig, SimulationEngine
+from simrel.engine import EngineConfig, InvariantViolation, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
 from simrel.prcore import SimulationResult, bit_flags, bits, init_pr
 
@@ -49,16 +49,20 @@ class TestInitPr:
         assert pr.state_block == [2, 0, 1]
         eng = SimulationEngine(ks)
         eng.initialize()
-        assert type(eng.find_prefiner()) is int
+        rep, states = eng.find_prefiner()
+        assert type(rep) is int and all(type(s) is int for s in states)
 
 
 class TestSplit:
-    # ``split`` cuts one block; the engine's ``cut`` groups a splitter by
-    # block and cuts each block it meets properly
+    # ``split`` cuts one block; the engine's ``cut`` cuts one block and
+    # brings its tables up to date
     def test_splitter_covering_everything_is_noop(self):
-        eng = engine_after_initialize(build_ks("aaa", []))
+        # the full check level refuses a part that is the whole block
+        eng = SimulationEngine(build_ks("aaa", []), EngineConfig(check_level="full"))
+        eng.initialize()
         pr = eng.pr
-        assert eng.cut([0, 1, 2]) == []
+        with pytest.raises(InvariantViolation, match="no split"):
+            eng.cut([0, 1, 2])
         assert len(pr.begin) == 1
         assert sorted(pr.block_states(0)) == [0, 1, 2]
 
@@ -88,10 +92,10 @@ class TestSplit:
         assert pr.state_block == [0, 1, 0, 1]
 
     def test_double_split(self):
-        # two blocks, splitter straddling both: both split
+        # two blocks, one cut each: both split, new ids in cut order
         eng = engine_after_initialize(build_ks("aabb", []))
         pr = eng.pr
-        assert eng.cut([1, 2]) == [(0, 2), (1, 3)]
+        assert [eng.cut([1]), eng.cut([2])] == [(0, 2), (1, 3)]
         halves = {tuple(sorted(pr.block_states(b))) for b in range(len(pr.begin))}
         assert halves == {(0,), (1,), (2,), (3,)}
 
@@ -102,48 +106,38 @@ class TestSplit:
         assert len(pr.begin) == 3
         assert sorted(pr.state_block) == [0, 1, 2]
 
-    def test_empty_splitter(self):
-        eng = engine_after_initialize(build_ks("aa", []))
-        assert eng.cut([]) == []
-        assert eng.pr.begin == [0] and eng.pr.end == [2]
-
-    @given(
-        st.integers(2, 10),
-        st.lists(st.lists(st.integers(0, 9), max_size=8), min_size=1, max_size=3),
-        st.integers(0, 2**31),
-    )
+    @given(st.integers(2, 10), st.integers(0, 2**31), st.data())
     @settings(max_examples=60)
-    def test_segments_cover_after_random_splits(self, n, raw_splitters, seed):
+    def test_segments_cover_after_random_splits(self, n, seed, data):
         ks = generate_random_ks(n, 2, 0.3, seed)
         eng = engine_after_initialize(ks)
         pr = eng.pr
-        for raw in raw_splitters:
-            # duplicate-free, in drawn order, so pair order is exercised
-            splitter = list(dict.fromkeys(s % n for s in raw))
-            inside = set(splitter)
+        for _ in range(data.draw(st.integers(1, 3))):
             nb = len(pr.begin)
-            before = {b: set(pr.block_states(b)) for b in range(nb)}
-            met = list(dict.fromkeys(pr.state_block[s] for s in splitter))
-            pairs = eng.cut(splitter)
-            # new ids run upward from the old block count, in pair order
-            assert [new for _, new in pairs] == list(range(nb, nb + len(pairs)))
-            assert len(pr.begin) == len(pr.end) == nb + len(pairs)
-            for kept, new in pairs:
-                parts = before[kept] & inside, before[kept] - inside
-                # new gets the smaller part, the splitter's on a tie
-                small, large = parts if len(parts[0]) <= len(parts[1]) else parts[::-1]
-                assert set(pr.block_states(new)) == small
-                assert set(pr.block_states(kept)) == large
-                assert len(pr.block_states(new)) <= len(pr.block_states(kept))
-            # pairs follow the first splitter state of each cut block
-            cut = [kept for kept, _ in pairs]
-            assert cut == [b for b in met if b in cut]
-            for b, members in before.items():
-                if b not in cut:
-                    assert members <= inside or not members & inside
-                    assert set(pr.block_states(b)) == members
-            for b in range(len(pr.begin)):
-                assert all(pr.state_block[s] == b for s in pr.block_states(b))
+            cuttable = [b for b in range(nb) if pr.end[b] - pr.begin[b] > 1]
+            if not cuttable:
+                break
+            b = data.draw(st.sampled_from(cuttable))
+            before = {c: set(pr.block_states(c)) for c in range(nb)}
+            # a proper part, duplicate-free, in drawn order
+            inside = data.draw(
+                st.lists(st.sampled_from(pr.block_states(b)), min_size=1,
+                         max_size=len(before[b]) - 1, unique=True)
+            )
+            kept, new = eng.cut(inside)
+            # the new id is the next one, and the block keeps its own
+            assert (kept, new) == (b, nb)
+            assert len(pr.begin) == len(pr.end) == nb + 1
+            parts = set(inside), before[b] - set(inside)
+            # new gets the smaller part, the given one on a tie
+            small, large = parts if len(parts[0]) <= len(parts[1]) else parts[::-1]
+            assert set(pr.block_states(new)) == small
+            assert set(pr.block_states(kept)) == large
+            for c, members in before.items():
+                if c != b:
+                    assert set(pr.block_states(c)) == members
+            for c in range(len(pr.begin)):
+                assert all(pr.state_block[s] == c for s in pr.block_states(c))
         blocks = range(len(pr.begin))
         covered = sorted(s for b in blocks for s in pr.block_states(b))
         assert covered == list(range(n))
