@@ -33,6 +33,7 @@ from .kripke import (
     serialize_ks,
 )
 from .oracle import brute_force_simulation
+from .prcore import bits
 
 ORACLE_STATE_CAP = 64
 
@@ -73,14 +74,23 @@ def _load_ks(path: str) -> KripkeStructure:
 
 
 def _report_text(result, stats) -> str:
-    lines = [
-        f"block {i}: {{{', '.join(map(str, members))}}}"
+    """The blocks, then one ``order: i ⊴ j`` line per related pair.
+
+    The order lines are written from ``result.rows``, one row at a time,
+    with no list of pairs.
+    """
+    chunks = [
+        f"block {i}: {{{', '.join(map(str, members))}}}\n"
         for i, members in enumerate(result.partition)
     ]
-    lines += ["order: %d ⊴ %d" % pair for pair in result.order_pairs()]
+    for i, row in enumerate(result.rows):
+        above = bits(row & ~(1 << i))
+        if above:
+            head = f"order: {i} ⊴ "
+            chunks.append(head + f"\n{head}".join(map(str, above)) + "\n")
     if stats is not None:
-        lines.append(stats.to_text())
-    return "\n".join(lines) + "\n"
+        chunks.append(stats.to_text() + "\n")
+    return "".join(chunks) or "\n"
 
 
 def _json_list(items: list[str]) -> str:

@@ -99,10 +99,11 @@ class EngineConfig:
 
     ``check_level``: "off" disables runtime assertions apart from the
     counter decrements, which always refuse to go below zero. "cheap"
-    adds structural checks after every cut and every pruning round,
-    each linear in states and blocks, plus a range check of the nonzero
-    cells of the counter rows each cut changed: those of each half and of
-    each predecessor block of a half. "full" adds from-scratch table
+    adds structural checks of the cut block's two segments after every
+    cut, and of every segment and block, linear in states and blocks,
+    after every partition phase and pruning round; plus a range check of
+    the nonzero cells of the counter rows each cut changed: those of each
+    half and of each predecessor block of a half. "full" adds from-scratch table
     recomputation and order-algebra checks after every phase, as bitset
     operations over the relation. Checks never change results.
     ``stats_enabled`` toggles counter collection; results are identical
@@ -252,15 +253,19 @@ class SimulationEngine:
     def pstabilize(self) -> None:
         """Cut until no partition refiner remains.
 
-        Each refiner is one ``cut`` of its host block, and the self-checks
-        run after every cut.
+        Each refiner is one ``cut`` of its host block. After every cut the
+        cheap level checks the two halves, the only segments a cut
+        changes, and the full level rechecks every table; the cheap level
+        walks the whole structure once when the phase ends.
         """
         while (found := self.find_prefiner()) is not None:
-            self.cut(found[1])
+            k, w = self.cut(found[1])
             if self.cfg.cheap:
-                self._check_structure()
+                self._check_cut(k, w)
             if self.cfg.full:
                 self._check_tables()
+        if self.cfg.cheap:
+            self._check_structure()
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
 
@@ -626,27 +631,39 @@ class SimulationEngine:
     def _check_structure(self) -> None:
         """Cheap structural sanity: segments cover, pointers agree, diagonal set."""
         pr = self.pr
-        n = len(pr.states)
-        seen = bytearray(n)
-        covered = 0
-        for b, (lo, hi) in enumerate(zip(pr.begin, pr.end)):
-            if lo >= hi:
-                raise InvariantViolation(f"empty live block {b}, [{lo},{hi})")
-            covered += hi - lo
-            for p in range(lo, hi):
-                s = pr.states[p]
-                if pr.state_block[s] != b:
-                    raise InvariantViolation("segment and block pointer disagree")
-                if seen[s]:
-                    raise InvariantViolation("state appears twice")
-                seen[s] = 1
-                if pr.pos[s] != p:
-                    raise InvariantViolation("position index stale")
-        if covered != n:
+        if self._check_segments(range(len(pr.begin))) != len(pr.states):
             raise InvariantViolation("segments do not cover the state ordering")
         for b, row in enumerate(pr.up):
             if not row >> b & 1:
                 raise InvariantViolation("relation lost reflexivity")
+
+    def _check_cut(self, k: int, w: int) -> None:
+        """Cheap check of one cut into ``(k, w)``: the states of both
+        halves point back at them, and w is related to itself."""
+        self._check_segments((k, w))
+        if not self.pr.up[w] >> w & 1:
+            raise InvariantViolation("relation lost reflexivity")
+
+    def _check_segments(self, blocks) -> int:
+        """Check that each block's segment is nonempty and that every state
+        in it points back at the block and at its position; return the
+        number of positions walked. A state listed twice fails the
+        position check at one of its places."""
+        pr = self.pr
+        states, pos, state_block = pr.states, pr.pos, pr.state_block
+        covered = 0
+        for b in blocks:
+            lo, hi = pr.begin[b], pr.end[b]
+            if lo >= hi:
+                raise InvariantViolation(f"empty live block {b}, [{lo},{hi})")
+            covered += hi - lo
+            for p in range(lo, hi):
+                s = states[p]
+                if state_block[s] != b:
+                    raise InvariantViolation("segment and block pointer disagree")
+                if pos[s] != p:
+                    raise InvariantViolation("position index stale")
+        return covered
 
     def _check_tables(self) -> None:
         """Full check: the edge table equals the transpose of its

@@ -17,6 +17,9 @@ b, and ``down[c]``, the blocks below c), and the engine's own lists:
 edge multiplicities, sparse counter rows, removal sets and worklist
 flags. The engine gives each new half its kept half's entries before it
 cuts the next block.
+``extract_result`` hands the converged pair out as a ``SimulationResult``
+that keeps the relation as bits too: one int row per block, renumbered
+into result order.
 ``bits`` and ``bit_flags`` read a bitset back as indices or as one byte
 per bit.
 """
@@ -24,13 +27,15 @@ per bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from functools import cached_property
+from itertools import compress, repeat
 from operator import itemgetter
 
 from .kripke import KripkeStructure, initial_label_partition
 
-# bin() digits to bytes 0 and 1
+# bin() digits to bytes 0 and 1, and back
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def bits(x: int) -> list[int]:
@@ -66,37 +71,41 @@ def bit_flags(x: int, width: int) -> bytes:
 class SimulationResult:
     """Immutable final partition plus the partial order on its blocks.
 
-    Blocks are ordered by smallest member; ``leq[i][j]`` is true iff every
-    state of block j simulates every state of block i.
+    Blocks are ordered by smallest member. ``rows[i]`` is block i's row
+    of the order as a bitset over result block indices: bit j is set iff
+    every state of block j simulates every state of block i. ``leq``,
+    ``order_pairs()`` and ``state_matrix()`` are views of the rows;
+    ``leq`` is built on first access and then kept.
     """
 
     partition: tuple[tuple[int, ...], ...]
-    leq: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
 
     @property
     def num_states(self) -> int:
         return sum(len(b) for b in self.partition)
 
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """``leq[i][j]`` is true iff bit j of ``rows[i]`` is set."""
+        k = len(self.partition)
+        return tuple(tuple(map(bool, bit_flags(row, k))) for row in self.rows)
+
     def state_matrix(self) -> list[bytearray]:
         """The represented state relation: s related to t iff block(s) leq block(t)."""
-        n = self.num_states
-        blk = [0] * n
+        k = len(self.partition)
+        blk = [0] * self.num_states
         for i, members in enumerate(self.partition):
             for s in members:
                 blk[s] = i
-        rows = []
-        for s in range(n):
-            leq_row = self.leq[blk[s]]
-            rows.append(bytearray(1 if leq_row[blk[t]] else 0 for t in range(n)))
-        return rows
+        block_rows = [bytes(map(bit_flags(row, k).__getitem__, blk)) for row in self.rows]
+        return [bytearray(block_rows[i]) for i in blk]
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """Non-diagonal related block index pairs, row-major."""
-        k = len(self.partition)
         out: list[tuple[int, int]] = []
-        for i, row in enumerate(self.leq):
-            out.extend(zip(repeat(i), compress(range(i), row)))
-            out.extend(zip(repeat(i), compress(range(i + 1, k), islice(row, i + 1, None))))
+        for i, row in enumerate(self.rows):
+            out.extend(zip(repeat(i), bits(row & ~(1 << i))))
         return out
 
 
@@ -181,18 +190,25 @@ class PartitionRelationPair:
         return kept, new
 
     def extract_result(self) -> SimulationResult:
-        """Deep copy the converged pair into an immutable result."""
+        """Copy the converged pair into an immutable result.
+
+        Each result row is block b's ``up[b]`` with its bits renumbered
+        into result order, in one C-level pass per row: the getter reads
+        b's flags from the last result block to the first, so that the
+        bytes are the row's binary digits, most significant first. Its
+        first index reads a padding byte, a leading zero digit, which
+        keeps its return value a tuple even for one block.
+        """
         nb = len(self.begin)
         ordered = sorted(range(nb), key=lambda b: min(self.block_states(b)))
         partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
         up = self.up
-        if nb > 1:
-            get = itemgetter(*ordered)
-            leq = tuple(tuple(map(bool, get(bit_flags(up[i], nb)))) for i in ordered)
-        else:
-            # an itemgetter of one index returns a scalar, not a tuple
-            leq = tuple((bool(up[i] >> i & 1),) for i in ordered)
-        return SimulationResult(partition, leq)
+        digits = itemgetter(nb, *reversed(ordered))
+        rows = tuple(
+            int(bytes(digits(bit_flags(up[b], nb + 1))).translate(_FLAG_DIGITS), 2)
+            for b in ordered
+        )
+        return SimulationResult(partition, rows)
 
 
 def init_pr(ks: KripkeStructure) -> PartitionRelationPair:

@@ -26,7 +26,7 @@ KS_B_TEXT = "states 2\nlabel 0 a\nlabel 1 a\ntrans 0 0\n"
 
 def claim_all_equivalent(ks, cfg=None):
     """A corrupted engine: every state simulates every other."""
-    result = SimulationResult((tuple(range(ks.num_states)),), ((True,),))
+    result = SimulationResult((tuple(range(ks.num_states)),), (1,))
     return result, None
 
 

@@ -637,6 +637,26 @@ class TestFullChecks:
         with pytest.raises(InvariantViolation, match="counter out of range"):
             eng.update_count(kept, new, reached)
 
+    @pytest.mark.parametrize(
+        "table, message", [("pos", "position index stale"), ("state_block", "pointer disagree")]
+    )
+    def test_corrupt_state_tables_inside_a_cut_detected(self, table, message):
+        # the cheap level checks the cut block's two segments right after
+        # the cut, before the next search
+        eng = SimulationEngine(make_chain(4), EngineConfig(check_level="cheap"))
+        eng.initialize()
+        cut = eng.cut
+
+        def corrupting_cut(inside):
+            k, w = cut(inside)
+            getattr(eng.pr, table)[eng.pr.block_states(w)[0]] += 1
+            return k, w
+
+        eng.cut = corrupting_cut
+        with pytest.raises(InvariantViolation, match=message):
+            eng.pstabilize()
+        assert len(eng.pr.begin) == 2
+
     def test_down_out_of_step_with_up_detected(self, ks_a):
         eng = SimulationEngine(ks_a, FULL)
         eng.initialize()

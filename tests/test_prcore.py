@@ -173,6 +173,9 @@ class TestExtractResult:
         eng = SimulationEngine(ks, EngineConfig())
         result, _ = eng.run()
         assert result.partition == ((0,),)
+        assert result.rows == (1,)
+        assert result.order_pairs() == []
+        assert result.state_matrix() == [bytearray([1])]
         assert result.leq == ((True,),)
 
     def test_sink_structure(self, ks_a):
@@ -202,10 +205,40 @@ class TestExtractResult:
     def test_order_pairs_equals_naive_loop(self, rows):
         k = len(rows)
         leq = tuple(map(tuple, rows))
-        result = SimulationResult(tuple((i,) for i in range(k)), leq)
+        bit_rows = tuple(sum(1 << j for j in range(k) if row[j]) for row in leq)
+        result = SimulationResult(tuple((i,) for i in range(k)), bit_rows)
+        assert result.leq == leq
         assert result.order_pairs() == [
             (i, j) for i in range(k) for j in range(k) if i != j and leq[i][j]
         ]
+
+    @given(st.integers(1, 24), st.integers(1, 3), st.sampled_from([0.05, 0.15, 0.4]),
+           st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_naive_rebuild(self, n, labels, prob, seed):
+        # the oracle is the P x P derivation that held the result before
+        # the rows; n = 1 and structures with one block cover P = 1
+        eng = SimulationEngine(generate_random_ks(n, labels, prob, seed))
+        result, _ = eng.run()
+        pr = eng.pr
+        nb = len(pr.begin)
+        ordered = sorted(range(nb), key=lambda b: min(pr.block_states(b)))
+        leq = tuple(tuple(bool(pr.up[i] >> j & 1) for j in ordered) for i in ordered)
+        assert result.partition == tuple(tuple(sorted(pr.block_states(b))) for b in ordered)
+        assert result.rows == tuple(
+            sum(1 << j for j, related in enumerate(row) if related) for row in leq
+        )
+        assert result.order_pairs() == [
+            (i, j) for i, row in enumerate(leq) for j in range(nb) if i != j and row[j]
+        ]
+        blk = {s: i for i, members in enumerate(result.partition) for s in members}
+        assert result.state_matrix() == [
+            bytearray(1 if leq[blk[s]][blk[t]] else 0 for t in range(n)) for s in range(n)
+        ]
+        # leq is built on first read, then kept
+        assert "leq" not in vars(result)
+        assert result.leq == leq
+        assert result.leq is result.leq
 
 
 def naive_bits(x):
