@@ -145,8 +145,12 @@ def compute(input_path, fmt, with_stats, check):
 
 
 def _verify_one(ks: KripkeStructure) -> tuple[int, int] | None:
-    """Return the first differing state pair, or None when relations match."""
-    result, _ = _run_engine(ks)
+    """Return the first differing state pair, or None when relations match.
+
+    The engine runs every self-check of the ``full`` level, so that an
+    empty refiner search is confirmed by a scan of every block.
+    """
+    result, _ = _run_engine(ks, EngineConfig(check_level="full"))
     engine_rows = result.state_matrix()
     oracle_rows = brute_force_simulation(ks).matrix
     for s in range(ks.num_states):

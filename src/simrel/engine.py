@@ -50,25 +50,31 @@ refiner when ``post_candidates`` yields a qualifying class for it, which
 depends only on the block's counter row, its successor blocks and their
 classes. A block's class is read off the relation: the blocks mutually
 related with it, which during partition stabilization are the blocks
-descended from one block by splits. The worklist is one ``bytearray``
-of flags indexed by block id: a block's flag is set while its hosting
-may have changed since it was last found clean. The walk starts at the
-last host and wraps around once, so it finds what a scan of every block
-from the same start would, and the blocks that a cut flags below its
-host are not rewalked before the host is found clean. Three rules queue
-blocks, that is, set their flags:
+descended from one block by splits, the lowest id being the class's
+representative. The worklist is one ``bytearray`` of flags indexed by
+block id, walked lowest id first: a block whose flag is clear hosts no
+refiner. Two triggers set flags:
 
-1. ``initialize`` queues every block;
-2. after each cut, ``update_count`` queues both halves and every block in
-   either half's ``pre_e``, the only rows it changes;
-3. ``rstabilize`` queues ``pre_e[d]`` for every pruned pair ``(pred, d)``,
-   the rows it decrements, inside the decrement loop, and ``pre_e[pred]``
-   too when ``d`` was still related below ``pred``: the pair was mutual,
-   so ``pred``'s class falls apart. Every member of a class of several
-   blocks is an end of such a pair, since pruning leaves the relation
-   antisymmetric.
+1. a block is new: ``initialize`` flags every block, and ``cut`` flags
+   both halves. A cut of b into (k, w) changes no other block's verdict.
+   w joins k's class, and the class keeps its lowest id. Every other
+   block reaches the same classes through the same states. A block that
+   reaches both halves gains one at the class's counter cell and one
+   reached member, so the test there keeps its verdict. For a class
+   strictly below b's, that block already counted b above the class, so
+   it could not qualify before the cut and cannot after.
+2. an ``rstabilize`` decrement leaves one of the block's counters at
+   exactly 1. Every block is clean when ``rstabilize`` starts, since the
+   search before it came up empty, and every class is one block when it
+   ends, so a block hosts at class a only if its counter at a is 1. A
+   counter at a that the round left unchanged equals the block's old
+   count at a's class representative. That count is at least the number
+   of class members the block reaches, so if it is 1 the block reached
+   only a, with the same part, and would have hosted before the round.
+   Counters only fall in a round, so any other counter at 1 fell to 1
+   in it.
 
-The terminal refiner search in ``run`` queues every block first, so it
+The terminal refiner search in ``run`` flags every block first, so it
 stays a full scan and a worklist that missed a block fails loudly.
 """
 
@@ -151,8 +157,6 @@ class SimulationEngine:
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
         self.worklist = bytearray(nb)
-        # the last host found; the next refiner search starts there
-        self.resume = 0
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -276,8 +280,9 @@ class SimulationEngine:
         ``inside`` lists states of one block, each once. The cut is a
         ``split`` followed by ``inherit``, ``update_edges`` and
         ``update_count``, so afterwards every table describes the partition
-        exactly. The full check level first checks that the part is
-        proper.
+        exactly, and both halves, being new blocks, are flagged for the
+        refiner search. The full check level first checks that the part
+        is proper.
         """
         pr = self.pr
         if self.cfg.full:
@@ -287,6 +292,7 @@ class SimulationEngine:
         k, w = pr.split(inside)
         self.inherit(k, w)
         self.update_count(k, w, self.update_edges(k, w))
+        self.worklist[k] = self.worklist[w] = 1
         if self.cfg.stats_enabled:
             self.stats.splits_total += 1
         return k, w
@@ -304,27 +310,23 @@ class SimulationEngine:
         these are ``states``. On a partial order, classes are singletons
         and the test degenerates to the counter equalling one.
 
-        Only blocks whose worklist flag is set are searched, from the last
-        host up and then from id 0 up to it, which finds what a scan of
-        every block from the same start would: a block whose flag is clear
-        hosts no refiner (see the module docstring for the three rules
-        that keep this true). A host keeps its flag, since the cut it
-        causes changes it; a clean block's flag is cleared. Under the full
-        check level an empty search is confirmed by scanning every block.
+        Only blocks whose worklist flag is set are searched, lowest id
+        first, which finds what a scan of every block would: a block whose
+        flag is clear hosts no refiner (see the module docstring for the
+        two triggers that keep this true). A host keeps its flag; a clean
+        block's flag is cleared. Under the full check level an empty
+        search is confirmed by scanning every block.
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
         flags = self.worklist
-        resume = self.resume
-        for lo, hi in ((resume, len(flags)), (0, resume)):
-            i = flags.find(1, lo, hi)
-            while i >= 0:
-                found = self._hosted_refiner(i)
-                if found is not None:
-                    self.resume = i
-                    return found
-                flags[i] = 0
-                i = flags.find(1, i + 1, hi)
+        i = flags.find(1)
+        while i >= 0:
+            found = self._hosted_refiner(i)
+            if found is not None:
+                return found
+            flags[i] = 0
+            i = flags.find(1, i + 1)
         if self.cfg.full:
             for b in range(len(flags)):
                 if self._hosted_refiner(b) is not None:
@@ -495,6 +497,10 @@ class SimulationEngine:
         exactly the blocks whose states lost their last edge into c's
         upward closure by losing their sibling states. The two halves have
         equal columns, so such a half is logged into both halves' sets.
+        No worklist flag is set here: the rows of other blocks that change
+        leave their verdicts as they were (see the module docstring). The
+        cheap level range-checks every changed row, the halves' and those
+        of their predecessor blocks.
         """
         pr = self.pr
         down = pr.down
@@ -539,12 +545,10 @@ class SimulationEngine:
                 for c in below_w:
                     dr[c] = dr.get(c, 0) + 1
 
-        # every changed row: the halves' and those of their predecessors
-        changed = [k, *pre_e[k], w, *pre_e[w]]
-        self._queue(changed)
         if self.cfg.cheap:
+            # every changed row: the halves' and those of their predecessors
             nb = len(pr.begin)
-            for b in changed:
+            for b in (k, *pre_e[k], w, *pre_e[w]):
                 row = cnt[b].values()
                 if row and (min(row) < 1 or max(row) > nb):
                     raise InvariantViolation("counter out of range")
@@ -561,14 +565,16 @@ class SimulationEngine:
         predecessor block of c and d in c's pending set, all of b's at
         once as ``up[b] & pending``; each pruning decrements the counters
         of d's predecessors against b, and a counter reaching zero logs the
-        fresh violation into b's set for the next round. The pruned pairs,
-        the decrements and the logged blocks of a round do not depend on
-        the order of the visits. Must run on a partition-stable pair; the
-        driver re-stabilizes the partition between rounds. Returns True
-        iff no pair was removed, in which case no set is left pending
-        either. On exit the relation is antisymmetric again: split-created
-        mutual pairs always carry a logged witness, so one direction gets
-        pruned.
+        fresh violation into b's set for the next round, while a counter
+        left at one flags its block for the refiner search, the only way a
+        round can make a block host a refiner (see the module docstring).
+        The pruned pairs, the decrements, the logged blocks and the flags
+        of a round do not depend on the order of the visits. Must run on a
+        partition-stable pair; ``run`` re-stabilizes the partition between
+        rounds. Returns True iff no pair was removed, in which case
+        no set is left pending either. On exit the relation is
+        antisymmetric again: split-created mutual pairs always carry a
+        logged witness, so one direction gets pruned.
         """
         pr = self.pr
         up, down = pr.up, pr.down
@@ -594,9 +600,6 @@ class SimulationEngine:
                 hit = up[pred] & dropped
                 if not hit:
                     continue
-                if hit & down[pred]:
-                    # a mutual pair breaks, so pred's class falls apart
-                    self._queue(pre_e[pred])
                 up[pred] ^= hit
                 removed = True
                 pbit = 1 << pred
@@ -605,11 +608,12 @@ class SimulationEngine:
                     if track:
                         self.stats.pairs_removed_total += 1
                     for f in pre_e[d]:
-                        flags[f] = 1
                         fr = cnt[f]
                         left = fr.get(pred, 0) - 1
                         if left > 0:
                             fr[pred] = left
+                            if left == 1:
+                                flags[f] = 1
                         elif left == 0:
                             del fr[pred]
                             remove[pred] |= 1 << f

@@ -18,9 +18,9 @@ class RunStats:
     """Counters for one engine run.
 
     ``findprefiner_null_returns`` counts partition-stability certifications:
-    refiner searches that came up empty in a stabilization call that split
-    nothing. At most one such call can occur per run (it ends the run), so
-    the counter is always 0 or 1.
+    the terminal full refiner search of ``SimulationEngine.run``, which must
+    come up empty. A completed run makes exactly one, so with stats enabled
+    the counter is 1 on every completed run.
 
     ``smaller_half_state_scans`` maps a state id to the number of times it
     was rescanned as a member of the smaller half during counter updates.

@@ -134,10 +134,14 @@ def parse_ks(text: str | Iterable[str]) -> KripkeStructure:
     succ: dict[int, list[int]] = {}
 
     def want_int(token: str, what: str, line_no: int) -> int:
+        # ASCII digits, with a minus sign left to the range checks; int()
+        # alone also takes "1_0", "+1" and non-ASCII digits
         try:
-            return int(token)
-        except ValueError:
-            raise KSFormatError(f"{what} must be an integer, got {token!r}", line_no)
+            if token.isascii() and token.removeprefix("-").isdigit():
+                return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise KSFormatError(f"{what} must be an integer, got {token!r}", line_no)
 
     def want_state(token: str, line_no: int) -> int:
         value = want_int(token, "state id", line_no)

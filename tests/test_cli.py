@@ -210,6 +210,18 @@ class TestVerify:
         )
         assert out.exit_code == 0, out.output
 
+    def test_engine_runs_every_full_check(self, runner, monkeypatch):
+        configs = []
+
+        def capture(ks, cfg=None):
+            configs.append(cfg)
+            return compute_simulation(ks, cfg)
+
+        monkeypatch.setattr(cli_mod, "compute_simulation", capture)
+        out = runner.invoke(main, ["verify", "--random", "3", "--max-states", "6"])
+        assert out.exit_code == 0, out.output
+        assert configs == [EngineConfig(check_level="full")] * 3
+
     def test_oracle_cap(self, runner, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text("states 65\n")

@@ -191,22 +191,6 @@ class TestFindPRefiner:
         eng = engine_after_initialize(ks_b)
         assert eng.find_prefiner() == (0, [0])
 
-    def test_search_starts_at_the_last_host(self):
-        # both blocks host a refiner; the search starts at ``resume``
-        ks = build_ks("aabb", [(0, 0), (2, 2)])
-        eng = engine_after_initialize(ks)
-        eng.resume = 1
-        assert eng.find_prefiner() == (1, [2])
-        assert eng.resume == 1 and queued(eng) == {0, 1}
-
-    def test_search_wraps_around_to_a_host_below_the_start(self):
-        # the only host, block 0, lies below the start; block 1 has no
-        # transitions, is found clean and loses its flag
-        eng = engine_after_initialize(build_ks("aab", [(0, 0)]))
-        eng.resume = 1
-        assert eng.find_prefiner() == (0, [0])
-        assert eng.resume == 0 and queued(eng) == {0}
-
     def test_converged_pair_has_none(self, ks_a, ks_b):
         for ks in (ks_a, ks_b):
             eng = SimulationEngine(ks, EngineConfig())
@@ -221,11 +205,15 @@ class TestFindPRefiner:
         eng.pstabilize()
         assert not any(eng.worklist)
 
-    def test_split_queues_halves_and_their_predecessors(self, ks_b):
-        eng = engine_after_initialize(ks_b)
-        kept, new = run_one_split_round(eng)
-        expected = {kept, new, *eng.pre_e[kept], *eng.pre_e[new]}
-        assert queued(eng) == expected
+    def test_cut_queues_exactly_its_halves(self):
+        # block 1 has an edge into the half holding state 0, but a cut
+        # changes no verdict outside its halves
+        eng = engine_after_initialize(build_ks("aab", [(0, 0), (2, 0)]))
+        found = eng.find_prefiner()
+        eng.worklist[:] = bytes(len(eng.pr.begin))
+        kept, new = eng.cut(found[1])
+        assert {*eng.pre_e[kept], *eng.pre_e[new]} - {kept, new}
+        assert queued(eng) == {kept, new}
 
 
 class TestPStabilize:
@@ -572,28 +560,31 @@ class TestRStabilize:
         assert len(rounds_with_removals) >= 2
         assert result.state_matrix() == brute_force_simulation(ks).matrix
 
-    def test_broken_mutual_pair_queues_predecessors_of_both_ends(self):
-        # pstabilize leaves blocks 0 and 2 mutually related, and pruning 2
-        # below 0 breaks their class: the blocks reaching block 2 may host
-        # a refiner again, block 1 among them, which reaches no block that
-        # lost a pair above it
-        eng = engine_after_initialize(generate_random_ks(4, 2, 1.5 / 4, 1))
-        eng.pstabilize()
-        pr = eng.pr
-        eng.worklist[:] = bytes(len(pr.begin))
-        up_before = pr.up[:]
-        eng.rstabilize()
-        pruned = [
-            (p, d) for p, row in enumerate(up_before) for d in bits(row & ~pr.up[p])
-        ]
-        broken = [(p, d) for p, d in pruned if up_before[d] >> p & 1]
-        assert broken
-        flagged = queued(eng)
-        assert len(eng.worklist) == len(pr.begin)
-        for p, _ in broken:
-            assert set(eng.pre_e[p]) <= flagged
-        assert 1 in flagged
-        assert all(1 not in eng.pre_e[d] for _, d in pruned)
+    def test_queues_exactly_the_blocks_a_counter_of_which_fell_to_one(self):
+        # on (4, 2, 1.5/4, 1), pruning breaks the class of blocks 0 and 2,
+        # and block 1, which reaches that class, keeps its counts; on
+        # (3, 2, 0.5, 4), one block's count falls from 1 to 0. No count
+        # falls by two, so none passes 1 on its way to 0
+        only_to_zero = 0
+        for args in ((4, 2, 1.5 / 4, 1), (3, 2, 0.5, 4)):
+            eng = engine_after_initialize(generate_random_ks(*args))
+            eng.pstabilize()
+            before = [dict(row) for row in eng.count]
+            eng.worklist[:] = bytes(len(eng.pr.begin))
+            eng.rstabilize()
+            changes = [
+                (f, m, row.get(c, 0))
+                for f, (old, row) in enumerate(zip(before, eng.count))
+                for c, m in old.items()
+                if row.get(c, 0) != m
+            ]
+            assert all(m - left == 1 for _, m, left in changes)
+            to_one = {f for f, _, left in changes if left == 1}
+            assert to_one
+            assert queued(eng) == to_one
+            assert len(eng.worklist) == len(eng.pr.begin)
+            only_to_zero += len({f for f, _, left in changes if left == 0} - to_one)
+        assert only_to_zero
 
     def test_dead_half_pair_pruned_via_logged_witness(self):
         # dead states split away from movers must lose the pair claiming

@@ -75,6 +75,34 @@ class TestParse:
         with pytest.raises(KSFormatError, match="line 3"):
             parse_ks("states 2\r\nlabel 0 a\r\ntrans 0\r\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("states 1_0\n", 1),
+            ("states +2\n", 1),
+            ("states \uff12\n", 1),  # fullwidth digit two
+            ("states 2\ntrans 0 \u0663\n", 2),  # Arabic-Indic digit three
+            ("states 2\ntrans 0 +1\n", 2),
+            ("states 2\nlabel 0_0 a\n", 2),
+            ("states 2\ntrans --1 0\n", 2),
+            ("states 2\ntrans - 0\n", 2),
+        ],
+    )
+    def test_only_ascii_decimal_integers(self, text, line):
+        with pytest.raises(KSFormatError, match=f"line {line}: .* must be an integer"):
+            parse_ks(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("states -2\n", "line 1: state count must be non-negative"),
+            ("states 2\ntrans 0 -1\n", "line 2: state id -1 out of range"),
+        ],
+    )
+    def test_negative_values_keep_their_messages(self, text, message):
+        with pytest.raises(KSFormatError, match=message):
+            parse_ks(text)
+
     def test_state_count_above_cap_refused(self):
         with pytest.raises(KSFormatError, match="line 1: .*exceeds the limit"):
             parse_ks(f"states {MAX_STATES + 1}\n")
