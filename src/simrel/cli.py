@@ -1,7 +1,8 @@
 """Command line surface.
 
-Exit codes: 0 ok, 1 input error, 2 invariant or bound violation,
-3 oracle mismatch (always an implementation bug, never accepted).
+Exit codes: 0 ok, 1 input error (a usage error included), 2 invariant
+or bound violation, 3 oracle mismatch (always an implementation bug,
+never accepted).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn
 
@@ -45,6 +47,30 @@ def _input_error(message: str) -> NoReturn:
     """Report bad input on stderr and exit with the input-error code."""
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+@contextmanager
+def _usage_errors_as_input_errors():
+    """Report a click usage error as an input error: click's own exit code
+    for it, 2, is this CLI's code for a self-check failure."""
+    try:
+        yield
+    except click.UsageError as exc:
+        if exc.ctx is not None:
+            click.echo(exc.ctx.get_usage(), err=True)
+        _input_error(exc.format_message())
+
+
+class _Main(click.Group):
+    """The command group; its own and its commands' usage errors exit 1."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_as_input_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_as_input_errors():
+            return super().invoke(ctx)
 
 
 def _run_engine(ks: KripkeStructure, cfg: EngineConfig | None = None):
@@ -124,7 +150,7 @@ def _report_json(result, stats) -> str:
     )
 
 
-@click.group()
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Simulation preorder and equivalence on finite Kripke structures."""
 

@@ -55,14 +55,22 @@ representative. The worklist is one ``bytearray`` of flags indexed by
 block id, walked lowest id first: a block whose flag is clear hosts no
 refiner. Two triggers set flags:
 
-1. a block is new: ``initialize`` flags every block, and ``cut`` flags
-   both halves. A cut of b into (k, w) changes no other block's verdict.
-   w joins k's class, and the class keeps its lowest id. Every other
-   block reaches the same classes through the same states. A block that
-   reaches both halves gains one at the class's counter cell and one
-   reached member, so the test there keeps its verdict. For a class
-   strictly below b's, that block already counted b above the class, so
-   it could not qualify before the cut and cannot after.
+1. a cut's half is flagged iff the host's own walk shows it may host:
+   ``initialize`` flags every block, and a cut of host b into (k, w)
+   flags a half h iff, for some class other than the refiner's, b's
+   part p gives 0 < |p n h| < |h|. This is the search's proper-part
+   test on h, exact without walking h: a cut leaves every class the
+   same set of states (w joins k's class, which keeps its lowest id),
+   so h's part for a class is h n p; the refiner class's part is exactly
+   one half; and a class that every state of b reaches is reached by
+   every state of both halves. A half that passes may still fail the
+   counter test, which the search applies. A cut changes no other
+   block's verdict: every other block reaches the same classes through
+   the same states. A block that reaches both halves gains one at the
+   class's counter cell and one reached member, so the test there keeps
+   its verdict. For a class strictly below b's, that block already
+   counted b above the class, so it could not qualify before the cut
+   and cannot after.
 2. an ``rstabilize`` decrement leaves one of the block's counters at
    exactly 1. Every block is clean when ``rstabilize`` starts, since the
    search before it came up empty, and every class is one block when it
@@ -86,7 +94,7 @@ from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress
-from operator import or_
+from operator import countOf, or_
 
 from .instrument import RunStats
 from .kripke import KripkeStructure, pre_of
@@ -109,9 +117,13 @@ class EngineConfig:
     cut, and of every segment and block, linear in states and blocks,
     after every partition phase and pruning round; plus a range check of
     the nonzero cells of the counter rows each cut changed: those of each
-    half and of each predecessor block of a half. "full" adds from-scratch table
-    recomputation and order-algebra checks after every phase, as bitset
-    operations over the relation. Checks never change results.
+    half and of each predecessor block of a half. "full" adds a
+    from-scratch recomputation of the edge and counter tables after every
+    cut and pruning round, a recomputation of the removal sets after
+    every pruning round, order-algebra checks after every phase, as
+    bitset operations over the relation, a scan of every block
+    confirming each empty refiner search, and a direct simulation check
+    of the converged pair. Checks never change results.
     ``stats_enabled`` toggles counter collection; results are identical
     either way.
     """
@@ -263,7 +275,7 @@ class SimulationEngine:
         walks the whole structure once when the phase ends.
         """
         while (found := self.find_prefiner()) is not None:
-            k, w = self.cut(found[1])
+            k, w = self.cut(*found[1:])
             if self.cfg.cheap:
                 self._check_cut(k, w)
             if self.cfg.full:
@@ -273,16 +285,21 @@ class SimulationEngine:
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
 
-    def cut(self, inside: list[int]) -> tuple[int, int]:
-        """Cut the block that ``inside`` is a proper part of, and return
-        the ``(kept, new)`` pair.
+    def cut(self, inside: list[int], others: list[list[int]]) -> tuple[int, int]:
+        """Cut the block that ``inside`` is a proper part of, flag the halves
+        that may host a refiner, and return the ``(kept, new)`` pair.
 
-        ``inside`` lists states of one block, each once. The cut is a
-        ``split`` followed by ``inherit``, ``update_edges`` and
+        ``inside`` lists states of one block b, each once, and ``others``
+        holds b's proper parts for the classes it reaches other than the
+        one ``inside`` was found for, as ``find_prefiner`` returns them.
+        The cut is a ``split`` followed by ``inherit``, ``update_edges`` and
         ``update_count``, so afterwards every table describes the partition
-        exactly, and both halves, being new blocks, are flagged for the
-        refiner search. The full check level first checks that the part
-        is proper.
+        exactly. A half h is flagged iff some part of ``others`` cuts it
+        properly, 0 < |part n h| < |h|; the states of each part are counted
+        in the new half by their block, with no edge walk. This is exact
+        for the proper-part test the search applies (see the module
+        docstring). The full check level first checks that the part is
+        proper.
         """
         pr = self.pr
         if self.cfg.full:
@@ -292,30 +309,41 @@ class SimulationEngine:
         k, w = pr.split(inside)
         self.inherit(k, w)
         self.update_count(k, w, self.update_edges(k, w))
-        self.worklist[k] = self.worklist[w] = 1
+        k_size, w_size = pr.end[k] - pr.begin[k], pr.end[w] - pr.begin[w]
+        flag_k = flag_w = False
+        for part in others:
+            in_w = countOf(map(pr.state_block.__getitem__, part), w)
+            flag_w = flag_w or 0 < in_w < w_size
+            flag_k = flag_k or 0 < len(part) - in_w < k_size
+            if flag_k and flag_w:
+                break
+        self.worklist[k], self.worklist[w] = flag_k, flag_w
         if self.cfg.stats_enabled:
             self.stats.splits_total += 1
         return k, w
 
-    def find_prefiner(self) -> tuple[int, list[int]] | None:
-        """The first refiner class and the part of its host block to cut,
-        as ``(rep, states)``, or None.
+    def find_prefiner(self) -> tuple[int, list[int], list[list[int]]] | None:
+        """The first refiner class, the part of its host block to cut and
+        the host's proper parts for its other classes, as ``(rep, states,
+        others)``, or None.
 
         Mid-call the relation is the entry partial order lifted through
         splits, so blocks descended from one entry block are mutually
-        related and share an upward closure. A candidate class of block b
-        qualifies when the counter says b reaches nothing strictly above
-        the class: then the splitter pre(up-set) meets b in exactly the
-        states with an edge into the class, a proper nonempty cut, and
-        these are ``states``. On a partial order, classes are singletons
-        and the test degenerates to the counter equalling one.
+        related and share an upward closure. A candidate class of block b,
+        one whose part of b is proper, qualifies when the counter says b
+        reaches nothing strictly above the class: then the splitter
+        pre(up-set) meets b in exactly the states with an edge into the
+        class, a proper nonempty cut, and these are ``states``. On a
+        partial order, classes are singletons and the test degenerates to
+        the counter equalling one. ``cut`` reads ``others`` to decide the
+        halves' flags.
 
         Only blocks whose worklist flag is set are searched, lowest id
         first, which finds what a scan of every block would: a block whose
         flag is clear hosts no refiner (see the module docstring for the
-        two triggers that keep this true). A host keeps its flag; a clean
-        block's flag is cleared. Under the full check level an empty
-        search is confirmed by scanning every block.
+        two triggers that keep this true). A host keeps its flag until
+        ``cut`` decides it; a clean block's flag is cleared. Under the full
+        check level an empty search is confirmed by scanning every block.
         """
         if self.cfg.stats_enabled:
             self.stats.prefiner_calls += 1
@@ -333,20 +361,27 @@ class SimulationEngine:
                     raise InvariantViolation(f"refiner worklist missed block {b}")
         return None
 
-    def _hosted_refiner(self, b: int) -> tuple[int, list[int]] | None:
-        """The first qualifying candidate class of b with its states, or None."""
+    def _hosted_refiner(self, b: int) -> tuple[int, list[int], list[list[int]]] | None:
+        """The first qualifying candidate class of b, its part and b's
+        proper parts for its other classes, or None.
+
+        A candidate is a class whose part of b is proper, 0 < |part| < |b|;
+        a class that every state of b reaches cannot cut b.
+        """
         row = self.count[b]
         if not row:
             # the relation is reflexive, so only a block without
             # transitions has an empty row, and it hosts no refiner
             return None
-        for rep, blocks_reached, states in self.post_candidates(b):
+        size = self.pr.end[b] - self.pr.begin[b]
+        proper = [c for c in self.post_candidates(b) if len(c[2]) < size]
+        for rep, blocks_reached, states in proper:
             if row.get(rep) == blocks_reached:
-                return rep, states
+                return rep, states, [part for _, _, part in proper if part is not states]
         return None
 
     def post_candidates(self, b: int) -> list[tuple[int, int, list[int]]]:
-        """Classes k reached by b with 0 < |b n pre(union k)| < |b|.
+        """Every class reached by b, with b's states that reach it.
 
         A block's class is the set of blocks mutually related with it,
         ``up[c] & down[c]``; mid-call these are the blocks descended from
@@ -355,13 +390,13 @@ class SimulationEngine:
         names each successor block's class the first time it is met and
         so counts the distinct member blocks of each class that b
         reaches, and a list per class collects b's states with an edge
-        into the class. A state's edges are walked together, so a state
-        already listed is the list's last entry. Each candidate is
-        returned as ``(rep, blocks_reached, states)``: the id of its
-        representative block, the class's lowest id, its number of
-        reached member blocks, and its states in segment order. The
-        candidates come in the order in which b's transitions first reach
-        the classes.
+        into the class, its part of b. A state's edges are walked
+        together, so a state already listed is the list's last entry.
+        Each class is returned as ``(rep, blocks_reached, states)``: the
+        id of its representative block, the class's lowest id, its number
+        of reached member blocks, and its part in segment order. The
+        classes come in the order in which b's transitions first reach
+        them.
         """
         pr = self.pr
         up, down, state_block = pr.up, pr.down, pr.state_block
@@ -369,8 +404,7 @@ class SimulationEngine:
         class_of: dict[int, int] = {}  # successor block -> its class id
         class_blocks: dict[int, int] = {}  # first-touch order of classes
         parts: dict[int, list[int]] = {}
-        lo, hi = pr.begin[b], pr.end[b]
-        for s in pr.states[lo:hi]:
+        for s in pr.states[pr.begin[b] : pr.end[b]]:
             for y in succ[s]:
                 c = state_block[y]
                 try:
@@ -383,7 +417,7 @@ class SimulationEngine:
                 part = parts[a]
                 if part[-1] != s:
                     part.append(s)
-        return [(a, n, parts[a]) for a, n in class_blocks.items() if len(parts[a]) < hi - lo]
+        return [(a, n, parts[a]) for a, n in class_blocks.items()]
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -484,13 +518,17 @@ class SimulationEngine:
         ``inherit`` gave w its parent's column and an empty row, and
         ``update_edges`` split the edge table and returned ``reached``, the
         blocks that w's states have edges into. The smaller half w is now
-        counted from these blocks, while the
-        parent's row is adjusted for k and then copied into a fresh dict:
-        one decrement per successor *family* (both halves count as one
-        family, matching the granularity of the parent's value) that k no
-        longer reaches, and one increment for every other row with edges
-        into both halves. Every column walk follows the set bits of a
-        ``down`` column. Every half whose counter drops to zero against
+        counted from these blocks, while the parent's row is adjusted for k
+        and then copied into a fresh dict: one decrement per successor
+        *family* (both halves count as one family, matching the granularity
+        of the parent's value) that k no longer reaches, and one increment
+        for every row with edges into both halves. When k itself is such a
+        row, its increment over ``down[w]`` is netted against the
+        decrements with bitset operations before any cell is touched, so
+        each of k's cells changes once, by its net delta; k still counts
+        the cut family above every cell of ``down[w]``, so no netted cell
+        could have fallen to zero. Every column walk follows the set bits
+        of a ``down`` column. Every half whose counter drops to zero against
         some block c is logged where the drop happens, by setting its bit
         in c's removal set: for w, each key of the parent's row missing
         from its own; for k, each cell a decrement deletes. These are
@@ -519,10 +557,18 @@ class SimulationEngine:
         if track:
             stats.remove_elements_total += len(dropped)
         kbit = 1 << k
+        # k's own gain over down[w] when it has edges into both halves,
+        # netted against the losses before any cell is touched
+        gain = down[w] if k in pre_e[w] and k in pre_e[k] else 0
         for rep in {k if v == w else v for v in reached}:
             if k in pre_e[rep] or (rep == k and k in pre_e[w]):
                 continue
-            for c in bits(down[rep]):
+            loss = down[rep]
+            if gain:
+                netted = loss & gain
+                gain ^= netted
+                loss ^= netted
+            for c in bits(loss):
                 left = kr.get(c, 0) - 1
                 if left > 0:
                     kr[c] = left
@@ -533,11 +579,13 @@ class SimulationEngine:
                         stats.remove_elements_total += 1
                 else:
                     raise InvariantViolation("counter went negative")
+        for c in bits(gain):
+            kr[c] += 1
         cnt[k] = dict(kr)  # fresh, as for pre_e[k]
 
-        # rows with edges into both halves now count two blocks where the
-        # parent value counted one; w's recounted row excluded
-        both = [d for d in pre_e[w] if d in pre_e[k] and d != w]
+        # the other rows with edges into both halves now count two blocks
+        # where the parent value counted one; w's recounted row excluded
+        both = [d for d in pre_e[w] if d in pre_e[k] and d not in (k, w)]
         if both:
             below_w = bits(down[w])
             for d in both:

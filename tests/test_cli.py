@@ -49,6 +49,31 @@ def ks_files(tmp_path):
     return {"a": str(a), "b": str(b), "dir": tmp_path}
 
 
+class TestUsageErrors:
+    # click exits 2 on a usage error, but 2 means a self-check failure here
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compute", "--format", "xml", "F"], "Invalid value for '--format'"),
+            (["compute"], "Missing argument 'FILE'"),
+            (["verify", "--random", "x"], "Invalid value for '--random'"),
+            (["generate", "random", "3", "-1", "0.5"], "No such option '-1'"),
+            (["bogus"], "No such command 'bogus'"),
+            ([], "Missing command"),
+        ],
+    )
+    def test_exit_1_with_an_error_line(self, runner, args, message):
+        out = runner.invoke(main, args)
+        assert out.exit_code == 1
+        assert f"error: {message}" in out.output
+        assert "Traceback" not in out.output
+
+    def test_help_still_exits_0(self, runner):
+        out = runner.invoke(main, ["compute", "--help"])
+        assert out.exit_code == 0
+        assert "Usage:" in out.output
+
+
 class TestCompute:
     def test_text_report(self, runner, ks_files):
         out = runner.invoke(main, ["compute", ks_files["b"]])

@@ -57,7 +57,7 @@ def run_one_split_round(eng):
     """Drive exactly one refiner-cut-update iteration; return its pair."""
     found = eng.find_prefiner()
     assert found is not None
-    return eng.cut(found[1])
+    return eng.cut(*found[1:])
 
 
 def host_share(eng, rep, states):
@@ -146,9 +146,13 @@ class TestPostCandidates:
         assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1, [0])]
 
     def test_full_reach_excluded(self):
+        # the walk lists the sink's class with all of the pair block, a
+        # part that cannot cut the block, so no candidate is left
         ks = build_ks("aab", [(0, 2), (1, 2)])
         eng = engine_after_initialize(ks)
-        assert eng.post_candidates(eng.pr.state_block[0]) == []
+        pair_block = eng.pr.state_block[0]
+        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1, [0, 1])]
+        assert eng._hosted_refiner(pair_block) is None
 
     def test_per_state_successor_dedup(self):
         # a state with edges into two member blocks of one class is listed
@@ -168,7 +172,8 @@ class TestPostCandidates:
         b_a, b_c, b_b = block_ids(eng.pr)
         assert (eng.pr.state_block[2], eng.pr.state_block[3]) == (b_c, b_b)
         assert eng.post_candidates(b_a) == [(b_b, 1, [0]), (b_c, 1, [0])]
-        assert eng.find_prefiner() == (b_b, [0])
+        # the other class's part comes with the hit
+        assert eng.find_prefiner() == (b_b, [0], [[0]])
 
     def test_states_listed_once_in_segment_order(self):
         # three of block a's states reach block b, state 2 by two edges;
@@ -189,7 +194,7 @@ class TestFindPRefiner:
 
     def test_one_sided_structure_finds_own_block(self, ks_b):
         eng = engine_after_initialize(ks_b)
-        assert eng.find_prefiner() == (0, [0])
+        assert eng.find_prefiner() == (0, [0], [])
 
     def test_converged_pair_has_none(self, ks_a, ks_b):
         for ks in (ks_a, ks_b):
@@ -205,15 +210,32 @@ class TestFindPRefiner:
         eng.pstabilize()
         assert not any(eng.worklist)
 
-    def test_cut_queues_exactly_its_halves(self):
-        # block 1 has an edge into the half holding state 0, but a cut
-        # changes no verdict outside its halves
-        eng = engine_after_initialize(build_ks("aab", [(0, 0), (2, 0)]))
+    def test_cut_without_other_parts_clears_both_halves(self):
+        # the chain's one block reaches only its own class, whose part is
+        # one half, so neither half can be cut and neither is flagged
+        eng = engine_after_initialize(make_chain(6))
         found = eng.find_prefiner()
+        assert found == (0, [0, 1, 2, 3, 4], [])
+        eng.cut(*found[1:])
+        assert queued(eng) == set()
+        assert eng.find_prefiner() is None
+
+    def test_cut_flags_exactly_the_half_another_class_splits(self):
+        # the host {0, 1, 2, 3} is cut by x's class into {0, 1} and
+        # {2, 3}; y's part {0, 1, 2} holds all of {0, 1} and half of
+        # {2, 3}. Block z has an edge into a half, but a cut changes no
+        # verdict outside its halves
+        ks = build_ks("aaaaxyz", [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (6, 0)])
+        eng = engine_after_initialize(ks)
+        x, y, z = (eng.pr.state_block[s] for s in (4, 5, 6))
+        assert eng.find_prefiner() == (x, [0, 1], [[0, 1, 2]])
         eng.worklist[:] = bytes(len(eng.pr.begin))
-        kept, new = eng.cut(found[1])
-        assert {*eng.pre_e[kept], *eng.pre_e[new]} - {kept, new}
-        assert queued(eng) == {kept, new}
+        kept, new = eng.cut([0, 1], [[0, 1, 2]])
+        assert sorted(eng.pr.block_states(kept)) == [2, 3]
+        assert sorted(eng.pr.block_states(new)) == [0, 1]
+        assert z in eng.pre_e[new]
+        assert queued(eng) == {kept}
+        assert eng.find_prefiner() == (y, [2], [])
 
 
 class TestPStabilize:
@@ -353,7 +375,70 @@ class ExactAfterEveryPair(SimulationEngine):
         self.checked.append((k, w))
 
 
+class RemovalSetsRecounted(SimulationEngine):
+    """The engine checking, after every cut, the counter rows against a
+    recount and every removal set against its definition. Since the sets
+    were last started (by ``initialize``, or when a pruning round starts),
+    c's set holds the blocks b that reach nothing above c, while b's
+    ancestor then reached something above c's ancestor; at ``initialize``
+    that holds for every block with transitions. ``netted`` counts the
+    cuts whose kept half has edges into both halves and reaches a family
+    no more."""
+
+    netted = 0
+
+    def initialize(self):
+        SimulationEngine.initialize(self)
+        self.parent = {}
+        self.start_sets(lambda row: set(range(len(self.count))) if row else set())
+
+    def start_sets(self, reach):
+        self.base = len(self.count)
+        self.entry = [reach(row) for row in self.count]
+
+    def ancestor(self, b):
+        while b >= self.base:
+            b = self.parent[b]
+        return b
+
+    def rstabilize(self):
+        self.start_sets(set)
+        return SimulationEngine.rstabilize(self)
+
+    def update_count(self, k, w, reached):
+        pre_e = self.pre_e
+        lost = [v for v in reached if v not in (k, w) and k not in pre_e[v]]
+        if k in pre_e[k] and k in pre_e[w] and lost:
+            self.netted += 1
+        SimulationEngine.update_count(self, k, w, reached)
+
+    def cut(self, inside, others):
+        k, w = SimulationEngine.cut(self, inside, others)
+        self.parent[w] = k
+        assert self.count == recompute_tables(self.ks, self.pr)[1]
+        blocks = range(len(self.count))
+        for c in blocks:
+            above = self.ancestor(c)
+            expected = sum(
+                1 << b
+                for b in blocks
+                if c not in self.count[b] and above in self.entry[self.ancestor(b)]
+            )
+            assert self.remove[c] == expected, (k, w, c)
+        return k, w
+
+
 class TestUpdateEdges:
+    @pytest.mark.parametrize("n", [6, 9, 17])
+    def test_netted_kept_row_equals_recount_on_chains(self, n):
+        # after the first round each cut of the chain's big block keeps a
+        # half with edges into both halves that has lost the block split
+        # off before; its counter row changes by one net delta per cell
+        eng = RemovalSetsRecounted(make_chain(n), EngineConfig(check_level="full"))
+        result, _ = eng.run()
+        assert eng.netted == n - 3
+        assert result == compute_simulation(make_chain(n))[0]
+
     @given(
         st.builds(
             generate_random_ks,
@@ -372,9 +457,9 @@ class TestUpdateEdges:
         while True:
             found = eng.find_prefiner()
             while found is not None:
-                rep, states = found
+                rep, states, others = found
                 assert states == host_share(eng, rep, states)
-                pair = eng.cut(states)
+                pair = eng.cut(states, others)
                 assert eng.checked == [pair]
                 eng.checked.clear()
                 found = eng.find_prefiner()
@@ -399,7 +484,7 @@ class TestUpdateEdges:
         pr = eng.pr
         pairs = []
         for inside in ([0], [3, 4, 5], [7]):
-            pairs.append(eng.cut(inside))
+            pairs.append(eng.cut(inside, []))
             assert_edge_tables_exact(eng)
         assert pairs == eng.checked == [(0, 4), (1, 5), (2, 6)]
         # every new half is the smaller: a's is the given part; b's given
@@ -446,7 +531,7 @@ class TestInherit:
         before = tables()
         for inside in ([0, 1], [1, 0], [2]):
             with pytest.raises(InvariantViolation, match="no split"):
-                eng.cut(inside)
+                eng.cut(inside, [])
             assert tables() == before
 
     def test_one_row_and_column_per_new_half(self):
@@ -638,8 +723,8 @@ class TestFullChecks:
         eng.initialize()
         cut = eng.cut
 
-        def corrupting_cut(inside):
-            k, w = cut(inside)
+        def corrupting_cut(inside, others):
+            k, w = cut(inside, others)
             getattr(eng.pr, table)[eng.pr.block_states(w)[0]] += 1
             return k, w
 
@@ -845,13 +930,38 @@ class HitsChecked(SimulationEngine):
     def find_prefiner(self):
         found = SimulationEngine.find_prefiner(self)
         if found is not None:
-            rep, states = found
+            rep, states, _ = found
             assert states == host_share(self, rep, states)
             self.hits += 1
         return found
 
 
+class FlagsChecked(SimulationEngine):
+    """The engine checking every cut's worklist flags: a half is flagged
+    iff a fresh walk of it finds a proper part. ``cuts`` counts the cuts."""
+
+    cuts = 0
+
+    def cut(self, inside, others):
+        k, w = SimulationEngine.cut(self, inside, others)
+        pr = self.pr
+        for h in (k, w):
+            size = pr.end[h] - pr.begin[h]
+            proper = any(len(part) < size for _, _, part in self.post_candidates(h))
+            assert self.worklist[h] == proper, (k, w, h)
+        self.cuts += 1
+        return k, w
+
+
 class TestEngineProperties:
+    @given(random_ks(max_states=24))
+    @settings(max_examples=80, deadline=None)
+    def test_cut_flags_a_half_iff_a_fresh_walk_finds_a_proper_part(self, ks):
+        eng = FlagsChecked(ks, EngineConfig(check_level="cheap", stats_enabled=True))
+        result, stats = eng.run()
+        assert eng.cuts == stats.splits_total
+        assert result == compute_simulation(ks)[0]
+
     @given(random_ks(max_states=24))
     @settings(max_examples=80, deadline=None)
     def test_every_hit_cuts_the_hosts_share_of_the_splitter(self, ks):

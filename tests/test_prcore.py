@@ -49,8 +49,9 @@ class TestInitPr:
         assert pr.state_block == [2, 0, 1]
         eng = SimulationEngine(ks)
         eng.initialize()
-        rep, states = eng.find_prefiner()
+        rep, states, others = eng.find_prefiner()
         assert type(rep) is int and all(type(s) is int for s in states)
+        assert others == []
 
 
 class TestSplit:
@@ -62,7 +63,7 @@ class TestSplit:
         eng.initialize()
         pr = eng.pr
         with pytest.raises(InvariantViolation, match="no split"):
-            eng.cut([0, 1, 2])
+            eng.cut([0, 1, 2], [])
         assert len(pr.begin) == 1
         assert sorted(pr.block_states(0)) == [0, 1, 2]
 
@@ -95,7 +96,7 @@ class TestSplit:
         # two blocks, one cut each: both split, new ids in cut order
         eng = engine_after_initialize(build_ks("aabb", []))
         pr = eng.pr
-        assert [eng.cut([1]), eng.cut([2])] == [(0, 2), (1, 3)]
+        assert [eng.cut([1], []), eng.cut([2], [])] == [(0, 2), (1, 3)]
         halves = {tuple(sorted(pr.block_states(b))) for b in range(len(pr.begin))}
         assert halves == {(0,), (1,), (2,), (3,)}
 
@@ -124,7 +125,7 @@ class TestSplit:
                 st.lists(st.sampled_from(pr.block_states(b)), min_size=1,
                          max_size=len(before[b]) - 1, unique=True)
             )
-            kept, new = eng.cut(inside)
+            kept, new = eng.cut(inside, [])
             # the new id is the next one, and the block keeps its own
             assert (kept, new) == (b, nb)
             assert len(pr.begin) == len(pr.end) == nb + 1
