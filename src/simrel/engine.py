@@ -4,25 +4,29 @@ A run alternates two phases over a partition-relation pair:
 
 * partition stabilization cuts, one block at a time, every block that
   the preimage of some block's upward closure cuts properly, each cut
-  found in O(edges) per probe through the counter table;
+  found in O(edges) per probe through the successor bitsets;
 * relation stabilization prunes block pairs driven by per-block removal
-  sets, chaining through counter decrements until no violation remains.
+  sets, chaining through the successor bitsets until no violation
+  remains.
 
 A block is its int id. Between splits, four tables are maintained: the
 block relation (row and column bitsets ``up`` and ``down``, held by the
 pair), the edge multiplicities (``pre_e[d][b]``, the number of
 transitions from block b into block d, held once, by target block, and
-only where nonzero), the counters (one dict of nonzero cells per row,
-updated by recounting only the smaller half of each split pair), and the
+only where nonzero), the successor bitsets (``post[b]``, the blocks that
+b has an edge into, the key set of ``pre_e`` transposed), and the
 removal sets, one bitset of block ids per block and no other record of
-them. The edge table, the counter rows, the removal sets and the
-worklist flags are the engine's lists indexed by block id. Each table is
-sized by what is set in it, and the work on it follows its set bits and
-nonzero cells, not the square of the block count.
+them. The edge table, the successor bitsets, the removal sets and the
+worklist flags are the engine's lists indexed by block id. The number
+of blocks above c that b reaches is ``|post[b] & up[c]|``, so each test
+on it (is it 0, is it 1, does b reach nothing strictly above c's class)
+is one bitset expression, and no table of counters is kept. Below,
+``below(x)`` is the union of ``down[d]`` over the blocks d of x: the
+blocks c such that x holds a block above c.
 
 Only ``initialize`` walks every transition: it builds the predecessor
 index, the sources of each state's in-edges in flat arrays of about four
-bytes per transition, and the edge table. The refiner search returns the
+bytes per transition, and the edge tables. The refiner search returns the
 cut itself. A block b that hosts class a reaches nothing strictly above
 a, so the preimage of a's upward closure meets b in exactly b's states
 with an edge into a, which the search has just walked. Any other block
@@ -35,25 +39,23 @@ that pair before the next search, so after every cut they describe a
 real partition exactly. ``inherit`` gives the new half a copy of its
 parent's entry in the relation and the removal sets (its row and column,
 a place in exactly the removal sets that hold its parent, found with one
-C-level pass over the sets, and a copy of the parent's own removal set)
-and its parent's counter column; ``update_edges`` splits the parent's
-edge cells between the halves from the new half's in- and out-edges; and
-``update_count`` then counts the new half's row, corrects the kept
-half's and logs every half that loses its last counted successor block
-above some block c into c's set where the loss happens: when the new
-half's row lacks a key of its parent's, and when a decrement deletes a
-cell of the kept half's row. Without that logging, pairs created mutually
-related by a split would never be pruned again.
+C-level pass over the sets, and a copy of the parent's own removal set);
+``update_edges`` splits the parent's edge cells and successor bits
+between the halves from the new half's in- and out-edges; and
+``update_count`` then logs every half that reaches nothing above some
+block c that its parent reached above into c's set: the blocks of
+``below(post[parent]) & ~below(post[half])``. Without that logging,
+pairs created mutually related by a split would never be pruned again.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
-depends only on the block's counter row, its successor blocks and their
-classes. A block's class is read off the relation: the blocks mutually
-related with it, which during partition stabilization are the blocks
-descended from one block by splits, the lowest id being the class's
-representative. The worklist is one ``bytearray`` of flags indexed by
-block id, walked lowest id first: a block whose flag is clear hosts no
-refiner. Two triggers set flags:
+depends only on the block's successor bitset, its states' successor
+blocks and their classes. A block's class is read off the relation: the
+blocks mutually related with it, which during partition stabilization
+are the blocks descended from one block by splits, the lowest id being
+the class's representative. The worklist is one ``bytearray`` of flags
+indexed by block id, walked lowest id first: a block whose flag is clear
+hosts no refiner. Two triggers set flags:
 
 1. a cut's half is flagged iff the host's own walk shows it may host:
    ``initialize`` flags every block, and a cut of host b into (k, w)
@@ -64,23 +66,21 @@ refiner. Two triggers set flags:
    so h's part for a class is h n p; the refiner class's part is exactly
    one half; and a class that every state of b reaches is reached by
    every state of both halves. A half that passes may still fail the
-   counter test, which the search applies. A cut changes no other
-   block's verdict: every other block reaches the same classes through
-   the same states. A block that reaches both halves gains one at the
-   class's counter cell and one reached member, so the test there keeps
-   its verdict. For a class strictly below b's, that block already
-   counted b above the class, so it could not qualify before the cut
-   and cannot after.
-2. an ``rstabilize`` decrement leaves one of the block's counters at
-   exactly 1. Every block is clean when ``rstabilize`` starts, since the
-   search before it came up empty, and every class is one block when it
-   ends, so a block hosts at class a only if its counter at a is 1. A
-   counter at a that the round left unchanged equals the block's old
-   count at a's class representative. That count is at least the number
-   of class members the block reaches, so if it is 1 the block reached
-   only a, with the same part, and would have hosted before the round.
-   Counters only fall in a round, so any other counter at 1 fell to 1
-   in it.
+   test for blocks strictly above the class, which the search applies.
+   A cut changes no other block's verdict: every other block reaches the
+   same classes through the same states, and it reaches a half strictly
+   above a class iff it reached b there, since both halves take b's
+   place in the relation.
+2. an ``rstabilize`` batch leaves a block reaching exactly one block
+   above the batch's block. Every block is clean when ``rstabilize``
+   starts, since the search before it came up empty, and every class is
+   one block when it ends, so a block f hosts at class a only if
+   ``|post[f] & up[a]| = 1`` at round end. If no batch of the round
+   lowered that count, it was 1 at round start, when the class of a
+   held other blocks: f then reached only a in a's class and nothing
+   strictly above it, with the same part, and would have hosted before
+   the round. The count only falls in a round, so testing it after each
+   batch that lowers it flags every such block.
 
 The terminal refiner search in ``run`` flags every block first, so it
 stays a full scan and a worklist that missed a block fails loudly.
@@ -90,7 +90,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress
@@ -111,19 +110,18 @@ class InvariantViolation(AssertionError):
 class EngineConfig:
     """Knobs for self-checking and instrumentation.
 
-    ``check_level``: "off" disables runtime assertions apart from the
-    counter decrements, which always refuse to go below zero. "cheap"
-    adds structural checks of the cut block's two segments after every
-    cut, and of every segment and block, linear in states and blocks,
-    after every partition phase and pruning round; plus a range check of
-    the nonzero cells of the counter rows each cut changed: those of each
-    half and of each predecessor block of a half. "full" adds a
-    from-scratch recomputation of the edge and counter tables after every
-    cut and pruning round, a recomputation of the removal sets after
-    every pruning round, order-algebra checks after every phase, as
-    bitset operations over the relation, a scan of every block
-    confirming each empty refiner search, and a direct simulation check
-    of the converged pair. Checks never change results.
+    ``check_level``: "off" runs no self-check but the terminal refiner
+    search of ``run``. "cheap" adds structural checks of the cut block's
+    two segments after every cut, and of every segment and block, linear
+    in states and blocks, after every partition phase and pruning round;
+    plus a check that each half's successor bitset and edge-multiplicity
+    column agree, costing as much as those two rows. "full" adds a
+    from-scratch recomputation of the edge table and the successor
+    bitsets after every cut and pruning round, a recomputation of the
+    removal sets after every pruning round, order-algebra checks after
+    every phase, as bitset operations over the relation, a scan of every
+    block confirming each empty refiner search, and a direct simulation
+    check of the converged pair. Checks never change results.
     ``stats_enabled`` toggles counter collection; results are identical
     either way.
     """
@@ -160,10 +158,9 @@ class SimulationEngine:
         # initialize
         self.pred_start = array("I")
         self.pred_src = array("I")
-        # count[b][c]: blocks e with c related-below e that b has edges
-        # into, so a missing cell tests "b reaches nothing above c" in O(1);
-        # a row holds only its nonzero cells
-        self.count: list[dict[int, int]] = [{} for _ in range(nb)]
+        # post[b]: the bitset of blocks that b has an edge into, so b
+        # reaches |post[b] & up[c]| blocks above c
+        self.post: list[int] = [0] * nb
         # remove[c]: c's removal set, a bitset of block ids
         self.remove: list[int] = [0] * nb
         # worklist[b] is 1 while block b may host a refiner; a block whose
@@ -213,6 +210,10 @@ class SimulationEngine:
     def _shape(self) -> tuple[int, int]:
         return (len(self.pr.begin), sum(row.bit_count() for row in self.pr.up))
 
+    def _below(self, x: int) -> int:
+        """The blocks c such that some block of the bitset ``x`` is above c."""
+        return reduce(or_, map(self.pr.down.__getitem__, bits(x)), 0)
+
     def _queue(self, blocks) -> None:
         """Set the worklist flag of every block id in ``blocks``."""
         flags = self.worklist
@@ -223,41 +224,27 @@ class SimulationEngine:
     # table initialization
 
     def initialize(self) -> None:
-        """Fill the predecessor index and the edge, counter and removal
-        tables. Apart from the full checks, these are a run's only passes
+        """Fill the predecessor index, the edge tables and the removal
+        sets. Apart from the full checks, these are a run's only passes
         over all transitions."""
         pr = self.pr
-        down, state_block = pr.down, pr.state_block
-        succ = self.ks.succ
+        state_block, succ = pr.state_block, self.ks.succ
         self.pred_start, self.pred_src = predecessor_index(self.ks)
 
-        pre_e = self.pre_e
+        pre_e, post = self.pre_e, self.post
         for b in range(len(pre_e)):
             successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(b)))
             for d, m in Counter(map(state_block.__getitem__, successors)).items():
                 pre_e[d][b] = m
-
-        cnt = self.count
-        has_out = 0
-        for d, preds in enumerate(pre_e):
-            if not preds:
-                continue
-            cols = bits(down[d])
-            for b in preds:
-                has_out |= 1 << b
-                row = cnt[b]
-                for c in cols:
-                    row[c] = row.get(c, 0) + 1
+                post[b] |= 1 << d
 
         # c's removal set: the blocks with edges that reach nothing above c
-        reaching = [0] * len(cnt)
-        for b, row in enumerate(cnt):
-            for c in row:
-                reaching[c] |= 1 << b
+        has_out = sum(1 << b for b, row in enumerate(post) if row)
+        reaching = transpose(list(map(self._below, post)))
         self.remove = [has_out & ~r for r in reaching]
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += sum(map(int.bit_count, self.remove))
-        self._queue(range(len(cnt)))
+        self._queue(range(len(post)))
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -293,7 +280,8 @@ class SimulationEngine:
         holds b's proper parts for the classes it reaches other than the
         one ``inside`` was found for, as ``find_prefiner`` returns them.
         The cut is a ``split`` followed by ``inherit``, ``update_edges`` and
-        ``update_count``, so afterwards every table describes the partition
+        ``update_count``, which is given the blocks the parent reached
+        something above, so afterwards every table describes the partition
         exactly. A half h is flagged iff some part of ``others`` cuts it
         properly, 0 < |part n h| < |h|; the states of each part are counted
         in the new half by their block, with no edge walk. This is exact
@@ -308,7 +296,9 @@ class SimulationEngine:
                 raise InvariantViolation(f"refiner produced no split of block {b}")
         k, w = pr.split(inside)
         self.inherit(k, w)
-        self.update_count(k, w, self.update_edges(k, w))
+        before = self._below(self.post[k])
+        self.update_edges(k, w)
+        self.update_count(k, w, before)
         k_size, w_size = pr.end[k] - pr.begin[k], pr.end[w] - pr.begin[w]
         flag_k = flag_w = False
         for part in others:
@@ -330,13 +320,13 @@ class SimulationEngine:
         Mid-call the relation is the entry partial order lifted through
         splits, so blocks descended from one entry block are mutually
         related and share an upward closure. A candidate class of block b,
-        one whose part of b is proper, qualifies when the counter says b
-        reaches nothing strictly above the class: then the splitter
+        one whose part of b is proper, qualifies when b's successor bitset
+        holds no block strictly above the class: then the splitter
         pre(up-set) meets b in exactly the states with an edge into the
         class, a proper nonempty cut, and these are ``states``. On a
-        partial order, classes are singletons and the test degenerates to
-        the counter equalling one. ``cut`` reads ``others`` to decide the
-        halves' flags.
+        partial order, classes are singletons and the test is that b
+        reaches exactly one block above the class. ``cut`` reads
+        ``others`` to decide the halves' flags.
 
         Only blocks whose worklist flag is set are searched, lowest id
         first, which finds what a scan of every block would: a block whose
@@ -368,42 +358,38 @@ class SimulationEngine:
         A candidate is a class whose part of b is proper, 0 < |part| < |b|;
         a class that every state of b reaches cannot cut b.
         """
-        row = self.count[b]
-        if not row:
-            # the relation is reflexive, so only a block without
-            # transitions has an empty row, and it hosts no refiner
+        reach = self.post[b]
+        if not reach:
+            # a block without transitions hosts no refiner
             return None
-        size = self.pr.end[b] - self.pr.begin[b]
-        proper = [c for c in self.post_candidates(b) if len(c[2]) < size]
-        for rep, blocks_reached, states in proper:
-            if row.get(rep) == blocks_reached:
-                return rep, states, [part for _, _, part in proper if part is not states]
+        pr = self.pr
+        size = pr.end[b] - pr.begin[b]
+        proper = [c for c in self.post_candidates(b) if len(c[1]) < size]
+        for rep, states in proper:
+            if not reach & pr.up[rep] & ~pr.down[rep]:
+                return rep, states, [part for _, part in proper if part is not states]
         return None
 
-    def post_candidates(self, b: int) -> list[tuple[int, int, list[int]]]:
+    def post_candidates(self, b: int) -> list[tuple[int, list[int]]]:
         """Every class reached by b, with b's states that reach it.
 
         A block's class is the set of blocks mutually related with it,
         ``up[c] & down[c]``; mid-call these are the blocks descended from
         one entry block, whose id is the lowest in the class. One pass
         over b's outgoing transitions, with local tables only: a dict
-        names each successor block's class the first time it is met and
-        so counts the distinct member blocks of each class that b
-        reaches, and a list per class collects b's states with an edge
-        into the class, its part of b. A state's edges are walked
-        together, so a state already listed is the list's last entry.
-        Each class is returned as ``(rep, blocks_reached, states)``: the
-        id of its representative block, the class's lowest id, its number
-        of reached member blocks, and its part in segment order. The
-        classes come in the order in which b's transitions first reach
-        them.
+        names each successor block's class the first time it is met, and
+        a list per class collects b's states with an edge into the class,
+        its part of b. A state's edges are walked together, so a state
+        already listed is the list's last entry. Each class is returned
+        as ``(rep, states)``: the id of its representative block, the
+        class's lowest id, and its part in segment order. The classes
+        come in the order in which b's transitions first reach them.
         """
         pr = self.pr
         up, down, state_block = pr.up, pr.down, pr.state_block
         succ = self.ks.succ
         class_of: dict[int, int] = {}  # successor block -> its class id
-        class_blocks: dict[int, int] = {}  # first-touch order of classes
-        parts: dict[int, list[int]] = {}
+        parts: dict[int, list[int]] = {}  # in first-touch order of classes
         for s in pr.states[pr.begin[b] : pr.end[b]]:
             for y in succ[s]:
                 c = state_block[y]
@@ -412,12 +398,11 @@ class SimulationEngine:
                 except KeyError:
                     mutual = up[c] & down[c]
                     a = class_of[c] = (mutual & -mutual).bit_length() - 1
-                    class_blocks[a] = class_blocks.get(a, 0) + 1
                     parts.setdefault(a, [s])
                 part = parts[a]
                 if part[-1] != s:
                     part.append(s)
-        return [(a, n, parts[a]) for a, n in class_blocks.items()]
+        return list(parts.items())
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -428,32 +413,23 @@ class SimulationEngine:
 
         ``split`` just cut block k into the pair ``(k, w)``, so k's entries
         are still its parent's. w gets the row and column of k in the
-        relation, the counter column of k, a place in every removal set
-        that holds k, a copy of k's removal set, a clear worklist flag and
-        an empty counter row and edge-multiplicity column. The edge table
-        still describes the partition before the cut, which
-        ``update_edges`` then corrects: here w, met in ``up[k]``, has no
-        predecessors, and k still counts every edge into it. A column is
-        copied only where it has entries: the relation column into the
-        rows that ``down[k]`` names, the counter column into the rows of
-        blocks with an edge into ``up[k]``, which are exactly its nonzero
-        cells. The relation column is copied before the row, so w's row
-        holds w, and the places in the removal sets are made before k's set
-        is copied, for the same reason. ``update_count`` then counts w's
-        counter row.
+        relation, a place in every removal set that holds k, a copy of k's
+        removal set, a clear worklist flag, an empty successor bitset and
+        an empty edge-multiplicity column. The edge tables still describe
+        the partition before the cut, which ``update_edges`` then corrects:
+        here w, met in ``up[k]``, has no predecessors, and k still counts
+        every edge into it. The relation column is copied only into the
+        rows that ``down[k]`` names, and before the row, so w's row holds
+        w; the places in the removal sets are made before k's set is
+        copied, for the same reason.
         """
         pr = self.pr
-        up, down, cnt, pre_e = pr.up, pr.down, self.count, self.pre_e
-        remove = self.remove
-        pre_e.append({})
-        cnt.append({})
+        up, down, remove = pr.up, pr.down, self.remove
+        self.pre_e.append({})
+        self.post.append(0)
         wbit = 1 << w
         for r in bits(down[k]):
             up[r] |= wbit
-        for e in bits(up[k]):
-            for f in pre_e[e]:
-                row = cnt[f]
-                row[w] = row[k]
         up.append(up[k])
         down.append(down[k])
         for c in bits(up[w]):
@@ -467,9 +443,9 @@ class SimulationEngine:
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
 
-    def update_edges(self, k: int, w: int) -> KeysView[int]:
-        """Move the edge multiplicities of the cut block onto its halves,
-        and return the blocks that w's states have edges into.
+    def update_edges(self, k: int, w: int) -> None:
+        """Move the edge multiplicities and successor bits of the cut block
+        onto its halves.
 
         Only w, the smaller half, is walked: first its in-edges, through
         the predecessor index, which split the parent's column
@@ -478,15 +454,17 @@ class SimulationEngine:
         parent's cell ``pre_e[d][k]`` in every column d that w reaches,
         with every target at its block after the cut. k keeps the parent's
         cells less w's; its column is rebuilt as a fresh dict, which costs
-        one step per predecessor block of the parent.
+        one step per predecessor block of the parent. A successor bit is
+        set or cleared wherever a column gains or loses a key.
         """
         pr = self.pr
         state_block, succ = pr.state_block, self.ks.succ
         start, src = self.pred_start, self.pred_src
-        pre_e = self.pre_e
+        pre_e, post = self.pre_e, self.post
         w_states = pr.block_states(w)
         if self.cfg.stats_enabled:
             self.stats.smaller_half_state_scans.update(w_states)
+        kbit, wbit = 1 << k, 1 << w
 
         into = Counter(
             map(state_block.__getitem__, chain.from_iterable(
@@ -497,12 +475,17 @@ class SimulationEngine:
             into[k] += into.pop(w)
         pre_e[w] = dict(into)
         # a fresh dict: one that shrank keeps the capacity of its peak
-        pre_e[k] = {b: left for b, m in pre_e[k].items() if (left := m - into.get(b, 0))}
+        kcol = pre_e[k] = {b: left for b, m in pre_e[k].items() if (left := m - into.get(b, 0))}
+        for b in into:
+            post[b] |= wbit
+            if b not in kcol:
+                post[b] ^= kbit
 
         out = Counter(
             map(state_block.__getitem__, chain.from_iterable(map(succ.__getitem__, w_states)))
         )
         for d, m in out.items():
+            post[w] |= 1 << d
             cells = pre_e[d]
             cells[w] = m
             left = cells[k] - m
@@ -510,96 +493,42 @@ class SimulationEngine:
                 cells[k] = left
             else:
                 del cells[k]
-        return out.keys()
+                post[k] ^= 1 << d
 
-    def update_count(self, k: int, w: int, reached: KeysView[int]) -> None:
-        """Make the counter matrix exact after the cut of k into ``(k, w)``.
+    def update_count(self, k: int, w: int, before: int) -> None:
+        """Log each half of the cut of k into ``(k, w)`` into the removal
+        set of every block c above which it reaches nothing, though its
+        parent reached something.
 
-        ``inherit`` gave w its parent's column and an empty row, and
-        ``update_edges`` split the edge table and returned ``reached``, the
-        blocks that w's states have edges into. The smaller half w is now
-        counted from these blocks, while the parent's row is adjusted for k
-        and then copied into a fresh dict: one decrement per successor
-        *family* (both halves count as one family, matching the granularity
-        of the parent's value) that k no longer reaches, and one increment
-        for every row with edges into both halves. When k itself is such a
-        row, its increment over ``down[w]`` is netted against the
-        decrements with bitset operations before any cell is touched, so
-        each of k's cells changes once, by its net delta; k still counts
-        the cut family above every cell of ``down[w]``, so no netted cell
-        could have fallen to zero. Every column walk follows the set bits
-        of a ``down`` column. Every half whose counter drops to zero against
-        some block c is logged where the drop happens, by setting its bit
-        in c's removal set: for w, each key of the parent's row missing
-        from its own; for k, each cell a decrement deletes. These are
-        exactly the blocks whose states lost their last edge into c's
-        upward closure by losing their sibling states. The two halves have
-        equal columns, so such a half is logged into both halves' sets.
-        No worklist flag is set here: the rows of other blocks that change
-        leave their verdicts as they were (see the module docstring). The
-        cheap level range-checks every changed row, the halves' and those
-        of their predecessor blocks.
+        ``before`` is ``below(post[k])`` of the parent, read after
+        ``inherit`` and so holding w wherever it holds k; ``update_edges``
+        has made both halves' successor bitsets exact. A half h is logged
+        into c's set for every c of ``before & ~below(post[h])``: exactly
+        the blocks above which h's states lost their last edge by losing
+        their sibling states. The two halves have equal columns, so such a
+        half is logged into both halves' sets. No worklist flag is set
+        here: other blocks keep their verdicts (see the module docstring).
+        The cheap level checks that each half's successor bitset and
+        edge-multiplicity column agree.
         """
-        pr = self.pr
-        down = pr.down
-        cnt = self.count
-        remove = self.remove
-        pre_e = self.pre_e
-        track = self.cfg.stats_enabled
-        stats = self.stats
-
-        kr = cnt[k]
-        cnt[w] = row = dict(Counter(chain.from_iterable(bits(down[v]) for v in reached)))
-        dropped = kr.keys() - row.keys()
-        wbit = 1 << w
-        for c in dropped:
-            remove[c] |= wbit
-        if track:
-            stats.remove_elements_total += len(dropped)
-        kbit = 1 << k
-        # k's own gain over down[w] when it has edges into both halves,
-        # netted against the losses before any cell is touched
-        gain = down[w] if k in pre_e[w] and k in pre_e[k] else 0
-        for rep in {k if v == w else v for v in reached}:
-            if k in pre_e[rep] or (rep == k and k in pre_e[w]):
-                continue
-            loss = down[rep]
-            if gain:
-                netted = loss & gain
-                gain ^= netted
-                loss ^= netted
-            for c in bits(loss):
-                left = kr.get(c, 0) - 1
-                if left > 0:
-                    kr[c] = left
-                elif left == 0:
-                    del kr[c]
-                    remove[c] |= kbit
-                    if track:
-                        stats.remove_elements_total += 1
-                else:
-                    raise InvariantViolation("counter went negative")
-        for c in bits(gain):
-            kr[c] += 1
-        cnt[k] = dict(kr)  # fresh, as for pre_e[k]
-
-        # the other rows with edges into both halves now count two blocks
-        # where the parent value counted one; w's recounted row excluded
-        both = [d for d in pre_e[w] if d in pre_e[k] and d not in (k, w)]
-        if both:
-            below_w = bits(down[w])
-            for d in both:
-                dr = cnt[d]
-                for c in below_w:
-                    dr[c] = dr.get(c, 0) + 1
+        post, pre_e, remove = self.post, self.pre_e, self.remove
+        logged = 0
+        for h in (k, w):
+            lost = before & ~self._below(post[h])
+            hbit = 1 << h
+            for c in bits(lost):
+                remove[c] |= hbit
+            logged += lost.bit_count()
+        if self.cfg.stats_enabled:
+            self.stats.remove_elements_total += logged
 
         if self.cfg.cheap:
-            # every changed row: the halves' and those of their predecessors
-            nb = len(pr.begin)
-            for b in (k, *pre_e[k], w, *pre_e[w]):
-                row = cnt[b].values()
-                if row and (min(row) < 1 or max(row) > nb):
-                    raise InvariantViolation("counter out of range")
+            for h in (k, w):
+                hbit = 1 << h
+                if not all(post[b] & hbit for b in pre_e[h]) or not all(
+                    h in pre_e[d] for d in bits(post[h])
+                ):
+                    raise InvariantViolation(f"successor bitset of block {h} out of step")
 
     # ------------------------------------------------------------------
     # relation stabilization
@@ -611,23 +540,25 @@ class SimulationEngine:
         list for the next round, then for each selected block c with a
         pending set, prunes every related pair (b, d) with b a
         predecessor block of c and d in c's pending set, all of b's at
-        once as ``up[b] & pending``; each pruning decrements the counters
-        of d's predecessors against b, and a counter reaching zero logs the
-        fresh violation into b's set for the next round, while a counter
-        left at one flags its block for the refiner search, the only way a
-        round can make a block host a refiner (see the module docstring).
-        The pruned pairs, the decrements, the logged blocks and the flags
-        of a round do not depend on the order of the visits. Must run on a
+        once as ``up[b] & pending``. After each such batch, every block f
+        with an edge into a pruned d is tested by ``r = post[f] & up[b]``,
+        what f still reaches above b: if r is empty, the fresh violation
+        is logged into b's set for the next round, and if r is one block,
+        f is flagged for the refiner search, the only way a round can make
+        a block host a refiner (see the module docstring). The pruned
+        pairs and the logged blocks of a round do not depend on the order
+        of the visits. The flags may, since the visits group the pruned
+        pairs into batches, but whatever the order they include every
+        block that hosts a refiner after the round. Must run on a
         partition-stable pair; ``run`` re-stabilizes the partition between
-        rounds. Returns True iff no pair was removed, in which case
-        no set is left pending either. On exit the relation is
-        antisymmetric again: split-created mutual pairs always carry a
-        logged witness, so one direction gets pruned.
+        rounds. Returns True iff no pair was removed, in which case no set
+        is left pending either. On exit the relation is antisymmetric
+        again: split-created mutual pairs always carry a logged witness,
+        so one direction gets pruned.
         """
         pr = self.pr
         up, down = pr.up, pr.down
-        cnt = self.count
-        pre_e = self.pre_e
+        pre_e, post = self.pre_e, self.post
         flags = self.worklist
         track = self.cfg.stats_enabled
         pending = self.remove
@@ -649,26 +580,22 @@ class SimulationEngine:
                 if not hit:
                     continue
                 up[pred] ^= hit
+                above = up[pred]
                 removed = True
                 pbit = 1 << pred
-                for d in bits(hit):
+                pruned = bits(hit)
+                for d in pruned:
                     down[d] ^= pbit
-                    if track:
-                        self.stats.pairs_removed_total += 1
-                    for f in pre_e[d]:
-                        fr = cnt[f]
-                        left = fr.get(pred, 0) - 1
-                        if left > 0:
-                            fr[pred] = left
-                            if left == 1:
-                                flags[f] = 1
-                        elif left == 0:
-                            del fr[pred]
-                            remove[pred] |= 1 << f
-                            if track:
-                                self.stats.remove_elements_total += 1
-                        else:
-                            raise InvariantViolation("counter went negative")
+                for f in set().union(*map(pre_e.__getitem__, pruned)):
+                    r = post[f] & above
+                    if not r:
+                        remove[pred] |= 1 << f
+                    elif not r & (r - 1):
+                        flags[f] = 1
+                if track:
+                    self.stats.pairs_removed_total += len(pruned)
+        if track:
+            self.stats.remove_elements_total += sum(map(int.bit_count, remove))
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -719,20 +646,20 @@ class SimulationEngine:
 
     def _check_tables(self) -> None:
         """Full check: the edge table equals the transpose of its
-        from-scratch recount, the counters equal theirs, and ``down`` is
-        the transpose of ``up``. The removal sets are recomputed by
-        ``_check_remove_invariant``."""
+        from-scratch recount, the successor bitsets equal theirs, and
+        ``down`` is the transpose of ``up``. The removal sets are
+        recomputed by ``_check_remove_invariant``."""
         pr = self.pr
         if transpose(pr.up) != pr.down:
             raise InvariantViolation("down is not the transpose of up")
-        post_ref, cnt_ref = recompute_tables(self.ks, pr)
-        pre_ref: list[dict[int, int]] = [{} for _ in post_ref]
-        for b, row in enumerate(post_ref):
+        edges_ref, post_ref = recompute_tables(self.ks, pr)
+        pre_ref: list[dict[int, int]] = [{} for _ in edges_ref]
+        for b, row in enumerate(edges_ref):
             for d, m in row.items():
                 pre_ref[d][b] = m
         tables = (
             ("edge-multiplicity column", self.pre_e, pre_ref),
-            ("counter row", self.count, cnt_ref),
+            ("successor bitset", self.post, post_ref),
         )
         for name, table, ref in tables:
             if len(table) != len(ref):
@@ -808,31 +735,22 @@ def transpose(rows: list[int]) -> list[int]:
 
 
 def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
-    """From-scratch edge multiplicities and counter rows for the current pair.
+    """From-scratch edge multiplicities and successor bitsets for the
+    current partition, as ``(edges, post)``.
 
-    Independent of the maintained edge tables and counters; used as the
-    oracle for their exactness. ``post[b][d]`` is the number of
-    transitions from states of b into states of d, kept only where
-    nonzero, counted in one pass over the transitions. ``count[b][c]`` is
-    the number of blocks above c that b has edges into, kept only where
-    nonzero. Only the columns below some block b reaches can be nonzero,
-    so only those are computed.
+    Independent of the maintained edge tables; used as the oracle for
+    their exactness. ``edges[b][d]`` is the number of transitions from
+    states of b into states of d, kept only where nonzero, counted in one
+    pass over the transitions, and ``post[b]`` is the bitset of its keys.
     """
     state_block = pr.state_block
-    post: list[dict[int, int]] = [{} for _ in pr.begin]
+    edges: list[dict[int, int]] = [{} for _ in pr.begin]
     for s in range(ks.num_states):
-        row = post[state_block[s]]
+        row = edges[state_block[s]]
         for y in ks.succ[s]:
             d = state_block[y]
             row[d] = row.get(d, 0) + 1
-    up, down = pr.up, pr.down
-    count = []
-    for cells in post:
-        row = reduce(or_, map((1).__lshift__, cells), 0)
-        cols = bits(reduce(or_, map(down.__getitem__, cells), 0))
-        counts = list(map(int.bit_count, map(row.__and__, map(up.__getitem__, cols))))
-        count.append(dict(compress(zip(cols, counts), counts)))
-    return post, count
+    return edges, [reduce(or_, map((1).__lshift__, row), 0) for row in edges]
 
 
 def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bool:

@@ -2,7 +2,7 @@
 
 The engine's asymptotics rest on a handful of countable quantities: how
 many new blocks splits create, how often each state sits in the smaller
-half rescanned by the counter update, and how removal sets stay disjoint
+half rescanned by the edge-table update, and how removal sets stay disjoint
 across nested selections. This module holds the counters and turns each
 bound into a boolean assertion usable at desk scale.
 """
@@ -23,7 +23,7 @@ class RunStats:
     the counter is 1 on every completed run.
 
     ``smaller_half_state_scans`` maps a state id to the number of times it
-    was rescanned as a member of the smaller half during counter updates.
+    was rescanned as a member of the smaller half during edge-table updates.
 
     ``remove_trace`` records, per selection of a block with a pending
     removal set, the selected block's state set and the state union of

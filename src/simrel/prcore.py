@@ -14,7 +14,7 @@ size) and touches no other block. Block ids are never recycled; they
 index the segment lists, the block relation, held here as Python-int
 bitsets over block ids in both directions (``up[b]``, the blocks above
 b, and ``down[c]``, the blocks below c), and the engine's own lists:
-edge multiplicities, sparse counter rows, removal sets and worklist
+edge multiplicities, successor bitsets, removal sets and worklist
 flags. The engine gives each new half its kept half's entries before it
 cuts the next block.
 ``extract_result`` hands the converged pair out as a ``SimulationResult``

@@ -172,8 +172,9 @@ def test_criterion_5_smaller_half_law(exhaustive_outcomes, random_outcomes):
 
 
 def test_criterion_6_count_exactness_oracle():
-    # full check mode recomputes both tables from scratch after every
-    # counter update and every relation-pruning round and raises on drift
+    # full check mode recomputes the edge table and the successor bitsets
+    # from scratch after every cut and every relation-pruning round, and
+    # the removal sets after every round, and raises on drift
     failures = 0
     for i in range(100):
         ks = generate_random_ks(8, i % 3 + 1, (0.1, 0.3, 0.6)[i % 3], seed=10_000 + i)
@@ -184,7 +185,7 @@ def test_criterion_6_count_exactness_oracle():
     report(
         6,
         failures == 0,
-        f"counter table equals from-scratch recomputation throughout 100 "
+        f"edge tables equal from-scratch recomputation throughout 100 "
         f"full-checked 8-state runs, {failures} violations",
     )
 

@@ -73,7 +73,7 @@ class TestInitialize:
     def test_no_transitions(self):
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
         assert all(not preds for preds in eng.pre_e)
-        assert all(row == {} for row in eng.count)
+        assert eng.post == [0] * len(eng.pr.begin)
         assert eng.remove == [0] * len(eng.pr.begin)
 
     def test_sink_structure_edge_matrix(self, ks_a):
@@ -87,7 +87,7 @@ class TestInitialize:
         eng = engine_after_initialize(ks_a)
         for b in block_ids(eng.pr):
             for c in block_ids(eng.pr):
-                assert eng.count[b].get(c, 0) == (b in eng.pre_e[c])
+                assert (eng.post[b] & eng.pr.up[c]).bit_count() == (b in eng.pre_e[c])
 
     def test_remove_lists_per_definition(self):
         # block with edges but none into a target's closure gets listed
@@ -124,8 +124,8 @@ class TestPostCandidates:
         assert eng.post_candidates(0) == []
 
     def test_block_without_transitions_is_never_walked(self, monkeypatch):
-        # a block without transitions has an empty counter row, and the
-        # refiner search skips it without walking its states
+        # a block without transitions has an empty successor bitset, and
+        # the refiner search skips it without walking its states
         walked = []
         walk = SimulationEngine.post_candidates
         monkeypatch.setattr(
@@ -143,7 +143,7 @@ class TestPostCandidates:
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
         # one of the pair block's two states reaches the sink's class
-        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1, [0])]
+        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], [0])]
 
     def test_full_reach_excluded(self):
         # the walk lists the sink's class with all of the pair block, a
@@ -151,7 +151,7 @@ class TestPostCandidates:
         ks = build_ks("aab", [(0, 2), (1, 2)])
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
-        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], 1, [0, 1])]
+        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], [0, 1])]
         assert eng._hosted_refiner(pair_block) is None
 
     def test_per_state_successor_dedup(self):
@@ -162,7 +162,7 @@ class TestPostCandidates:
         b_b, b_c = eng.pr.state_block[2], eng.pr.state_block[3]
         relate(eng.pr, b_b, b_c)
         relate(eng.pr, b_c, b_b)
-        assert eng.post_candidates(eng.pr.state_block[0]) == [(b_b, 2, [0])]
+        assert eng.post_candidates(eng.pr.state_block[0]) == [(b_b, [0])]
 
     def test_candidates_in_first_touch_order(self):
         # state 0 reaches block 2 before block 1, so block-id order and
@@ -171,7 +171,7 @@ class TestPostCandidates:
         eng = engine_after_initialize(ks)
         b_a, b_c, b_b = block_ids(eng.pr)
         assert (eng.pr.state_block[2], eng.pr.state_block[3]) == (b_c, b_b)
-        assert eng.post_candidates(b_a) == [(b_b, 1, [0]), (b_c, 1, [0])]
+        assert eng.post_candidates(b_a) == [(b_b, [0]), (b_c, [0])]
         # the other class's part comes with the hit
         assert eng.find_prefiner() == (b_b, [0], [[0]])
 
@@ -184,7 +184,7 @@ class TestPostCandidates:
         pr.states[0:4] = [3, 2, 1, 0]
         for p, s in enumerate(pr.states):
             pr.pos[s] = p
-        assert eng.post_candidates(0) == [(1, 1, [3, 2, 0])]
+        assert eng.post_candidates(0) == [(1, [3, 2, 0])]
 
 
 class TestFindPRefiner:
@@ -287,13 +287,14 @@ class TestUpdateAfterSplit:
         # from-scratch recomputation fixes the expected entries
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        _, cnt_ref = recompute_tables(eng.ks, eng.pr)
-        assert eng.count == cnt_ref
+        _, post_ref = recompute_tables(eng.ks, eng.pr)
+        assert eng.post == post_ref
         live = eng.pr.state_block[0]
         dead = eng.pr.state_block[1]
-        assert eng.count[live].get(live, 0) == 1
-        assert eng.count[dead].get(live, 0) == 0
-        assert eng.count[dead].get(dead, 0) == 0
+        up, post = eng.pr.up, eng.post
+        assert (post[live] & up[live]).bit_count() == 1
+        assert post[dead] & up[live] == 0
+        assert post[dead] & up[dead] == 0
 
     def test_pre_e_rebuilt(self, ks_b):
         eng = engine_after_initialize(ks_b)
@@ -323,22 +324,19 @@ def split_with_scribbled_tables():
     """An initialized engine whose two label blocks are split one after
     the other, each split followed by ``inherit``.
 
-    Both blocks reach both, so every counter cell is nonzero whatever the
-    relation. Before the splits every counter cell holds a distinct value
-    and the relation is an upper triangle, so a copied cell shows where it
-    came from; the removal sets hold both blocks, one of them in its own
-    set. Returns the engine, the split pairs and the tables before the
-    splits.
+    Both blocks reach both. Before the splits the relation is an upper
+    triangle, so a copied row or column shows where it came from; the
+    removal sets hold both blocks, one of them in its own set. Returns the
+    engine, the split pairs and the tables before the splits.
     """
     ks = build_ks("aaabbb", [(0, 3), (1, 1), (2, 5), (3, 0), (4, 4), (5, 2)])
     eng = engine_after_initialize(ks)
     eng.remove[:] = [0b11, 0b10]
     nb = len(eng.pr.begin)
     for r in range(nb):
-        eng.count[r] = {c: 1 + r * nb + c for c in range(nb)}
         for c in range(r + 1, nb):
             relate(eng.pr, r, c)
-    before = (eng.pr.up[:], eng.pr.down[:], [dict(r) for r in eng.count])
+    before = (eng.pr.up[:], eng.pr.down[:], eng.post[:])
     pairs = []
     for inside in ([0], [3]):
         pair = eng.pr.split(inside)
@@ -361,82 +359,95 @@ def assert_edge_tables_exact(eng):
 
 
 class ExactAfterEveryPair(SimulationEngine):
-    """The engine with its edge table and counter rows recounted after
-    every cut block; ``checked`` lists the ``(kept, new)`` pairs checked."""
+    """The engine with its edge table and successor bitsets recounted
+    after every cut block; ``checked`` lists the ``(kept, new)`` pairs
+    checked."""
 
     def __init__(self, ks):
         super().__init__(ks)
         self.checked = []
 
-    def update_count(self, k, w, reached):
-        SimulationEngine.update_count(self, k, w, reached)
+    def update_count(self, k, w, before):
+        SimulationEngine.update_count(self, k, w, before)
         assert_edge_tables_exact(self)
-        assert self.count == recompute_tables(self.ks, self.pr)[1]
+        assert self.post == recompute_tables(self.ks, self.pr)[1]
         self.checked.append((k, w))
 
 
+def successor_blocks(eng, b):
+    """The blocks that b's states have an edge into, by a walk of b."""
+    state_block, succ = eng.pr.state_block, eng.ks.succ
+    return {state_block[y] for s in eng.pr.block_states(b) for y in succ[s]}
+
+
 class RemovalSetsRecounted(SimulationEngine):
-    """The engine checking, after every cut, the counter rows against a
-    recount and every removal set against its definition. Since the sets
-    were last started (by ``initialize``, or when a pruning round starts),
-    c's set holds the blocks b that reach nothing above c, while b's
-    ancestor then reached something above c's ancestor; at ``initialize``
-    that holds for every block with transitions. ``netted`` counts the
-    cuts whose kept half has edges into both halves and reaches a family
-    no more."""
+    """The engine checking, after ``initialize``, every cut and every
+    pruning round, each successor bitset against a walk of its block and
+    every removal set against its definition. Since the sets were last
+    started (by ``initialize``, or when a pruning round starts), c's set
+    holds the blocks b that reach nothing above c, while b's ancestor then
+    reached something above c's ancestor; at ``initialize`` that holds for
+    every block with transitions. ``checks`` counts the checks."""
 
-    netted = 0
+    checks = 0
 
-    def initialize(self):
-        SimulationEngine.initialize(self)
-        self.parent = {}
-        self.start_sets(lambda row: set(range(len(self.count))) if row else set())
+    def reached_above(self, b):
+        """The blocks c such that b has an edge into a block above c."""
+        reach = successor_blocks(self, b)
+        return {c for c, row in enumerate(self.pr.up) if any(row >> d & 1 for d in reach)}
 
-    def start_sets(self, reach):
-        self.base = len(self.count)
-        self.entry = [reach(row) for row in self.count]
+    def start_sets(self, entry):
+        self.base = len(entry)
+        self.entry = entry
 
     def ancestor(self, b):
         while b >= self.base:
             b = self.parent[b]
         return b
 
-    def rstabilize(self):
-        self.start_sets(set)
-        return SimulationEngine.rstabilize(self)
+    def initialize(self):
+        SimulationEngine.initialize(self)
+        self.parent = {}
+        blocks = block_ids(self.pr)
+        self.start_sets([set(blocks) if successor_blocks(self, b) else set() for b in blocks])
+        self.check()
 
-    def update_count(self, k, w, reached):
-        pre_e = self.pre_e
-        lost = [v for v in reached if v not in (k, w) and k not in pre_e[v]]
-        if k in pre_e[k] and k in pre_e[w] and lost:
-            self.netted += 1
-        SimulationEngine.update_count(self, k, w, reached)
+    def rstabilize(self):
+        self.start_sets(list(map(self.reached_above, block_ids(self.pr))))
+        out = SimulationEngine.rstabilize(self)
+        self.check()
+        return out
 
     def cut(self, inside, others):
         k, w = SimulationEngine.cut(self, inside, others)
         self.parent[w] = k
-        assert self.count == recompute_tables(self.ks, self.pr)[1]
-        blocks = range(len(self.count))
+        self.check()
+        return k, w
+
+    def check(self):
+        blocks = block_ids(self.pr)
+        for b in blocks:
+            assert bits(self.post[b]) == sorted(successor_blocks(self, b)), b
+        reached = list(map(self.reached_above, blocks))
         for c in blocks:
             above = self.ancestor(c)
             expected = sum(
                 1 << b
                 for b in blocks
-                if c not in self.count[b] and above in self.entry[self.ancestor(b)]
+                if c not in reached[b] and above in self.entry[self.ancestor(b)]
             )
-            assert self.remove[c] == expected, (k, w, c)
-        return k, w
+            assert self.remove[c] == expected, c
+        self.checks += 1
 
 
 class TestUpdateEdges:
     @pytest.mark.parametrize("n", [6, 9, 17])
-    def test_netted_kept_row_equals_recount_on_chains(self, n):
+    def test_removal_sets_equal_their_definition_on_chains(self, n):
         # after the first round each cut of the chain's big block keeps a
-        # half with edges into both halves that has lost the block split
-        # off before; its counter row changes by one net delta per cell
+        # half with edges into both halves that no longer reaches the
+        # block split off before
         eng = RemovalSetsRecounted(make_chain(n), EngineConfig(check_level="full"))
         result, _ = eng.run()
-        assert eng.netted == n - 3
         assert result == compute_simulation(make_chain(n))[0]
 
     @given(
@@ -450,7 +461,7 @@ class TestUpdateEdges:
     )
     @settings(max_examples=60, deadline=None)
     def test_tables_equal_recount_after_every_split_round(self, ks):
-        # the edge table and the counter rows are exact after every cut
+        # the edge table and the successor bitsets are exact after every cut
         eng = ExactAfterEveryPair(ks)
         eng.initialize()
         assert_edge_tables_exact(eng)
@@ -500,17 +511,15 @@ class TestUpdateEdges:
 
     @given(random_ks(max_states=16))
     @settings(max_examples=40, deadline=None)
-    def test_returns_the_blocks_the_new_half_reaches(self, ks):
+    def test_new_half_successor_bitset_lists_the_blocks_it_reaches(self, ks):
         eng = engine_after_initialize(ks)
         found = eng.find_prefiner()
         assume(found is not None)
         kept, new = eng.pr.split(found[1])
         eng.inherit(kept, new)
-        reached = eng.update_edges(kept, new)
-        succ, state_block = ks.succ, eng.pr.state_block
-        assert set(reached) == {
-            state_block[y] for s in eng.pr.block_states(new) for y in succ[s]
-        }
+        assert eng.post[new] == 0
+        eng.update_edges(kept, new)
+        assert bits(eng.post[new]) == sorted(successor_blocks(eng, new))
 
 
 class TestInherit:
@@ -524,7 +533,7 @@ class TestInherit:
             pr = eng.pr
             return (
                 pr.states[:], pr.begin[:], pr.end[:], pr.up[:], pr.down[:],
-                [dict(r) for r in eng.count], [dict(c) for c in eng.pre_e],
+                eng.post[:], [dict(c) for c in eng.pre_e],
                 eng.remove[:], bytes(eng.worklist),
             )
 
@@ -537,20 +546,18 @@ class TestInherit:
     def test_one_row_and_column_per_new_half(self):
         eng, pairs, _ = split_with_scribbled_tables()
         pr = eng.pr
-        assert len(pr.up) == len(pr.down) == len(eng.count) == 4
+        assert len(pr.up) == len(pr.down) == len(eng.post) == 4
         assert len(eng.remove) == len(eng.worklist) == 4
         assert all(row >> 4 == 0 for row in pr.up + pr.down)
-        # the scribbled counter rows are dense, so they grow by a column;
-        # update_count fills the new halves' rows
-        assert all(sorted(row) == [0, 1, 2, 3] for row in eng.count[:2])
-        assert eng.count[2:] == [{}, {}]
+        # update_edges fills the new halves' successor bitsets
+        assert eng.post[2:] == [0, 0]
 
     def test_dimension_tracks_cumulative_splits(self):
         eng = engine_after_initialize(build_ks("aaaa", []))
         for splitter in ([0], [1]):
             eng.inherit(*eng.pr.split(splitter))
         pr = eng.pr
-        assert len(pr.up) == len(pr.down) == len(eng.count) == 3
+        assert len(pr.up) == len(pr.down) == len(eng.post) == 3
         # the halves of one block stay mutually related
         assert pr.up == pr.down == [0b111] * 3
 
@@ -563,31 +570,15 @@ class TestInherit:
             assert pr.down[n] == pr.down[p]
             for r in range(nb):
                 assert related(pr, r, n) == related(pr, r, p)
-            for r in range(nb - len(pairs)):
-                assert eng.count[r][n] == eng.count[r][p]
-
-    def test_update_count_copies_each_kept_row_once(self):
-        # a kept row that loses cells is a fresh dict, not the parent's
-        # dict with the capacity of its peak; the new half's row is counted
-        ks = build_ks("aaaab", [(0, 4), (1, 4), (2, 4)])
-        eng = engine_after_initialize(ks)
-        parent_row = eng.count[0]
-        kept, new = eng.pr.split(eng.find_prefiner()[1])
-        eng.inherit(kept, new)
-        assert eng.count[kept] is parent_row and eng.count[new] == {}
-        eng.update_count(kept, new, eng.update_edges(kept, new))
-        assert eng.count[kept] is not parent_row
-        assert eng.count == recompute_tables(ks, eng.pr)[1]
 
     def test_old_entries_untouched(self):
-        eng, pairs, (up_before, down_before, cnt_before) = split_with_scribbled_tables()
+        eng, pairs, (up_before, down_before, post_before) = split_with_scribbled_tables()
         old = len(up_before)
         mask = (1 << old) - 1
         assert [row & mask for row in eng.pr.up[:old]] == up_before
         assert [row & mask for row in eng.pr.down[:old]] == down_before
-        assert [
-            {c: k for c, k in row.items() if c < old} for row in eng.count[:old]
-        ] == cnt_before
+        # update_edges, not inherit, moves the successor bits
+        assert eng.post[:old] == post_before
 
     def test_remove_list_equals_parents_and_is_independent(self):
         eng, pairs, _ = split_with_scribbled_tables()
@@ -614,6 +605,18 @@ class TestInherit:
             assert stats.remove_elements_total == 2 * n - 1
 
 
+class RecordedRows(list):
+    """A list recording every assignment to an item as ``(index, old, new)``."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.writes = []
+
+    def __setitem__(self, i, value):
+        self.writes.append((i, self[i], value))
+        super().__setitem__(i, value)
+
+
 class TestRStabilize:
     def test_empty_lists_noop(self, ks_a):
         eng = engine_after_initialize(ks_a)
@@ -628,7 +631,7 @@ class TestRStabilize:
 
     def test_chained_rounds_reach_fixpoint(self):
         # frozen instance where pruning cascades across rounds: the first
-        # round's counter decrements feed the next round's removals
+        # round's pruning feeds the next round's removal sets
         ks = build_ks("aaaa", [(0, 1), (0, 2), (2, 1)])
 
         rounds_with_removals = []
@@ -645,31 +648,36 @@ class TestRStabilize:
         assert len(rounds_with_removals) >= 2
         assert result.state_matrix() == brute_force_simulation(ks).matrix
 
-    def test_queues_exactly_the_blocks_a_counter_of_which_fell_to_one(self):
-        # on (4, 2, 1.5/4, 1), pruning breaks the class of blocks 0 and 2,
-        # and block 1, which reaches that class, keeps its counts; on
-        # (3, 2, 0.5, 4), one block's count falls from 1 to 0. No count
-        # falls by two, so none passes 1 on its way to 0
-        only_to_zero = 0
-        for args in ((4, 2, 1.5 / 4, 1), (3, 2, 0.5, 4)):
+    def test_flags_exactly_the_blocks_whose_reach_above_pred_ends_a_batch_at_one_block(self):
+        # each write to up[pred] is one batch, pruning the pairs (pred, d)
+        # of the bits it clears. A block with an edge into a pruned d is
+        # flagged iff it then reaches exactly one block above pred, and
+        # logged into pred's next set iff it reaches none. On (5, 2, 0.3, 2)
+        # and (8, 2, 0.1875, 3) some block's reach above pred falls from 2
+        # or more to 0 in one batch, passing 1 without being tested there
+        passed_one = 0
+        for args in ((4, 2, 1.5 / 4, 1), (3, 2, 0.5, 4), (5, 2, 0.3, 2), (8, 2, 0.1875, 3)):
             eng = engine_after_initialize(generate_random_ks(*args))
             eng.pstabilize()
-            before = [dict(row) for row in eng.count]
             eng.worklist[:] = bytes(len(eng.pr.begin))
+            eng.pr.up = up = RecordedRows(eng.pr.up)
             eng.rstabilize()
-            changes = [
-                (f, m, row.get(c, 0))
-                for f, (old, row) in enumerate(zip(before, eng.count))
-                for c, m in old.items()
-                if row.get(c, 0) != m
-            ]
-            assert all(m - left == 1 for _, m, left in changes)
-            to_one = {f for f, _, left in changes if left == 1}
-            assert to_one
-            assert queued(eng) == to_one
+            edges, post = recompute_tables(eng.ks, eng.pr)
+            into = [{b for b, row in enumerate(edges) if d in row} for d in range(len(edges))]
+            flagged, logged = set(), [0] * len(post)
+            for pred, old, new in up.writes:
+                for f in set().union(*map(into.__getitem__, bits(old & ~new))):
+                    reach = post[f] & new
+                    if not reach:
+                        logged[pred] |= 1 << f
+                        passed_one += (post[f] & old).bit_count() > 1
+                    elif reach.bit_count() == 1:
+                        flagged.add(f)
+            assert flagged
+            assert queued(eng) == flagged
+            assert eng.remove == logged
             assert len(eng.worklist) == len(eng.pr.begin)
-            only_to_zero += len({f for f, _, left in changes if left == 0} - to_one)
-        assert only_to_zero
+        assert passed_one
 
     def test_dead_half_pair_pruned_via_logged_witness(self):
         # dead states split away from movers must lose the pair claiming
@@ -698,20 +706,22 @@ class TestFullChecks:
         with pytest.raises(InvariantViolation, match="worklist missed"):
             eng.find_prefiner()
 
-    def test_out_of_range_counter_in_changed_row_detected(self, ks_b):
-        # the cheap level range-checks the rows update_count writes
-        eng = SimulationEngine(ks_b, EngineConfig(check_level="cheap"))
+    def test_successor_bitset_out_of_step_in_a_cut_detected(self):
+        # the cheap level checks each half's successor bitset against its
+        # edge-multiplicity column right after the cut, before the next
+        # search
+        eng = SimulationEngine(make_chain(4), EngineConfig(check_level="cheap"))
         eng.initialize()
-        kept, new = eng.pr.split(eng.find_prefiner()[1])
-        eng.inherit(kept, new)
-        reached = eng.update_edges(kept, new)
-        begin, end = eng.pr.begin, eng.pr.end
-        # the larger half keeps the id, and its row is adjusted, not recounted
-        assert end[kept] - begin[kept] >= end[new] - begin[new]
-        # above the block count, and still above it after a decrement
-        eng.count[kept][kept] = 99
-        with pytest.raises(InvariantViolation, match="counter out of range"):
-            eng.update_count(kept, new, reached)
+        update_edges = eng.update_edges
+
+        def corrupting_update_edges(k, w):
+            update_edges(k, w)
+            eng.post[w] ^= 1 << k
+
+        eng.update_edges = corrupting_update_edges
+        with pytest.raises(InvariantViolation, match="successor bitset"):
+            eng.pstabilize()
+        assert len(eng.pr.begin) == 2
 
     @pytest.mark.parametrize(
         "table, message", [("pos", "position index stale"), ("state_block", "pointer disagree")]
@@ -740,23 +750,17 @@ class TestFullChecks:
         with pytest.raises(InvariantViolation, match="transpose"):
             eng._check_tables()
 
-    def test_stale_counter_detected(self, ks_a):
-        eng = SimulationEngine(ks_a, FULL)
-        eng.initialize()
-        row = next(r for r in eng.count if r)
-        row[next(iter(row))] += 1
-        with pytest.raises(InvariantViolation, match="counter row"):
-            eng._check_tables()
-
-    def test_negative_counter_detected_with_checks_off(self):
-        # pruning decrements counters; a missing cell would go below zero
-        eng = SimulationEngine(make_chain(3), EngineConfig())
+    def test_stale_successor_bitset_detected(self):
+        # the full level recounts the successor bitsets after every
+        # pruning round
+        eng = SimulationEngine(build_ks("aaaaa", [(1, 0), (1, 2), (1, 4)]), FULL)
         eng.initialize()
         eng.pstabilize()
-        for row in eng.count:
-            row.clear()
-        with pytest.raises(InvariantViolation, match="counter went negative"):
-            eng.rstabilize()
+        assert eng.rstabilize() is False
+        eng._check_tables()
+        eng.post[0] ^= 1
+        with pytest.raises(InvariantViolation, match="successor bitset 0 stale"):
+            eng._check_tables()
 
     def test_corrupt_removal_set_detected(self):
         # this structure's first pruning round logs fresh violations
@@ -947,7 +951,7 @@ class FlagsChecked(SimulationEngine):
         pr = self.pr
         for h in (k, w):
             size = pr.end[h] - pr.begin[h]
-            proper = any(len(part) < size for _, _, part in self.post_candidates(h))
+            proper = any(len(part) < size for _, part in self.post_candidates(h))
             assert self.worklist[h] == proper, (k, w, h)
         self.cuts += 1
         return k, w
@@ -960,6 +964,16 @@ class TestEngineProperties:
         eng = FlagsChecked(ks, EngineConfig(check_level="cheap", stats_enabled=True))
         result, stats = eng.run()
         assert eng.cuts == stats.splits_total
+        assert result == compute_simulation(ks)[0]
+
+    @given(random_ks(max_states=24))
+    @settings(max_examples=80, deadline=None)
+    def test_successor_bitsets_and_removal_sets_equal_their_definitions(self, ks):
+        eng = RemovalSetsRecounted(ks, EngineConfig(check_level="cheap", stats_enabled=True))
+        result, stats = eng.run()
+        # once after initialize, after every cut and after each of at
+        # least one pruning round
+        assert eng.checks >= 2 + stats.splits_total
         assert result == compute_simulation(ks)[0]
 
     @given(random_ks(max_states=24))
