@@ -11,12 +11,25 @@ header may declare at most :data:`MAX_STATES` states.
 Duplicate ``trans`` lines are deduplicated silently (the transition
 relation is a set). Multiple ``label`` lines for the same state merge
 their atom sets.
+
+:func:`parse_ks` reads a string's runs of lines of the exact form
+``trans <s> <t>`` (single spaces, 1-9 ASCII digits per id, no comment, no
+carriage return), as :func:`serialize_ks` writes them, in bulk: C-level
+string and int operations on each run's slice instead of Python work per
+line. A run is cut after :data:`BULK_RUN_LINES` lines, because its slice,
+its id tokens and their ints are all alive while it is converted; an
+uncapped run would hold every id token of the file at once, and on large
+files that sets the process's peak memory. Every other line, and every
+run that fails the range check or comes before the header, is read line
+by line, so all input errors are raised there, at their lines.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import sys
+from collections import defaultdict, deque
 from typing import Iterable
 
 # largest state count a ``states`` header may declare or a generator may
@@ -35,6 +48,16 @@ MAX_RANDOM_STATES = 10_000
 # x86-64 host), so a larger count is refused before the first successor
 # list is built
 MAX_CLIQUE_STATES = 2_000
+
+# most lines of one run of canonical ``trans`` lines that ``parse_ks``
+# converts at once; it bounds the memory a run takes (see the module
+# docstring)
+BULK_RUN_LINES = 1024
+
+# a run of canonical transition lines, anchored at a line start
+_TRANS_RUN = re.compile(
+    r"^(?:trans [0-9]{1,9} [0-9]{1,9}\n){1,%d}" % BULK_RUN_LINES, re.MULTILINE
+)
 
 
 class KSFormatError(ValueError):
@@ -63,24 +86,17 @@ class KripkeStructure:
         if num_states < 0:
             raise ValueError("num_states must be non-negative")
         self.num_states = num_states
-        labels = labels or {}
         unlabeled = frozenset()
         shared = {unlabeled: unlabeled}
-        lab = []
-        for s in range(num_states):
-            atoms = labels.get(s, ()) if isinstance(labels, dict) else labels[s]
+        lab = [unlabeled] * num_states
+        for s, atoms in _by_state(labels or {}, num_states):
             if atoms:
                 key = frozenset(map(sys.intern, map(str, atoms)))
-                lab.append(shared.setdefault(key, key))
-            else:
-                lab.append(unlabeled)
+                lab[s] = shared.setdefault(key, key)
         self.labels = tuple(lab)
-        succ = succ or {}
-        out = []
-        for s in range(num_states):
-            targets = succ.get(s, ()) if isinstance(succ, dict) else succ[s]
+        out = [()] * num_states
+        for s, targets in _by_state(succ or {}, num_states):
             if not targets:
-                out.append(())
                 continue
             seen = set()
             dedup = []
@@ -90,7 +106,7 @@ class KripkeStructure:
                 if t not in seen:
                     seen.add(t)
                     dedup.append(t)
-            out.append(tuple(dedup))
+            out[s] = tuple(dedup)
         self.succ = tuple(out)
 
     @property
@@ -116,22 +132,23 @@ class KripkeStructure:
         )
 
 
+def _by_state(table, n):
+    """``(s, table[s])`` for states s in ascending order: a dict's keys in
+    ``[0, n)``, others ignored, or each s in ``range(n)`` of a sequence."""
+    if isinstance(table, dict):
+        return sorted(item for item in table.items() if 0 <= item[0] < n)
+    return ((s, table[s]) for s in range(n))
+
+
 def parse_ks(text: str | Iterable[str]) -> KripkeStructure:
     """Parse the line-oriented KS text format.
 
     State ids are dense and match the header's declared count; ids outside
     ``[0, n)`` raise :class:`KSFormatError` with the line number.
     """
-    if isinstance(text, str):
-        # only "\n" ends a line, as for grep -n; a CR before it is stripped
-        # below as whitespace
-        lines = text.split("\n")
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
-
     num_states = None
     labels: dict[int, set[str]] = {}
-    succ: dict[int, list[int]] = {}
+    succ: defaultdict[int, list[int]] = defaultdict(list)
 
     def want_int(token: str, what: str, line_no: int) -> int:
         # ASCII digits, with a minus sign left to the range checks; int()
@@ -149,38 +166,62 @@ def parse_ks(text: str | Iterable[str]) -> KripkeStructure:
             raise KSFormatError(f"state id {value} out of range", line_no)
         return value
 
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if num_states is None:
-            if kind != "states" or len(tokens) != 2:
-                raise KSFormatError("missing 'states <n>' header", line_no)
-            num_states = want_int(tokens[1], "state count", line_no)
-            if num_states < 0:
-                raise KSFormatError("state count must be non-negative", line_no)
-            if num_states > MAX_STATES:
-                raise KSFormatError(
-                    f"state count {num_states} exceeds the limit of {MAX_STATES}", line_no
-                )
-            continue
-        if kind == "states":
-            raise KSFormatError("duplicate 'states' header", line_no)
-        if kind == "label":
-            if len(tokens) < 3:
-                raise KSFormatError("label needs a state id and at least one atom", line_no)
-            s = want_state(tokens[1], line_no)
-            labels.setdefault(s, set()).update(tokens[2:])
-        elif kind == "trans":
-            if len(tokens) != 3:
-                raise KSFormatError("trans needs exactly a source and a target", line_no)
-            s = want_state(tokens[1], line_no)
-            t = want_state(tokens[2], line_no)
-            succ.setdefault(s, []).append(t)
-        else:
-            raise KSFormatError(f"unknown directive {kind!r}", line_no)
+    def read_lines(lines: Iterable[str], first_no: int) -> None:
+        nonlocal num_states
+        for line_no, raw in enumerate(lines, start=first_no):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            kind = tokens[0]
+            if num_states is None:
+                if kind != "states" or len(tokens) != 2:
+                    raise KSFormatError("missing 'states <n>' header", line_no)
+                num_states = want_int(tokens[1], "state count", line_no)
+                if num_states < 0:
+                    raise KSFormatError("state count must be non-negative", line_no)
+                if num_states > MAX_STATES:
+                    raise KSFormatError(
+                        f"state count {num_states} exceeds the limit of {MAX_STATES}", line_no
+                    )
+                continue
+            if kind == "states":
+                raise KSFormatError("duplicate 'states' header", line_no)
+            if kind == "label":
+                if len(tokens) < 3:
+                    raise KSFormatError("label needs a state id and at least one atom", line_no)
+                s = want_state(tokens[1], line_no)
+                labels.setdefault(s, set()).update(tokens[2:])
+            elif kind == "trans":
+                if len(tokens) != 3:
+                    raise KSFormatError("trans needs exactly a source and a target", line_no)
+                s = want_state(tokens[1], line_no)
+                t = want_state(tokens[2], line_no)
+                succ[s].append(t)
+            else:
+                raise KSFormatError(f"unknown directive {kind!r}", line_no)
+
+    if isinstance(text, str):
+        # only "\n" ends a line, as for grep -n; a CR before it is stripped
+        # as whitespace by the line-by-line reader
+        pos = line_no = 0  # the text before pos has line_no lines
+        for run in _TRANS_RUN.finditer(text):
+            start, end = run.span()
+            between = text[pos:start].split("\n")
+            between.pop()  # the empty rest after the "\n" ending the last line
+            read_lines(between, line_no + 1)
+            line_no += len(between)
+            # "trans 0 1\ntrans 0 2\n" -> "0 1 0 2\n": ids only, no "trans" tokens
+            ids = list(map(int, text[start + 6 : end].replace("\ntrans ", " ").split()))
+            if num_states is not None and max(ids) < num_states:
+                deque(map(list.append, map(succ.__getitem__, ids[::2]), ids[1::2]), 0)
+            else:  # the line-by-line reader raises the run's error at its line
+                read_lines(text[start:end].split("\n"), line_no + 1)
+            line_no += len(ids) // 2
+            pos = end
+        read_lines(text[pos:].split("\n"), line_no + 1)
+    else:
+        read_lines([ln.rstrip("\n") for ln in text], 1)
 
     if num_states is None:
         raise KSFormatError("missing 'states <n>' header")

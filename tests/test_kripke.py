@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from simrel import kripke
 from simrel.kripke import (
+    BULK_RUN_LINES,
     MAX_CLIQUE_STATES,
     MAX_RANDOM_STATES,
     MAX_STATES,
@@ -127,6 +128,214 @@ class TestParse:
     def test_unknown_directive(self):
         with pytest.raises(KSFormatError, match="unknown directive"):
             parse_ks("states 1\nedge 0 0\n")
+
+
+def trans_lines(pairs):
+    return "".join(f"trans {s} {t}\n" for s, t in pairs)
+
+
+# a canonical line "trans <s> <t>" made into one that parse_ks reads line
+# by line, with the same meaning
+PER_LINE_FORMS = [
+    lambda s, t: f"trans  {s} {t}",
+    lambda s, t: f"trans {s} {t}  # c",
+    lambda s, t: f"trans {s} {t}\r",
+    lambda s, t: f"trans {int(s):010d} {t}",
+]
+
+
+def canonical(line):
+    parts = line.split(" ")
+    return (
+        len(parts) == 3
+        and parts[0] == "trans"
+        and all(p.isascii() and p.isdigit() and len(p) <= 9 for p in parts[1:])
+    )
+
+
+def per_line_text(text, forms):
+    """text with its i-th canonical trans line rewritten by forms[i % len]."""
+    lines = text.split("\n")
+    bulk = [i for i, line in enumerate(lines) if canonical(line)]
+    for k, i in enumerate(bulk):
+        lines[i] = forms[k % len(forms)](*lines[i].split(" ")[1:])
+    return "\n".join(lines)
+
+
+def parse_error(text):
+    with pytest.raises(KSFormatError) as info:
+        parse_ks(text)
+    return str(info.value), info.value.line_no
+
+
+class TestBulkRuns:
+    """Runs of canonical trans lines are read in bulk; every other form of
+    the same lines, and any iterable of lines, is read line by line."""
+
+    @given(
+        random_ks_strategy(max_states=12),
+        st.lists(st.sampled_from(PER_LINE_FORMS), min_size=1, max_size=4),
+    )
+    @settings(max_examples=80)
+    def test_same_structure_line_by_line(self, ks, forms):
+        text = serialize_ks(ks)
+        slow = per_line_text(text, forms)
+        assert not any(map(canonical, slow.split("\n")))
+        assert parse_ks(text) == parse_ks(slow) == ks
+
+    @given(
+        random_ks_strategy(max_states=12),
+        st.lists(st.sampled_from(PER_LINE_FORMS), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_same_error_line_by_line(self, ks, forms, data):
+        n = ks.num_states
+        lines = serialize_ks(ks).split("\n")[:-1]
+        bad = data.draw(
+            st.one_of(
+                st.builds("trans {} {}".format, st.integers(0, n - 1), st.integers(n, n + 2)),
+                st.builds("trans {} {}".format, st.integers(n, n + 2), st.integers(0, n - 1)),
+                st.builds(
+                    "trans {} {}".format, st.integers(0, 9), st.sampled_from(["x", "-1", "1_0"])
+                ),
+                st.sampled_from(["trans 0", "trans 0 0 0", f"states {n}", f"label {n} a"]),
+            )
+        )
+        at = data.draw(st.integers(1, len(lines)))
+        lines.insert(at, bad)
+        # or the header misplaced: then line 1 is the first error
+        misplaced = bad != f"states {n}" and data.draw(st.booleans())
+        if misplaced:
+            header = lines.pop(0)
+            lines.insert(data.draw(st.integers(1, len(lines))), header)
+        text = "\n".join(lines) + "\n"
+        message, line_no = parse_error(text)
+        assert parse_error(per_line_text(text, forms)) == (message, line_no)
+        if misplaced:
+            assert (message, line_no) == ("line 1: missing 'states <n>' header", 1)
+        else:
+            assert line_no == at + 1 and message.startswith(f"line {at + 1}: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                "states 7\n" + trans_lines((s % 7, s // 7 % 7) for s in range(count)),
+                id=f"run-of-{count}",
+            )
+            for count in (
+                BULK_RUN_LINES - 1,
+                BULK_RUN_LINES,
+                BULK_RUN_LINES + 1,
+                2 * BULK_RUN_LINES,
+                2 * BULK_RUN_LINES + 1,
+            )
+        ]
+        + [
+            pytest.param(
+                "states 9\n"
+                + trans_lines((s % 9, s // 9 % 9) for s in range(brk))
+                + "trans 1 2  # c\n"
+                + trans_lines((s // 9 % 9, s % 9) for s in range(2 * BULK_RUN_LINES)),
+                id=f"run-broken-after-{brk}",
+            )
+            for brk in (BULK_RUN_LINES - 1, BULK_RUN_LINES, BULK_RUN_LINES + 1)
+        ]
+        + [
+            pytest.param(
+                "states 2\ntrans 0 000000001\ntrans 1 0000000000\n", id="9-and-10-digit-ids"
+            ),
+            pytest.param("states 2\ntrans 0 1\ntrans 1 0", id="no-final-newline"),
+            pytest.param(
+                "states 3\nlabel 0 a\ntrans 0 1\n# c\ntrans 1 2\ntrans 2 0\nlabel 2 b\n",
+                id="runs-after-label-and-comment",
+            ),
+            pytest.param(
+                "states 2\n\ntrans 0 1\n\ntrans 1 1\r\ntrans 1 0\n", id="blank-and-crlf"
+            ),
+        ],
+    )
+    def test_run_boundaries(self, text):
+        slow = per_line_text(text, PER_LINE_FORMS)
+        # an iterable of lines is read line by line
+        assert parse_ks(text) == parse_ks(slow) == parse_ks(text.split("\n"))
+
+    def test_iterable_items_are_never_joined(self):
+        # an iterable is read line by line, never joined, so an item with an
+        # embedded "\n" is one line
+        with pytest.raises(KSFormatError, match="line 2: trans needs exactly"):
+            parse_ks(["states 2\n", "trans 0 1\ntrans 1 0\n"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "states 10\n"
+                + trans_lines((1, 2) for _ in range(2, 3000))
+                + "trans 1 10\n"
+                + trans_lines((2, 1) for _ in range(3001, 5002)),
+                "line 3000: state id 10 out of range",
+                id="line-3000-of-a-5000-line-run",
+            ),
+            pytest.param(
+                "trans 0 1\nstates 2\n",
+                "line 1: missing 'states <n>' header",
+                id="run-before-header",
+            ),
+            pytest.param(
+                "states 2\ntrans 0 1\ntrans 1 0\nstates 2\n",
+                "line 4: duplicate 'states' header",
+                id="header-after-run",
+            ),
+            pytest.param(
+                "states 2\ntrans 0 123456789\n",
+                "line 2: state id 123456789 out of range",
+                id="9-digit-id",
+            ),
+            pytest.param(
+                "states 2\ntrans 0 1234567890\n",
+                "line 2: state id 1234567890 out of range",
+                id="10-digit-id",
+            ),
+            pytest.param(
+                "states 2\ntrans 0 1\ntrans 2 0",
+                "line 3: state id 2 out of range",
+                id="no-final-newline",
+            ),
+            pytest.param(
+                "states 0\ntrans 0 0\n", "line 2: state id 0 out of range", id="no-states"
+            ),
+        ]
+        + [
+            pytest.param(
+                "states 2\n"
+                + trans_lines((0, 1) for _ in range(bad))
+                + "trans 0 2\n"
+                + trans_lines((1, 0) for _ in range(BULK_RUN_LINES)),
+                f"line {bad + 2}: state id 2 out of range",
+                id=f"bad-after-{bad}",
+            )
+            for bad in (BULK_RUN_LINES - 1, BULK_RUN_LINES, BULK_RUN_LINES + 1, 2 * BULK_RUN_LINES)
+        ],
+    )
+    def test_run_errors(self, text, message):
+        assert parse_error(text)[0] == message
+        assert parse_error(text.split("\n"))[0] == message
+
+    def test_parse_memory_bounded(self):
+        # 90,000 transition lines; reading them one string per line took a
+        # traced peak of 8,193,825 bytes on CPython 3.11 (8,194,831 on 3.10),
+        # and converting the whole file as one run takes more than that
+        text = serialize_ks(make_clique(300))
+        tracemalloc.start()
+        try:
+            ks = parse_ks(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ks == make_clique(300)
+        assert peak <= 8_193_825
 
 
 class TestSerialize:
@@ -284,6 +493,17 @@ class TestStructure:
     def test_successor_validation(self):
         with pytest.raises(ValueError):
             KripkeStructure(2, {}, {0: [2]})
+
+    def test_keys_outside_the_states_are_ignored(self):
+        ks = KripkeStructure(
+            3, {-1: {"a"}, 3: {"b"}, 1: {"c"}}, {-1: [0], 3: [1], 7: [9], 2: [0]}
+        )
+        assert ks.labels == (frozenset(), frozenset({"c"}), frozenset())
+        assert ks.succ == ((), (), (0,))
+
+    def test_first_bad_successor_by_state_then_list_order(self):
+        with pytest.raises(ValueError, match="successor 5 of state 1 out of range"):
+            KripkeStructure(3, {}, {2: [0, 7], 1: [0, 5, 9], 0: [1]})
 
     def test_constructor_dedup(self):
         ks = KripkeStructure(2, {}, {0: [1, 1, 0, 1]})
