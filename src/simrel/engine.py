@@ -5,9 +5,9 @@ A run alternates two phases over a partition-relation pair:
 * partition stabilization cuts, one block at a time, every block that
   the preimage of some block's upward closure cuts properly, each cut
   found in O(edges) per probe through the successor bitsets;
-* relation stabilization prunes block pairs driven by per-block removal
-  sets, chaining through the successor bitsets until no violation
-  remains.
+* relation stabilization prunes block pairs driven by removal sets, one
+  per block when the round starts, chaining through the successor bitsets
+  until no violation remains.
 
 A block is its int id. Between splits, four tables are maintained: the
 block relation (row and column bitsets ``up`` and ``down``, held by the
@@ -15,12 +15,12 @@ pair), the edge multiplicities (``pre_e[d][b]``, the number of
 transitions from block b into block d, held once, by target block, and
 only where nonzero), the successor bitsets (``post[b]``, the blocks that
 b has an edge into, the key set of ``pre_e`` transposed), and the
-removal sets, one bitset of block ids per block and no other record of
-them. The edge table, the successor bitsets, the removal sets and the
-worklist flags are the engine's lists indexed by block id. The number
-of blocks above c that b reaches is ``|post[b] & up[c]|``, so each test
-on it (is it 0, is it 1, does b reach nothing strictly above c's class)
-is one bitset expression, and no table of counters is kept. Below,
+removal sets, bitsets of block ids and no other record of them. The edge
+table, the successor bitsets, the removal sets and the worklist flags
+are the engine's lists indexed by block id. The number of blocks above
+c that b reaches is ``|post[b] & up[c]|``, so each test on it (is it 0,
+is it 1, does b reach nothing strictly above c's class) is one bitset
+expression, and no table of counters is kept. Below,
 ``below(x)`` is the union of ``down[d]`` over the blocks d of x: the
 blocks c such that x holds a block above c.
 
@@ -37,15 +37,28 @@ cuts the one block: ``split`` cuts it into a ``(kept, new)`` id pair,
 ``new`` being always the smaller half, and the tables are updated for
 that pair before the next search, so after every cut they describe a
 real partition exactly. ``inherit`` gives the new half a copy of its
-parent's entry in the relation and the removal sets (its row and column,
-a place in exactly the removal sets that hold its parent, found with one
-C-level pass over the sets, and a copy of the parent's own removal set);
-``update_edges`` splits the parent's edge cells and successor bits
-between the halves from the new half's in- and out-edges; and
-``update_count`` then logs every half that reaches nothing above some
-block c that its parent reached above into c's set: the blocks of
-``below(post[parent]) & ~below(post[half])``. Without that logging,
-pairs created mutually related by a split would never be pruned again.
+parent's entry in the relation and a place in exactly the removal sets
+that hold its parent; ``update_edges`` splits the parent's edge cells and
+successor bits between the halves from the new half's in- and
+out-edges; and ``update_count`` then logs every half that reaches
+nothing above some block c that its parent reached above into c's set:
+the blocks of ``below(post[parent]) & ~below(post[half])``. Without that
+logging, pairs created mutually related by a split would never be pruned
+again.
+
+During partition stabilization the removal sets are held one per class,
+not one per block. Two facts make this exact. Every class holds exactly
+one block that existed when the phase began, its lowest id and *owner*:
+each class is one block after ``initialize`` and after ``rstabilize``,
+and a cut puts its new half in its parent's class. And all blocks of a
+class would hold equal sets: the new half would copy its parent's, and
+``update_count`` logs into whole classes, since ``below`` of any bitset
+is closed under mutual relation. So only the owners, the blocks below
+``first_new``, hold sets, and a block made in the phase holds 0. A cut
+then ORs its new half into the owners' sets that hold its parent, found
+with one C-level pass over the owners' sets only, and copies nothing.
+``rstabilize`` first gives each block made in the phase its owner's set,
+and every block owns its set again once the round's sets start.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
@@ -112,10 +125,11 @@ class EngineConfig:
 
     ``check_level``: "off" runs no self-check but the terminal refiner
     search of ``run``. "cheap" adds structural checks of the cut block's
-    two segments after every cut, and of every segment and block, linear
-    in states and blocks, after every partition phase and pruning round;
-    plus a check that each half's successor bitset and edge-multiplicity
-    column agree, costing as much as those two rows. "full" adds a
+    two segments and of the new half's empty removal set after every
+    cut, and of every segment and block, linear in states and blocks,
+    after every partition phase and pruning round; plus a check that
+    each half's successor bitset and edge-multiplicity column agree,
+    costing as much as those two rows. "full" adds a
     from-scratch recomputation of the edge table and the successor
     bitsets after every cut and pruning round, a recomputation of the
     removal sets after every pruning round, order-algebra checks after
@@ -161,8 +175,11 @@ class SimulationEngine:
         # post[b]: the bitset of blocks that b has an edge into, so b
         # reaches |post[b] & up[c]| blocks above c
         self.post: list[int] = [0] * nb
-        # remove[c]: c's removal set, a bitset of block ids
+        # remove[c]: the removal set of c's class, a bitset of block ids,
+        # held only at the class's owner; every block below first_new owns
+        # its class, and a block made since holds 0
         self.remove: list[int] = [0] * nb
+        self.first_new = nb
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
         self.worklist = bytearray(nb)
@@ -213,6 +230,11 @@ class SimulationEngine:
     def _below(self, x: int) -> int:
         """The blocks c such that some block of the bitset ``x`` is above c."""
         return reduce(or_, map(self.pr.down.__getitem__, bits(x)), 0)
+
+    def _owner(self, b: int) -> int:
+        """The lowest id of b's class, the blocks mutually related with b."""
+        mutual = self.pr.up[b] & self.pr.down[b]
+        return (mutual & -mutual).bit_length() - 1
 
     def _queue(self, blocks) -> None:
         """Set the worklist flag of every block id in ``blocks``."""
@@ -413,15 +435,19 @@ class SimulationEngine:
 
         ``split`` just cut block k into the pair ``(k, w)``, so k's entries
         are still its parent's. w gets the row and column of k in the
-        relation, a place in every removal set that holds k, a copy of k's
-        removal set, a clear worklist flag, an empty successor bitset and
-        an empty edge-multiplicity column. The edge tables still describe
+        relation, which puts it in k's class, a place in every removal set
+        that holds k, a clear worklist flag, an empty successor bitset and
+        an empty edge-multiplicity column. w shares the set of its class's
+        owner and holds none of its own. The edge tables still describe
         the partition before the cut, which ``update_edges`` then corrects:
         here w, met in ``up[k]``, has no predecessors, and k still counts
         every edge into it. The relation column is copied only into the
         rows that ``down[k]`` names, and before the row, so w's row holds
-        w; the places in the removal sets are made before k's set is
-        copied, for the same reason.
+        w.
+
+        With stats on, ``remove_elements_total`` counts what one set per
+        block would have taken: w in every block of each holding owner's
+        class, w excluded, plus a copy of the set of k's owner.
         """
         pr = self.pr
         up, down, remove = pr.up, pr.down, self.remove
@@ -434,14 +460,17 @@ class SimulationEngine:
         down.append(down[k])
         for c in bits(up[w]):
             down[c] |= wbit
-        # one C-level pass finds the sets that hold k
-        holders = list(compress(range(len(remove)), map((1 << k).__and__, remove)))
+        # one C-level pass over the owners finds the sets that hold k
+        holders = list(compress(range(self.first_new), map((1 << k).__and__, remove)))
         for owner in holders:
             remove[owner] |= wbit
-        remove.append(remove[k])
+        remove.append(0)
         self.worklist.append(0)
         if self.cfg.stats_enabled:
-            self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
+            self.stats.remove_elements_total += (
+                sum((up[o] & down[o] & ~wbit).bit_count() for o in holders)
+                + remove[self._owner(k)].bit_count()
+            )
 
     def update_edges(self, k: int, w: int) -> None:
         """Move the edge multiplicities and successor bits of the cut block
@@ -505,18 +534,22 @@ class SimulationEngine:
         has made both halves' successor bitsets exact. A half h is logged
         into c's set for every c of ``before & ~below(post[h])``: exactly
         the blocks above which h's states lost their last edge by losing
-        their sibling states. The two halves have equal columns, so such a
-        half is logged into both halves' sets. No worklist flag is set
-        here: other blocks keep their verdicts (see the module docstring).
-        The cheap level checks that each half's successor bitset and
-        edge-multiplicity column agree.
+        their sibling states. That is a union of whole classes, since
+        ``below`` of any bitset is closed under mutual relation, so h is
+        written only into the sets of the owners among them, the blocks
+        below ``first_new``. The two halves have equal columns, so such a
+        half is logged into the set of both halves' class. No worklist
+        flag is set here: other blocks keep their verdicts (see the module
+        docstring). The cheap level checks that each half's successor
+        bitset and edge-multiplicity column agree.
         """
         post, pre_e, remove = self.post, self.pre_e, self.remove
+        owners = (1 << self.first_new) - 1
         logged = 0
         for h in (k, w):
             lost = before & ~self._below(post[h])
             hbit = 1 << h
-            for c in bits(lost):
+            for c in bits(lost & owners):
                 remove[c] |= hbit
             logged += lost.bit_count()
         if self.cfg.stats_enabled:
@@ -536,25 +569,26 @@ class SimulationEngine:
     def rstabilize(self) -> bool:
         """One relation-pruning round over the pending removal sets.
 
-        Takes the removal sets as the pending ones and starts an empty
-        list for the next round, then for each selected block c with a
-        pending set, prunes every related pair (b, d) with b a
-        predecessor block of c and d in c's pending set, all of b's at
-        once as ``up[b] & pending``. After each such batch, every block f
-        with an edge into a pruned d is tested by ``r = post[f] & up[b]``,
-        what f still reaches above b: if r is empty, the fresh violation
-        is logged into b's set for the next round, and if r is one block,
-        f is flagged for the refiner search, the only way a round can make
-        a block host a refiner (see the module docstring). The pruned
-        pairs and the logged blocks of a round do not depend on the order
-        of the visits. The flags may, since the visits group the pruned
-        pairs into batches, but whatever the order they include every
-        block that hosts a refiner after the round. Must run on a
-        partition-stable pair; ``run`` re-stabilizes the partition between
-        rounds. Returns True iff no pair was removed, in which case no set
-        is left pending either. On exit the relation is antisymmetric
-        again: split-created mutual pairs always carry a logged witness,
-        so one direction gets pruned.
+        Takes the removal sets as the pending ones, after giving each block
+        made since ``first_new`` the set of its class's owner, and starts an
+        empty list for the next round, in which every block owns its set.
+        Then for each selected block c with a pending set, prunes every
+        related pair (b, d) with b a predecessor block of c and d in c's
+        pending set, all of b's at once as ``up[b] & pending``. After each
+        such batch, every block f with an edge into a pruned d is tested by
+        ``r = post[f] & up[b]``, what f still reaches above b: if r is
+        empty, the fresh violation is logged into b's set for the next
+        round, and if r is one block, f is flagged for the refiner search,
+        the only way a round can make a block host a refiner (see the module
+        docstring). The pruned pairs and the logged blocks of a round do not
+        depend on the order of the visits. The flags may, since the visits
+        group the pruned pairs into batches, but whatever the order they
+        include every block that hosts a refiner after the round. Must run
+        on a partition-stable pair; ``run`` re-stabilizes the partition
+        between rounds. Returns True iff no pair was removed, in which case
+        no set is left pending either. On exit the relation is antisymmetric
+        again: split-created mutual pairs always carry a logged witness, so
+        one direction gets pruned.
         """
         pr = self.pr
         up, down = pr.up, pr.down
@@ -562,7 +596,11 @@ class SimulationEngine:
         flags = self.worklist
         track = self.cfg.stats_enabled
         pending = self.remove
+        # the blocks made in the last partition phase take their owners' sets
+        for b in range(self.first_new, len(pending)):
+            pending[b] = pending[self._owner(b)]
         self.remove = remove = [0] * len(pending)
+        self.first_new = len(pending)
         entry_up = up[:] if self.cfg.full else None
         removed = False
         for sel, dropped in enumerate(pending):
@@ -618,10 +656,13 @@ class SimulationEngine:
 
     def _check_cut(self, k: int, w: int) -> None:
         """Cheap check of one cut into ``(k, w)``: the states of both
-        halves point back at them, and w is related to itself."""
+        halves point back at them, w is related to itself, and w holds no
+        removal set of its own."""
         self._check_segments((k, w))
         if not self.pr.up[w] >> w & 1:
             raise InvariantViolation("relation lost reflexivity")
+        if self.remove[w]:
+            raise InvariantViolation(f"new block {w} holds a removal set")
 
     def _check_segments(self, blocks) -> int:
         """Check that each block's segment is nonempty and that every state

@@ -1,3 +1,5 @@
+from itertools import compress
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,13 @@ def block_ids(pr):
 def queued(eng):
     """Ids of the blocks whose worklist flag is set."""
     return {i for i, flag in enumerate(eng.worklist) if flag}
+
+
+def class_set(eng, b):
+    """The removal set of b's class, read at its owner, the lowest id of
+    the blocks mutually related with b."""
+    pr = eng.pr
+    return eng.remove[bits(pr.up[b] & pr.down[b])[0]]
 
 
 def run_one_split_round(eng):
@@ -314,10 +323,14 @@ class TestUpdateAfterSplit:
         remove[marker] = 1 << pair_block
         kept, new = eng.pr.split([0])
         eng.inherit(kept, new)
-        assert remove[new] == 1 << marker
+        # the new half reads its class's set and holds none of its own
+        assert remove[new] == 0
+        assert class_set(eng, new) == class_set(eng, kept) == 1 << marker
         assert remove[marker] == 1 << pair_block | 1 << new
-        remove[new] |= 1 << pair_block
-        assert remove[kept] == 1 << marker
+        # a write to the class's set reaches both halves and no other set
+        remove[kept] |= 1 << pair_block
+        assert class_set(eng, new) == 1 << marker | 1 << pair_block
+        assert remove[marker] == 1 << pair_block | 1 << new
 
 
 def split_with_scribbled_tables():
@@ -383,11 +396,12 @@ def successor_blocks(eng, b):
 class RemovalSetsRecounted(SimulationEngine):
     """The engine checking, after ``initialize``, every cut and every
     pruning round, each successor bitset against a walk of its block and
-    every removal set against its definition. Since the sets were last
-    started (by ``initialize``, or when a pruning round starts), c's set
-    holds the blocks b that reach nothing above c, while b's ancestor then
-    reached something above c's ancestor; at ``initialize`` that holds for
-    every block with transitions. ``checks`` counts the checks."""
+    every block's removal set, read at its class's owner, against its
+    definition. Since the sets were last started (by ``initialize``, or
+    when a pruning round starts), c's set holds the blocks b that reach
+    nothing above c, while b's ancestor then reached something above c's
+    ancestor; at ``initialize`` that holds for every block with
+    transitions. ``checks`` counts the checks."""
 
     checks = 0
 
@@ -436,7 +450,7 @@ class RemovalSetsRecounted(SimulationEngine):
                 for b in blocks
                 if c not in reached[b] and above in self.entry[self.ancestor(b)]
             )
-            assert self.remove[c] == expected, c
+            assert class_set(self, c) == expected, c
         self.checks += 1
 
 
@@ -584,11 +598,8 @@ class TestInherit:
         eng, pairs, _ = split_with_scribbled_tables()
         remove = eng.remove
         for kept, new in pairs:
-            assert remove[new] == remove[kept]
-            before = remove[kept]
-            remove[new] |= 1 << 7
-            assert remove[kept] == before
-            remove[new] = before
+            assert remove[new] == 0
+            assert class_set(eng, new) == class_set(eng, kept) == remove[kept]
         sets_with_halves = [s for s in remove if s]
         assert sets_with_halves
         for s in sets_with_halves:
@@ -925,6 +936,56 @@ class FullScanEngine(SimulationEngine):
         return SimulationEngine.find_prefiner(self)
 
 
+class PendingRecorded(SimulationEngine):
+    """The engine recording, in ``pendings``, the removal sets that each
+    pruning round takes as pending, one per block, as the round reads
+    them."""
+
+    def __init__(self, ks, cfg=None):
+        super().__init__(ks, cfg)
+        self.pendings = []
+
+    def rstabilize(self):
+        pending = self.remove
+        out = SimulationEngine.rstabilize(self)
+        self.pendings.append(pending[:])
+        return out
+
+
+class EagerRemovalSets(PendingRecorded):
+    """``PendingRecorded`` with one removal set per block at every moment:
+    a cut copies its parent's set to the new half, puts the new half into
+    every set that holds its parent, and logs the halves into the sets of
+    every block of ``lost``, owner or not."""
+
+    def inherit(self, k, w):
+        pr, remove = self.pr, self.remove
+        self.pre_e.append({})
+        self.post.append(0)
+        wbit = 1 << w
+        for r in bits(pr.down[k]):
+            pr.up[r] |= wbit
+        pr.up.append(pr.up[k])
+        pr.down.append(pr.down[k])
+        for c in bits(pr.up[w]):
+            pr.down[c] |= wbit
+        holders = list(compress(range(len(remove)), map((1 << k).__and__, remove)))
+        for owner in holders:
+            remove[owner] |= wbit
+        remove.append(remove[k])
+        self.worklist.append(0)
+        if self.cfg.stats_enabled:
+            self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
+
+    def update_count(self, k, w, before):
+        for h in (k, w):
+            lost = before & ~self._below(self.post[h])
+            for c in bits(lost):
+                self.remove[c] |= 1 << h
+            if self.cfg.stats_enabled:
+                self.stats.remove_elements_total += lost.bit_count()
+
+
 class HitsChecked(SimulationEngine):
     """The engine checking every refiner hit: the part it returns is the
     host block's share of pre(up(rep)). ``hits`` counts the hits."""
@@ -975,6 +1036,41 @@ class TestEngineProperties:
         # least one pruning round
         assert eng.checks >= 2 + stats.splits_total
         assert result == compute_simulation(ks)[0]
+
+    @given(
+        st.builds(
+            generate_random_ks,
+            n_states=st.integers(1, 40),
+            n_labels=st.integers(1, 3),
+            edge_prob=st.sampled_from([0.05, 0.1, 0.3]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_owner_sets_equal_one_set_per_block(self, ks):
+        # the eager reference holds a set at every block, so it runs
+        # without the cheap check that a new half holds none
+        eng = PendingRecorded(ks, EngineConfig(check_level="cheap", stats_enabled=True))
+        ref = EagerRemovalSets(ks, EngineConfig(stats_enabled=True))
+        result, stats = eng.run()
+        ref_result, ref_stats = ref.run()
+        assert result == ref_result
+        assert stats.to_dict() == ref_stats.to_dict()
+        assert stats.remove_trace == ref_stats.remove_trace
+        assert eng.pendings == ref.pendings
+
+    @given(random_ks(max_states=24))
+    @settings(max_examples=60, deadline=None)
+    def test_check_levels_do_not_change_results(self, ks):
+        runs = [
+            compute_simulation(ks, EngineConfig(check_level=level, stats_enabled=True))
+            for level in ("off", "cheap", "full")
+        ]
+        (result, stats), *others = runs
+        for other, other_stats in others:
+            assert other == result
+            assert other_stats.to_dict() == stats.to_dict()
+            assert other_stats.remove_trace == stats.remove_trace
 
     @given(random_ks(max_states=24))
     @settings(max_examples=80, deadline=None)
