@@ -24,12 +24,16 @@ expression, and no table of counters is kept. Below,
 ``below(x)`` is the union of ``down[d]`` over the blocks d of x: the
 blocks c such that x holds a block above c.
 
-Only ``initialize`` walks every transition: it builds the predecessor
-index, the sources of each state's in-edges in flat arrays of about four
-bytes per transition, and the edge tables. The refiner search returns the
-cut itself. A block b that hosts class a reaches nothing strictly above
-a, so the preimage of a's upward closure meets b in exactly b's states
-with an edge into a, which the search has just walked. Any other block
+Only ``initialize`` walks every transition: it builds the edge tables.
+The predecessor index, the sources of each state's in-edges in flat
+arrays of about four bytes per transition, is built by the first cut,
+which is its only reader, so a run whose label partition is already
+stable never builds it. The refiner search returns the cut itself. A
+block b that hosts class a reaches nothing strictly above a, so the
+preimage of a's upward closure meets b in exactly b's states with an edge
+into a, which the search has just walked; when b's successor bitset lies
+inside one class, that part is b's states with a successor, read off
+b's states without walking an edge. Any other block
 that this preimage cuts hosts a refiner too (the highest class it reaches
 inside the closure) and is cut by a later search: Paige and Tarjan's
 argument that splitting any one block by a splitter is sound. ``cut``
@@ -104,7 +108,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, compress
 from operator import countOf, or_
 
@@ -167,11 +171,8 @@ class SimulationEngine:
         # pre_e[d][b]: the number of transitions from block b into block
         # d, held only where nonzero
         self.pre_e: list[dict[int, int]] = [{} for _ in range(nb)]
-        # predecessor index: the sources of the transitions into state y
-        # are pred_src[pred_start[y] : pred_start[y + 1]]; filled by
-        # initialize
-        self.pred_start = array("I")
-        self.pred_src = array("I")
+        # the predecessor index is the property pred_index, built by the
+        # first cut
         # post[b]: the bitset of blocks that b has an edge into, so b
         # reaches |post[b] & up[c]| blocks above c
         self.post: list[int] = [0] * nb
@@ -246,13 +247,11 @@ class SimulationEngine:
     # table initialization
 
     def initialize(self) -> None:
-        """Fill the predecessor index, the edge tables and the removal
-        sets. Apart from the full checks, these are a run's only passes
-        over all transitions."""
+        """Fill the edge tables and the removal sets. Apart from the full
+        checks and the predecessor index, which the first cut builds, this
+        is a run's only pass over all transitions."""
         pr = self.pr
         state_block, succ = pr.state_block, self.ks.succ
-        self.pred_start, self.pred_src = predecessor_index(self.ks)
-
         pre_e, post = self.pre_e, self.post
         for b in range(len(pre_e)):
             successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(b)))
@@ -271,6 +270,14 @@ class SimulationEngine:
             self._check_structure()
         if self.cfg.full:
             self._check_tables()
+
+    @cached_property
+    def pred_index(self) -> tuple[array, array]:
+        """The predecessor index as ``(start, src)``, built on first read:
+        the sources of the transitions into state y are
+        ``src[start[y] : start[y + 1]]``. ``update_edges`` is its only
+        reader, so a run without a cut never builds it."""
+        return predecessor_index(self.ks)
 
     # ------------------------------------------------------------------
     # partition stabilization
@@ -397,22 +404,35 @@ class SimulationEngine:
 
         A block's class is the set of blocks mutually related with it,
         ``up[c] & down[c]``; mid-call these are the blocks descended from
-        one entry block, whose id is the lowest in the class. One pass
-        over b's outgoing transitions, with local tables only: a dict
-        names each successor block's class the first time it is met, and
-        a list per class collects b's states with an edge into the class,
-        its part of b. A state's edges are walked together, so a state
-        already listed is the list's last entry. Each class is returned
-        as ``(rep, states)``: the id of its representative block, the
-        class's lowest id, and its part in segment order. The classes
-        come in the order in which b's transitions first reach them.
+        one entry block, whose id is the lowest in the class. Each class
+        is returned as ``(rep, states)``: the id of its representative
+        block, the class's lowest id, and its part in segment order.
+
+        When ``post[b]`` lies inside the class of its lowest block, that
+        class is the only one, and its part is b's states with a
+        successor, read off b's states without walking an edge. Otherwise
+        one pass over b's outgoing transitions, with local tables only: a
+        dict names each successor block's class the first time it is met,
+        and a list per class collects b's states with an edge into the
+        class, its part of b. A state's edges are walked together, so a
+        state already listed is the list's last entry. The classes come in
+        the order in which b's transitions first reach them.
         """
+        reach = self.post[b]
+        if not reach:
+            return []
         pr = self.pr
         up, down, state_block = pr.up, pr.down, pr.state_block
         succ = self.ks.succ
+        states = pr.states[pr.begin[b] : pr.end[b]]
+        d = (reach & -reach).bit_length() - 1
+        mutual = up[d] & down[d]
+        if not reach & ~mutual:
+            rep = (mutual & -mutual).bit_length() - 1
+            return [(rep, list(compress(states, map(succ.__getitem__, states))))]
         class_of: dict[int, int] = {}  # successor block -> its class id
         parts: dict[int, list[int]] = {}  # in first-touch order of classes
-        for s in pr.states[pr.begin[b] : pr.end[b]]:
+        for s in states:
             for y in succ[s]:
                 c = state_block[y]
                 try:
@@ -477,7 +497,8 @@ class SimulationEngine:
         onto its halves.
 
         Only w, the smaller half, is walked: first its in-edges, through
-        the predecessor index, which split the parent's column
+        the predecessor index, built here by the run's first cut, which
+        split the parent's column
         ``pre_e[k]``, with every source counted at its block before the
         cut (w's own states at k), then its out-edges, which split the
         parent's cell ``pre_e[d][k]`` in every column d that w reaches,
@@ -488,7 +509,7 @@ class SimulationEngine:
         """
         pr = self.pr
         state_block, succ = pr.state_block, self.ks.succ
-        start, src = self.pred_start, self.pred_src
+        start, src = self.pred_index
         pre_e, post = self.pre_e, self.post
         w_states = pr.block_states(w)
         if self.cfg.stats_enabled:
@@ -745,7 +766,8 @@ def predecessor_index(ks: KripkeStructure) -> tuple[array, array]:
 
     Returns ``(start, src)``: the sources of the transitions into state y
     are ``src[start[y] : start[y + 1]]``, ascending. Four bytes per
-    transition and four per state.
+    transition and four per state. The engine builds it at its first cut,
+    through ``SimulationEngine.pred_index``.
     """
     # arrays only: a Counter or a list of ints over the states would take
     # several times the index's memory on a large sparse structure

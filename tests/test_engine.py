@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import simrel.engine as engine_module
 from simrel.engine import (
     EngineConfig,
     InvariantViolation,
@@ -12,7 +13,14 @@ from simrel.engine import (
     compute_simulation,
     recompute_tables,
 )
-from simrel.kripke import KripkeStructure, generate_random_ks, make_chain, parse_ks, pre_of
+from simrel.kripke import (
+    KripkeStructure,
+    generate_random_ks,
+    make_chain,
+    make_clique,
+    parse_ks,
+    pre_of,
+)
 from simrel.oracle import brute_force_simulation, simulation_partition
 from simrel.prcore import bits, init_pr
 
@@ -78,6 +86,30 @@ def host_share(eng, rep, states):
     return [s for s in pr.block_states(pr.state_block[states[0]]) if s in splitter]
 
 
+def count_index_builds(monkeypatch):
+    """Patch the engine's predecessor index builder to record each call;
+    return the list of recorded structures."""
+    builds = []
+    build = engine_module.predecessor_index
+    monkeypatch.setattr(
+        engine_module, "predecessor_index", lambda ks: builds.append(ks) or build(ks)
+    )
+    return builds
+
+
+class Unwalkable(tuple):
+    """A state's successors that may be tested for emptiness but not
+    walked."""
+
+    def __iter__(self):
+        raise AssertionError("edge walked")
+
+
+def forbid_edge_walks(eng):
+    """Let ``eng`` test its states' successor lists for emptiness only."""
+    eng.ks.succ = tuple(map(Unwalkable, eng.ks.succ))
+
+
 class TestInitialize:
     def test_no_transitions(self):
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
@@ -114,11 +146,43 @@ class TestInitialize:
     @settings(max_examples=40, deadline=None)
     def test_predecessor_index_lists_every_in_edge(self, ks):
         eng = engine_after_initialize(ks)
-        start, src = eng.pred_start, eng.pred_src
+        start, src = eng.pred_index
         assert len(start) == ks.num_states + 1 and len(src) == start[-1]
         for y in range(ks.num_states):
             sources = [s for s in range(ks.num_states) for t in ks.succ[s] if t == y]
             assert list(src[start[y] : start[y + 1]]) == sources
+
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            make_clique(5),
+            KripkeStructure(4, {}, {}),
+            # a's block reaches only b's and b's only a's: already stable
+            build_ks("abab", [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        ],
+        ids=["clique", "no-transitions", "stable-labels"],
+    )
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_run_without_a_cut_never_builds_the_index(self, monkeypatch, ks, level):
+        builds = count_index_builds(monkeypatch)
+        eng = SimulationEngine(ks, EngineConfig(check_level=level, stats_enabled=True))
+        _, stats = eng.run()
+        assert stats.splits_total == 0
+        assert builds == []
+        assert "pred_index" not in vars(eng)
+
+    def test_first_cut_builds_the_index_once(self, monkeypatch):
+        builds = count_index_builds(monkeypatch)
+        eng = engine_after_initialize(make_chain(6))
+        assert builds == []
+        run_one_split_round(eng)
+        assert len(builds) == 1
+        eng.pstabilize()
+        assert len(builds) == 1
+        builds.clear()
+        _, stats = compute_simulation(make_chain(6), EngineConfig(stats_enabled=True))
+        assert stats.splits_total == 5
+        assert len(builds) == 1
 
     def test_pre_e_duplicate_free(self):
         ks = build_ks("aa", [(0, 1), (1, 1), (0, 0)])
@@ -194,6 +258,43 @@ class TestPostCandidates:
         for p, s in enumerate(pr.states):
             pr.pos[s] = p
         assert eng.post_candidates(0) == [(1, [3, 2, 0])]
+
+    def test_one_class_host_read_off_its_live_states(self):
+        # block a reaches only block b, and state 1 has no successor: the
+        # part is a's states with a successor, in segment order, and no
+        # edge is walked
+        ks = build_ks("aaabb", [(0, 3), (2, 3), (2, 4)])
+        eng = engine_after_initialize(ks)
+        pr = eng.pr
+        pr.states[0:3] = [2, 1, 0]
+        for p, s in enumerate(pr.states):
+            pr.pos[s] = p
+        forbid_edge_walks(eng)
+        assert eng.post_candidates(0) == [(1, [2, 0])]
+        assert eng.find_prefiner() == (1, [2, 0], [])
+
+    def test_one_class_host_of_two_blocks_read_off_its_states(self):
+        # blocks b and c are one class; a reaches both, every state of a
+        # has a successor, so the part is all of a and a is clean
+        ks = build_ks("aabc", [(0, 2), (0, 3), (1, 3)])
+        eng = engine_after_initialize(ks)
+        b_a, b_b, b_c = (eng.pr.state_block[s] for s in (0, 2, 3))
+        relate(eng.pr, b_b, b_c)
+        relate(eng.pr, b_c, b_b)
+        forbid_edge_walks(eng)
+        assert eng.post_candidates(b_a) == [(min(b_b, b_c), [0, 1])]
+        assert eng._hosted_refiner(b_a) is None
+
+    def test_host_reaching_two_classes_walks_its_edges(self):
+        ks = build_ks("aabc", [(0, 2), (1, 3)])
+        eng = engine_after_initialize(ks)
+        b_a, b_b, b_c = (eng.pr.state_block[s] for s in (0, 2, 3))
+        succ = ks.succ
+        forbid_edge_walks(eng)
+        with pytest.raises(AssertionError, match="edge walked"):
+            eng.post_candidates(b_a)
+        ks.succ = succ
+        assert eng.post_candidates(b_a) == [(b_b, [0]), (b_c, [1])]
 
 
 class TestFindPRefiner:
@@ -936,6 +1037,38 @@ class FullScanEngine(SimulationEngine):
         return SimulationEngine.find_prefiner(self)
 
 
+class PrefinerRecorded(SimulationEngine):
+    """The engine recording every ``find_prefiner`` return in ``found``."""
+
+    def __init__(self, ks, cfg=None):
+        super().__init__(ks, cfg)
+        self.found = []
+
+    def find_prefiner(self):
+        out = SimulationEngine.find_prefiner(self)
+        self.found.append(out)
+        return out
+
+
+class EdgeWalkEngine(PrefinerRecorded):
+    """``PrefinerRecorded`` whose ``post_candidates`` walks the edges of
+    every block, one-class hosts too: each state's successors, with each
+    successor block's class read off the relation on first touch."""
+
+    def post_candidates(self, b):
+        pr, succ = self.pr, self.ks.succ
+        class_of, parts = {}, {}
+        for s in pr.block_states(b):
+            for y in succ[s]:
+                c = pr.state_block[y]
+                if c not in class_of:
+                    class_of[c] = bits(pr.up[c] & pr.down[c])[0]
+                part = parts.setdefault(class_of[c], [])
+                if not part or part[-1] != s:
+                    part.append(s)
+        return list(parts.items())
+
+
 class PendingRecorded(SimulationEngine):
     """The engine recording, in ``pendings``, the removal sets that each
     pruning round takes as pending, one per block, as the round reads
@@ -1058,6 +1191,27 @@ class TestEngineProperties:
         assert stats.to_dict() == ref_stats.to_dict()
         assert stats.remove_trace == ref_stats.remove_trace
         assert eng.pendings == ref.pendings
+
+    @given(
+        st.builds(
+            generate_random_ks,
+            n_states=st.integers(1, 40),
+            n_labels=st.integers(1, 3),
+            edge_prob=st.sampled_from([0.05, 0.1, 0.3, 0.6]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_class_parts_equal_an_edge_walk(self, ks):
+        for level in ("off", "cheap", "full"):
+            cfg = EngineConfig(check_level=level, stats_enabled=True)
+            eng, ref = PrefinerRecorded(ks, cfg), EdgeWalkEngine(ks, cfg)
+            result, stats = eng.run()
+            ref_result, ref_stats = ref.run()
+            assert result == ref_result
+            assert stats.to_dict() == ref_stats.to_dict()
+            assert stats.remove_trace == ref_stats.remove_trace
+            assert eng.found == ref.found
 
     @given(random_ks(max_states=24))
     @settings(max_examples=60, deadline=None)
