@@ -22,7 +22,6 @@ from .kripke import (
     make_clique,
     make_tree,
     parse_ks,
-    pre_of,
     serialize_ks,
 )
 from .oracle import StateRelation, brute_force_simulation, simulation_partition
@@ -53,7 +52,6 @@ __all__ = [
     "make_clique",
     "make_tree",
     "parse_ks",
-    "pre_of",
     "serialize_ks",
     "simulation_partition",
 ]

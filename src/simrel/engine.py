@@ -113,7 +113,7 @@ from itertools import accumulate, chain, compress
 from operator import countOf, or_
 
 from .instrument import RunStats
-from .kripke import KripkeStructure, pre_of
+from .kripke import KripkeStructure
 from .prcore import PartitionRelationPair, SimulationResult, bits, init_pr
 
 CHECK_LEVELS = ("off", "cheap", "full")
@@ -819,37 +819,44 @@ def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
 def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bool:
     """Direct verification that the pair represents a simulation.
 
-    Evaluates, by plain set computations, that (i) related blocks are
-    label-uniform, (ii) whenever block b reaches block c, every block
-    above b reaches c's upward closure, and (iii) no block is cut by the
-    preimage of any block's upward closure. Quadratic in blocks times
-    edges; a verification oracle, not a hot path.
+    Independent of the engine's tables: the successor bitsets ``post``
+    are recounted from the transitions, and the relation is read from
+    ``up`` alone. ``below(x)`` is the union of ``transpose(up)[e]`` over
+    the blocks e of x, and ``below_post[b] = below(post[b])`` holds the
+    blocks c such that some state of b has a successor in c's upward
+    closure. The pair is a simulation iff
+
+    (i) every state of block b has b's label;
+    (ii) every state s of b has ``below(reach(s)) == below_post[b]``,
+    reach(s) being the blocks of s's successors: s lies in the preimage
+    of c's upward closure iff c is in ``below(reach(s))``, so no block
+    is cut by the preimage of any block's upward closure; and
+    (iii) every block d above b has b's label and
+    ``post[b] & ~below_post[d] == 0``: d reaches the upward closure of
+    every block that b reaches.
+
+    O(n + m) bitset ORs plus one AND per related pair.
     """
-    blocks = range(len(pr.begin))
-    up = pr.up
-    members = [pr.block_states(b) for b in blocks]
-
-    for b in blocks:
-        for c in bits(up[b]):
-            lab = ks.labels[members[b][0]]
-            if any(ks.labels[s] != lab for s in members[b]):
+    _, post = recompute_tables(ks, pr)
+    below_of = transpose(pr.up)
+    labels, succ = ks.labels, ks.succ
+    # below_at[y]: below(the block of state y)
+    below_at = list(map(below_of.__getitem__, pr.state_block))
+    below_post = [reduce(or_, map(below_of.__getitem__, bits(row)), 0) for row in post]
+    block_label = []
+    for b, expected in enumerate(below_post):
+        members = pr.block_states(b)
+        label = labels[members[0]]
+        if countOf(map(labels.__getitem__, members), label) != len(members):
+            return False
+        for s in members:
+            if reduce(or_, map(below_at.__getitem__, succ[s]), 0) != expected:
                 return False
-            if any(ks.labels[s] != lab for s in members[c]):
-                return False
-
-    up_pre = [pre_of(ks, pr.up_set_states(c)) for c in blocks]
-    reaches = [{pr.state_block[y] for s in members[b] for y in ks.succ[s]} for b in blocks]
-
-    for b in blocks:
-        for c in reaches[b]:
-            for d in bits(up[b]):
-                if not any(s in up_pre[c] for s in members[d]):
-                    return False
-
-    for splitter in up_pre:
-        for b in blocks:
-            inside = sum(1 for s in members[b] if s in splitter)
-            if 0 < inside < len(members[b]):
+        block_label.append(label)
+    for b, row in enumerate(pr.up):
+        label, reached = block_label[b], post[b]
+        for d in bits(row):
+            if block_label[d] != label or reached & ~below_post[d]:
                 return False
     return True
 

@@ -262,16 +262,6 @@ def initial_label_partition(ks: KripkeStructure) -> list[list[int]]:
     return sorted(groups.values(), key=lambda block: block[0])
 
 
-def pre_of(ks: KripkeStructure, target: Iterable[int]) -> set[int]:
-    """States with at least one transition into ``target``."""
-    tset = set(target)
-    return {
-        s
-        for s in range(ks.num_states)
-        if any(t in tset for t in ks.succ[s])
-    }
-
-
 def _check_cap(n_states: int) -> None:
     """Refuse a generated structure above MAX_STATES before building it."""
     if n_states > MAX_STATES:

@@ -29,7 +29,6 @@ per bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from operator import itemgetter
 
@@ -75,9 +74,8 @@ class SimulationResult:
 
     Blocks are ordered by smallest member. ``rows[i]`` is block i's row
     of the order as a bitset over result block indices: bit j is set iff
-    every state of block j simulates every state of block i. ``leq``,
-    ``order_pairs()`` and ``state_matrix()`` are views of the rows;
-    ``leq`` is built on first access and then kept.
+    every state of block j simulates every state of block i.
+    ``order_pairs()`` and ``state_matrix()`` are views of the rows.
     """
 
     partition: tuple[tuple[int, ...], ...]
@@ -87,14 +85,8 @@ class SimulationResult:
     def num_states(self) -> int:
         return sum(len(b) for b in self.partition)
 
-    @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """``leq[i][j]`` is true iff bit j of ``rows[i]`` is set."""
-        k = len(self.partition)
-        return tuple(tuple(map(bool, bit_flags(row, k))) for row in self.rows)
-
     def state_matrix(self) -> list[bytearray]:
-        """The represented state relation: s related to t iff block(s) leq block(t)."""
+        """The represented state relation: s related to t iff block(s) is below block(t)."""
         k = len(self.partition)
         blk = [0] * self.num_states
         for i, members in enumerate(self.partition):
@@ -136,19 +128,8 @@ class PartitionRelationPair:
         self.up: list[int] = up
         self.down: list[int] = down
 
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
-
     def block_states(self, b: int) -> list[int]:
         return self.states[self.begin[b] : self.end[b]]
-
-    def up_set_states(self, b: int) -> set[int]:
-        """Union of the segments of all blocks that block b relates into."""
-        out: set[int] = set()
-        for c in bits(self.up[b]):
-            out.update(self.block_states(c))
-        return out
 
     def split(self, inside: list[int]) -> tuple[int, int]:
         """Cut one block in two and return the ``(kept, new)`` id pair.

@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import compress
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,17 +14,18 @@ from simrel.engine import (
     check_is_simulation_pr,
     compute_simulation,
     recompute_tables,
+    transpose,
 )
 from simrel.kripke import (
     KripkeStructure,
     generate_random_ks,
+    initial_label_partition,
     make_chain,
     make_clique,
     parse_ks,
-    pre_of,
 )
 from simrel.oracle import brute_force_simulation, simulation_partition
-from simrel.prcore import bits, init_pr
+from simrel.prcore import PartitionRelationPair, bits, init_pr
 
 from .conftest import build_ks, engine_after_initialize
 
@@ -82,8 +85,11 @@ def host_share(eng, rep, states):
     rep's upward closure, in segment order: what a refiner hit on
     ``(rep, states)`` must cut."""
     pr = eng.pr
-    splitter = pre_of(eng.ks, pr.up_set_states(rep))
-    return [s for s in pr.block_states(pr.state_block[states[0]]) if s in splitter]
+    above, succ, state_block = pr.up[rep], eng.ks.succ, pr.state_block
+    return [
+        s for s in pr.block_states(state_block[states[0]])
+        if any(above >> state_block[y] & 1 for y in succ[s])
+    ]
 
 
 def count_index_builds(monkeypatch):
@@ -739,7 +745,7 @@ class TestRStabilize:
 
     def test_one_sided_pair_pruned(self, ks_b):
         result, _ = SimulationEngine(ks_b, FULL).run()
-        assert result.leq == ((True, False), (True, True))
+        assert result.rows == (0b01, 0b11)
 
     def test_chained_rounds_reach_fixpoint(self):
         # frozen instance where pruning cascades across rounds: the first
@@ -798,8 +804,8 @@ class TestRStabilize:
         result, _ = SimulationEngine(ks, FULL).run()
         mover = result.partition.index((0,))
         dead = result.partition.index((1, 2))
-        assert result.leq[dead][mover] is True
-        assert result.leq[mover][dead] is False
+        assert result.rows[dead] >> mover & 1
+        assert not result.rows[mover] >> dead & 1
 
 
 class TestFullChecks:
@@ -891,6 +897,108 @@ class TestFullChecks:
             eng.remove[b] = saved
 
 
+def pre_of(ks, target):
+    """States with at least one transition into ``target``."""
+    tset = set(target)
+    return {s for s in range(ks.num_states) if any(t in tset for t in ks.succ[s])}
+
+
+def up_set_states(pr, b):
+    """Union of the segments of all blocks that block b relates into."""
+    out = set()
+    for c in bits(pr.up[b]):
+        out.update(pr.block_states(c))
+    return out
+
+
+def state_set_failures(ks, pr):
+    """The reference for ``check_is_simulation_pr``: the conditions the
+    pair fails, found by plain set computations over states, one
+    preimage per block's upward closure. ``"label"``: a block related to
+    another holds a state whose label differs from the first block's
+    first state; ``"reach"``: some block above b has no state in the
+    preimage of the upward closure of a block that b reaches;
+    ``"stable"``: one of those preimages cuts a block. The set is empty
+    iff the pair represents a simulation."""
+    blocks = range(len(pr.begin))
+    up = pr.up
+    members = [pr.block_states(b) for b in blocks]
+    failed = set()
+    for b in blocks:
+        lab = ks.labels[members[b][0]]
+        for c in bits(up[b]):
+            if any(ks.labels[s] != lab for s in members[b] + members[c]):
+                failed.add("label")
+    up_pre = [pre_of(ks, up_set_states(pr, c)) for c in blocks]
+    reaches = [{pr.state_block[y] for s in members[b] for y in ks.succ[s]} for b in blocks]
+    for b in blocks:
+        for c in reaches[b]:
+            for d in bits(up[b]):
+                if not any(s in up_pre[c] for s in members[d]):
+                    failed.add("reach")
+    for splitter in up_pre:
+        for b in blocks:
+            if 0 < sum(s in splitter for s in members[b]) < len(members[b]):
+                failed.add("stable")
+    return failed
+
+
+def pair_of(blocks, up):
+    """A pair whose block b holds the states ``blocks[b]``, in that order,
+    related by the rows ``up``."""
+    states, begin, end = [], [], []
+    for members in blocks:
+        begin.append(len(states))
+        states.extend(members)
+        end.append(len(states))
+    pos, state_block = [0] * len(states), [0] * len(states)
+    for p, s in enumerate(states):
+        pos[s] = p
+    for b, members in enumerate(blocks):
+        for s in members:
+            state_block[s] = b
+    return PartitionRelationPair(states, pos, state_block, begin, end, list(up), transpose(up))
+
+
+def sample_pairs(ks, rng):
+    """Yield ``(source, pair)`` for the pairs to check on ks: the engine's
+    pair after ``initialize``, after ``pstabilize``, after one
+    ``rstabilize`` and after ``run``; the converged pair with one relation
+    bit flipped; and a random refinement of the label partition under a
+    random relation. The engine's pair is yielded live, so check it
+    before drawing the next one."""
+    eng = SimulationEngine(ks)
+    eng.initialize()
+    yield "initialize", eng.pr
+    eng.pstabilize()
+    yield "pstabilize", eng.pr
+    eng.rstabilize()
+    yield "rstabilize", eng.pr
+    eng = SimulationEngine(ks)
+    eng.run()
+    yield "run", eng.pr
+    nb = len(eng.pr.begin)
+    up = eng.pr.up[:]
+    up[rng.randrange(nb)] ^= 1 << rng.randrange(nb)
+    yield "flipped", pair_of([eng.pr.block_states(b) for b in range(nb)], up)
+    blocks = []
+    for members in initial_label_partition(ks):
+        parts = {}
+        for s in members:
+            parts.setdefault(rng.randrange(3), []).append(s)
+        blocks.extend(parts.values())
+    density = rng.choice([0.0, 0.1, 0.3, 0.6])
+    up = [sum(1 << c for c in range(len(blocks)) if rng.random() < density) for _ in blocks]
+    yield "refined", pair_of(blocks, up)
+
+
+def random_structure(rng):
+    return generate_random_ks(
+        rng.randint(1, 20), rng.randint(1, 3), rng.choice([0.05, 0.1, 0.2, 0.4]),
+        rng.getrandbits(32),
+    )
+
+
 class TestSimulationCheck:
     def test_converged_output_passes(self, ks_a, ks_b):
         for ks in (ks_a, ks_b):
@@ -904,6 +1012,88 @@ class TestSimulationCheck:
     def test_self_loop_identity_passes(self):
         ks = KripkeStructure(1, {}, {0: [0]})
         assert check_is_simulation_pr(ks, init_pr(ks)) is True
+
+    def test_empty_structure_passes(self):
+        ks = KripkeStructure(0, {}, {})
+        eng = SimulationEngine(ks)
+        eng.run()
+        assert check_is_simulation_pr(ks, eng.pr) is True
+        assert check_is_simulation_pr(ks, init_pr(ks)) is True
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_equals_state_set_reference(self, seed):
+        rng = Random(seed)
+        ks = random_structure(rng)
+        for source, pr in sample_pairs(ks, rng):
+            assert check_is_simulation_pr(ks, pr) == (not state_set_failures(ks, pr)), source
+
+    def test_samples_fail_each_condition_alone(self):
+        # the property test's sources reach every verdict: some pairs pass,
+        # and for each condition some pair fails that condition alone
+        rng = Random(23)
+        seen = Counter()
+        for _ in range(200):
+            ks = random_structure(rng)
+            for source, pr in sample_pairs(ks, rng):
+                failed = frozenset(state_set_failures(ks, pr))
+                assert check_is_simulation_pr(ks, pr) == (not failed), source
+                seen[failed] += 1
+        for alone in ((), ("label",), ("reach",), ("stable",)):
+            assert seen[frozenset(alone)], alone
+
+    def test_blocks_of_different_labels_related_fail(self, ks_a):
+        # blocks {0, 1} and {2}: relating them keeps every reach and every
+        # block whole, and breaks only the label condition
+        eng = SimulationEngine(ks_a)
+        eng.run()
+        pr = eng.pr
+        relate(pr, pr.state_block[0], pr.state_block[2])
+        assert state_set_failures(ks_a, pr) == {"label"}
+        assert check_is_simulation_pr(ks_a, pr) is False
+
+    def test_block_of_two_labels_fails(self):
+        # one block {0, 1} whose states carry different labels
+        ks = build_ks("ab", [])
+        pr = pair_of([[0, 1]], [1])
+        assert state_set_failures(ks, pr) == {"label"}
+        assert check_is_simulation_pr(ks, pr) is False
+
+    def test_one_non_simulation_pair_added_fails(self):
+        # blocks {0} and {1, 2}: 0 moves to 1, and 1 and 2 are dead, so
+        # {1, 2} is below {0} and not above it. Putting {0} below {1, 2}
+        # leaves every block whole, and breaks only the reach condition
+        ks = build_ks("aaa", [(0, 1)])
+        eng = SimulationEngine(ks)
+        eng.run()
+        pr = eng.pr
+        mover, dead = pr.state_block[0], pr.state_block[1]
+        assert not related(pr, mover, dead)
+        relate(pr, mover, dead)
+        assert state_set_failures(ks, pr) == {"reach"}
+        assert check_is_simulation_pr(ks, pr) is False
+
+    def test_unstable_partition_fails(self):
+        # one block {0, 1, 2} under the identity: the preimage of the
+        # block, {0}, cuts it, and that breaks only the stability condition
+        ks = build_ks("aaa", [(0, 1)])
+        pr = init_pr(ks)
+        assert state_set_failures(ks, pr) == {"stable"}
+        assert check_is_simulation_pr(ks, pr) is False
+
+    def test_corrupted_down_changes_no_verdict(self):
+        # the check reads the relation from up alone
+        rng = Random(5)
+        for _ in range(40):
+            ks = random_structure(rng)
+            for source, pr in sample_pairs(ks, rng):
+                verdict = check_is_simulation_pr(ks, pr)
+                saved = pr.down
+                pr.down = [rng.getrandbits(len(saved)) for _ in saved]
+                assert check_is_simulation_pr(ks, pr) == verdict, source
+                pr.down = None
+                assert check_is_simulation_pr(ks, pr) == verdict, source
+                pr.down = saved
 
 
 class TestDeadStates:
@@ -935,7 +1125,7 @@ class TestDriver:
         ks = KripkeStructure(1, {}, {0: [0]})
         result, _ = compute_simulation(ks, FULL)
         assert result.partition == ((0,),)
-        assert result.leq == ((True,),)
+        assert result.rows == (1,)
 
     def test_empty_structure(self):
         result, _ = compute_simulation(KripkeStructure(0, {}, {}), FULL)
@@ -993,7 +1183,8 @@ class TestDriver:
         result, _ = compute_simulation(ks)
         blocks, leq = simulation_partition(brute_force_simulation(ks))
         assert [list(b) for b in result.partition] == blocks
-        assert [list(r) for r in result.leq] == leq
+        k = len(blocks)
+        assert [[bool(row >> j & 1) for j in range(k)] for row in result.rows] == leq
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from simrel.kripke import (
     make_clique,
     make_tree,
     parse_ks,
-    pre_of,
     serialize_ks,
 )
 
@@ -380,26 +379,6 @@ class TestLabelPartition:
         blocks = initial_label_partition(ks)
         flat = [s for b in blocks for s in b]
         assert sorted(flat) == list(range(ks.num_states))
-
-
-class TestPre:
-    def test_empty_target(self, ks_a):
-        assert pre_of(ks_a, set()) == set()
-
-    def test_single_edge(self):
-        ks = KripkeStructure(2, {}, {0: [1]})
-        assert pre_of(ks, {1}) == {0}
-
-    def test_sink_with_loop(self, ks_a):
-        # every state feeds the self-looping sink, enumerated by hand
-        assert pre_of(ks_a, {2}) == {0, 1, 2}
-
-    @given(random_ks_strategy())
-    @settings(max_examples=40)
-    def test_pre_of_all_states(self, ks):
-        assert pre_of(ks, range(ks.num_states)) == {
-            s for s in range(ks.num_states) if ks.succ[s]
-        }
 
 
 class TestGenerator:

@@ -150,24 +150,6 @@ class TestSplit:
                 assert pr.pos[s] == p
 
 
-class TestUpSet:
-    def test_identity_relation_gives_own_segment(self):
-        pr = init_pr(build_ks("ab", []))
-        assert pr.up_set_states(0) == {0}
-
-    def test_union_over_related_blocks(self):
-        pr = init_pr(build_ks("ab", []))
-        pr.up[0] |= 1 << 1
-        pr.down[1] |= 1 << 0
-        assert pr.up_set_states(0) == {0, 1}
-
-    def test_converged_sink_block(self, ks_a):
-        eng = SimulationEngine(ks_a, EngineConfig())
-        eng.run()
-        sink_block = eng.pr.state_block[2]
-        assert eng.pr.up_set_states(sink_block) == {2}
-
-
 class TestExtractResult:
     def test_single_state(self):
         ks = KripkeStructure(1, {}, {0: [0]})
@@ -177,18 +159,16 @@ class TestExtractResult:
         assert result.rows == (1,)
         assert result.order_pairs() == []
         assert result.state_matrix() == [bytearray([1])]
-        assert result.leq == ((True,),)
 
     def test_sink_structure(self, ks_a):
         result, _ = SimulationEngine(ks_a, EngineConfig()).run()
         assert result.partition == ((0, 1), (2,))
-        assert result.leq == ((True, False), (False, True))
+        assert result.rows == (0b01, 0b10)
 
     def test_one_sided_structure(self, ks_b):
         result, _ = SimulationEngine(ks_b, EngineConfig()).run()
         assert result.partition == ((0,), (1,))
-        assert result.leq[1][0] is True
-        assert result.leq[0][1] is False
+        assert result.rows == (0b01, 0b11)
 
     def test_state_matrix_roundtrip(self, ks_a):
         result, _ = SimulationEngine(ks_a, EngineConfig()).run()
@@ -208,7 +188,6 @@ class TestExtractResult:
         leq = tuple(map(tuple, rows))
         bit_rows = tuple(sum(1 << j for j in range(k) if row[j]) for row in leq)
         result = SimulationResult(tuple((i,) for i in range(k)), bit_rows)
-        assert result.leq == leq
         assert result.order_pairs() == [
             (i, j) for i in range(k) for j in range(k) if i != j and leq[i][j]
         ]
@@ -236,10 +215,6 @@ class TestExtractResult:
         assert result.state_matrix() == [
             bytearray(1 if leq[blk[s]][blk[t]] else 0 for t in range(n)) for s in range(n)
         ]
-        # leq is built on first read, then kept
-        assert "leq" not in vars(result)
-        assert result.leq == leq
-        assert result.leq is result.leq
 
 
 def naive_bits(x):
