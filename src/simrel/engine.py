@@ -57,12 +57,13 @@ each class is one block after ``initialize`` and after ``rstabilize``,
 and a cut puts its new half in its parent's class. And all blocks of a
 class would hold equal sets: the new half would copy its parent's, and
 ``update_count`` logs into whole classes, since ``below`` of any bitset
-is closed under mutual relation. So only the owners, the blocks below
-``first_new``, hold sets, and a block made in the phase holds 0. A cut
-then ORs its new half into the owners' sets that hold its parent, found
-with one C-level pass over the owners' sets only, and copies nothing.
-``rstabilize`` first gives each block made in the phase its owner's set,
-and every block owns its set again once the round's sets start.
+is closed under mutual relation. So ``remove`` holds one set per owner,
+as many as there were blocks when the phase began, and a block made in
+the phase has no slot there. A cut then ORs its new half into the
+owners' sets that hold its parent, found with one C-level pass over the
+owners' sets, and copies nothing. ``rstabilize`` first extends the list
+with each newer block's owner set, and every block owns its set again
+once the round's sets start.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
@@ -129,7 +130,7 @@ class EngineConfig:
 
     ``check_level``: "off" runs no self-check but the terminal refiner
     search of ``run``. "cheap" adds structural checks of the cut block's
-    two segments and of the new half's empty removal set after every
+    two segments and that the new half has no removal set after every
     cut, and of every segment and block, linear in states and blocks,
     after every partition phase and pruning round; plus a check that
     each half's successor bitset and edge-multiplicity column agree,
@@ -177,10 +178,9 @@ class SimulationEngine:
         # reaches |post[b] & up[c]| blocks above c
         self.post: list[int] = [0] * nb
         # remove[c]: the removal set of c's class, a bitset of block ids,
-        # held only at the class's owner; every block below first_new owns
-        # its class, and a block made since holds 0
+        # held only at the class's owner; one slot per block that existed
+        # when the partition phase began, and none for a block made since
         self.remove: list[int] = [0] * nb
-        self.first_new = nb
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
         self.worklist = bytearray(nb)
@@ -457,8 +457,8 @@ class SimulationEngine:
         are still its parent's. w gets the row and column of k in the
         relation, which puts it in k's class, a place in every removal set
         that holds k, a clear worklist flag, an empty successor bitset and
-        an empty edge-multiplicity column. w shares the set of its class's
-        owner and holds none of its own. The edge tables still describe
+        an empty edge-multiplicity column. w gets no slot in ``remove``: it
+        shares the set of its class's owner. The edge tables still describe
         the partition before the cut, which ``update_edges`` then corrects:
         here w, met in ``up[k]``, has no predecessors, and k still counts
         every edge into it. The relation column is copied only into the
@@ -481,10 +481,9 @@ class SimulationEngine:
         for c in bits(up[w]):
             down[c] |= wbit
         # one C-level pass over the owners finds the sets that hold k
-        holders = list(compress(range(self.first_new), map((1 << k).__and__, remove)))
+        holders = list(compress(range(len(remove)), map((1 << k).__and__, remove)))
         for owner in holders:
             remove[owner] |= wbit
-        remove.append(0)
         self.worklist.append(0)
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += (
@@ -558,14 +557,14 @@ class SimulationEngine:
         their sibling states. That is a union of whole classes, since
         ``below`` of any bitset is closed under mutual relation, so h is
         written only into the sets of the owners among them, the blocks
-        below ``first_new``. The two halves have equal columns, so such a
-        half is logged into the set of both halves' class. No worklist
-        flag is set here: other blocks keep their verdicts (see the module
-        docstring). The cheap level checks that each half's successor
-        bitset and edge-multiplicity column agree.
+        with a slot in ``remove``. The two halves have equal columns, so
+        such a half is logged into the set of both halves' class. No
+        worklist flag is set here: other blocks keep their verdicts (see
+        the module docstring). The cheap level checks that each half's
+        successor bitset and edge-multiplicity column agree.
         """
         post, pre_e, remove = self.post, self.pre_e, self.remove
-        owners = (1 << self.first_new) - 1
+        owners = (1 << len(remove)) - 1
         logged = 0
         for h in (k, w):
             lost = before & ~self._below(post[h])
@@ -590,26 +589,27 @@ class SimulationEngine:
     def rstabilize(self) -> bool:
         """One relation-pruning round over the pending removal sets.
 
-        Takes the removal sets as the pending ones, after giving each block
-        made since ``first_new`` the set of its class's owner, and starts an
-        empty list for the next round, in which every block owns its set.
-        Then for each selected block c with a pending set, prunes every
-        related pair (b, d) with b a predecessor block of c and d in c's
-        pending set, all of b's at once as ``up[b] & pending``. After each
-        such batch, every block f with an edge into a pruned d is tested by
-        ``r = post[f] & up[b]``, what f still reaches above b: if r is
-        empty, the fresh violation is logged into b's set for the next
-        round, and if r is one block, f is flagged for the refiner search,
-        the only way a round can make a block host a refiner (see the module
-        docstring). The pruned pairs and the logged blocks of a round do not
-        depend on the order of the visits. The flags may, since the visits
-        group the pruned pairs into batches, but whatever the order they
-        include every block that hosts a refiner after the round. Must run
-        on a partition-stable pair; ``run`` re-stabilizes the partition
-        between rounds. Returns True iff no pair was removed, in which case
-        no set is left pending either. On exit the relation is antisymmetric
-        again: split-created mutual pairs always carry a logged witness, so
-        one direction gets pruned.
+        Takes the removal sets as the pending ones, after extending them
+        with the set of its class's owner for each block made in the last
+        partition phase, and starts an empty list for the next round, in
+        which every block owns its set. Then for each selected block c
+        with a pending set, prunes every related pair (b, d) with b a
+        predecessor block of c and d in c's pending set, all of b's at once
+        as ``up[b] & pending``. After each such batch, every block f with
+        an edge into a pruned d is tested by ``r = post[f] & up[b]``, what
+        f still reaches above b: if r is empty, the fresh violation is
+        logged into b's set for the next round, and if r is one block, f is
+        flagged for the refiner search, the only way a round can make a
+        block host a refiner (see the module docstring). The pruned pairs
+        and the logged blocks of a round do not depend on the order of the
+        visits. The flags may, since the visits group the pruned pairs into
+        batches, but whatever the order they include every block that
+        hosts a refiner after the round. Must run on a partition-stable
+        pair; ``run`` re-stabilizes the partition between rounds. Returns
+        True iff no pair was removed, in which case no set is left pending
+        either. On exit the relation is antisymmetric again: split-created
+        mutual pairs always carry a logged witness, so one direction gets
+        pruned.
         """
         pr = self.pr
         up, down = pr.up, pr.down
@@ -618,10 +618,8 @@ class SimulationEngine:
         track = self.cfg.stats_enabled
         pending = self.remove
         # the blocks made in the last partition phase take their owners' sets
-        for b in range(self.first_new, len(pending)):
-            pending[b] = pending[self._owner(b)]
+        pending += [pending[self._owner(b)] for b in range(len(pending), len(pr.begin))]
         self.remove = remove = [0] * len(pending)
-        self.first_new = len(pending)
         entry_up = up[:] if self.cfg.full else None
         removed = False
         for sel, dropped in enumerate(pending):
@@ -677,12 +675,12 @@ class SimulationEngine:
 
     def _check_cut(self, k: int, w: int) -> None:
         """Cheap check of one cut into ``(k, w)``: the states of both
-        halves point back at them, w is related to itself, and w holds no
-        removal set of its own."""
+        halves point back at them, w is related to itself, and w has no
+        slot in the removal sets, which only the phase's owners hold."""
         self._check_segments((k, w))
         if not self.pr.up[w] >> w & 1:
             raise InvariantViolation("relation lost reflexivity")
-        if self.remove[w]:
+        if len(self.remove) > w:
             raise InvariantViolation(f"new block {w} holds a removal set")
 
     def _check_segments(self, blocks) -> int:
@@ -820,11 +818,11 @@ def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bo
     """Direct verification that the pair represents a simulation.
 
     Independent of the engine's tables: the successor bitsets ``post``
-    are recounted from the transitions, and the relation is read from
-    ``up`` alone. ``below(x)`` is the union of ``transpose(up)[e]`` over
-    the blocks e of x, and ``below_post[b] = below(post[b])`` holds the
-    blocks c such that some state of b has a successor in c's upward
-    closure. The pair is a simulation iff
+    are recounted here in one walk of each state's successors, and the
+    relation is read from ``up`` alone. ``below(x)`` is the union of
+    ``transpose(up)[e]`` over the blocks e of x, and ``below_post[b] =
+    below(post[b])`` holds the blocks c such that some state of b has a
+    successor in c's upward closure. The pair is a simulation iff
 
     (i) every state of block b has b's label;
     (ii) every state s of b has ``below(reach(s)) == below_post[b]``,
@@ -837,9 +835,14 @@ def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bo
 
     O(n + m) bitset ORs plus one AND per related pair.
     """
-    _, post = recompute_tables(ks, pr)
-    below_of = transpose(pr.up)
     labels, succ = ks.labels, ks.succ
+    # bit_at[y]: the bit of the block of state y, shared by its block's states
+    block_bit = [1 << b for b in range(len(pr.begin))]
+    bit_at = list(map(block_bit.__getitem__, pr.state_block))
+    post = [0] * len(block_bit)
+    for b, targets in zip(pr.state_block, succ):
+        post[b] |= reduce(or_, map(bit_at.__getitem__, targets), 0)
+    below_of = transpose(pr.up)
     # below_at[y]: below(the block of state y)
     below_at = list(map(below_of.__getitem__, pr.state_block))
     below_post = [reduce(or_, map(below_of.__getitem__, bits(row)), 0) for row in post]

@@ -17,8 +17,8 @@ b, and ``down[c]``, the blocks below c), and the engine's own lists:
 edge multiplicities, successor bitsets, removal sets and worklist
 flags. The engine gives each new half its kept half's entries before it
 cuts the next block; a removal set is held only by the oldest block of
-its class until the engine's next pruning round, so a new half's slot
-there stays empty.
+its class until the engine's next pruning round, so a new half has no
+slot in the removal sets until then.
 ``extract_result`` hands the converged pair out as a ``SimulationResult``
 that keeps the relation as bits too: one int row per block, renumbered
 into result order.

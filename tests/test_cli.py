@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import simrel.cli as cli_mod
 from simrel.cli import main
-from simrel.engine import EngineConfig, InvariantViolation, compute_simulation
+from simrel.engine import CHECK_LEVELS, EngineConfig, InvariantViolation, compute_simulation
 from simrel.kripke import (
     MAX_STATES,
     generate_random_ks,
@@ -125,6 +125,10 @@ class TestCompute:
     def test_check_full(self, runner, ks_files):
         out = runner.invoke(main, ["compute", "--check", "full", ks_files["a"]])
         assert out.exit_code == 0
+
+    def test_check_choices_are_the_engine_levels(self):
+        (check,) = [p for p in main.commands["compute"].params if p.name == "check"]
+        assert tuple(check.type.choices) == CHECK_LEVELS
 
     def test_invariant_violation_exit_code(self, runner, ks_files, monkeypatch):
         monkeypatch.setattr(cli_mod, "compute_simulation", violate_invariant)

@@ -3,7 +3,7 @@ from itertools import compress
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import simrel.engine as engine_module
@@ -394,10 +394,10 @@ class TestUpdateAfterSplit:
     def test_edge_matrix_exact_after_split(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        post_ref, _ = recompute_tables(eng.ks, eng.pr)
+        edges_ref, _ = recompute_tables(eng.ks, eng.pr)
         for b in block_ids(eng.pr):
             for c in block_ids(eng.pr):
-                assert post_ref[b].get(c, 0) == eng.pre_e[c].get(b, 0)
+                assert edges_ref[b].get(c, 0) == eng.pre_e[c].get(b, 0)
 
     def test_counts_after_first_split(self, ks_b):
         # from-scratch recomputation fixes the expected entries
@@ -430,8 +430,9 @@ class TestUpdateAfterSplit:
         remove[marker] = 1 << pair_block
         kept, new = eng.pr.split([0])
         eng.inherit(kept, new)
-        # the new half reads its class's set and holds none of its own
-        assert remove[new] == 0
+        # the new half has no slot: the list keeps the two sets it had
+        # when the phase began, and the half reads its class's set
+        assert eng.remove is remove and len(remove) == new == 2
         assert class_set(eng, new) == class_set(eng, kept) == 1 << marker
         assert remove[marker] == 1 << pair_block | 1 << new
         # a write to the class's set reaches both halves and no other set
@@ -468,12 +469,12 @@ def split_with_scribbled_tables():
 
 def assert_edge_tables_exact(eng):
     """Every cell of the edge-multiplicity table equals the recount."""
-    post_ref, _ = recompute_tables(eng.ks, eng.pr)
+    edges_ref, _ = recompute_tables(eng.ks, eng.pr)
     nb = len(eng.pr.begin)
     assert len(eng.pre_e) == nb
     for b in range(nb):
         for d in range(nb):
-            assert eng.pre_e[d].get(b, 0) == post_ref[b].get(d, 0), (b, d)
+            assert eng.pre_e[d].get(b, 0) == edges_ref[b].get(d, 0), (b, d)
     # only nonzero cells are held
     assert all(0 not in cells.values() for cells in eng.pre_e)
 
@@ -643,6 +644,15 @@ class TestUpdateEdges:
         assert bits(eng.post[new]) == sorted(successor_blocks(eng, new))
 
 
+class SlotPerNewHalf(SimulationEngine):
+    """The engine with a broken ``inherit`` that gives each new half its
+    own empty removal set."""
+
+    def inherit(self, k, w):
+        SimulationEngine.inherit(self, k, w)
+        self.remove.append(0)
+
+
 class TestInherit:
     def test_empty_split_list_no_change(self):
         # a part that is a whole block is refused at the full level, before
@@ -667,8 +677,9 @@ class TestInherit:
     def test_one_row_and_column_per_new_half(self):
         eng, pairs, _ = split_with_scribbled_tables()
         pr = eng.pr
-        assert len(pr.up) == len(pr.down) == len(eng.post) == 4
-        assert len(eng.remove) == len(eng.worklist) == 4
+        assert len(pr.up) == len(pr.down) == len(eng.post) == len(eng.worklist) == 4
+        # the removal sets stay one per block the phase began with
+        assert len(eng.remove) == 2
         assert all(row >> 4 == 0 for row in pr.up + pr.down)
         # update_edges fills the new halves' successor bitsets
         assert eng.post[2:] == [0, 0]
@@ -704,14 +715,24 @@ class TestInherit:
     def test_remove_list_equals_parents_and_is_independent(self):
         eng, pairs, _ = split_with_scribbled_tables()
         remove = eng.remove
+        # a new half has no slot, and reads its parent's class's set
+        assert len(remove) == 2
         for kept, new in pairs:
-            assert remove[new] == 0
+            assert new >= len(remove)
             assert class_set(eng, new) == class_set(eng, kept) == remove[kept]
         sets_with_halves = [s for s in remove if s]
         assert sets_with_halves
         for s in sets_with_halves:
             for kept, new in pairs:
                 assert s >> kept & 1 == s >> new & 1
+
+    def test_slot_for_a_new_half_detected(self):
+        # the cheap level checks after every cut that the new half has no
+        # slot in the removal sets
+        eng = SlotPerNewHalf(make_chain(4), EngineConfig(check_level="cheap"))
+        with pytest.raises(InvariantViolation, match="holds a removal set"):
+            eng.run()
+        assert len(eng.pr.begin) == 2
 
     def test_chain_logs_each_half_once(self):
         # a split half is logged into each removal list at most once, so a
@@ -1095,6 +1116,23 @@ class TestSimulationCheck:
                 assert check_is_simulation_pr(ks, pr) == verdict, source
                 pr.down = saved
 
+    def test_never_calls_recompute_tables(self, monkeypatch):
+        # the check counts its successor bitsets in its own walk of the
+        # transitions and builds no edge-multiplicity table
+        def recount(ks, pr):
+            raise AssertionError("recompute_tables called")
+
+        monkeypatch.setattr(engine_module, "recompute_tables", recount)
+        rng = Random(11)
+        verdicts = set()
+        for _ in range(40):
+            ks = random_structure(rng)
+            for source, pr in sample_pairs(ks, rng):
+                verdict = check_is_simulation_pr(ks, pr)
+                assert verdict == (not state_set_failures(ks, pr)), source
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 class TestDeadStates:
     def test_never_in_pre_e(self):
@@ -1342,7 +1380,39 @@ class FlagsChecked(SimulationEngine):
         return k, w
 
 
+class RemovalSlotsCounted(SimulationEngine):
+    """The engine checking the length of ``remove``: after every cut it
+    is the block count when the partition phase began, and after every
+    pruning round the block count. ``cuts`` counts the cuts."""
+
+    cuts = 0
+
+    def pstabilize(self):
+        self.phase_blocks = len(self.pr.begin)
+        SimulationEngine.pstabilize(self)
+
+    def cut(self, inside, others):
+        k, w = SimulationEngine.cut(self, inside, others)
+        assert len(self.remove) == self.phase_blocks <= w
+        self.cuts += 1
+        return k, w
+
+    def rstabilize(self):
+        out = SimulationEngine.rstabilize(self)
+        assert len(self.remove) == len(self.pr.begin)
+        return out
+
+
 class TestEngineProperties:
+    @given(random_ks(max_states=24))
+    @example(make_chain(17))
+    @settings(max_examples=60, deadline=None)
+    def test_removal_sets_one_per_block_the_phase_began_with(self, ks):
+        eng = RemovalSlotsCounted(ks, EngineConfig(check_level="cheap", stats_enabled=True))
+        result, stats = eng.run()
+        assert eng.cuts == stats.splits_total
+        assert result == compute_simulation(ks)[0]
+
     @given(random_ks(max_states=24))
     @settings(max_examples=80, deadline=None)
     def test_cut_flags_a_half_iff_a_fresh_walk_finds_a_proper_part(self, ks):
