@@ -24,11 +24,13 @@ expression, and no table of counters is kept. Below,
 ``below(x)`` is the union of ``down[d]`` over the blocks d of x: the
 blocks c such that x holds a block above c.
 
-Only ``initialize`` walks every transition: it builds the edge tables.
-The predecessor index, the sources of each state's in-edges in flat
-arrays of about four bytes per transition, is built by the first cut,
-which is its only reader, so a run whose label partition is already
-stable never builds it. The refiner search returns the cut itself. A
+Only ``initialize`` walks every transition: it builds the edge tables
+with ``recompute_tables``, the same count that the full checks compare
+them against, and afterwards each cut only updates them. The
+predecessor index, the sources of each state's in-edges in flat arrays
+of about four bytes per transition, is built by the first cut, which is
+its only reader, so a run whose label partition is already stable never
+builds it. The refiner search returns the cut itself. A
 block b that hosts class a reaches nothing strictly above a, so the
 preimage of a's upward closure meets b in exactly b's states with an edge
 into a, which the search has just walked; when b's successor bitset lies
@@ -46,9 +48,10 @@ that hold its parent; ``update_edges`` splits the parent's edge cells and
 successor bits between the halves from the new half's in- and
 out-edges; and ``update_count`` then logs every half that reaches
 nothing above some block c that its parent reached above into c's set:
-the blocks of ``below(post[parent]) & ~below(post[half])``. Without that
-logging, pairs created mutually related by a split would never be pruned
-again.
+the blocks of ``below(post[k] | post[w]) & ~below(post[half])``, the
+union of the halves' successor bitsets standing for the parent's.
+Without that logging, pairs created mutually related by a split would
+never be pruned again.
 
 During partition stabilization the removal sets are held one per class,
 not one per block. Two facts make this exact. Every class holds exactly
@@ -208,10 +211,7 @@ class SimulationEngine:
                 # every continuing iteration refines the partition or, with
                 # it unchanged, strictly shrinks the relation
                 shape = self._shape()
-                if not (
-                    shape[0] > prev_shape[0]
-                    or (shape[0] == prev_shape[0] and shape[1] < prev_shape[1])
-                ):
+                if shape <= prev_shape:
                     raise InvariantViolation("no progress between driver iterations")
                 prev_shape = shape
         # terminal certification: one full refiner search on the stable pair
@@ -226,7 +226,8 @@ class SimulationEngine:
         return result, self.stats
 
     def _shape(self) -> tuple[int, int]:
-        return (len(self.pr.begin), sum(row.bit_count() for row in self.pr.up))
+        """``(blocks, -pairs)``, which every driver iteration increases."""
+        return (len(self.pr.begin), -sum(row.bit_count() for row in self.pr.up))
 
     def _below(self, x: int) -> int:
         """The blocks c such that some block of the bitset ``x`` is above c."""
@@ -247,25 +248,18 @@ class SimulationEngine:
     # table initialization
 
     def initialize(self) -> None:
-        """Fill the edge tables and the removal sets. Apart from the full
-        checks and the predecessor index, which the first cut builds, this
-        is a run's only pass over all transitions."""
-        pr = self.pr
-        state_block, succ = pr.state_block, self.ks.succ
-        pre_e, post = self.pre_e, self.post
-        for b in range(len(pre_e)):
-            successors = chain.from_iterable(map(succ.__getitem__, pr.block_states(b)))
-            for d, m in Counter(map(state_block.__getitem__, successors)).items():
-                pre_e[d][b] = m
-                post[b] |= 1 << d
-
-        # c's removal set: the blocks with edges that reach nothing above c
-        has_out = sum(1 << b for b, row in enumerate(post) if row)
-        reaching = transpose(list(map(self._below, post)))
-        self.remove = [has_out & ~r for r in reaching]
+        """Fill the edge tables with ``recompute_tables``, and the removal
+        sets. Apart from the full checks and the predecessor index, which
+        the first cut builds, this is a run's only pass over all
+        transitions."""
+        self.pre_e, self.post = recompute_tables(self.ks, self.pr)
+        # c's removal set: the blocks with edges that reach nothing above c,
+        # which under the entry relation, the identity, is no edge into c
+        has_out = sum(1 << b for b, row in enumerate(self.post) if row)
+        self.remove = [has_out & ~into for into in transpose(self.post)]
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += sum(map(int.bit_count, self.remove))
-        self._queue(range(len(post)))
+        self._queue(range(len(self.post)))
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -309,14 +303,13 @@ class SimulationEngine:
         holds b's proper parts for the classes it reaches other than the
         one ``inside`` was found for, as ``find_prefiner`` returns them.
         The cut is a ``split`` followed by ``inherit``, ``update_edges`` and
-        ``update_count``, which is given the blocks the parent reached
-        something above, so afterwards every table describes the partition
-        exactly. A half h is flagged iff some part of ``others`` cuts it
-        properly, 0 < |part n h| < |h|; the states of each part are counted
-        in the new half by their block, with no edge walk. This is exact
-        for the proper-part test the search applies (see the module
-        docstring). The full check level first checks that the part is
-        proper.
+        ``update_count``, each reading only the tables the one before left,
+        so afterwards every table describes the partition exactly. A half h
+        is flagged iff some part of ``others`` cuts it properly,
+        0 < |part n h| < |h|; the states of each part are counted in the
+        new half by their block, with no edge walk. This is exact for the
+        proper-part test the search applies (see the module docstring).
+        The full check level first checks that the part is proper.
         """
         pr = self.pr
         if self.cfg.full:
@@ -325,9 +318,8 @@ class SimulationEngine:
                 raise InvariantViolation(f"refiner produced no split of block {b}")
         k, w = pr.split(inside)
         self.inherit(k, w)
-        before = self._below(self.post[k])
         self.update_edges(k, w)
-        self.update_count(k, w, before)
+        self.update_count(k, w)
         k_size, w_size = pr.end[k] - pr.begin[k], pr.end[w] - pr.begin[w]
         flag_k = flag_w = False
         for part in others:
@@ -544,44 +536,35 @@ class SimulationEngine:
                 del cells[k]
                 post[k] ^= 1 << d
 
-    def update_count(self, k: int, w: int, before: int) -> None:
+    def update_count(self, k: int, w: int) -> None:
         """Log each half of the cut of k into ``(k, w)`` into the removal
         set of every block c above which it reaches nothing, though its
         parent reached something.
 
-        ``before`` is ``below(post[k])`` of the parent, read after
-        ``inherit`` and so holding w wherever it holds k; ``update_edges``
-        has made both halves' successor bitsets exact. A half h is logged
-        into c's set for every c of ``before & ~below(post[h])``: exactly
-        the blocks above which h's states lost their last edge by losing
-        their sibling states. That is a union of whole classes, since
-        ``below`` of any bitset is closed under mutual relation, so h is
-        written only into the sets of the owners among them, the blocks
-        with a slot in ``remove``. The two halves have equal columns, so
-        such a half is logged into the set of both halves' class. No
-        worklist flag is set here: other blocks keep their verdicts (see
-        the module docstring). The cheap level checks that each half's
-        successor bitset and edge-multiplicity column agree.
+        ``update_edges`` has made both halves' successor bitsets exact, and
+        ``before = below(post[k] | post[w])`` is ``below`` of the parent's
+        successor bitset: the halves together reach what the parent
+        reached, w standing for k where they reach the parent's own states,
+        and w has k's column in the relation. A half h is logged into c's
+        set for every c of ``before & ~below(post[h])``: exactly the blocks
+        above which h's states lost their last edge by losing their sibling
+        states. That is a union of whole classes, since ``below`` of any
+        bitset is closed under mutual relation, so h is written only into
+        the sets of the owners among them, the blocks with a slot in
+        ``remove``. The two halves have equal columns, so such a half is
+        logged into the set of both halves' class. No worklist flag is set
+        here: other blocks keep their verdicts (see the module docstring).
         """
-        post, pre_e, remove = self.post, self.pre_e, self.remove
+        post, remove = self.post, self.remove
+        before = self._below(post[k] | post[w])
         owners = (1 << len(remove)) - 1
-        logged = 0
         for h in (k, w):
             lost = before & ~self._below(post[h])
             hbit = 1 << h
             for c in bits(lost & owners):
                 remove[c] |= hbit
-            logged += lost.bit_count()
-        if self.cfg.stats_enabled:
-            self.stats.remove_elements_total += logged
-
-        if self.cfg.cheap:
-            for h in (k, w):
-                hbit = 1 << h
-                if not all(post[b] & hbit for b in pre_e[h]) or not all(
-                    h in pre_e[d] for d in bits(post[h])
-                ):
-                    raise InvariantViolation(f"successor bitset of block {h} out of step")
+            if self.cfg.stats_enabled:
+                self.stats.remove_elements_total += lost.bit_count()
 
     # ------------------------------------------------------------------
     # relation stabilization
@@ -675,13 +658,22 @@ class SimulationEngine:
 
     def _check_cut(self, k: int, w: int) -> None:
         """Cheap check of one cut into ``(k, w)``: the states of both
-        halves point back at them, w is related to itself, and w has no
-        slot in the removal sets, which only the phase's owners hold."""
+        halves point back at them, w is related to itself, w has no slot
+        in the removal sets, which only the phase's owners hold, and each
+        half's successor bitset agrees with its edge-multiplicity column.
+        Costs as much as the halves' segments and those two rows."""
         self._check_segments((k, w))
         if not self.pr.up[w] >> w & 1:
             raise InvariantViolation("relation lost reflexivity")
         if len(self.remove) > w:
             raise InvariantViolation(f"new block {w} holds a removal set")
+        post, pre_e = self.post, self.pre_e
+        for h in (k, w):
+            hbit = 1 << h
+            if not all(post[b] & hbit for b in pre_e[h]) or not all(
+                h in pre_e[d] for d in bits(post[h])
+            ):
+                raise InvariantViolation(f"successor bitset of block {h} out of step")
 
     def _check_segments(self, blocks) -> int:
         """Check that each block's segment is nonempty and that every state
@@ -705,18 +697,14 @@ class SimulationEngine:
         return covered
 
     def _check_tables(self) -> None:
-        """Full check: the edge table equals the transpose of its
-        from-scratch recount, the successor bitsets equal theirs, and
-        ``down`` is the transpose of ``up``. The removal sets are
-        recomputed by ``_check_remove_invariant``."""
+        """Full check: the edge table and the successor bitsets equal
+        their from-scratch recount by ``recompute_tables``, and ``down``
+        is the transpose of ``up``. The removal sets are recomputed by
+        ``_check_remove_invariant``."""
         pr = self.pr
         if transpose(pr.up) != pr.down:
             raise InvariantViolation("down is not the transpose of up")
-        edges_ref, post_ref = recompute_tables(self.ks, pr)
-        pre_ref: list[dict[int, int]] = [{} for _ in edges_ref]
-        for b, row in enumerate(edges_ref):
-            for d, m in row.items():
-                pre_ref[d][b] = m
+        pre_ref, post_ref = recompute_tables(self.ks, pr)
         tables = (
             ("edge-multiplicity column", self.pre_e, pre_ref),
             ("successor bitset", self.post, post_ref),
@@ -745,7 +733,7 @@ class SimulationEngine:
         reach c's upward closure at round entry but no longer can."""
         pr = self.pr
         # into[e]: the blocks with an edge into e
-        into = [reduce(or_, map((1).__lshift__, preds), 0) for preds in self.pre_e]
+        into = transpose(self.post)
 
         def reaching(above: int) -> int:
             return reduce(or_, map(into.__getitem__, bits(above)), 0)
@@ -795,23 +783,31 @@ def transpose(rows: list[int]) -> list[int]:
     return out
 
 
-def recompute_tables(ks: KripkeStructure, pr: PartitionRelationPair):
+def recompute_tables(
+    ks: KripkeStructure, pr: PartitionRelationPair
+) -> tuple[list[dict[int, int]], list[int]]:
     """From-scratch edge multiplicities and successor bitsets for the
-    current partition, as ``(edges, post)``.
+    current partition, in the engine's layout, as ``(pre_e, post)``.
 
-    Independent of the maintained edge tables; used as the oracle for
-    their exactness. ``edges[b][d]`` is the number of transitions from
-    states of b into states of d, kept only where nonzero, counted in one
-    pass over the transitions, and ``post[b]`` is the bitset of its keys.
+    ``initialize`` builds the engine's edge tables with it, and the full
+    checks compare the maintained tables against it. ``pre_e[d][b]`` is
+    the number of transitions from states of b into states of d, kept only
+    where nonzero, with the keys in ascending order of b, and ``post[b]``
+    is the bitset of the blocks d whose column holds b. The transitions
+    are counted in one pass, by source block, and then transposed.
     """
     state_block = pr.state_block
     edges: list[dict[int, int]] = [{} for _ in pr.begin]
-    for s in range(ks.num_states):
-        row = edges[state_block[s]]
-        for y in ks.succ[s]:
+    for b, targets in zip(state_block, ks.succ):
+        row = edges[b]
+        for y in targets:
             d = state_block[y]
             row[d] = row.get(d, 0) + 1
-    return edges, [reduce(or_, map((1).__lshift__, row), 0) for row in edges]
+    pre_e: list[dict[int, int]] = [{} for _ in edges]
+    for b, row in enumerate(edges):
+        for d, m in row.items():
+            pre_e[d][b] = m
+    return pre_e, [reduce(or_, map((1).__lshift__, row), 0) for row in edges]
 
 
 def check_is_simulation_pr(ks: KripkeStructure, pr: PartitionRelationPair) -> bool:

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import compress
+from operator import setitem
 from random import Random
 
 import pytest
@@ -394,10 +395,10 @@ class TestUpdateAfterSplit:
     def test_edge_matrix_exact_after_split(self, ks_b):
         eng = engine_after_initialize(ks_b)
         run_one_split_round(eng)
-        edges_ref, _ = recompute_tables(eng.ks, eng.pr)
+        pre_ref, _ = recompute_tables(eng.ks, eng.pr)
         for b in block_ids(eng.pr):
             for c in block_ids(eng.pr):
-                assert edges_ref[b].get(c, 0) == eng.pre_e[c].get(b, 0)
+                assert pre_ref[c].get(b, 0) == eng.pre_e[c].get(b, 0)
 
     def test_counts_after_first_split(self, ks_b):
         # from-scratch recomputation fixes the expected entries
@@ -467,16 +468,30 @@ def split_with_scribbled_tables():
     return eng, pairs, before
 
 
+def counted_tables(ks, pr):
+    """The edge tables ``(pre_e, post)`` of the pair, from a ``Counter``
+    of the pairs (block of s, block of t) over every transition s -> t.
+    Shares no code with ``recompute_tables``, which builds the engine's
+    tables and is the full checks' reference."""
+    state_block, nb = pr.state_block, len(pr.begin)
+    count = Counter(
+        (state_block[s], state_block[t]) for s in range(ks.num_states) for t in ks.succ[s]
+    )
+    pre_e, post = [{} for _ in range(nb)], [0] * nb
+    for (b, d), m in count.items():
+        pre_e[d][b] = m
+        post[b] |= 1 << d
+    return pre_e, post
+
+
 def assert_edge_tables_exact(eng):
-    """Every cell of the edge-multiplicity table equals the recount."""
-    edges_ref, _ = recompute_tables(eng.ks, eng.pr)
-    nb = len(eng.pr.begin)
-    assert len(eng.pre_e) == nb
-    for b in range(nb):
-        for d in range(nb):
-            assert eng.pre_e[d].get(b, 0) == edges_ref[b].get(d, 0), (b, d)
-    # only nonzero cells are held
-    assert all(0 not in cells.values() for cells in eng.pre_e)
+    """The edge-multiplicity table and the successor bitsets equal the
+    recount, which equals the independent count; so, as in the count,
+    only nonzero cells are held."""
+    pre_ref, post_ref = recompute_tables(eng.ks, eng.pr)
+    assert (pre_ref, post_ref) == counted_tables(eng.ks, eng.pr)
+    assert eng.pre_e == pre_ref
+    assert eng.post == post_ref
 
 
 class ExactAfterEveryPair(SimulationEngine):
@@ -488,10 +503,9 @@ class ExactAfterEveryPair(SimulationEngine):
         super().__init__(ks)
         self.checked = []
 
-    def update_count(self, k, w, before):
-        SimulationEngine.update_count(self, k, w, before)
+    def update_count(self, k, w):
+        SimulationEngine.update_count(self, k, w)
         assert_edge_tables_exact(self)
-        assert self.post == recompute_tables(self.ks, self.pr)[1]
         self.checked.append((k, w))
 
 
@@ -801,8 +815,8 @@ class TestRStabilize:
             eng.worklist[:] = bytes(len(eng.pr.begin))
             eng.pr.up = up = RecordedRows(eng.pr.up)
             eng.rstabilize()
-            edges, post = recompute_tables(eng.ks, eng.pr)
-            into = [{b for b, row in enumerate(edges) if d in row} for d in range(len(edges))]
+            pre_e, post = recompute_tables(eng.ks, eng.pr)
+            into = [set(col) for col in pre_e]
             flagged, logged = set(), [0] * len(post)
             for pred, old, new in up.writes:
                 for f in set().union(*map(into.__getitem__, bits(old & ~new))):
@@ -829,7 +843,119 @@ class TestRStabilize:
         assert not result.rows[mover] >> dead & 1
 
 
+class FlagsClearedAtCut(SimulationEngine):
+    """The engine with a broken ``cut`` that clears both halves' worklist
+    flags."""
+
+    def cut(self, inside, others):
+        k, w = SimulationEngine.cut(self, inside, others)
+        self.worklist[k] = self.worklist[w] = 0
+        return k, w
+
+
+class UnprunedRound(SimulationEngine):
+    """The engine with a broken ``rstabilize`` whose first round reports
+    a pruned pair without pruning, and whose later rounds report none."""
+
+    rounds = 0
+
+    def rstabilize(self):
+        self.rounds += 1
+        return self.rounds > 1
+
+
+class RelatedAfterLastRound(SimulationEngine):
+    """The engine with a broken ``rstabilize`` that puts block 0 below
+    block 1 after the last round."""
+
+    def rstabilize(self):
+        done = SimulationEngine.rstabilize(self)
+        if done:
+            relate(self.pr, 0, 1)
+        return done
+
+
 class TestFullChecks:
+    @pytest.mark.parametrize(
+        "engine, ks, level, message",
+        [
+            # block {0, 1, 2} reaches b through 1 and its own class
+            # through 2; the first cut leaves a half that 2's part cuts,
+            # which only the cleared flag would have searched
+            (FlagsClearedAtCut, build_ks("aaab", [(1, 3), (2, 0)]), "off",
+             "pair not partition stable at exit"),
+            (UnprunedRound, make_chain(4), "full", "no progress between driver iterations"),
+            # two unconnected states of different labels are unrelated
+            (RelatedAfterLastRound, build_ks("ab", []), "full",
+             "converged pair is not a simulation"),
+        ],
+        ids=["exit-search", "progress", "simulation"],
+    )
+    def test_broken_driver_step_detected(self, engine, ks, level, message):
+        with pytest.raises(InvariantViolation, match=message):
+            engine(ks, EngineConfig(check_level=level)).run()
+
+    @pytest.mark.parametrize(
+        "corrupt, check, message",
+        [
+            (lambda eng: setitem(eng.pr.up, 0, eng.pr.up[0] ^ 1), "_check_structure",
+             "relation lost reflexivity"),
+            (lambda eng: setitem(eng.pr.up, 1, eng.pr.up[1] ^ 2), "_check_cut",
+             "relation lost reflexivity"),
+            (lambda eng: setitem(eng.pr.end, 0, 2), "_check_structure",
+             "segments do not cover the state ordering"),
+            (lambda eng: setitem(eng.pr.end, 1, 3), "_check_structure",
+             r"empty live block 1, \[3,3\)"),
+            (lambda eng: eng.pre_e.append({}), "_check_tables",
+             "edge-multiplicity columns do not cover the blocks"),
+            (lambda eng: eng.post.append(0), "_check_tables",
+             "successor bitsets do not cover the blocks"),
+        ],
+        ids=["structure-diagonal", "cut-diagonal", "cover", "empty", "columns", "bitsets"],
+    )
+    def test_corrupt_table_after_a_cut_detected(self, corrupt, check, message):
+        # the chain's one block is cut into the states 0-2 and the state 3
+        eng = SimulationEngine(make_chain(4), FULL)
+        eng.initialize()
+        assert eng.cut([3], []) == (0, 1)
+        checks = {
+            "_check_structure": eng._check_structure,
+            "_check_cut": lambda: eng._check_cut(0, 1),
+            "_check_tables": eng._check_tables,
+        }
+        for run_check in checks.values():
+            run_check()
+        corrupt(eng)
+        with pytest.raises(InvariantViolation, match=message):
+            checks[check]()
+
+    @pytest.mark.parametrize(
+        "up, message",
+        [
+            # block 0 is below block 1 but not related to itself
+            ([0b10, 0b10], "relation not reflexive"),
+            ([0b11, 0b11], "relation not antisymmetric"),
+            # 0 below 1 and 1 below 2, but 0 not below 2
+            ([0b011, 0b110, 0b100], "relation not transitive"),
+        ],
+    )
+    def test_broken_order_detected(self, up, message):
+        eng = SimulationEngine(build_ks("a" * len(up), []))
+        eng.pr = pair_of([[b] for b in range(len(up))], up)
+        with pytest.raises(InvariantViolation, match=message):
+            eng._check_order(require_antisymmetric=True)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_recount_equals_an_independent_count(self, seed):
+        # recompute_tables builds the engine's edge tables and is the
+        # full checks' reference for them, so it is checked against a
+        # count that shares no code with it
+        rng = Random(seed)
+        ks = random_structure(rng)
+        for source, pr in sample_pairs(ks, rng):
+            assert recompute_tables(ks, pr) == counted_tables(ks, pr), source
+
     def test_stale_edge_set_detected(self, ks_a):
         eng = engine_after_initialize(ks_a)
         eng._check_tables()
@@ -1118,17 +1244,20 @@ class TestSimulationCheck:
 
     def test_never_calls_recompute_tables(self, monkeypatch):
         # the check counts its successor bitsets in its own walk of the
-        # transitions and builds no edge-multiplicity table
+        # transitions and builds no edge-multiplicity table; the engines
+        # that sample_pairs runs build theirs with recompute_tables, so it
+        # is patched only around the check
         def recount(ks, pr):
             raise AssertionError("recompute_tables called")
 
-        monkeypatch.setattr(engine_module, "recompute_tables", recount)
         rng = Random(11)
         verdicts = set()
         for _ in range(40):
             ks = random_structure(rng)
             for source, pr in sample_pairs(ks, rng):
-                verdict = check_is_simulation_pr(ks, pr)
+                with monkeypatch.context() as patched:
+                    patched.setattr(engine_module, "recompute_tables", recount)
+                    verdict = check_is_simulation_pr(ks, pr)
                 assert verdict == (not state_set_failures(ks, pr)), source
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -1339,7 +1468,8 @@ class EagerRemovalSets(PendingRecorded):
         if self.cfg.stats_enabled:
             self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
 
-    def update_count(self, k, w, before):
+    def update_count(self, k, w):
+        before = self._below(self.post[k] | self.post[w])
         for h in (k, w):
             lost = before & ~self._below(self.post[h])
             for c in bits(lost):
