@@ -1,7 +1,7 @@
 """Standing pins on whole runs.
 
 ``TestGoldenRuns`` fixes the run counters and the sha256 of the
-``compute --format json`` document of five structures, so that a change
+``compute --format json`` document of six structures, so that a change
 to the engine's tables shows up as a changed counter or byte, not only as
 a changed time. ``TestFullChecksAtScale`` runs every self-check of the
 ``full`` level, with stats and the three counter laws, on structures of a
@@ -91,6 +91,22 @@ GOLDEN = {
             "pairs_removed_total": 15528,
         },
         "07ef64f577d917673453ba4d31b441b65ada638a3720dc8f6bade7c3f15c9fc2",
+    ),
+    # the benchmark's multilabel instance, 1518 blocks; its digest is the
+    # one perfbench/digests.json stores for it
+    "random(1600,5,3/1600,seed=1)": (
+        lambda: generate_random_ks(1600, 5, 3 / 1600, 1),
+        {
+            "splits_total": 1513,
+            "new_blocks_total": 3026,
+            "prefiner_calls": 1522,
+            "findprefiner_null_returns": 1,
+            "smaller_half_max_scans": 7,
+            "smaller_half_total_scans": 5040,
+            "remove_elements_total": 1081404,
+            "pairs_removed_total": 94495,
+        },
+        "53376ad3b13a25c82739e8031585208a873abf8a49d8e03db8a794f021feba4a",
     ),
 }
 
