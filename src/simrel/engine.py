@@ -24,13 +24,16 @@ expression, and no table of counters is kept. Below,
 ``below(x)`` is the union of ``down[d]`` over the blocks d of x: the
 blocks c such that x holds a block above c.
 
-Only ``initialize`` walks every transition: it builds the edge tables
-with ``recompute_tables``, the same count that the full checks compare
-them against, and afterwards each cut only updates them. The
-predecessor index, the sources of each state's in-edges in flat arrays
-of about four bytes per transition, is built by the first cut, which is
-its only reader, so a run whose label partition is already stable never
-builds it. The refiner search returns the cut itself. A
+Apart from the full checks, three steps walk transitions across the
+whole structure. ``initialize`` builds the edge tables with
+``recompute_tables``, the same count that the full checks compare them
+against, and afterwards each cut only updates them. The first cut builds
+the predecessor index, the sources of each state's in-edges in flat
+arrays of about four bytes per transition; it is the index's only
+reader, so a run whose label partition is already stable never builds
+it. And the terminal refiner search in ``run`` walks the out-edges of
+every block whose successors lie in more than one class. The refiner
+search returns the cut itself. A
 block b that hosts class a reaches nothing strictly above a, so the
 preimage of a's upward closure meets b in exactly b's states with an edge
 into a, which the search has just walked; when b's successor bitset lies
@@ -171,22 +174,6 @@ class SimulationEngine:
         self.ks = ks
         self.cfg = cfg or EngineConfig()
         self.pr: PartitionRelationPair = init_pr(ks)
-        nb = len(self.pr.begin)
-        # pre_e[d][b]: the number of transitions from block b into block
-        # d, held only where nonzero
-        self.pre_e: list[dict[int, int]] = [{} for _ in range(nb)]
-        # the predecessor index is the property pred_index, built by the
-        # first cut
-        # post[b]: the bitset of blocks that b has an edge into, so b
-        # reaches |post[b] & up[c]| blocks above c
-        self.post: list[int] = [0] * nb
-        # remove[c]: the removal set of c's class, a bitset of block ids,
-        # held only at the class's owner; one slot per block that existed
-        # when the partition phase began, and none for a block made since
-        self.remove: list[int] = [0] * nb
-        # worklist[b] is 1 while block b may host a refiner; a block whose
-        # flag is 0 is known not to
-        self.worklist = bytearray(nb)
         self.stats = RunStats()
 
     # ------------------------------------------------------------------
@@ -248,18 +235,24 @@ class SimulationEngine:
     # table initialization
 
     def initialize(self) -> None:
-        """Fill the edge tables with ``recompute_tables``, and the removal
-        sets. Apart from the full checks and the predecessor index, which
-        the first cut builds, this is a run's only pass over all
-        transitions."""
+        """Create the engine's tables for the label partition: the edge
+        tables with ``recompute_tables``, the removal sets and the worklist
+        flags, every block flagged. The predecessor index is the property
+        ``pred_index``, built by the first cut."""
+        # pre_e[d][b]: the number of transitions from block b into block
+        # d, held only where nonzero; post[b]: the bitset of blocks that b
+        # has an edge into, so b reaches |post[b] & up[c]| blocks above c
         self.pre_e, self.post = recompute_tables(self.ks, self.pr)
-        # c's removal set: the blocks with edges that reach nothing above c,
-        # which under the entry relation, the identity, is no edge into c
+        # remove[c]: the removal set of c's class, a bitset of block ids,
+        # held only at the class's owner; one slot per block that existed
+        # when the partition phase began, and none for a block made since.
+        # Here c's set holds the blocks with edges that reach nothing above
+        # c, which under the entry relation, the identity, is no edge into c
         has_out = sum(1 << b for b, row in enumerate(self.post) if row)
         self.remove = [has_out & ~into for into in transpose(self.post)]
-        if self.cfg.stats_enabled:
-            self.stats.remove_elements_total += sum(map(int.bit_count, self.remove))
-        self._queue(range(len(self.post)))
+        # worklist[b] is 1 while block b may host a refiner; a block whose
+        # flag is 0 is known not to
+        self.worklist = bytearray(b"\1") * len(self.post)
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -456,10 +449,6 @@ class SimulationEngine:
         every edge into it. The relation column is copied only into the
         rows that ``down[k]`` names, and before the row, so w's row holds
         w.
-
-        With stats on, ``remove_elements_total`` counts what one set per
-        block would have taken: w in every block of each holding owner's
-        class, w excluded, plus a copy of the set of k's owner.
         """
         pr = self.pr
         up, down, remove = pr.up, pr.down, self.remove
@@ -473,15 +462,9 @@ class SimulationEngine:
         for c in bits(up[w]):
             down[c] |= wbit
         # one C-level pass over the owners finds the sets that hold k
-        holders = list(compress(range(len(remove)), map((1 << k).__and__, remove)))
-        for owner in holders:
+        for owner in compress(range(len(remove)), map((1 << k).__and__, remove)):
             remove[owner] |= wbit
         self.worklist.append(0)
-        if self.cfg.stats_enabled:
-            self.stats.remove_elements_total += (
-                sum((up[o] & down[o] & ~wbit).bit_count() for o in holders)
-                + remove[self._owner(k)].bit_count()
-            )
 
     def update_edges(self, k: int, w: int) -> None:
         """Move the edge multiplicities and successor bits of the cut block
@@ -563,8 +546,6 @@ class SimulationEngine:
             hbit = 1 << h
             for c in bits(lost & owners):
                 remove[c] |= hbit
-            if self.cfg.stats_enabled:
-                self.stats.remove_elements_total += lost.bit_count()
 
     # ------------------------------------------------------------------
     # relation stabilization
@@ -575,7 +556,9 @@ class SimulationEngine:
         Takes the removal sets as the pending ones, after extending them
         with the set of its class's owner for each block made in the last
         partition phase, and starts an empty list for the next round, in
-        which every block owns its set. Then for each selected block c
+        which every block owns its set. With stats on, each nonzero pending
+        set is counted into ``remove_elements_total`` and ``remove_trace``
+        as the round selects it. Then for each selected block c
         with a pending set, prunes every related pair (b, d) with b a
         predecessor block of c and d in c's pending set, all of b's at once
         as ``up[b] & pending``. After each such batch, every block f with
@@ -609,10 +592,11 @@ class SimulationEngine:
             if not dropped:
                 continue
             if track:
+                self.stats.remove_elements_total += dropped.bit_count()
                 self.stats.remove_trace.append(
                     (
                         frozenset(pr.block_states(sel)),
-                        frozenset(s for d in bits(dropped) for s in pr.block_states(d)),
+                        frozenset(chain.from_iterable(map(pr.block_states, bits(dropped)))),
                     )
                 )
             for pred in pre_e[sel]:
@@ -634,8 +618,6 @@ class SimulationEngine:
                         flags[f] = 1
                 if track:
                     self.stats.pairs_removed_total += len(pruned)
-        if track:
-            self.stats.remove_elements_total += sum(map(int.bit_count, remove))
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:

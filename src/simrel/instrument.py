@@ -25,6 +25,10 @@ class RunStats:
     ``smaller_half_state_scans`` maps a state id to the number of times it
     was rescanned as a member of the smaller half during edge-table updates.
 
+    ``remove_elements_total`` sums the sizes of the per-block pending
+    removal sets over pruning rounds: each round counts its sets as it
+    reads them.
+
     ``remove_trace`` records, per selection of a block with a pending
     removal set, the selected block's state set and the state union of
     the pending set; it feeds :func:`assert_remove_disjointness`.

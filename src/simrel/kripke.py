@@ -76,7 +76,9 @@ class KripkeStructure:
     States are dense integers ``0 .. num_states-1``, fixed for the lifetime
     of the structure. Successor lists are duplicate free and kept in first
     occurrence order. States with equal label sets share one frozenset
-    object. Instances are immutable after construction and safe to share
+    object. A state's label is given as a collection of atoms; a string
+    raises ``ValueError``, since it would be read as one atom per character.
+    Instances are immutable after construction and safe to share
     across threads.
     """
 
@@ -90,6 +92,10 @@ class KripkeStructure:
         shared = {unlabeled: unlabeled}
         lab = [unlabeled] * num_states
         for s, atoms in _by_state(labels or {}, num_states):
+            if isinstance(atoms, str):
+                raise ValueError(
+                    f"label of state {s} is the string {atoms!r}, not a collection of atoms"
+                )
             if atoms:
                 key = frozenset(map(sys.intern, map(str, atoms)))
                 lab[s] = shared.setdefault(key, key)

@@ -11,14 +11,9 @@ to walk only the new half's states and edges. Moving a state to the
 given part's side of its block is a single swap at the segment boundary,
 and only the new half's states are relabelled, so a split costs O(part
 size) and touches no other block. Block ids are never recycled; they
-index the segment lists, the block relation, held here as Python-int
+index the segment lists and the block relation, held here as Python-int
 bitsets over block ids in both directions (``up[b]``, the blocks above
-b, and ``down[c]``, the blocks below c), and the engine's own lists:
-edge multiplicities, successor bitsets, removal sets and worklist
-flags. The engine gives each new half its kept half's entries before it
-cuts the next block; a removal set is held only by the oldest block of
-its class until the engine's next pruning round, so a new half has no
-slot in the removal sets until then.
+b, and ``down[c]``, the blocks below c).
 ``extract_result`` hands the converged pair out as a ``SimulationResult``
 that keeps the relation as bits too: one int row per block, renumbered
 into result order.

@@ -1447,7 +1447,15 @@ class EagerRemovalSets(PendingRecorded):
     """``PendingRecorded`` with one removal set per block at every moment:
     a cut copies its parent's set to the new half, puts the new half into
     every set that holds its parent, and logs the halves into the sets of
-    every block of ``lost``, owner or not."""
+    every block of ``lost``, owner or not. ``written`` counts the elements
+    as they are written: the initial sets, each cut's writes and the sets
+    each pruning round logs."""
+
+    written = 0
+
+    def initialize(self):
+        SimulationEngine.initialize(self)
+        self.written += sum(map(int.bit_count, self.remove))
 
     def inherit(self, k, w):
         pr, remove = self.pr, self.remove
@@ -1465,8 +1473,7 @@ class EagerRemovalSets(PendingRecorded):
             remove[owner] |= wbit
         remove.append(remove[k])
         self.worklist.append(0)
-        if self.cfg.stats_enabled:
-            self.stats.remove_elements_total += len(holders) + remove[k].bit_count()
+        self.written += len(holders) + remove[k].bit_count()
 
     def update_count(self, k, w):
         before = self._below(self.post[k] | self.post[w])
@@ -1474,8 +1481,12 @@ class EagerRemovalSets(PendingRecorded):
             lost = before & ~self._below(self.post[h])
             for c in bits(lost):
                 self.remove[c] |= 1 << h
-            if self.cfg.stats_enabled:
-                self.stats.remove_elements_total += lost.bit_count()
+            self.written += lost.bit_count()
+
+    def rstabilize(self):
+        out = PendingRecorded.rstabilize(self)
+        self.written += sum(map(int.bit_count, self.remove))
+        return out
 
 
 class HitsChecked(SimulationEngine):
@@ -1582,6 +1593,9 @@ class TestEngineProperties:
         assert stats.to_dict() == ref_stats.to_dict()
         assert stats.remove_trace == ref_stats.remove_trace
         assert eng.pendings == ref.pendings
+        # the engine counts each pending set as a round reads it, the
+        # reference each element as it is written
+        assert stats.remove_elements_total == ref.written
 
     @given(
         st.builds(

@@ -484,6 +484,12 @@ class TestStructure:
         with pytest.raises(ValueError, match="successor 5 of state 1 out of range"):
             KripkeStructure(3, {}, {2: [0, 7], 1: [0, 5, 9], 0: [1]})
 
+    @pytest.mark.parametrize("labels", [{0: {"req"}, 1: "req"}, [["req"], "req"], {1: ""}])
+    def test_string_label_raises(self, labels):
+        # a string would be read as one atom per character
+        with pytest.raises(ValueError, match="label of state 1 is the string"):
+            KripkeStructure(2, labels)
+
     def test_constructor_dedup(self):
         ks = KripkeStructure(2, {}, {0: [1, 1, 0, 1]})
         assert ks.succ[0] == (1, 0)

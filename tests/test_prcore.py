@@ -28,15 +28,6 @@ class TestInitPr:
                 assert bool(pr.up[b] >> c & 1) == (b == c)
                 assert bool(pr.down[c] >> b & 1) == (b == c)
 
-    def test_scratch_fields_clear(self):
-        ks = build_ks("ab", [])
-        # the edge tables, removal sets and worklist flags are the
-        # engine's lists
-        eng = SimulationEngine(ks)
-        assert eng.pre_e == [{}, {}]
-        assert eng.remove == [0, 0]
-        assert eng.worklist == bytearray(2)
-
     def test_blocks_are_plain_int_ids(self):
         # a block is its id: the pair holds ints and split returns them
         ks = build_ks("aab", [(0, 2)])
