@@ -1,7 +1,7 @@
 """Standing pins on whole runs.
 
 ``TestGoldenRuns`` fixes the run counters and the sha256 of the
-``compute --format json`` document of six structures, so that a change
+``compute --format json`` document of seven structures, so that a change
 to the engine's tables shows up as a changed counter or byte, not only as
 a changed time. ``TestFullChecksAtScale`` runs every self-check of the
 ``full`` level, with stats and the three counter laws, on structures of a
@@ -107,6 +107,22 @@ GOLDEN = {
             "pairs_removed_total": 94495,
         },
         "53376ad3b13a25c82739e8031585208a873abf8a49d8e03db8a794f021feba4a",
+    ),
+    # the benchmark's other multilabel instance, 754 blocks; its digest is
+    # the one perfbench/digests.json stores for it
+    "random(800,3,3/800,seed=800)": (
+        lambda: generate_random_ks(800, 3, 3 / 800, 800),
+        {
+            "splits_total": 751,
+            "new_blocks_total": 1502,
+            "prefiner_calls": 767,
+            "findprefiner_null_returns": 1,
+            "smaller_half_max_scans": 5,
+            "smaller_half_total_scans": 2389,
+            "remove_elements_total": 298116,
+            "pairs_removed_total": 55538,
+        },
+        "406866f14956a90dc6622d6a05bc4ffe7e3d487d2d1ae1ed134f66f6ffd6a6aa",
     ),
 }
 
