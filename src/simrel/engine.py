@@ -7,7 +7,9 @@ A run alternates two phases over a partition-relation pair:
   found in O(edges) per probe through the successor bitsets;
 * relation stabilization prunes block pairs driven by removal sets, one
   per block when the round starts, chaining through the successor bitsets
-  until no violation remains.
+  until no violation remains. The blocks that a batch of pruned pairs
+  touches are tested together, as bitsets, whenever that is cheaper than
+  testing them one at a time.
 
 A block is its int id. Between splits, four tables are maintained: the
 block relation (row and column bitsets ``up`` and ``down``, held by the
@@ -562,12 +564,22 @@ class SimulationEngine:
         with a pending set, prunes every related pair (b, d) with b a
         predecessor block of c and d in c's pending set, all of b's at once
         as ``up[b] & pending``. After each such batch, every block f with
-        an edge into a pruned d is tested by ``r = post[f] & up[b]``, what
-        f still reaches above b: if r is empty, the fresh violation is
-        logged into b's set for the next round, and if r is one block, f is
-        flagged for the refiner search, the only way a round can make a
-        block host a refiner (see the module docstring). The pruned pairs
-        and the logged blocks of a round do not depend on the order of the
+        an edge into a pruned d, the bits of ``touched``, is tested by
+        ``r = post[f] & up[b]``, what f still reaches above b: if r is
+        empty, the fresh violation is logged into b's set for the next
+        round, and if r is one block, f is flagged for the refiner search,
+        the only way a round can make a block host a refiner (see the
+        module docstring). ``touched`` is the OR of ``pre[d]`` over the
+        pruned d, where ``pre[d]`` is the bitset of ``pre_e[d]``'s keys,
+        built at its first read in the round and dropped with it. When
+        ``up[b]`` has fewer bits than ``touched``, so that a walk of it
+        takes fewer steps than the tests, the test is made for all of them
+        at once by that walk: ``once`` and ``twice``
+        collect the blocks with an edge into at least one and at least two
+        blocks above b, so ``touched & ~once`` is logged and ``touched &
+        once & ~twice`` is flagged. Otherwise each f is tested by itself.
+        Both ways log and flag the same blocks. The pruned pairs and the
+        logged blocks of a round do not depend on the order of the
         visits. The flags may, since the visits group the pruned pairs into
         batches, but whatever the order they include every block that
         hosts a refiner after the round. Must run on a partition-stable
@@ -587,10 +599,13 @@ class SimulationEngine:
         pending += [pending[self._owner(b)] for b in range(len(pending), len(pr.begin))]
         self.remove = remove = [0] * len(pending)
         entry_up = up[:] if self.cfg.full else None
+        # pre[d]: the bitset of pre_e[d]'s keys, the blocks with an edge
+        # into d, built at its first read in the round (0 until then); a
+        # round does not change the partition
+        pre = [0] * len(pending)
         removed = False
-        for sel, dropped in enumerate(pending):
-            if not dropped:
-                continue
+        for sel in compress(range(len(pending)), pending):
+            dropped = pending[sel]
             if track:
                 self.stats.remove_elements_total += dropped.bit_count()
                 self.stats.remove_trace.append(
@@ -608,14 +623,33 @@ class SimulationEngine:
                 removed = True
                 pbit = 1 << pred
                 pruned = bits(hit)
+                touched = 0
                 for d in pruned:
                     down[d] ^= pbit
-                for f in set().union(*map(pre_e.__getitem__, pruned)):
-                    r = post[f] & above
-                    if not r:
-                        remove[pred] |= 1 << f
-                    elif not r & (r - 1):
+                    into = pre[d]
+                    if not into:
+                        into = pre[d] = sum(map((1).__lshift__, pre_e[d]))
+                    touched |= into
+                if above.bit_count() < touched.bit_count():
+                    # once: the blocks with an edge into some block above
+                    # pred; twice: those with edges into two or more
+                    once = twice = 0
+                    for e in bits(above):
+                        into = pre[e]
+                        if not into:
+                            into = pre[e] = sum(map((1).__lshift__, pre_e[e]))
+                        twice |= once & into
+                        once |= into
+                    remove[pred] |= touched & ~once
+                    for f in bits(touched & once & ~twice):
                         flags[f] = 1
+                else:
+                    for f in bits(touched):
+                        r = post[f] & above
+                        if not r:
+                            remove[pred] |= 1 << f
+                        elif not r & (r - 1):
+                            flags[f] = 1
                 if track:
                     self.stats.pairs_removed_total += len(pruned)
         if self.cfg.cheap:

@@ -77,7 +77,8 @@ class KripkeStructure:
     of the structure. Successor lists are duplicate free and kept in first
     occurrence order. States with equal label sets share one frozenset
     object. A state's label is given as a collection of atoms; a string
-    raises ``ValueError``, since it would be read as one atom per character.
+    raises ``ValueError``, since it would be read as one atom per character,
+    and so do ``bytes`` and ``bytearray``, read as one number per byte.
     Instances are immutable after construction and safe to share
     across threads.
     """
@@ -92,9 +93,10 @@ class KripkeStructure:
         shared = {unlabeled: unlabeled}
         lab = [unlabeled] * num_states
         for s, atoms in _by_state(labels or {}, num_states):
-            if isinstance(atoms, str):
+            if isinstance(atoms, (str, bytes, bytearray)):
+                kind = "string" if isinstance(atoms, str) else type(atoms).__name__
                 raise ValueError(
-                    f"label of state {s} is the string {atoms!r}, not a collection of atoms"
+                    f"label of state {s} is the {kind} {atoms!r}, not a collection of atoms"
                 )
             if atoms:
                 key = frozenset(map(sys.intern, map(str, atoms)))

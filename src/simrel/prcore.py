@@ -16,7 +16,11 @@ bitsets over block ids in both directions (``up[b]``, the blocks above
 b, and ``down[c]``, the blocks below c).
 ``extract_result`` hands the converged pair out as a ``SimulationResult``
 that keeps the relation as bits too: one int row per block, renumbered
-into result order.
+into result order. A row with at least one bit in eight set is
+renumbered in one C-level pass of one byte per block, at most eight per
+set bit, and a sparser row in one Python step per set bit, so the work
+of extraction follows the size of the relation rather than the square of
+the block count.
 ``bits`` and ``bit_flags`` read a bitset back as indices or as one byte
 per bit.
 """
@@ -171,22 +175,30 @@ class PartitionRelationPair:
         """Copy the converged pair into an immutable result.
 
         Each result row is block b's ``up[b]`` with its bits renumbered
-        into result order, in one C-level pass per row: the getter reads
-        b's flags from the last result block to the first, so that the
-        bytes are the row's binary digits, most significant first. Its
-        first index reads a padding byte, a leading zero digit, which
-        keeps its return value a tuple even for one block.
+        into result order, chosen by the row's density as ``bits`` chooses
+        its walk. A row with at least one set bit per eight blocks is
+        renumbered in one C-level pass: the getter reads b's flags from the last result block to the
+        first, so that the bytes are the row's binary digits, most
+        significant first. Its first index reads a padding byte, a leading
+        zero digit, which keeps its return value a tuple even for one
+        block. A sparser row is the sum of ``rank_bit[c]``, the bit of c's
+        result index, over its set bits c, so its cost follows the bits it
+        holds rather than the block count.
         """
         nb = len(self.begin)
         ordered = sorted(range(nb), key=lambda b: min(self.block_states(b)))
         partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
-        up = self.up
+        rank_bit = [0] * nb
+        for i, b in enumerate(ordered):
+            rank_bit[b] = 1 << i
         digits = itemgetter(nb, *reversed(ordered))
-        rows = tuple(
-            int(bytes(digits(bit_flags(up[b], nb + 1))).translate(_FLAG_DIGITS), 2)
-            for b in ordered
-        )
-        return SimulationResult(partition, rows)
+        rows = []
+        for row in map(self.up.__getitem__, ordered):
+            if row.bit_count() * 8 >= nb:
+                rows.append(int(bytes(digits(bit_flags(row, nb + 1))).translate(_FLAG_DIGITS), 2))
+            else:
+                rows.append(sum(map(rank_bit.__getitem__, bits(row))))
+        return SimulationResult(partition, tuple(rows))
 
 
 def init_pr(ks: KripkeStructure) -> PartitionRelationPair:

@@ -1,6 +1,7 @@
 from collections import Counter
+from functools import reduce
 from itertools import compress
-from operator import setitem
+from operator import or_, setitem
 from random import Random
 
 import pytest
@@ -1395,6 +1396,101 @@ class FullScanEngine(SimulationEngine):
         return SimulationEngine.find_prefiner(self)
 
 
+class PerBlockPruning(SimulationEngine):
+    """The engine whose pruning rounds test, after each batch, every block
+    with an edge into a pruned block one at a time, by what it still
+    reaches above the batch's block: the per-block test, with no
+    predecessor bitsets."""
+
+    def rstabilize(self):
+        pr = self.pr
+        up, down = pr.up, pr.down
+        pre_e, post = self.pre_e, self.post
+        flags = self.worklist
+        track = self.cfg.stats_enabled
+        pending = self.remove
+        pending += [pending[self._owner(b)] for b in range(len(pending), len(pr.begin))]
+        self.remove = remove = [0] * len(pending)
+        removed = False
+        for sel, dropped in enumerate(pending):
+            if not dropped:
+                continue
+            if track:
+                self.stats.remove_elements_total += dropped.bit_count()
+                self.stats.remove_trace.append(
+                    (
+                        frozenset(pr.block_states(sel)),
+                        frozenset(s for d in bits(dropped) for s in pr.block_states(d)),
+                    )
+                )
+            for pred in pre_e[sel]:
+                hit = up[pred] & dropped
+                if not hit:
+                    continue
+                up[pred] ^= hit
+                above = up[pred]
+                removed = True
+                pruned = bits(hit)
+                for d in pruned:
+                    down[d] ^= 1 << pred
+                for f in set().union(*map(pre_e.__getitem__, pruned)):
+                    r = post[f] & above
+                    if not r:
+                        remove[pred] |= 1 << f
+                    elif not r & (r - 1):
+                        flags[f] = 1
+                if track:
+                    self.stats.pairs_removed_total += len(pruned)
+        return not removed
+
+
+def batches_by_branch(eng):
+    """Run one pruning round of ``eng``; return how many of its batches
+    have fewer blocks above the batch's block than blocks with an edge
+    into a pruned block, and how many do not, as ``(walk, per_block)``.
+    Each write to ``up[pred]`` is one batch."""
+    up = eng.pr.up = RecordedRows(eng.pr.up)
+    done = eng.rstabilize()
+    eng.pr.up = list(up)
+    into = [sum(1 << b for b in col) for col in recompute_tables(eng.ks, eng.pr)[0]]
+    walk = per_block = 0
+    for _, old, new in up.writes:
+        touched = reduce(or_, map(into.__getitem__, bits(old & ~new)))
+        if new.bit_count() < touched.bit_count():
+            walk += 1
+        else:
+            per_block += 1
+    return done, walk, per_block
+
+
+def assert_pruning_in_lockstep(ks, cfg):
+    """Run the engine and ``PerBlockPruning`` side by side, one phase at
+    a time, and check after every pruning round that both hold the same
+    relation, removal sets and worklist flags; return the batch counts of
+    ``batches_by_branch`` summed over the rounds."""
+    eng, ref = SimulationEngine(ks, cfg), PerBlockPruning(ks, cfg)
+    walk = per_block = 0
+    for e in (eng, ref):
+        e.initialize()
+        e.pstabilize()
+    while True:
+        done, w, b = batches_by_branch(eng)
+        walk, per_block = walk + w, per_block + b
+        assert ref.rstabilize() == done
+        assert eng.pr.up == ref.pr.up
+        assert eng.pr.down == ref.pr.down
+        assert eng.remove == ref.remove
+        assert eng.worklist == ref.worklist
+        if done:
+            break
+        eng.pstabilize()
+        ref.pstabilize()
+    assert eng.pr.extract_result() == ref.pr.extract_result()
+    assert eng.stats.to_dict() == ref.stats.to_dict()
+    assert eng.stats.remove_trace == ref.stats.remove_trace
+    return walk, per_block
+
+
 class PrefinerRecorded(SimulationEngine):
     """The engine recording every ``find_prefiner`` return in ``found``."""
 
@@ -1639,6 +1735,25 @@ class TestEngineProperties:
         # every hit is one cut
         assert eng.hits == stats.splits_total
         assert result == compute_simulation(ks)[0]
+
+    @given(
+        st.builds(
+            generate_random_ks,
+            n_states=st.integers(1, 60),
+            n_labels=st.integers(1, 4),
+            edge_prob=st.sampled_from([0.03, 0.06, 0.1, 0.3]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @example(make_chain(20))
+    @settings(max_examples=80, deadline=None)
+    def test_batched_pruning_equals_per_block_tests(self, ks):
+        assert_pruning_in_lockstep(ks, EngineConfig(check_level="full", stats_enabled=True))
+
+    def test_batched_pruning_equals_per_block_tests_with_both_branches(self):
+        ks = generate_random_ks(400, 3, 3 / 400, 0)
+        walk, per_block = assert_pruning_in_lockstep(ks, EngineConfig(stats_enabled=True))
+        assert walk > 0 and per_block > 0
 
     @given(random_ks(max_states=16))
     @settings(max_examples=80, deadline=None)

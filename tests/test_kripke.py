@@ -490,6 +490,16 @@ class TestStructure:
         with pytest.raises(ValueError, match="label of state 1 is the string"):
             KripkeStructure(2, labels)
 
+    @pytest.mark.parametrize(
+        "labels, kind",
+        [({0: {"req"}, 1: b"req"}, "bytes"), ([["req"], bytearray(b"req")], "bytearray"),
+         ({1: b""}, "bytes")],
+    )
+    def test_bytes_label_raises(self, labels, kind):
+        # bytes would be read as one decimal atom per byte
+        with pytest.raises(ValueError, match=f"label of state 1 is the {kind} "):
+            KripkeStructure(2, labels)
+
     def test_constructor_dedup(self):
         ks = KripkeStructure(2, {}, {0: [1, 1, 0, 1]})
         assert ks.succ[0] == (1, 0)

@@ -1,10 +1,12 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simrel.engine import EngineConfig, InvariantViolation, SimulationEngine
 from simrel.kripke import KripkeStructure, generate_random_ks
-from simrel.prcore import SimulationResult, bit_flags, bits, init_pr
+from simrel.prcore import PartitionRelationPair, SimulationResult, bit_flags, bits, init_pr
 
 from .conftest import build_ks, engine_after_initialize
 
@@ -206,6 +208,39 @@ class TestExtractResult:
         assert result.state_matrix() == [
             bytearray(1 if leq[blk[s]][blk[t]] else 0 for t in range(n)) for s in range(n)
         ]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_by_density_equal_naive_renumbering(self, data):
+        # one state per block, placed so that the result order, by smallest
+        # member, is a shuffle of the block ids; each row has just below,
+        # exactly at or above the fewest set bits, one in eight, that take
+        # the byte-per-bit path, or any number of them
+        nb = data.draw(st.integers(1, 100))
+        place = data.draw(st.permutations(range(nb)))
+        rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+        dense_from = -(-nb // 8)
+        up = []
+        for kind in data.draw(st.lists(st.sampled_from("<=>?"), min_size=nb, max_size=nb)):
+            count = {
+                "<": dense_from - 1,
+                "=": dense_from,
+                ">": rng.randint(min(dense_from + 1, nb), nb),
+                "?": rng.randint(0, nb),
+            }[kind]
+            up.append(sum(1 << c for c in rng.sample(range(nb), count)))
+        pos = [0] * nb
+        for b, s in enumerate(place):
+            pos[s] = b
+        pr = PartitionRelationPair(
+            list(place), pos, pos[:], list(range(nb)), list(range(1, nb + 1)), up, []
+        )
+        ordered = sorted(range(nb), key=place.__getitem__)
+        result = pr.extract_result()
+        assert result.partition == tuple((place[b],) for b in ordered)
+        assert result.rows == tuple(
+            sum(1 << i for i, c in enumerate(ordered) if up[b] >> c & 1) for b in ordered
+        )
 
 
 def naive_bits(x):
