@@ -1,14 +1,39 @@
 """Brute-force simulation preorder, used as the correctness reference.
 
 Deliberately naive: start from the label-equality relation and delete
-pairs that fail the step-matching condition until nothing changes. The
-fixpoint is the largest simulation. Intended for small structures only
-(test harnesses cap it at 64 states).
+pairs that fail the step-matching condition, sweep after sweep, until
+nothing changes. The fixpoint is the largest simulation. Each row of the
+relation is an int bitset, so a sweep costs one C-level OR per related
+pair and one AND per transition. The module shares no code with the
+engine: it imports only :mod:`simrel.kripke` and walks its bits itself.
+Callers cap it at 64 states (``simrel verify``'s limit), since the number
+of sweeps and the work of each grow with the relation.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import or_
+
 from .kripke import KripkeStructure
+
+# "0"/"1" digits to the 0/1 bytes of a bytearray row
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+# any nonzero byte of a row reads as related: 0 to "0", all else to "1"
+_FLAG_TO_DIGIT = bytes([48] + [49] * 255)
+
+
+def _flags(row: int, n: int) -> bytearray:
+    """Bitset ``row`` as n bytes, byte t set iff bit t is; exact for n = 0."""
+    # bit n is a sentinel, so the digits are exactly n + 1 wide; dropping
+    # it after the reversal leaves bits 0 .. n-1 in index order
+    return bytearray(format(row | 1 << n, "b")[:0:-1], "ascii").translate(_DIGIT_TO_FLAG)
+
+
+def _bitset(flags: bytearray) -> int:
+    """Row of bytes as an int bitset, bit t set iff byte t is nonzero."""
+    return int(flags[::-1].translate(_FLAG_TO_DIGIT), 2)
 
 
 class StateRelation:
@@ -38,16 +63,13 @@ class StateRelation:
         return all(self.matrix[s][s] for s in range(self.n))
 
     def is_transitive(self) -> bool:
-        for s in range(self.n):
-            for t in range(self.n):
-                if not self.matrix[s][t]:
-                    continue
-                row_t = self.matrix[t]
-                row_s = self.matrix[s]
-                for u in range(self.n):
-                    if row_t[u] and not row_s[u]:
-                        return False
-        return True
+        """Whether row(t) is a subset of row(s) for every t in row(s)."""
+        rows = [_bitset(flags) for flags in self.matrix]
+        return all(
+            not row_t & ~row_s
+            for row_s, flags in zip(rows, self.matrix)
+            for row_t in compress(rows, flags)
+        )
 
     def is_preorder(self) -> bool:
         return self.is_reflexive() and self.is_transitive()
@@ -64,36 +86,38 @@ class StateRelation:
 def brute_force_simulation(ks: KripkeStructure) -> StateRelation:
     """Largest simulation on ``ks`` by fixpoint iteration.
 
-    Starts from all label-equal pairs and repeatedly deletes every (s, t)
-    where some move of s cannot be matched by t; stops when a full sweep
-    deletes nothing. The result is a preorder.
+    Starts from all label-equal pairs and sweeps until a sweep deletes
+    nothing. A pair (s, t) survives a sweep when every move s -> s2 is
+    matched by a move t -> t2 with (s2, t2) related; in set form,
+    ``rel[s]`` shrinks to its meet with ``pre(rel[s2])`` for every
+    successor s2 of s. Rows are int bitsets: a sweep takes one C-level OR
+    per related pair and one AND per transition, and no Python step per
+    state pair. The result is a preorder.
     """
     n = ks.num_states
-    rel = StateRelation(n)
-    for s in range(n):
-        row = rel.matrix[s]
-        for t in range(n):
-            if ks.labels[s] == ks.labels[t]:
-                row[t] = 1
+    classes: dict[frozenset, int] = {}
+    for s, label in enumerate(ks.labels):
+        classes[label] = classes.get(label, 0) | 1 << s
+    rel = [classes[label] for label in ks.labels]
+    pre = [0] * n
+    for s, targets in enumerate(ks.succ):
+        bit = 1 << s
+        for t in targets:
+            pre[t] |= bit
 
     changed = True
     while changed:
         changed = False
-        for s in range(n):
-            row = rel.matrix[s]
-            for t in range(n):
-                if not row[t]:
-                    continue
-                ok = True
-                for s2 in ks.succ[s]:
-                    row2 = rel.matrix[s2]
-                    if not any(row2[t2] for t2 in ks.succ[t]):
-                        ok = False
-                        break
-                if not ok:
-                    row[t] = 0
-                    changed = True
-    return rel
+        # can[u]: the states with a move into rel[u], able to match a move to u
+        can = [reduce(or_, compress(pre, _flags(row, n)), 0) for row in rel]
+        for s, targets in enumerate(ks.succ):
+            row = rel[s]
+            for s2 in targets:
+                row &= can[s2]
+            if row != rel[s]:
+                rel[s] = row
+                changed = True
+    return StateRelation(n, [_flags(row, n) for row in rel])
 
 
 def simulation_partition(rel: StateRelation):

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simrel.kripke import KripkeStructure, generate_random_ks
+import simrel.oracle
+from simrel.kripke import KripkeStructure, generate_random_ks, make_clique
 from simrel.oracle import StateRelation, brute_force_simulation, simulation_partition
 
 from .conftest import build_ks
@@ -16,6 +20,36 @@ def random_ks(max_states=8):
         edge_prob=st.sampled_from([0.1, 0.3, 0.6]),
         seed=st.integers(0, 2**32 - 1),
     )
+
+
+def naive_fixpoint(ks):
+    """The oracle's fixpoint by its definition, one Python step per state
+    pair per sweep: start from the label-equal pairs, delete (s, t) when a
+    move of s has no matching move of t, stop after a sweep that deletes
+    nothing."""
+    n = ks.num_states
+    rel = StateRelation(n)
+    for s in range(n):
+        for t in range(n):
+            rel.matrix[s][t] = 1 if ks.labels[s] == ks.labels[t] else 0
+    sweeps = 0
+    changed = True
+    while changed:
+        changed = False
+        sweeps += 1
+        for s in range(n):
+            for t in range(n):
+                if not rel.matrix[s][t]:
+                    continue
+                for s2 in ks.succ[s]:
+                    if not any(rel.matrix[s2][t2] for t2 in ks.succ[t]):
+                        rel.matrix[s][t] = 0
+                        changed = True
+                        break
+        # every sweep but the last deletes a pair, and the n pairs (s, s)
+        # are never deleted
+        assert sweeps <= n * n - n + 1
+    return rel
 
 
 class TestBruteForce:
@@ -57,29 +91,59 @@ class TestBruteForce:
                 assert not matched, (s, t)
 
     def test_fixpoint_iteration_bound(self):
-        # sweeps until stable never exceed n^2 (each sweep kills >= 1 pair)
+        # a chain loses one pair per sweep; naive_fixpoint bounds the sweeps
         ks = build_ks("aaaa", [(0, 1), (1, 2), (2, 3)])
-        n = ks.num_states
-        rel = StateRelation(n)
-        for s in range(n):
-            for t in range(n):
-                rel.matrix[s][t] = 1 if ks.labels[s] == ks.labels[t] else 0
-        sweeps = 0
-        changed = True
-        while changed:
-            changed = False
-            sweeps += 1
-            for s in range(n):
-                for t in range(n):
-                    if not rel.matrix[s][t]:
-                        continue
-                    for s2 in ks.succ[s]:
-                        if not any(rel.matrix[s2][t2] for t2 in ks.succ[t]):
-                            rel.matrix[s][t] = 0
-                            changed = True
-                            break
-            assert sweeps <= n * n
-        assert rel == brute_force_simulation(ks)
+        assert naive_fixpoint(ks) == brute_force_simulation(ks)
+
+    @given(random_ks(max_states=64))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_naive_fixpoint(self, ks):
+        assert brute_force_simulation(ks) == naive_fixpoint(ks)
+
+    @pytest.mark.parametrize(
+        "ks, pairs",
+        [
+            pytest.param(KripkeStructure(0), [], id="empty"),
+            pytest.param(
+                # 1 and 2 are dead ends: each simulates the other, and both
+                # are simulated by 0, which they cannot simulate
+                build_ks("aaab", [(0, 1)]),
+                [(0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 3)],
+                id="dead-ends",
+            ),
+            pytest.param(
+                # 0's self-loop is matched by 1's; 1's move to b is not by 0
+                build_ks("aab", [(0, 0), (1, 1), (1, 2), (2, 2)]),
+                [(0, 0), (0, 1), (1, 1), (2, 2)],
+                id="self-loops",
+            ),
+            pytest.param(
+                make_clique(5), [(s, t) for s in range(5) for t in range(5)], id="clique"
+            ),
+        ],
+    )
+    def test_explicit_cases(self, ks, pairs):
+        rel = brute_force_simulation(ks)
+        assert rel == naive_fixpoint(ks)
+        assert sorted(rel.pairs()) == pairs
+
+    def test_imports_no_engine_code(self):
+        # the reference stays independent: from simrel it reads only the
+        # structure, never the engine's modules
+        tree = ast.parse(Path(simrel.oracle.__file__).read_text(encoding="utf-8"))
+        local = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                names = [base] if node.module else [base + a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                if name.startswith(".") or name.split(".")[0] == "simrel":
+                    local.add(name.lstrip(".").removeprefix("simrel").lstrip("."))
+        assert local == {"kripke"}
 
 
 class TestPartition:
@@ -114,6 +178,15 @@ class TestPartition:
     def test_rejects_non_preorder(self):
         rel = StateRelation(2)
         rel.matrix[0][1] = 1  # not reflexive
+        with pytest.raises(ValueError, match="preorder"):
+            simulation_partition(rel)
+
+    def test_rejects_reflexive_non_transitive(self):
+        # 0 <= 1 and 1 <= 2 but not 0 <= 2
+        rel = StateRelation(3)
+        for s, t in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]:
+            rel.matrix[s][t] = 1
+        assert rel.is_reflexive()
         with pytest.raises(ValueError, match="preorder"):
             simulation_partition(rel)
 
