@@ -558,9 +558,11 @@ class SimulationEngine:
         Takes the removal sets as the pending ones, after extending them
         with the set of its class's owner for each block made in the last
         partition phase, and starts an empty list for the next round, in
-        which every block owns its set. With stats on, each nonzero pending
-        set is counted into ``remove_elements_total`` and ``remove_trace``
-        as the round selects it. Then for each selected block c
+        which every block owns its set. With stats on, the round appends
+        one record to ``remove_trace`` from ids it already holds: the
+        number of blocks that held a set, the owners it looked up and the
+        ``(c, pending set)`` pair of each block c it selects (see
+        ``RunStats``). Then for each selected block c
         with a pending set, prunes every related pair (b, d) with b a
         predecessor block of c and d in c's pending set, all of b's at once
         as ``up[b] & pending``. After each such batch, every block f with
@@ -596,8 +598,12 @@ class SimulationEngine:
         track = self.cfg.stats_enabled
         pending = self.remove
         # the blocks made in the last partition phase take their owners' sets
-        pending += [pending[self._owner(b)] for b in range(len(pending), len(pr.begin))]
+        owners = [self._owner(b) for b in range(len(pending), len(pr.begin))]
+        pending += map(pending.__getitem__, owners)
         self.remove = remove = [0] * len(pending)
+        if track:
+            selections = list(compress(enumerate(pending), pending))
+            self.stats.remove_trace.append((len(pending) - len(owners), owners, selections))
         entry_up = up[:] if self.cfg.full else None
         # pre[d]: the bitset of pre_e[d]'s keys, the blocks with an edge
         # into d, built at its first read in the round (0 until then); a
@@ -606,14 +612,6 @@ class SimulationEngine:
         removed = False
         for sel in compress(range(len(pending)), pending):
             dropped = pending[sel]
-            if track:
-                self.stats.remove_elements_total += dropped.bit_count()
-                self.stats.remove_trace.append(
-                    (
-                        frozenset(pr.block_states(sel)),
-                        frozenset(chain.from_iterable(map(pr.block_states, bits(dropped)))),
-                    )
-                )
             for pred in pre_e[sel]:
                 hit = up[pred] & dropped
                 if not hit:

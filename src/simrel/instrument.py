@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .prcore import bits
+
 
 @dataclass
 class RunStats:
@@ -24,21 +26,29 @@ class RunStats:
 
     ``smaller_half_state_scans`` maps a state id to the number of times it
     was rescanned as a member of the smaller half during edge-table updates.
+    It stays per state: the smaller-half law bounds the per-state maximum,
+    which no count per block gives, since a cut moves states to a new
+    block.
 
-    ``remove_elements_total`` sums the sizes of the per-block pending
-    removal sets over pruning rounds: each round counts its sets as it
-    reads them.
+    ``remove_trace`` holds one record per pruning round, ``(first, owners,
+    selections)``, in block ids only. ``first`` is the number of blocks
+    that held a removal set when the round started, those that existed
+    when the partition phase before it began; ``owners[i]`` is the owner
+    of block ``first + i``, made in that phase, whose set it took; and
+    ``selections`` lists ``(c, pending)`` for each block c the round
+    selected, in selection order, ``pending`` being c's nonzero pending
+    removal set as a bitset of the round's block ids. It feeds
+    :func:`assert_remove_disjointness`, which gives the ids their states
+    through the records after them.
 
-    ``remove_trace`` records, per selection of a block with a pending
-    removal set, the selected block's state set and the state union of
-    the pending set; it feeds :func:`assert_remove_disjointness`.
+    ``to_dict`` derives ``remove_elements_total`` from the trace: the sizes
+    of the pending sets, each counted once per round that reads it.
     """
 
     splits_total: int = 0
     prefiner_calls: int = 0
     findprefiner_null_returns: int = 0
     smaller_half_state_scans: Counter = field(default_factory=Counter)
-    remove_elements_total: int = 0
     pairs_removed_total: int = 0
     remove_trace: list = field(default_factory=list, repr=False)
 
@@ -59,7 +69,9 @@ class RunStats:
             "findprefiner_null_returns": self.findprefiner_null_returns,
             "smaller_half_max_scans": self.max_smaller_half_scans,
             "smaller_half_total_scans": sum(self.smaller_half_state_scans.values()),
-            "remove_elements_total": self.remove_elements_total,
+            "remove_elements_total": sum(
+                pending.bit_count() for *_, sels in self.remove_trace for _, pending in sels
+            ),
             "pairs_removed_total": self.pairs_removed_total,
         }
 
@@ -93,28 +105,41 @@ def assert_smaller_half_bound(stats: RunStats, n_states: int) -> bool:
 
 
 def assert_remove_disjointness(trace) -> bool:
-    """Nested selections never share removal-set states.
+    """Nested selections never share removed states.
 
-    ``trace`` is a sequence of ``(selected_states, removed_union_states)``
-    frozenset pairs. For any two entries whose selected blocks are nested
-    (or equal), the removal unions must be disjoint.
+    ``trace`` is a ``RunStats.remove_trace``: per pruning round, ``(first,
+    owners, selections)``. For any two selections whose selected blocks
+    are nested (or equal), the removed states must be disjoint. The
+    partition only refines, so any two selected blocks are nested or
+    disjoint, and the rule becomes: no (selected, removed) state pair
+    shows up twice.
 
-    Precondition: the selections are nonempty blocks of a refining
-    partition, so any two are nested or disjoint. Two entries then share
-    a selected state exactly when they are nested, and the rule becomes:
-    no (selected, removed) state pair shows up twice. That is checked in
-    one pass, with per selected state an int bitset of the states removed
-    so far, instead of comparing every pair of entries.
+    That is decided over the final blocks in one backward pass. A block
+    made in a partition phase lies inside its owner, which held those
+    states in the round before, so folding each round's newer blocks into
+    their owners, last round first, rebuilds every earlier partition as
+    bitsets of final blocks, ``members``. A final block's states are never
+    apart in any earlier partition, so a (selected, removed) pair of states
+    repeats exactly when the pair of their final blocks does.
+    ``removed[c]`` holds the final blocks removed so far under selections
+    of blocks inside c, and folds into c's owner with c. That union is
+    exact for the test: a selection of c in an earlier round holds every
+    final block inside c, so it repeats a pair iff its removed blocks meet
+    the union.
     """
-    removed: dict[int, int] = {}
-    for sel, union in trace:
-        flags = bytearray(max(union, default=0) // 8 + 1)
-        for t in union:
-            flags[t >> 3] |= 1 << (t & 7)
-        mask = int.from_bytes(flags, "little")
-        for s in sel:
-            seen = removed.get(s, 0)
-            if seen & mask:
+    first, owners, _ = trace[-1] if trace else (0, [], [])
+    members = [1 << b for b in range(first + len(owners))]
+    removed = [0] * len(members)
+    for first, owners, selections in reversed(trace):
+        for sel, pending in selections:
+            # a round's blocks are disjoint, so their members add as they OR
+            mask = sum(map(members.__getitem__, bits(pending)))
+            if removed[sel] & mask:
                 return False
-            removed[s] = seen | mask
+            removed[sel] |= mask
+        # the ids from first on name no block of an earlier round, so
+        # their entries are not read again
+        for b, owner in enumerate(owners, first):
+            members[owner] |= members[b]
+            removed[owner] |= removed[b]
     return True

@@ -2,6 +2,7 @@ import pytest
 
 from simrel import KripkeStructure
 from simrel.engine import SimulationEngine
+from simrel.prcore import bits
 
 
 def build_ks(labels, edges):
@@ -20,6 +21,61 @@ def engine_after_initialize(ks):
     eng = SimulationEngine(ks)
     eng.initialize()
     return eng
+
+
+def blocks_of(pr):
+    """The state set of every block of ``pr``, by block id."""
+    return [frozenset(pr.block_states(b)) for b in range(len(pr.begin))]
+
+
+def state_sets(trace, blocks):
+    """A ``RunStats.remove_trace`` as one ``(selected states, removed
+    states)`` pair of frozensets per selection, in selection order.
+
+    ``blocks`` holds the state sets of the last round's blocks; each
+    round's blocks before are rebuilt from them by folding the newer
+    blocks of the round after into their owners."""
+    blocks = list(blocks)
+    out = []
+    for first, owners, selections in reversed(trace):
+        out[:0] = [
+            (blocks[sel], frozenset().union(*map(blocks.__getitem__, bits(pending))))
+            for sel, pending in selections
+        ]
+        for b, owner in enumerate(owners, first):
+            blocks[owner] |= blocks[b]
+        del blocks[first:]
+    return out
+
+
+class StateSetTraced(SimulationEngine):
+    """The engine recording each selection of its pruning rounds in
+    ``state_trace`` as a pair of frozensets, the selected block's states
+    and the states of its pending set: the state-set trace that
+    ``remove_trace`` stands for. The pending sets are read before the round, each block made in the
+    last partition phase taking the set of the lowest block of its class.
+    ``rounds`` counts the rounds."""
+
+    def __init__(self, ks, cfg=None):
+        super().__init__(ks, cfg)
+        self.state_trace = []
+        self.rounds = 0
+
+    def rstabilize(self):
+        pr, remove = self.pr, self.remove
+        pending = remove + [
+            remove[bits(pr.up[b] & pr.down[b])[0]] for b in range(len(remove), len(pr.begin))
+        ]
+        self.state_trace += [
+            (
+                frozenset(pr.block_states(sel)),
+                frozenset(s for d in bits(dropped) for s in pr.block_states(d)),
+            )
+            for sel, dropped in enumerate(pending)
+            if dropped
+        ]
+        self.rounds += 1
+        return super().rstabilize()
 
 
 @pytest.fixture

@@ -29,7 +29,13 @@ from simrel.kripke import (
 from simrel.oracle import brute_force_simulation, simulation_partition
 from simrel.prcore import PartitionRelationPair, bits, init_pr
 
-from .conftest import build_ks, engine_after_initialize
+from .conftest import (
+    StateSetTraced,
+    blocks_of,
+    build_ks,
+    engine_after_initialize,
+    state_sets,
+)
 
 FULL = EngineConfig(check_level="full", stats_enabled=True)
 
@@ -756,7 +762,7 @@ class TestInherit:
             _, stats = compute_simulation(
                 make_chain(n), EngineConfig(stats_enabled=True)
             )
-            assert stats.remove_elements_total == 2 * n - 1
+            assert stats.to_dict()["remove_elements_total"] == 2 * n - 1
 
 
 class RecordedRows(list):
@@ -1409,20 +1415,17 @@ class PerBlockPruning(SimulationEngine):
         flags = self.worklist
         track = self.cfg.stats_enabled
         pending = self.remove
-        pending += [pending[self._owner(b)] for b in range(len(pending), len(pr.begin))]
+        first = len(pending)
+        owners = [self._owner(b) for b in range(first, len(pr.begin))]
+        pending += [pending[owner] for owner in owners]
         self.remove = remove = [0] * len(pending)
+        if track:
+            selections = [(sel, dropped) for sel, dropped in enumerate(pending) if dropped]
+            self.stats.remove_trace.append((first, owners, selections))
         removed = False
         for sel, dropped in enumerate(pending):
             if not dropped:
                 continue
-            if track:
-                self.stats.remove_elements_total += dropped.bit_count()
-                self.stats.remove_trace.append(
-                    (
-                        frozenset(pr.block_states(sel)),
-                        frozenset(s for d in bits(dropped) for s in pr.block_states(d)),
-                    )
-                )
             for pred in pre_e[sel]:
                 hit = up[pred] & dropped
                 if not hit:
@@ -1539,13 +1542,14 @@ class PendingRecorded(SimulationEngine):
         return out
 
 
-class EagerRemovalSets(PendingRecorded):
+class EagerRemovalSets(StateSetTraced, PendingRecorded):
     """``PendingRecorded`` with one removal set per block at every moment:
     a cut copies its parent's set to the new half, puts the new half into
     every set that holds its parent, and logs the halves into the sets of
     every block of ``lost``, owner or not. ``written`` counts the elements
     as they are written: the initial sets, each cut's writes and the sets
-    each pruning round logs."""
+    each pruning round logs. ``state_trace`` holds its selections as state
+    sets."""
 
     written = 0
 
@@ -1580,7 +1584,7 @@ class EagerRemovalSets(PendingRecorded):
             self.written += lost.bit_count()
 
     def rstabilize(self):
-        out = PendingRecorded.rstabilize(self)
+        out = super().rstabilize()
         self.written += sum(map(int.bit_count, self.remove))
         return out
 
@@ -1687,11 +1691,13 @@ class TestEngineProperties:
         ref_result, ref_stats = ref.run()
         assert result == ref_result
         assert stats.to_dict() == ref_stats.to_dict()
-        assert stats.remove_trace == ref_stats.remove_trace
+        # every block of the reference holds a set, so its records name no
+        # owners and only its state-set trace stands for its selections
+        assert state_sets(stats.remove_trace, blocks_of(eng.pr)) == ref.state_trace
         assert eng.pendings == ref.pendings
         # the engine counts each pending set as a round reads it, the
         # reference each element as it is written
-        assert stats.remove_elements_total == ref.written
+        assert stats.to_dict()["remove_elements_total"] == ref.written
 
     @given(
         st.builds(
