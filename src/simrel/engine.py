@@ -31,25 +31,52 @@ whole structure. ``initialize`` builds the edge tables with
 ``recompute_tables``, the same count that the full checks compare them
 against, and afterwards each cut only updates them. The first cut builds
 the predecessor index, the sources of each state's in-edges in flat
-arrays of about four bytes per transition; it is the index's only
-reader, so a run whose label partition is already stable never builds
-it. And the terminal refiner search in ``run`` walks the out-edges of
-every block whose successors lie in more than one class. The refiner
-search returns the cut itself. A
-block b that hosts class a reaches nothing strictly above a, so the
-preimage of a's upward closure meets b in exactly b's states with an edge
-into a, which the search has just walked; when b's successor bitset lies
-inside one class, that part is b's states with a successor, read off
-b's states without walking an edge. Any other block
-that this preimage cuts hosts a refiner too (the highest class it reaches
-inside the closure) and is cut by a later search: Paige and Tarjan's
-argument that splitting any one block by a splitter is sound. ``cut``
-cuts the one block: ``split`` cuts it into a ``(kept, new)`` id pair,
-``new`` being always the smaller half, and the tables are updated for
-that pair before the next search, so after every cut they describe a
-real partition exactly. ``inherit`` gives the new half a copy of its
-parent's entry in the relation and a place in exactly the removal sets
-that hold its parent; ``update_edges`` splits the parent's edge cells and
+arrays of about four bytes per transition; only a cut and the refiner
+search's in-edge route, which waits for the index, read it, so a run
+whose label partition is already stable never builds it. And the
+terminal refiner search in ``run`` walks the out-edges of every block
+whose successors lie in more than one class. The refiner search returns
+the cut itself. A block b that hosts class a reaches nothing strictly
+above a, so the preimage of a's upward closure meets b in exactly b's
+states with an edge into a, b's part for a, which the search has just
+found. Any other block that this preimage cuts hosts a refiner too (the
+highest class it reaches inside the closure) and is cut by a later
+search: Paige and Tarjan's argument that splitting any one block by a
+splitter is sound. ``cut`` cuts the one block: ``split`` cuts it into a
+``(kept, new)`` id pair, ``new`` being always the smaller half, and the
+tables are updated for that pair before the next search, so after every
+cut they describe a real partition exactly.
+
+The search finds a host's parts, and ``split`` moves a part, from the
+host's smaller side wherever it can, as Paige and Tarjan and Valmari pay
+for each split only on its smaller half. This rests on one fact: from
+the end of the first partition phase on, no block holds both states
+with successors and states without (``unmixed``). A block b that holds
+both hosts a refiner: the classes it reaches are partially ordered, a
+highest one a has nothing b reaches strictly above it, and b's part for
+a is proper, since b's states without successors are not in it. So no
+phase ends with such a block, a cut of a block whose states all have
+successors, or none, leaves two such halves, and pruning cuts nothing;
+the cheap level checks the fact after every phase. Once it holds, a
+host's part for a class is the host less its states whose every edge
+goes into other classes. (When b's successor bitset lies inside one
+class, its part is b's states with a successor, read off b's states
+without walking an edge.) When b reaches several classes and holds more
+states than blocks it reaches, its edges into each class are read off
+``pre_e``, and the class it reaches with the most edges is the *major*
+one. If the states and in-edges of the other classes' blocks are fewer
+than b's edges into the major class, the other classes' parts are found
+through the predecessor index, and the major class's part is given as a
+``Complement``, the states it leaves out, which that walk has counted;
+otherwise b's out-edges are walked. ``cut`` then passes ``split`` the
+left-out states when they are strictly fewer than the part's. On a
+chain of n states every later cut takes one state off a block of up to
+n, and is found and made in a few steps instead of two walks of that
+block.
+
+After ``split``, ``inherit`` gives the new half a copy of its parent's
+entry in the relation and a place in exactly the removal sets that hold
+its parent; ``update_edges`` splits the parent's edge cells and
 successor bits between the halves from the new half's in- and
 out-edges; and ``update_count`` then logs every half that reaches
 nothing above some block c that its parent reached above into c's set:
@@ -109,7 +136,9 @@ hosts no refiner. Two triggers set flags:
    batch that lowers it flags every such block.
 
 The terminal refiner search in ``run`` flags every block first, so it
-stays a full scan and a worklist that missed a block fails loudly.
+stays a full scan and a worklist that missed a block fails loudly. It
+clears ``unmixed`` first, so that it walks every host's out-edges and
+rests on no fact of the phases.
 """
 
 from __future__ import annotations
@@ -118,8 +147,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress
-from operator import countOf, or_
+from itertools import accumulate, chain, compress, filterfalse
+from operator import countOf, not_, or_
 
 from .instrument import RunStats
 from .kripke import KripkeStructure
@@ -132,6 +161,29 @@ class InvariantViolation(AssertionError):
     """A runtime self-check failed; signals an engine bug, never bad input."""
 
 
+class Complement:
+    """A part of block ``host`` given by the states it leaves out: the
+    host's states that are not in ``left_out``, which lists each once.
+    ``len()`` counts the part's states, as for a listed part: ``size``,
+    the host's state count when the part was found, less ``left_out``."""
+
+    __slots__ = ("host", "left_out", "size")
+
+    def __init__(self, host: int, left_out: list[int], size: int):
+        self.host, self.left_out, self.size = host, left_out, size
+
+    def __len__(self) -> int:
+        return self.size - len(self.left_out)
+
+    def listed(self, pr: PartitionRelationPair) -> list[int]:
+        """The part's states, in segment order."""
+        return list(filterfalse(set(self.left_out).__contains__, pr.block_states(self.host)))
+
+
+# a host's part for one class: its states listed, or a Complement
+Part = list[int] | Complement
+
+
 @dataclass
 class EngineConfig:
     """Knobs for self-checking and instrumentation.
@@ -140,15 +192,19 @@ class EngineConfig:
     search of ``run``. "cheap" adds structural checks of the cut block's
     two segments and that the new half has no removal set after every
     cut, and of every segment and block, linear in states and blocks,
-    after every partition phase and pruning round; plus a check that
+    after every partition phase and pruning round, with a check after
+    every partition phase that no block holds both states with and
+    states without successors; plus a check that
     each half's successor bitset and edge-multiplicity column agree,
     costing as much as those two rows. "full" adds a
     from-scratch recomputation of the edge table and the successor
     bitsets after every cut and pruning round, a recomputation of the
     removal sets after every pruning round, order-algebra checks after
     every phase, as bitset operations over the relation, a scan of every
-    block confirming each empty refiner search, and a direct simulation
-    check of the converged pair. Checks never change results.
+    block confirming each empty refiner search, a comparison of every
+    host's parts found through in-edges with an out-edge walk of the
+    host, and a direct simulation check of the converged pair. Checks
+    never change results.
     ``stats_enabled`` toggles counter collection; results are identical
     either way.
     """
@@ -203,7 +259,9 @@ class SimulationEngine:
                 if shape <= prev_shape:
                     raise InvariantViolation("no progress between driver iterations")
                 prev_shape = shape
-        # terminal certification: one full refiner search on the stable pair
+        # terminal certification: one full refiner search on the stable
+        # pair, by out-edge walks that rest on no fact of the phases
+        self.unmixed = False
         self._queue(range(len(self.pr.begin)))
         if self.find_prefiner() is not None:
             raise InvariantViolation("pair not partition stable at exit")
@@ -255,6 +313,10 @@ class SimulationEngine:
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
         self.worklist = bytearray(b"\1") * len(self.post)
+        # unmixed: no block holds both states with and states without
+        # successors; set at the end of every partition phase, and read
+        # by the refiner search until the terminal one
+        self.unmixed = False
         if self.cfg.cheap:
             self._check_structure()
         if self.cfg.full:
@@ -276,8 +338,9 @@ class SimulationEngine:
 
         Each refiner is one ``cut`` of its host block. After every cut the
         cheap level checks the two halves, the only segments a cut
-        changes, and the full level rechecks every table; the cheap level
-        walks the whole structure once when the phase ends.
+        changes, and the full level rechecks every table. When the phase
+        ends, ``unmixed`` holds (see the module docstring), and the cheap
+        level walks the whole structure once, checking that fact too.
         """
         while (found := self.find_prefiner()) is not None:
             k, w = self.cut(*found[1:])
@@ -285,28 +348,39 @@ class SimulationEngine:
                 self._check_cut(k, w)
             if self.cfg.full:
                 self._check_tables()
+        self.unmixed = True
         if self.cfg.cheap:
             self._check_structure()
+            self._check_unmixed()
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
 
-    def cut(self, inside: list[int], others: list[list[int]]) -> tuple[int, int]:
+    def cut(self, inside: Part, others: list[Part]) -> tuple[int, int]:
         """Cut the block that ``inside`` is a proper part of, flag the halves
         that may host a refiner, and return the ``(kept, new)`` pair.
 
-        ``inside`` lists states of one block b, each once, and ``others``
-        holds b's proper parts for the classes it reaches other than the
-        one ``inside`` was found for, as ``find_prefiner`` returns them.
-        The cut is a ``split`` followed by ``inherit``, ``update_edges`` and
+        ``inside`` is a part of one block b, listed with each state once
+        or as a ``Complement``, and ``others`` holds b's proper parts for
+        the classes it reaches other than the one ``inside`` was found
+        for, as ``find_prefiner`` returns them. ``split`` is passed the
+        smaller side: a ``Complement``'s left-out states when they are
+        strictly fewer than the part's, and otherwise the part, listed in
+        segment order, so ``new`` is the same half either way. The cut is a
+        ``split`` followed by ``inherit``, ``update_edges`` and
         ``update_count``, each reading only the tables the one before left,
         so afterwards every table describes the partition exactly. A half h
         is flagged iff some part of ``others`` cuts it properly,
         0 < |part n h| < |h|; the states of each part are counted in the
-        new half by their block, with no edge walk. This is exact for the
-        proper-part test the search applies (see the module docstring).
+        new half by their block, with no edge walk. A ``Complement``'s
+        left-out states are counted instead: h is split between them and
+        the part's states, so one set cuts h properly iff the other does.
+        This is exact for the proper-part test the search applies (see
+        the module docstring).
         The full check level first checks that the part is proper.
         """
         pr = self.pr
+        if type(inside) is Complement:
+            inside = inside.left_out if len(inside.left_out) < len(inside) else inside.listed(pr)
         if self.cfg.full:
             b = pr.state_block[inside[0]]
             if len(inside) >= pr.end[b] - pr.begin[b]:
@@ -318,6 +392,8 @@ class SimulationEngine:
         k_size, w_size = pr.end[k] - pr.begin[k], pr.end[w] - pr.begin[w]
         flag_k = flag_w = False
         for part in others:
+            if type(part) is Complement:
+                part = part.left_out
             in_w = countOf(map(pr.state_block.__getitem__, part), w)
             flag_w = flag_w or 0 < in_w < w_size
             flag_k = flag_k or 0 < len(part) - in_w < k_size
@@ -328,7 +404,7 @@ class SimulationEngine:
             self.stats.splits_total += 1
         return k, w
 
-    def find_prefiner(self) -> tuple[int, list[int], list[list[int]]] | None:
+    def find_prefiner(self) -> tuple[int, Part, list[Part]] | None:
         """The first refiner class, the part of its host block to cut and
         the host's proper parts for its other classes, as ``(rep, states,
         others)``, or None.
@@ -341,7 +417,8 @@ class SimulationEngine:
         pre(up-set) meets b in exactly the states with an edge into the
         class, a proper nonempty cut, and these are ``states``. On a
         partial order, classes are singletons and the test is that b
-        reaches exactly one block above the class. ``cut`` reads
+        reaches exactly one block above the class. Each part is listed or
+        a ``Complement``, as ``post_candidates`` gives it. ``cut`` reads
         ``others`` to decide the halves' flags.
 
         Only blocks whose worklist flag is set are searched, lowest id
@@ -367,7 +444,7 @@ class SimulationEngine:
                     raise InvariantViolation(f"refiner worklist missed block {b}")
         return None
 
-    def _hosted_refiner(self, b: int) -> tuple[int, list[int], list[list[int]]] | None:
+    def _hosted_refiner(self, b: int) -> tuple[int, Part, list[Part]] | None:
         """The first qualifying candidate class of b, its part and b's
         proper parts for its other classes, or None.
 
@@ -386,40 +463,57 @@ class SimulationEngine:
                 return rep, states, [part for _, part in proper if part is not states]
         return None
 
-    def post_candidates(self, b: int) -> list[tuple[int, list[int]]]:
+    def post_candidates(self, b: int) -> list[tuple[int, Part]]:
         """Every class reached by b, with b's states that reach it.
 
         A block's class is the set of blocks mutually related with it,
         ``up[c] & down[c]``; mid-call these are the blocks descended from
         one entry block, whose id is the lowest in the class. Each class
-        is returned as ``(rep, states)``: the id of its representative
-        block, the class's lowest id, and its part in segment order.
+        is returned as ``(rep, part)``: the id of its representative
+        block, the class's lowest id, and its part of b, listed in segment
+        order or, for at most one class, as a ``Complement``. The classes
+        come in the order in which an out-edge walk over b's states in
+        segment order first reaches them: by the position of the first
+        state with an edge into the class, then by that edge's index in
+        the state's successors.
 
         When ``post[b]`` lies inside the class of its lowest block, that
         class is the only one, and its part is b's states with a
-        successor, read off b's states without walking an edge. Otherwise
-        one pass over b's outgoing transitions, with local tables only: a
-        dict names each successor block's class the first time it is met,
-        and a list per class collects b's states with an edge into the
-        class, its part of b. A state's edges are walked together, so a
-        state already listed is the list's last entry. The classes come in
-        the order in which b's transitions first reach them.
+        successor, read off b's states without walking an edge.
+        Otherwise the parts are found through the minor classes' in-edges
+        when ``_in_edge_candidates`` finds that cheaper, and by
+        ``_out_edge_candidates`` else.
         """
         reach = self.post[b]
         if not reach:
             return []
         pr = self.pr
-        up, down, state_block = pr.up, pr.down, pr.state_block
-        succ = self.ks.succ
-        states = pr.states[pr.begin[b] : pr.end[b]]
         d = (reach & -reach).bit_length() - 1
-        mutual = up[d] & down[d]
+        mutual = pr.up[d] & pr.down[d]
         if not reach & ~mutual:
             rep = (mutual & -mutual).bit_length() - 1
+            states, succ = pr.states[pr.begin[b] : pr.end[b]], self.ks.succ
             return [(rep, list(compress(states, map(succ.__getitem__, states))))]
+        found = self._in_edge_candidates(b, reach)
+        if found is None:
+            return self._out_edge_candidates(b)
+        if self.cfg.full:
+            self._check_in_edge_candidates(b, found)
+        return found
+
+    def _out_edge_candidates(self, b: int) -> list[tuple[int, list[int]]]:
+        """``post_candidates`` by one pass over b's outgoing transitions,
+        with local tables only: a dict names each successor block's class
+        the first time it is met, and a list per class collects b's
+        states with an edge into the class, its part of b. A state's edges
+        are walked together, so a state already listed is the list's last
+        entry."""
+        pr = self.pr
+        up, down, state_block = pr.up, pr.down, pr.state_block
+        succ = self.ks.succ
         class_of: dict[int, int] = {}  # successor block -> its class id
         parts: dict[int, list[int]] = {}  # in first-touch order of classes
-        for s in states:
+        for s in pr.states[pr.begin[b] : pr.end[b]]:
             for y in succ[s]:
                 c = state_block[y]
                 try:
@@ -432,6 +526,90 @@ class SimulationEngine:
                 if part[-1] != s:
                     part.append(s)
         return list(parts.items())
+
+    def _in_edge_candidates(self, b: int, reach: int) -> list[tuple[int, Part]] | None:
+        """``post_candidates`` for a host b of more than one class, found
+        from the minor classes' in-edges, or None when the route is not
+        taken.
+
+        The route is taken once ``unmixed`` holds and the predecessor
+        index exists, for a host with more states than blocks it reaches,
+        since deciding reads one cell per block reached and the out-edge
+        walk at least one step per state. b's edges into each class are
+        read off ``pre_e[d][b]``, and the *major* class is the one b
+        reaches with the most edges. The route is taken when the walk of
+        the other classes' blocks, one slice of the index per state and
+        ``sum(pre_e[d].values())`` in-edges per block d, reads fewer
+        items than b's edges into the major class. Every state of b has a
+        successor, so the major class's part is b less the states whose
+        every edge goes into minor classes, those whose count of edges
+        into minor classes is their whole successor count: it is returned
+        as the ``Complement`` of those states, and never listed. Each
+        minor class's part is its sources in b, sorted into segment
+        order. The classes are put in first-touch order: the major class
+        is first touched at b's first state that its part holds, and
+        where two classes are first touched at one state, that state's
+        successors are walked to order them.
+        """
+        pr = self.pr
+        if (
+            not self.unmixed
+            or reach.bit_count() >= pr.end[b] - pr.begin[b]
+            or "pred_index" not in vars(self)
+        ):
+            return None
+        up, down, state_block, pos = pr.up, pr.down, pr.state_block, pr.pos
+        pre_e = self.pre_e
+        class_of: dict[int, int] = {}  # block reached -> its class id
+        weight: dict[int, int] = {}  # class -> b's edges into it
+        for d in bits(reach):
+            mutual = up[d] & down[d]
+            a = class_of[d] = (mutual & -mutual).bit_length() - 1
+            weight[a] = weight.get(a, 0) + pre_e[d][b]
+        states, begin, end = pr.states, pr.begin, pr.end
+        major = max(weight, key=weight.__getitem__)
+        minor: dict[int, list[int]] = {}  # minor class -> its blocks b reaches
+        budget = weight[major]
+        for d, a in class_of.items():
+            if a != major:
+                minor.setdefault(a, []).append(d)
+                budget -= end[d] - begin[d] + sum(pre_e[d].values())
+                if budget <= 0:
+                    return None
+        start, src = self.pred_index
+        succ = self.ks.succ
+        parts: dict[int, Part] = {}
+        minor_edges: Counter[int] = Counter()  # state of b -> its edges into minor classes
+        for a, blocks in minor.items():
+            sources = list(chain.from_iterable(
+                src[start[y] : start[y + 1]]
+                for d in blocks
+                for y in states[begin[d] : end[d]]
+            ))
+            mine = list(compress(sources, map(b.__eq__, map(state_block.__getitem__, sources))))
+            minor_edges.update(mine)
+            parts[a] = sorted(set(mine), key=pos.__getitem__)
+        left_out = sorted(
+            compress(minor_edges, map(
+                int.__eq__, minor_edges.values(), map(len, map(succ.__getitem__, minor_edges))
+            )),
+            key=pos.__getitem__,
+        )
+        first = {a: part[0] for a, part in parts.items()}
+        p, skipped = begin[b], set(left_out)
+        while states[p] in skipped:
+            p += 1
+        first[major] = states[p]
+        parts[major] = Complement(b, left_out, end[b] - begin[b])
+        # where classes share their first state, the index of the first
+        # edge into each class orders them, as the out-edge walk would
+        rank: dict[tuple[int, int], int] = {}
+        for s, n in Counter(first.values()).items():
+            if n > 1:
+                for i, y in enumerate(succ[s]):
+                    rank.setdefault((s, class_of[state_block[y]]), i)
+        order = sorted(first, key=lambda a: (pos[first[a]], rank.get((first[a], a), 0)))
+        return [(a, parts[a]) for a in order]
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -533,18 +711,20 @@ class SimulationEngine:
         and w has k's column in the relation. A half h is logged into c's
         set for every c of ``before & ~below(post[h])``: exactly the blocks
         above which h's states lost their last edge by losing their sibling
-        states. That is a union of whole classes, since ``below`` of any
+        states. ``below`` of a union is the union of the ``below``s, so
+        ``before`` is never built: h's blocks are the other half's
+        ``below`` less h's own, two ``_below`` unions per cut. That is a
+        union of whole classes, since ``below`` of any
         bitset is closed under mutual relation, so h is written only into
         the sets of the owners among them, the blocks with a slot in
         ``remove``. The two halves have equal columns, so such a half is
         logged into the set of both halves' class. No worklist flag is set
         here: other blocks keep their verdicts (see the module docstring).
         """
-        post, remove = self.post, self.remove
-        before = self._below(post[k] | post[w])
+        remove = self.remove
+        below_k, below_w = self._below(self.post[k]), self._below(self.post[w])
         owners = (1 << len(remove)) - 1
-        for h in (k, w):
-            lost = before & ~self._below(post[h])
+        for h, lost in ((k, below_w & ~below_k), (w, below_k & ~below_w)):
             hbit = 1 << h
             for c in bits(lost & owners):
                 remove[c] |= hbit
@@ -670,6 +850,18 @@ class SimulationEngine:
             if not row >> b & 1:
                 raise InvariantViolation("relation lost reflexivity")
 
+    def _check_unmixed(self) -> None:
+        """Cheap check of ``unmixed`` when a partition phase ends: no block
+        holds both states with and states without successors. Two C-level
+        passes over the states."""
+        state_block, succ = self.pr.state_block, self.ks.succ
+        live = set(compress(state_block, map(bool, succ)))
+        mixed = live.intersection(compress(state_block, map(not_, succ)))
+        if mixed:
+            raise InvariantViolation(
+                f"block {min(mixed)} holds states with and states without successors"
+            )
+
     def _check_cut(self, k: int, w: int) -> None:
         """Cheap check of one cut into ``(k, w)``: the states of both
         halves point back at them, w is related to itself, w has no slot
@@ -709,6 +901,15 @@ class SimulationEngine:
                 if pos[s] != p:
                     raise InvariantViolation("position index stale")
         return covered
+
+    def _check_in_edge_candidates(self, b: int, found: list[tuple[int, Part]]) -> None:
+        """Full check of one in-edge route: the classes ``found`` for b,
+        their order and their parts, a ``Complement`` listed, equal those
+        of the out-edge walk."""
+        pr = self.pr
+        listed = [(a, part.listed(pr) if type(part) is Complement else part) for a, part in found]
+        if listed != self._out_edge_candidates(b):
+            raise InvariantViolation(f"in-edge candidates of block {b} differ from its edge walk")
 
     def _check_tables(self) -> None:
         """Full check: the edge table and the successor bitsets equal

@@ -141,7 +141,9 @@ class PartitionRelationPair:
         is swapped to the end of the block's segment, so only that
         segment is permuted, and ``state_block`` is written only for the
         states of the new part: a split costs O(|inside|) and touches no
-        other block.
+        other block. The engine passes whichever side it has the smaller
+        of, the states a part leaves out when they are strictly fewer,
+        so that a cut costs in proportion to its smaller half.
         """
         states, pos, state_block, begin, end = (
             self.states, self.pos, self.state_block, self.begin, self.end

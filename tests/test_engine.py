@@ -1,5 +1,5 @@
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_, setitem
 from random import Random
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import simrel.engine as engine_module
 from simrel.engine import (
+    Complement,
     EngineConfig,
     InvariantViolation,
     SimulationEngine,
@@ -88,6 +89,12 @@ def run_one_split_round(eng):
     return eng.cut(*found[1:])
 
 
+def listed(eng, part):
+    """A host's part as its states in segment order: a ``Complement``
+    listed, a listed part as it is."""
+    return part.listed(eng.pr) if type(part) is Complement else part
+
+
 def host_share(eng, rep, states):
     """The states of the block holding ``states[0]`` with an edge into
     rep's upward closure, in segment order: what a refiner hit on
@@ -109,6 +116,47 @@ def count_index_builds(monkeypatch):
         engine_module, "predecessor_index", lambda ks: builds.append(ks) or build(ks)
     )
     return builds
+
+
+class Counted(tuple):
+    """A sequence that adds to ``eng.walked``, while ``eng.searching``
+    is set, one per item read by index and each item of a slice."""
+
+    def __new__(cls, items, eng):
+        out = super().__new__(cls, items)
+        out.eng = eng
+        return out
+
+    def __getitem__(self, i):
+        out = tuple.__getitem__(self, i)
+        if self.eng.searching:
+            self.eng.walked += len(out) if type(i) is slice else 1
+        return out
+
+
+class WalkCounted(SimulationEngine):
+    """The engine counting in ``walked`` the states its refiner searches
+    read: a state whose successors are read and each source read from
+    the predecessor index."""
+
+    walked = 0
+    searching = False
+
+    def __init__(self, ks, cfg=None):
+        super().__init__(ks, cfg)
+        ks.succ = Counted(ks.succ, self)
+
+    @cached_property
+    def pred_index(self):
+        start, src = engine_module.predecessor_index(self.ks)
+        return start, Counted(src, self)
+
+    def find_prefiner(self):
+        self.searching = True
+        try:
+            return SimulationEngine.find_prefiner(self)
+        finally:
+            self.searching = False
 
 
 class Unwalkable(tuple):
@@ -310,6 +358,25 @@ class TestPostCandidates:
         ks.succ = succ
         assert eng.post_candidates(b_a) == [(b_b, [0]), (b_c, [1])]
 
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_chain_search_and_splits_read_linear_states(self, monkeypatch, n):
+        # each cut of a chain takes one state off its largest block, so an
+        # out-edge walk of that block and a split of its listed part read
+        # about n^2 / 2 states each; here the first phase's walk and split
+        # and the terminal search read about n each, and every later cut
+        # a few states
+        split = PartitionRelationPair.split
+        passed = []
+        monkeypatch.setattr(
+            PartitionRelationPair,
+            "split",
+            lambda pr, inside: passed.append(len(inside)) or split(pr, inside),
+        )
+        eng = WalkCounted(make_chain(n), EngineConfig(stats_enabled=True))
+        _, stats = eng.run()
+        assert stats.splits_total == n - 1
+        assert eng.walked + sum(passed) <= 8 * n
+
 
 class TestFindPRefiner:
     def test_stable_identity_none(self, ks_a):
@@ -377,6 +444,34 @@ class TestPStabilize:
         assert sorted(map(tuple, map(sorted, (
             eng.pr.block_states(b) for b in block_ids(eng.pr)
         )))) == [(0,), (1,)]
+
+
+    @pytest.mark.parametrize(
+        "left_out, moved",
+        [([3, 4], [3, 4]), ([2, 3, 4], [0, 1])],
+        ids=["fewer-left-out", "fewer-listed"],
+    )
+    def test_complement_cut_moves_the_smaller_side(self, monkeypatch, left_out, moved):
+        # a block of five states: the left-out states are moved when they
+        # are fewer than the part's, and the part, listed, otherwise; the
+        # smaller side takes the new id either way
+        split = PartitionRelationPair.split
+        passed = []
+        monkeypatch.setattr(
+            PartitionRelationPair,
+            "split",
+            lambda pr, inside: passed.append(sorted(inside)) or split(pr, inside),
+        )
+        eng = engine_after_initialize(build_ks("aaaaa", [(s, 0) for s in range(5)]))
+        _, w = eng.cut(Complement(0, left_out, 5), [])
+        assert passed == [moved]
+        assert sorted(eng.pr.block_states(w)) == moved
+
+    def test_complement_cut_gives_the_new_id_to_the_part_on_a_tie(self):
+        # as when the part is passed listed, which the new id takes on a tie
+        eng = engine_after_initialize(build_ks("aaaa", [(s, 0) for s in range(4)]))
+        _, w = eng.cut(Complement(0, [0, 1], 4), [])
+        assert set(eng.pr.block_states(w)) == {2, 3}
 
 
 class TestUpdateAfterSplit:
@@ -882,6 +977,23 @@ class RelatedAfterLastRound(SimulationEngine):
         return done
 
 
+class SearchStopped(SimulationEngine):
+    """The engine with a broken ``find_prefiner`` that never finds a
+    refiner, so the first partition phase ends on the label partition."""
+
+    def find_prefiner(self):
+        return None
+
+
+class InEdgeOrderReversed(SimulationEngine):
+    """The engine with a broken in-edge route that returns its classes in
+    reverse order."""
+
+    def _in_edge_candidates(self, b, reach):
+        found = SimulationEngine._in_edge_candidates(self, b, reach)
+        return found[::-1] if found is not None else None
+
+
 class TestFullChecks:
     @pytest.mark.parametrize(
         "engine, ks, level, message",
@@ -895,8 +1007,17 @@ class TestFullChecks:
             # two unconnected states of different labels are unrelated
             (RelatedAfterLastRound, build_ks("ab", []), "full",
              "converged pair is not a simulation"),
+            # state 0 has a successor and state 1, of the same label, has
+            # none; no cut separates them
+            (SearchStopped, build_ks("aa", [(0, 0)]), "cheap",
+             "block 0 holds states with and states without successors"),
+            # the chain's largest block reaches its own class and the next
+            # state's; reversed, the order is wrong but the cut is right,
+            # so only the comparison with the out-edge walk sees it
+            (InEdgeOrderReversed, make_chain(40), "full",
+             "in-edge candidates of block 0 differ from its edge walk"),
         ],
-        ids=["exit-search", "progress", "simulation"],
+        ids=["exit-search", "progress", "simulation", "mixed-block", "in-edge-order"],
     )
     def test_broken_driver_step_detected(self, engine, ks, level, message):
         with pytest.raises(InvariantViolation, match=message):
@@ -1495,7 +1616,8 @@ def assert_pruning_in_lockstep(ks, cfg):
 
 
 class PrefinerRecorded(SimulationEngine):
-    """The engine recording every ``find_prefiner`` return in ``found``."""
+    """The engine recording every ``find_prefiner`` return in ``found``,
+    each part listed in segment order before the cut."""
 
     def __init__(self, ks, cfg=None):
         super().__init__(ks, cfg)
@@ -1503,27 +1625,42 @@ class PrefinerRecorded(SimulationEngine):
 
     def find_prefiner(self):
         out = SimulationEngine.find_prefiner(self)
-        self.found.append(out)
+        if out is None:
+            self.found.append(out)
+        else:
+            rep, states, others = out
+            self.found.append(
+                (rep, listed(self, states), [listed(self, part) for part in others])
+            )
         return out
 
 
+def edge_walk(eng, b):
+    """Every class that block b reaches, with b's states that reach it,
+    by a walk of each state's successors in segment order: each successor
+    block's class is read off the relation on first touch."""
+    pr, succ = eng.pr, eng.ks.succ
+    class_of, parts = {}, {}
+    for s in pr.block_states(b):
+        for y in succ[s]:
+            c = pr.state_block[y]
+            if c not in class_of:
+                class_of[c] = bits(pr.up[c] & pr.down[c])[0]
+            part = parts.setdefault(class_of[c], [])
+            if not part or part[-1] != s:
+                part.append(s)
+    return list(parts.items())
+
+
 class EdgeWalkEngine(PrefinerRecorded):
-    """``PrefinerRecorded`` whose ``post_candidates`` walks the edges of
-    every block, one-class hosts too: each state's successors, with each
-    successor block's class read off the relation on first touch."""
+    """``PrefinerRecorded`` whose ``post_candidates`` reads the parts of a
+    one-class host off ``edge_walk``, and finds those of other hosts as
+    the engine does, so that both cut the same states in the same
+    order."""
 
     def post_candidates(self, b):
-        pr, succ = self.pr, self.ks.succ
-        class_of, parts = {}, {}
-        for s in pr.block_states(b):
-            for y in succ[s]:
-                c = pr.state_block[y]
-                if c not in class_of:
-                    class_of[c] = bits(pr.up[c] & pr.down[c])[0]
-                part = parts.setdefault(class_of[c], [])
-                if not part or part[-1] != s:
-                    part.append(s)
-        return list(parts.items())
+        parts = edge_walk(self, b)
+        return parts if len(parts) <= 1 else SimulationEngine.post_candidates(self, b)
 
 
 class PendingRecorded(SimulationEngine):
@@ -1599,6 +1736,7 @@ class HitsChecked(SimulationEngine):
         found = SimulationEngine.find_prefiner(self)
         if found is not None:
             rep, states, _ = found
+            states = listed(self, states)
             assert states == host_share(self, rep, states)
             self.hits += 1
         return found
@@ -1615,10 +1753,27 @@ class FlagsChecked(SimulationEngine):
         pr = self.pr
         for h in (k, w):
             size = pr.end[h] - pr.begin[h]
-            proper = any(len(part) < size for _, part in self.post_candidates(h))
+            proper = any(
+                len(listed(self, part)) < size for _, part in self.post_candidates(h)
+            )
             assert self.worklist[h] == proper, (k, w, h)
         self.cuts += 1
         return k, w
+
+
+class InEdgeRouteChecked(FlagsChecked):
+    """``FlagsChecked`` checking too that wherever ``post_candidates``
+    takes the in-edge route, its classes, their order and its parts,
+    listed, equal ``edge_walk``'s. ``routes`` counts the routes taken."""
+
+    routes = 0
+
+    def _in_edge_candidates(self, b, reach):
+        found = SimulationEngine._in_edge_candidates(self, b, reach)
+        if found is not None:
+            assert [(a, listed(self, part)) for a, part in found] == edge_walk(self, b)
+            self.routes += 1
+        return found
 
 
 class RemovalSlotsCounted(SimulationEngine):
@@ -1719,6 +1874,29 @@ class TestEngineProperties:
             assert stats.to_dict() == ref_stats.to_dict()
             assert stats.remove_trace == ref_stats.remove_trace
             assert eng.found == ref.found
+
+    @given(
+        st.one_of(
+            st.builds(make_chain, st.integers(2, 80)),
+            st.builds(
+                generate_random_ks,
+                n_states=st.integers(20, 80),
+                n_labels=st.integers(1, 2),
+                edge_prob=st.sampled_from([0.02, 0.03, 0.05]),
+                seed=st.integers(0, 2**32 - 1),
+            ),
+        )
+    )
+    @example(make_chain(24))
+    @settings(max_examples=80, deadline=None)
+    def test_in_edge_route_equals_an_edge_walk(self, ks):
+        eng = InEdgeRouteChecked(ks, EngineConfig(check_level="cheap", stats_enabled=True))
+        result, stats = eng.run()
+        assert result.state_matrix() == brute_force_simulation(ks).matrix
+        if ks.num_states >= 5 and ks == make_chain(ks.num_states):
+            # every pruning round leaves the largest block reaching two
+            # classes, the next state's by one edge
+            assert eng.routes > 0
 
     @given(random_ks(max_states=24))
     @settings(max_examples=60, deadline=None)
