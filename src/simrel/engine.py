@@ -42,10 +42,12 @@ states with an edge into a, b's part for a, which the search has just
 found. Any other block that this preimage cuts hosts a refiner too (the
 highest class it reaches inside the closure) and is cut by a later
 search: Paige and Tarjan's argument that splitting any one block by a
-splitter is sound. ``cut`` cuts the one block: ``split`` cuts it into a
-``(kept, new)`` id pair, ``new`` being always the smaller half, and the
-tables are updated for that pair before the next search, so after every
-cut they describe a real partition exactly.
+splitter is sound. So a block that hosts several classes is cut by the
+one of lowest id, which no order of states decides. ``cut`` cuts the one
+block: ``split`` cuts it into a ``(kept, new)`` id pair, ``new`` being
+always the smaller half, and the tables are updated for that pair before
+the next search, so after every cut they describe a real partition
+exactly.
 
 The search finds a host's parts, and ``split`` moves a part, from the
 host's smaller side wherever it can, as Paige and Tarjan and Valmari pay
@@ -326,8 +328,9 @@ class SimulationEngine:
     def pred_index(self) -> tuple[array, array]:
         """The predecessor index as ``(start, src)``, built on first read:
         the sources of the transitions into state y are
-        ``src[start[y] : start[y + 1]]``. ``update_edges`` is its only
-        reader, so a run without a cut never builds it."""
+        ``src[start[y] : start[y + 1]]``. ``update_edges`` builds it at the
+        run's first cut, and the refiner search's in-edge route reads it
+        only once it exists, so a run without a cut never builds it."""
         return predecessor_index(self.ks)
 
     # ------------------------------------------------------------------
@@ -365,8 +368,10 @@ class SimulationEngine:
         for, as ``find_prefiner`` returns them. ``split`` is passed the
         smaller side: a ``Complement``'s left-out states when they are
         strictly fewer than the part's, and otherwise the part, listed in
-        segment order, so ``new`` is the same half either way. The cut is a
-        ``split`` followed by ``inherit``, ``update_edges`` and
+        segment order, so ``new`` is the same half either way. Which
+        states are passed decides the halves; their order decides only the
+        halves' segment order, on which no result or counter depends. The
+        cut is a ``split`` followed by ``inherit``, ``update_edges`` and
         ``update_count``, each reading only the tables the one before left,
         so afterwards every table describes the partition exactly. A half h
         is flagged iff some part of ``others`` cuts it properly,
@@ -405,9 +410,9 @@ class SimulationEngine:
         return k, w
 
     def find_prefiner(self) -> tuple[int, Part, list[Part]] | None:
-        """The first refiner class, the part of its host block to cut and
-        the host's proper parts for its other classes, as ``(rep, states,
-        others)``, or None.
+        """The refiner class of lowest id at the first host, the part of
+        the host block to cut and the host's proper parts for its other
+        classes, as ``(rep, states, others)``, or None.
 
         Mid-call the relation is the entry partial order lifted through
         splits, so blocks descended from one entry block are mutually
@@ -417,9 +422,12 @@ class SimulationEngine:
         pre(up-set) meets b in exactly the states with an edge into the
         class, a proper nonempty cut, and these are ``states``. On a
         partial order, classes are singletons and the test is that b
-        reaches exactly one block above the class. Each part is listed or
-        a ``Complement``, as ``post_candidates`` gives it. ``cut`` reads
-        ``others`` to decide the halves' flags.
+        reaches exactly one block above the class. A host of several
+        qualifying classes is cut by the one of lowest id: any one
+        splitter is sound, and this choice reads no order of the host's
+        states. Each part is listed or a ``Complement``, as
+        ``post_candidates`` gives it. ``cut`` reads ``others`` to decide
+        the halves' flags.
 
         Only blocks whose worklist flag is set are searched, lowest id
         first, which finds what a scan of every block would: a block whose
@@ -445,7 +453,7 @@ class SimulationEngine:
         return None
 
     def _hosted_refiner(self, b: int) -> tuple[int, Part, list[Part]] | None:
-        """The first qualifying candidate class of b, its part and b's
+        """b's qualifying candidate class of lowest id, its part and b's
         proper parts for its other classes, or None.
 
         A candidate is a class whose part of b is proper, 0 < |part| < |b|;
@@ -457,25 +465,22 @@ class SimulationEngine:
             return None
         pr = self.pr
         size = pr.end[b] - pr.begin[b]
-        proper = [c for c in self.post_candidates(b) if len(c[1]) < size]
-        for rep, states in proper:
+        proper = {a: part for a, part in self.post_candidates(b).items() if len(part) < size}
+        for rep in sorted(proper):
             if not reach & pr.up[rep] & ~pr.down[rep]:
-                return rep, states, [part for _, part in proper if part is not states]
+                return rep, proper.pop(rep), list(proper.values())
         return None
 
-    def post_candidates(self, b: int) -> list[tuple[int, Part]]:
+    def post_candidates(self, b: int) -> dict[int, Part]:
         """Every class reached by b, with b's states that reach it.
 
         A block's class is the set of blocks mutually related with it,
         ``up[c] & down[c]``; mid-call these are the blocks descended from
-        one entry block, whose id is the lowest in the class. Each class
-        is returned as ``(rep, part)``: the id of its representative
-        block, the class's lowest id, and its part of b, listed in segment
-        order or, for at most one class, as a ``Complement``. The classes
-        come in the order in which an out-edge walk over b's states in
-        segment order first reaches them: by the position of the first
-        state with an edge into the class, then by that edge's index in
-        the state's successors.
+        one entry block, whose id is the lowest in the class. The classes
+        are returned as a dict ``{rep: part}``: the id of the class's
+        representative block, its lowest id, and its part of b, listed
+        with each state once or, for at most one class, as a
+        ``Complement``.
 
         When ``post[b]`` lies inside the class of its lowest block, that
         class is the only one, and its part is b's states with a
@@ -486,14 +491,14 @@ class SimulationEngine:
         """
         reach = self.post[b]
         if not reach:
-            return []
+            return {}
         pr = self.pr
         d = (reach & -reach).bit_length() - 1
         mutual = pr.up[d] & pr.down[d]
         if not reach & ~mutual:
             rep = (mutual & -mutual).bit_length() - 1
             states, succ = pr.states[pr.begin[b] : pr.end[b]], self.ks.succ
-            return [(rep, list(compress(states, map(succ.__getitem__, states))))]
+            return {rep: list(compress(states, map(succ.__getitem__, states)))}
         found = self._in_edge_candidates(b, reach)
         if found is None:
             return self._out_edge_candidates(b)
@@ -501,7 +506,7 @@ class SimulationEngine:
             self._check_in_edge_candidates(b, found)
         return found
 
-    def _out_edge_candidates(self, b: int) -> list[tuple[int, list[int]]]:
+    def _out_edge_candidates(self, b: int) -> dict[int, list[int]]:
         """``post_candidates`` by one pass over b's outgoing transitions,
         with local tables only: a dict names each successor block's class
         the first time it is met, and a list per class collects b's
@@ -512,7 +517,7 @@ class SimulationEngine:
         up, down, state_block = pr.up, pr.down, pr.state_block
         succ = self.ks.succ
         class_of: dict[int, int] = {}  # successor block -> its class id
-        parts: dict[int, list[int]] = {}  # in first-touch order of classes
+        parts: dict[int, list[int]] = {}
         for s in pr.states[pr.begin[b] : pr.end[b]]:
             for y in succ[s]:
                 c = state_block[y]
@@ -525,9 +530,9 @@ class SimulationEngine:
                 part = parts[a]
                 if part[-1] != s:
                     part.append(s)
-        return list(parts.items())
+        return parts
 
-    def _in_edge_candidates(self, b: int, reach: int) -> list[tuple[int, Part]] | None:
+    def _in_edge_candidates(self, b: int, reach: int) -> dict[int, Part] | None:
         """``post_candidates`` for a host b of more than one class, found
         from the minor classes' in-edges, or None when the route is not
         taken.
@@ -545,11 +550,7 @@ class SimulationEngine:
         every edge goes into minor classes, those whose count of edges
         into minor classes is their whole successor count: it is returned
         as the ``Complement`` of those states, and never listed. Each
-        minor class's part is its sources in b, sorted into segment
-        order. The classes are put in first-touch order: the major class
-        is first touched at b's first state that its part holds, and
-        where two classes are first touched at one state, that state's
-        successors are walked to order them.
+        minor class's part is its sources in b.
         """
         pr = self.pr
         if (
@@ -558,7 +559,7 @@ class SimulationEngine:
             or "pred_index" not in vars(self)
         ):
             return None
-        up, down, state_block, pos = pr.up, pr.down, pr.state_block, pr.pos
+        up, down, state_block = pr.up, pr.down, pr.state_block
         pre_e = self.pre_e
         class_of: dict[int, int] = {}  # block reached -> its class id
         weight: dict[int, int] = {}  # class -> b's edges into it
@@ -588,28 +589,12 @@ class SimulationEngine:
             ))
             mine = list(compress(sources, map(b.__eq__, map(state_block.__getitem__, sources))))
             minor_edges.update(mine)
-            parts[a] = sorted(set(mine), key=pos.__getitem__)
-        left_out = sorted(
-            compress(minor_edges, map(
-                int.__eq__, minor_edges.values(), map(len, map(succ.__getitem__, minor_edges))
-            )),
-            key=pos.__getitem__,
-        )
-        first = {a: part[0] for a, part in parts.items()}
-        p, skipped = begin[b], set(left_out)
-        while states[p] in skipped:
-            p += 1
-        first[major] = states[p]
+            parts[a] = list(dict.fromkeys(mine))
+        left_out = list(compress(minor_edges, map(
+            int.__eq__, minor_edges.values(), map(len, map(succ.__getitem__, minor_edges))
+        )))
         parts[major] = Complement(b, left_out, end[b] - begin[b])
-        # where classes share their first state, the index of the first
-        # edge into each class orders them, as the out-edge walk would
-        rank: dict[tuple[int, int], int] = {}
-        for s, n in Counter(first.values()).items():
-            if n > 1:
-                for i, y in enumerate(succ[s]):
-                    rank.setdefault((s, class_of[state_block[y]]), i)
-        order = sorted(first, key=lambda a: (pos[first[a]], rank.get((first[a], a), 0)))
-        return [(a, parts[a]) for a in order]
+        return parts
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -902,13 +887,14 @@ class SimulationEngine:
                     raise InvariantViolation("position index stale")
         return covered
 
-    def _check_in_edge_candidates(self, b: int, found: list[tuple[int, Part]]) -> None:
-        """Full check of one in-edge route: the classes ``found`` for b,
-        their order and their parts, a ``Complement`` listed, equal those
-        of the out-edge walk."""
+    def _check_in_edge_candidates(self, b: int, found: dict[int, Part]) -> None:
+        """Full check of one in-edge route: the classes ``found`` for b are
+        those of the out-edge walk, and each class's part, a ``Complement``
+        listed, holds the walk's states, each once, in any order."""
         pr = self.pr
-        listed = [(a, part.listed(pr) if type(part) is Complement else part) for a, part in found]
-        if listed != self._out_edge_candidates(b):
+        listed = {a: sorted(part.listed(pr) if type(part) is Complement else part)
+                  for a, part in found.items()}
+        if listed != {a: sorted(part) for a, part in self._out_edge_candidates(b).items()}:
             raise InvariantViolation(f"in-edge candidates of block {b} differ from its edge walk")
 
     def _check_tables(self) -> None:

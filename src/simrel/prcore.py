@@ -135,13 +135,13 @@ class PartitionRelationPair:
 
         ``inside`` is a duplicate-free, proper and nonempty part of one
         block's states; its order sets the order of the segment, and no
-        result depends on it. ``new`` is the next free id and
-        gets the smaller part, the ``inside`` part on a tie, and ``kept``
-        keeps the block's id and the larger part. Each state of ``inside``
-        is swapped to the end of the block's segment, so only that
-        segment is permuted, and ``state_block`` is written only for the
-        states of the new part: a split costs O(|inside|) and touches no
-        other block. The engine passes whichever side it has the smaller
+        result or counter of the engine depends on it. ``new`` is the next
+        free id and gets the smaller part, the ``inside`` part on a tie, and
+        ``kept`` keeps the block's id and the larger part. Each state of
+        ``inside`` is swapped to the end of the block's segment, so only
+        that segment is permuted, and ``state_block`` is written only for
+        the states of the new part: a split costs O(|inside|) and touches
+        no other block. The engine passes whichever side it has the smaller
         of, the states a part leaves out when they are strictly fewer,
         so that a cut costs in proportion to its smaller half.
         """

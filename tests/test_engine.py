@@ -97,14 +97,14 @@ def listed(eng, part):
 
 def host_share(eng, rep, states):
     """The states of the block holding ``states[0]`` with an edge into
-    rep's upward closure, in segment order: what a refiner hit on
+    rep's upward closure, in ascending order: what a refiner hit on
     ``(rep, states)`` must cut."""
     pr = eng.pr
     above, succ, state_block = pr.up[rep], eng.ks.succ, pr.state_block
-    return [
+    return sorted(
         s for s in pr.block_states(state_block[states[0]])
         if any(above >> state_block[y] & 1 for y in succ[s])
-    ]
+    )
 
 
 def count_index_builds(monkeypatch):
@@ -256,7 +256,7 @@ class TestInitialize:
 class TestPostCandidates:
     def test_block_without_transitions(self):
         eng = engine_after_initialize(build_ks("aa", []))
-        assert eng.post_candidates(0) == []
+        assert eng.post_candidates(0) == {}
 
     def test_block_without_transitions_is_never_walked(self, monkeypatch):
         # a block without transitions has an empty successor bitset, and
@@ -278,7 +278,7 @@ class TestPostCandidates:
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
         # one of the pair block's two states reaches the sink's class
-        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], [0])]
+        assert eng.post_candidates(pair_block) == {eng.pr.state_block[2]: [0]}
 
     def test_full_reach_excluded(self):
         # the walk lists the sink's class with all of the pair block, a
@@ -286,7 +286,7 @@ class TestPostCandidates:
         ks = build_ks("aab", [(0, 2), (1, 2)])
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
-        assert eng.post_candidates(pair_block) == [(eng.pr.state_block[2], [0, 1])]
+        assert eng.post_candidates(pair_block) == {eng.pr.state_block[2]: [0, 1]}
         assert eng._hosted_refiner(pair_block) is None
 
     def test_per_state_successor_dedup(self):
@@ -297,18 +297,19 @@ class TestPostCandidates:
         b_b, b_c = eng.pr.state_block[2], eng.pr.state_block[3]
         relate(eng.pr, b_b, b_c)
         relate(eng.pr, b_c, b_b)
-        assert eng.post_candidates(eng.pr.state_block[0]) == [(b_b, [0])]
+        assert eng.post_candidates(eng.pr.state_block[0]) == {b_b: [0]}
 
-    def test_candidates_in_first_touch_order(self):
-        # state 0 reaches block 2 before block 1, so block-id order and
-        # first-touch order differ; the refiner choice follows the latter
+    def test_refiner_is_the_lowest_qualifying_class(self):
+        # state 0 reaches block 2 before block 1; both classes qualify,
+        # and the host is cut by the one of lowest id, not by the one
+        # its edge walk touches first
         ks = build_ks("aacb", [(0, 3), (0, 2)])
         eng = engine_after_initialize(ks)
         b_a, b_c, b_b = block_ids(eng.pr)
         assert (eng.pr.state_block[2], eng.pr.state_block[3]) == (b_c, b_b)
-        assert eng.post_candidates(b_a) == [(b_b, [0]), (b_c, [0])]
+        assert eng.post_candidates(b_a) == {b_b: [0], b_c: [0]}
         # the other class's part comes with the hit
-        assert eng.find_prefiner() == (b_b, [0], [[0]])
+        assert eng.find_prefiner() == (b_c, [0], [[0]])
 
     def test_states_listed_once_in_segment_order(self):
         # three of block a's states reach block b, state 2 by two edges;
@@ -319,7 +320,7 @@ class TestPostCandidates:
         pr.states[0:4] = [3, 2, 1, 0]
         for p, s in enumerate(pr.states):
             pr.pos[s] = p
-        assert eng.post_candidates(0) == [(1, [3, 2, 0])]
+        assert eng.post_candidates(0) == {1: [3, 2, 0]}
 
     def test_one_class_host_read_off_its_live_states(self):
         # block a reaches only block b, and state 1 has no successor: the
@@ -332,7 +333,7 @@ class TestPostCandidates:
         for p, s in enumerate(pr.states):
             pr.pos[s] = p
         forbid_edge_walks(eng)
-        assert eng.post_candidates(0) == [(1, [2, 0])]
+        assert eng.post_candidates(0) == {1: [2, 0]}
         assert eng.find_prefiner() == (1, [2, 0], [])
 
     def test_one_class_host_of_two_blocks_read_off_its_states(self):
@@ -344,7 +345,7 @@ class TestPostCandidates:
         relate(eng.pr, b_b, b_c)
         relate(eng.pr, b_c, b_b)
         forbid_edge_walks(eng)
-        assert eng.post_candidates(b_a) == [(min(b_b, b_c), [0, 1])]
+        assert eng.post_candidates(b_a) == {min(b_b, b_c): [0, 1]}
         assert eng._hosted_refiner(b_a) is None
 
     def test_host_reaching_two_classes_walks_its_edges(self):
@@ -356,7 +357,7 @@ class TestPostCandidates:
         with pytest.raises(AssertionError, match="edge walked"):
             eng.post_candidates(b_a)
         ks.succ = succ
-        assert eng.post_candidates(b_a) == [(b_b, [0]), (b_c, [1])]
+        assert eng.post_candidates(b_a) == {b_b: [0], b_c: [1]}
 
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_chain_search_and_splits_read_linear_states(self, monkeypatch, n):
@@ -707,7 +708,7 @@ class TestUpdateEdges:
             found = eng.find_prefiner()
             while found is not None:
                 rep, states, others = found
-                assert states == host_share(eng, rep, states)
+                assert sorted(states) == host_share(eng, rep, states)
                 pair = eng.cut(states, others)
                 assert eng.checked == [pair]
                 eng.checked.clear()
@@ -985,13 +986,15 @@ class SearchStopped(SimulationEngine):
         return None
 
 
-class InEdgeOrderReversed(SimulationEngine):
-    """The engine with a broken in-edge route that returns its classes in
-    reverse order."""
+class InEdgePartShort(SimulationEngine):
+    """The engine with a broken in-edge route that drops the last state of
+    the first listed part it finds."""
 
     def _in_edge_candidates(self, b, reach):
         found = SimulationEngine._in_edge_candidates(self, b, reach)
-        return found[::-1] if found is not None else None
+        if found is not None:
+            next(part for part in found.values() if type(part) is list).pop()
+        return found
 
 
 class TestFullChecks:
@@ -1012,12 +1015,13 @@ class TestFullChecks:
             (SearchStopped, build_ks("aa", [(0, 0)]), "cheap",
              "block 0 holds states with and states without successors"),
             # the chain's largest block reaches its own class and the next
-            # state's; reversed, the order is wrong but the cut is right,
-            # so only the comparison with the out-edge walk sees it
-            (InEdgeOrderReversed, make_chain(40), "full",
+            # state's, whose part of one state the route lists; with that
+            # state dropped, only the comparison with the out-edge walk
+            # sees the wrong part
+            (InEdgePartShort, make_chain(40), "full",
              "in-edge candidates of block 0 differ from its edge walk"),
         ],
-        ids=["exit-search", "progress", "simulation", "mixed-block", "in-edge-order"],
+        ids=["exit-search", "progress", "simulation", "mixed-block", "in-edge-part"],
     )
     def test_broken_driver_step_detected(self, engine, ks, level, message):
         with pytest.raises(InvariantViolation, match=message):
@@ -1649,7 +1653,7 @@ def edge_walk(eng, b):
             part = parts.setdefault(class_of[c], [])
             if not part or part[-1] != s:
                 part.append(s)
-    return list(parts.items())
+    return parts
 
 
 class EdgeWalkEngine(PrefinerRecorded):
@@ -1737,7 +1741,7 @@ class HitsChecked(SimulationEngine):
         if found is not None:
             rep, states, _ = found
             states = listed(self, states)
-            assert states == host_share(self, rep, states)
+            assert sorted(states) == host_share(self, rep, states)
             self.hits += 1
         return found
 
@@ -1754,7 +1758,7 @@ class FlagsChecked(SimulationEngine):
         for h in (k, w):
             size = pr.end[h] - pr.begin[h]
             proper = any(
-                len(listed(self, part)) < size for _, part in self.post_candidates(h)
+                len(listed(self, part)) < size for part in self.post_candidates(h).values()
             )
             assert self.worklist[h] == proper, (k, w, h)
         self.cuts += 1
@@ -1763,17 +1767,41 @@ class FlagsChecked(SimulationEngine):
 
 class InEdgeRouteChecked(FlagsChecked):
     """``FlagsChecked`` checking too that wherever ``post_candidates``
-    takes the in-edge route, its classes, their order and its parts,
-    listed, equal ``edge_walk``'s. ``routes`` counts the routes taken."""
+    takes the in-edge route, its classes and its parts, listed, hold the
+    same states as ``edge_walk``'s, each once. ``routes`` counts the
+    routes taken."""
 
     routes = 0
 
     def _in_edge_candidates(self, b, reach):
         found = SimulationEngine._in_edge_candidates(self, b, reach)
         if found is not None:
-            assert [(a, listed(self, part)) for a, part in found] == edge_walk(self, b)
+            walk = edge_walk(self, b)
+            assert {a: sorted(listed(self, part)) for a, part in found.items()} == {
+                a: sorted(part) for a, part in walk.items()
+            }
+            assert all(len(part) == len(walk[a]) for a, part in found.items())
             self.routes += 1
         return found
+
+
+class SegmentsShuffled(SimulationEngine):
+    """The engine whose ``initialize`` shuffles each block's segment with
+    a ``Random(seed)`` and rewrites ``pos`` to match."""
+
+    def __init__(self, ks, cfg=None, seed=0):
+        super().__init__(ks, cfg)
+        self.rng = Random(seed)
+
+    def initialize(self):
+        SimulationEngine.initialize(self)
+        pr = self.pr
+        for lo, hi in zip(pr.begin, pr.end):
+            segment = pr.states[lo:hi]
+            self.rng.shuffle(segment)
+            pr.states[lo:hi] = segment
+        for p, s in enumerate(pr.states):
+            pr.pos[s] = p
 
 
 class RemovalSlotsCounted(SimulationEngine):
@@ -1963,6 +1991,23 @@ class TestEngineProperties:
             assert result == ref_result
             assert stats.to_dict() == ref_stats.to_dict()
             assert stats.remove_trace == ref_stats.remove_trace
+
+    def test_counters_do_not_depend_on_segment_order(self):
+        # a host of several qualifying classes is cut by the one of lowest
+        # id, so no cut, flag or counter follows the order of the states
+        # inside a segment
+        corpus = [generate_random_ks(86, 2, 4 / 86, 1797), make_chain(30)]
+        for seed in range(80):
+            n, labels = 20 + seed % 61, 1 + seed % 3
+            corpus.append(generate_random_ks(n, labels, (2 + seed % 3) / n, seed))
+        for ks in corpus:
+            result, stats = SimulationEngine(ks, EngineConfig(stats_enabled=True)).run()
+            for seed in range(3):
+                cfg = EngineConfig(check_level="cheap", stats_enabled=True)
+                other, other_stats = SegmentsShuffled(ks, cfg, seed).run()
+                assert other == result
+                assert other_stats.to_dict() == stats.to_dict()
+                assert other_stats.remove_trace == stats.remove_trace
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

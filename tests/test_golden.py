@@ -57,8 +57,8 @@ GOLDEN = {
             "new_blocks_total": 762,
             "prefiner_calls": 390,
             "findprefiner_null_returns": 1,
-            "smaller_half_max_scans": 4,
-            "smaller_half_total_scans": 1082,
+            "smaller_half_max_scans": 5,
+            "smaller_half_total_scans": 1073,
             "remove_elements_total": 80953,
             "pairs_removed_total": 15803,
         },
@@ -72,7 +72,7 @@ GOLDEN = {
             "prefiner_calls": 381,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1074,
+            "smaller_half_total_scans": 1068,
             "remove_elements_total": 76629,
             "pairs_removed_total": 14982,
         },
@@ -86,7 +86,7 @@ GOLDEN = {
             "prefiner_calls": 384,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1079,
+            "smaller_half_total_scans": 1065,
             "remove_elements_total": 80388,
             "pairs_removed_total": 15528,
         },
@@ -101,8 +101,8 @@ GOLDEN = {
             "new_blocks_total": 3026,
             "prefiner_calls": 1522,
             "findprefiner_null_returns": 1,
-            "smaller_half_max_scans": 7,
-            "smaller_half_total_scans": 5040,
+            "smaller_half_max_scans": 6,
+            "smaller_half_total_scans": 4997,
             "remove_elements_total": 1081404,
             "pairs_removed_total": 94495,
         },
@@ -118,7 +118,7 @@ GOLDEN = {
             "prefiner_calls": 767,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 2389,
+            "smaller_half_total_scans": 2366,
             "remove_elements_total": 298116,
             "pairs_removed_total": 55538,
         },
