@@ -33,9 +33,9 @@ against, and afterwards each cut only updates them. The first cut builds
 the predecessor index, the sources of each state's in-edges in flat
 arrays of about four bytes per transition; only a cut and the refiner
 search's in-edge route, which waits for the index, read it, so a run
-whose label partition is already stable never builds it. And the
-terminal refiner search in ``run`` walks the out-edges of every block
-whose successors lie in more than one class. The refiner search returns
+that makes no cut never builds it. And the terminal refiner search in
+``run`` reads, for every block whose successors lie in more than one
+class, its out-edges or fewer in-edges. The refiner search returns
 the cut itself. A block b that hosts class a reaches nothing strictly
 above a, so the preimage of a's upward closure meets b in exactly b's
 states with an edge into a, b's part for a, which the search has just
@@ -51,30 +51,31 @@ exactly.
 
 The search finds a host's parts, and ``split`` moves a part, from the
 host's smaller side wherever it can, as Paige and Tarjan and Valmari pay
-for each split only on its smaller half. This rests on one fact: from
-the end of the first partition phase on, no block holds both states
-with successors and states without (``unmixed``). A block b that holds
-both hosts a refiner: the classes it reaches are partially ordered, a
-highest one a has nothing b reaches strictly above it, and b's part for
-a is proper, since b's states without successors are not in it. So no
-phase ends with such a block, a cut of a block whose states all have
-successors, or none, leaves two such halves, and pruning cuts nothing;
-the cheap level checks the fact after every phase. Once it holds, a
-host's part for a class is the host less its states whose every edge
-goes into other classes. (When b's successor bitset lies inside one
-class, its part is b's states with a successor, read off b's states
-without walking an edge.) When b reaches several classes and holds more
-states than blocks it reaches, its edges into each class are read off
-``pre_e``, and the class it reaches with the most edges is the *major*
-one. If the states and in-edges of the other classes' blocks are fewer
-than b's edges into the major class, the other classes' parts are found
-through the predecessor index, and the major class's part is given as a
+for each split only on its smaller half. This rests on one fact: no
+block holds both states with successors and states without. The entry
+pair has it. A state without successors simulates no state that has one,
+so, as in Henzinger, Henzinger and Kopke's algorithm, ``initialize``
+cuts each label block that holds both kinds between them. These are
+ordinary cuts by the preimage of all states, and like every cut they
+leave the halves in one class: the relation stays the lifted identity,
+and the classes are the label blocks. A cut of a block whose states all
+have successors, or none, leaves two such halves, and pruning cuts
+nothing, so the fact holds from then on; the cheap level checks it after
+``initialize`` and after every phase. So a block that reaches one class
+reaches it from every state, a part that cannot cut the block, and the
+search passes it by without reading its states; and a host's part for a
+class is the host less its states whose every edge goes into other
+classes. When b reaches several classes and holds more states than
+blocks it reaches, its edges into each class are read off ``pre_e``, and
+the class it reaches with the most edges is the *major* one. If the
+states and in-edges of the other classes' blocks are fewer than b's
+edges into the major class, the other classes' parts are found through
+the predecessor index, and the major class's part is given as a
 ``Complement``, the states it leaves out, which that walk has counted;
 otherwise b's out-edges are walked. ``cut`` then passes ``split`` the
-left-out states when they are strictly fewer than the part's. On a
-chain of n states every later cut takes one state off a block of up to
-n, and is found and made in a few steps instead of two walks of that
-block.
+left-out states when they are strictly fewer than the part's. On a chain
+of n states every later cut takes one state off a block of up to n, and
+is found and made in a few steps instead of two walks of that block.
 
 After ``split``, ``inherit`` gives the new half a copy of its parent's
 entry in the relation and a place in exactly the removal sets that hold
@@ -90,17 +91,17 @@ never be pruned again.
 During partition stabilization the removal sets are held one per class,
 not one per block. Two facts make this exact. Every class holds exactly
 one block that existed when the phase began, its lowest id and *owner*:
-each class is one block after ``initialize`` and after ``rstabilize``,
-and a cut puts its new half in its parent's class. And all blocks of a
-class would hold equal sets: the new half would copy its parent's, and
-``update_count`` logs into whole classes, since ``below`` of any bitset
-is closed under mutual relation. So ``remove`` holds one set per owner,
-as many as there were blocks when the phase began, and a block made in
-the phase has no slot there. A cut then ORs its new half into the
-owners' sets that hold its parent, found with one C-level pass over the
-owners' sets, and copies nothing. ``rstabilize`` first extends the list
-with each newer block's owner set, and every block owns its set again
-once the round's sets start.
+each class is one block when ``initialize`` makes the sets and after
+``rstabilize``, and a cut, an entry cut too, puts its new half in its
+parent's class. And all blocks of a class would hold equal sets: the new
+half would copy its parent's, and ``update_count`` logs into whole
+classes, since ``below`` of any bitset is closed under mutual relation.
+So ``remove`` holds one set per owner, as many as there were blocks when
+the phase began, and a block made in the phase has no slot there. A cut
+then ORs its new half into the owners' sets that hold its parent, found
+with one C-level pass over the owners' sets, and copies nothing.
+``rstabilize`` first extends the list with each newer block's owner set,
+and every block owns its set again once the round's sets start.
 
 The refiner search does not rescan every block. A block *hosts* a
 refiner when ``post_candidates`` yields a qualifying class for it, which
@@ -113,19 +114,19 @@ indexed by block id, walked lowest id first: a block whose flag is clear
 hosts no refiner. Two triggers set flags:
 
 1. a cut's half is flagged iff the host's own walk shows it may host:
-   ``initialize`` flags every block, and a cut of host b into (k, w)
-   flags a half h iff, for some class other than the refiner's, b's
-   part p gives 0 < |p n h| < |h|. This is the search's proper-part
-   test on h, exact without walking h: a cut leaves every class the
-   same set of states (w joins k's class, which keeps its lowest id),
-   so h's part for a class is h n p; the refiner class's part is exactly
-   one half; and a class that every state of b reaches is reached by
-   every state of both halves. A half that passes may still fail the
-   test for blocks strictly above the class, which the search applies.
-   A cut changes no other block's verdict: every other block reaches the
-   same classes through the same states, and it reaches a half strictly
-   above a class iff it reached b there, since both halves take b's
-   place in the relation.
+   ``initialize`` flags every block after its entry cuts, and a cut of
+   host b into (k, w) flags a half h iff, for some class other than the
+   refiner's, b's part p gives 0 < |p n h| < |h|. This is the search's
+   proper-part test on h, exact without walking h: a cut leaves every
+   class the same set of states (w joins k's class, which keeps its
+   lowest id), so h's part for a class is h n p; the refiner class's
+   part is exactly one half; and a class that every state of b reaches
+   is reached by every state of both halves. A half that passes may
+   still fail the test for blocks strictly above the class, which the
+   search applies. A cut changes no other block's verdict: every other
+   block reaches the same classes through the same states, and it
+   reaches a half strictly above a class iff it reached b there, since
+   both halves take b's place in the relation.
 2. an ``rstabilize`` batch leaves a block reaching exactly one block
    above the batch's block. Every block is clean when ``rstabilize``
    starts, since the search before it came up empty, and every class is
@@ -139,8 +140,8 @@ hosts no refiner. Two triggers set flags:
 
 The terminal refiner search in ``run`` flags every block first, so it
 stays a full scan and a worklist that missed a block fails loudly. It
-clears ``unmixed`` first, so that it walks every host's out-edges and
-rests on no fact of the phases.
+finds each host's parts as every other search does, and the full level
+compares every in-edge route it takes with an out-edge walk.
 """
 
 from __future__ import annotations
@@ -193,10 +194,11 @@ class EngineConfig:
     ``check_level``: "off" runs no self-check but the terminal refiner
     search of ``run``. "cheap" adds structural checks of the cut block's
     two segments and that the new half has no removal set after every
-    cut, and of every segment and block, linear in states and blocks,
-    after every partition phase and pruning round, with a check after
-    every partition phase that no block holds both states with and
-    states without successors; plus a check that
+    cut, the entry cuts included, and of every segment and block, linear
+    in states and blocks, after ``initialize``, every partition phase and
+    every pruning round, with a check after ``initialize`` and every
+    partition phase that no block holds both states with and states
+    without successors; plus a check that
     each half's successor bitset and edge-multiplicity column agree,
     costing as much as those two rows. "full" adds a
     from-scratch recomputation of the edge table and the successor
@@ -261,9 +263,7 @@ class SimulationEngine:
                 if shape <= prev_shape:
                     raise InvariantViolation("no progress between driver iterations")
                 prev_shape = shape
-        # terminal certification: one full refiner search on the stable
-        # pair, by out-edge walks that rest on no fact of the phases
-        self.unmixed = False
+        # terminal certification: one full refiner search on the stable pair
         self._queue(range(len(self.pr.begin)))
         if self.find_prefiner() is not None:
             raise InvariantViolation("pair not partition stable at exit")
@@ -299,28 +299,40 @@ class SimulationEngine:
     def initialize(self) -> None:
         """Create the engine's tables for the label partition: the edge
         tables with ``recompute_tables``, the removal sets and the worklist
-        flags, every block flagged. The predecessor index is the property
-        ``pred_index``, built by the first cut."""
+        flags. Then make the entry pair: each label block that holds both
+        states with and states without successors is cut between them by
+        ``cut``, which leaves the halves in one class, and every block is
+        flagged. A label block without successors is passed by without
+        reading its states. The predecessor index is the property
+        ``pred_index``, built by the first cut. The cheap level checks the
+        entry pair, and that no block of it is mixed."""
         # pre_e[d][b]: the number of transitions from block b into block
         # d, held only where nonzero; post[b]: the bitset of blocks that b
         # has an edge into, so b reaches |post[b] & up[c]| blocks above c
         self.pre_e, self.post = recompute_tables(self.ks, self.pr)
         # remove[c]: the removal set of c's class, a bitset of block ids,
-        # held only at the class's owner; one slot per block that existed
-        # when the partition phase began, and none for a block made since.
-        # Here c's set holds the blocks with edges that reach nothing above
-        # c, which under the entry relation, the identity, is no edge into c
+        # held only at the class's owner; one slot per label block, and
+        # none for a block made since. Here c's set holds the blocks with
+        # edges that reach nothing above c, which under the identity is no
+        # edge into c; the entry cuts then log their halves into the sets,
+        # as every cut does
         has_out = sum(1 << b for b, row in enumerate(self.post) if row)
         self.remove = [has_out & ~into for into in transpose(self.post)]
         # worklist[b] is 1 while block b may host a refiner; a block whose
         # flag is 0 is known not to
-        self.worklist = bytearray(b"\1") * len(self.post)
-        # unmixed: no block holds both states with and states without
-        # successors; set at the end of every partition phase, and read
-        # by the refiner search until the terminal one
-        self.unmixed = False
+        self.worklist = bytearray(len(self.post))
+        # the entry cuts: each label block with edges loses its states
+        # without successors, if it has any
+        pr, succ = self.pr, self.ks.succ
+        for b in compress(range(len(self.post)), self.post):
+            states = pr.block_states(b)
+            dead = list(filterfalse(succ.__getitem__, states))
+            if dead:
+                self.cut(Complement(b, dead, len(states)), [])
+        self._queue(range(len(pr.begin)))
         if self.cfg.cheap:
             self._check_structure()
+            self._check_unmixed()
         if self.cfg.full:
             self._check_tables()
 
@@ -339,19 +351,13 @@ class SimulationEngine:
     def pstabilize(self) -> None:
         """Cut until no partition refiner remains.
 
-        Each refiner is one ``cut`` of its host block. After every cut the
-        cheap level checks the two halves, the only segments a cut
-        changes, and the full level rechecks every table. When the phase
-        ends, ``unmixed`` holds (see the module docstring), and the cheap
-        level walks the whole structure once, checking that fact too.
+        Each refiner is one ``cut`` of its host block, which checks it.
+        When the phase ends, the cheap level walks the whole structure
+        once, checking too that no block holds both states with and
+        states without successors (see the module docstring).
         """
         while (found := self.find_prefiner()) is not None:
-            k, w = self.cut(*found[1:])
-            if self.cfg.cheap:
-                self._check_cut(k, w)
-            if self.cfg.full:
-                self._check_tables()
-        self.unmixed = True
+            self.cut(*found[1:])
         if self.cfg.cheap:
             self._check_structure()
             self._check_unmixed()
@@ -381,7 +387,9 @@ class SimulationEngine:
         the part's states, so one set cuts h properly iff the other does.
         This is exact for the proper-part test the search applies (see
         the module docstring).
-        The full check level first checks that the part is proper.
+        The full check level first checks that the part is proper. After
+        the cut, the cheap level checks the two halves, the only segments
+        a cut changes, and the full level rechecks every table.
         """
         pr = self.pr
         if type(inside) is Complement:
@@ -407,6 +415,10 @@ class SimulationEngine:
         self.worklist[k], self.worklist[w] = flag_k, flag_w
         if self.cfg.stats_enabled:
             self.stats.splits_total += 1
+        if self.cfg.cheap:
+            self._check_cut(k, w)
+        if self.cfg.full:
+            self._check_tables()
         return k, w
 
     def find_prefiner(self) -> tuple[int, Part, list[Part]] | None:
@@ -460,10 +472,13 @@ class SimulationEngine:
         a class that every state of b reaches cannot cut b.
         """
         reach = self.post[b]
-        if not reach:
-            # a block without transitions hosts no refiner
-            return None
         pr = self.pr
+        d = (reach & -reach).bit_length() - 1
+        if not reach or not reach & ~(pr.up[d] & pr.down[d]):
+            # a block without transitions hosts no refiner, nor does one
+            # that reaches one class: no block is mixed, so every state of
+            # it reaches the class, a part that cannot cut it
+            return None
         size = pr.end[b] - pr.begin[b]
         proper = {a: part for a, part in self.post_candidates(b).items() if len(part) < size}
         for rep in sorted(proper):
@@ -482,23 +497,15 @@ class SimulationEngine:
         with each state once or, for at most one class, as a
         ``Complement``.
 
-        When ``post[b]`` lies inside the class of its lowest block, that
-        class is the only one, and its part is b's states with a
-        successor, read off b's states without walking an edge.
-        Otherwise the parts are found through the minor classes' in-edges
-        when ``_in_edge_candidates`` finds that cheaper, and by
-        ``_out_edge_candidates`` else.
+        The parts are found through the minor classes' in-edges when
+        ``_in_edge_candidates`` finds that cheaper, and by
+        ``_out_edge_candidates`` else. The refiner search calls it only
+        for a block that reaches more than one class; one that reaches
+        one class has the whole block as its part.
         """
         reach = self.post[b]
         if not reach:
             return {}
-        pr = self.pr
-        d = (reach & -reach).bit_length() - 1
-        mutual = pr.up[d] & pr.down[d]
-        if not reach & ~mutual:
-            rep = (mutual & -mutual).bit_length() - 1
-            states, succ = pr.states[pr.begin[b] : pr.end[b]], self.ks.succ
-            return {rep: list(compress(states, map(succ.__getitem__, states)))}
         found = self._in_edge_candidates(b, reach)
         if found is None:
             return self._out_edge_candidates(b)
@@ -537,27 +544,23 @@ class SimulationEngine:
         from the minor classes' in-edges, or None when the route is not
         taken.
 
-        The route is taken once ``unmixed`` holds and the predecessor
-        index exists, for a host with more states than blocks it reaches,
-        since deciding reads one cell per block reached and the out-edge
-        walk at least one step per state. b's edges into each class are
-        read off ``pre_e[d][b]``, and the *major* class is the one b
-        reaches with the most edges. The route is taken when the walk of
-        the other classes' blocks, one slice of the index per state and
-        ``sum(pre_e[d].values())`` in-edges per block d, reads fewer
-        items than b's edges into the major class. Every state of b has a
-        successor, so the major class's part is b less the states whose
+        The route is taken once the predecessor index exists, for a host
+        with more states than blocks it reaches, since deciding reads one
+        cell per block reached and the out-edge walk at least one step per
+        state. b's edges into each class are read off ``pre_e[d][b]``, and
+        the *major* class is the one b reaches with the most edges. The
+        route is taken when the walk of the other classes' blocks, one
+        slice of the index per state and ``sum(pre_e[d].values())``
+        in-edges per block d, reads fewer items than b's edges into the
+        major class. No block is mixed, so every state of b has a
+        successor, and the major class's part is b less the states whose
         every edge goes into minor classes, those whose count of edges
         into minor classes is their whole successor count: it is returned
         as the ``Complement`` of those states, and never listed. Each
         minor class's part is its sources in b.
         """
         pr = self.pr
-        if (
-            not self.unmixed
-            or reach.bit_count() >= pr.end[b] - pr.begin[b]
-            or "pred_index" not in vars(self)
-        ):
+        if reach.bit_count() >= pr.end[b] - pr.begin[b] or "pred_index" not in vars(self):
             return None
         up, down, state_block = pr.up, pr.down, pr.state_block
         pre_e = self.pre_e
@@ -722,8 +725,9 @@ class SimulationEngine:
 
         Takes the removal sets as the pending ones, after extending them
         with the set of its class's owner for each block made in the last
-        partition phase, and starts an empty list for the next round, in
-        which every block owns its set. With stats on, the round appends
+        partition phase (and, before the first round, by the entry cuts),
+        and starts an empty list for the next round, in which every block
+        owns its set. With stats on, the round appends
         one record to ``remove_trace`` from ids it already holds: the
         number of blocks that held a set, the owners it looked up and the
         ``(c, pending set)`` pair of each block c it selects (see
@@ -762,7 +766,7 @@ class SimulationEngine:
         flags = self.worklist
         track = self.cfg.stats_enabled
         pending = self.remove
-        # the blocks made in the last partition phase take their owners' sets
+        # the blocks made since the sets started take their owners' sets
         owners = [self._owner(b) for b in range(len(pending), len(pr.begin))]
         pending += map(pending.__getitem__, owners)
         self.remove = remove = [0] * len(pending)
@@ -836,9 +840,9 @@ class SimulationEngine:
                 raise InvariantViolation("relation lost reflexivity")
 
     def _check_unmixed(self) -> None:
-        """Cheap check of ``unmixed`` when a partition phase ends: no block
-        holds both states with and states without successors. Two C-level
-        passes over the states."""
+        """Cheap check, after ``initialize`` and every partition phase,
+        that no block holds both states with and states without
+        successors. Two C-level passes over the states."""
         state_block, succ = self.pr.state_block, self.ks.succ
         live = set(compress(state_block, map(bool, succ)))
         mixed = live.intersection(compress(state_block, map(not_, succ)))

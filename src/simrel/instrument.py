@@ -33,8 +33,10 @@ class RunStats:
     ``remove_trace`` holds one record per pruning round, ``(first, owners,
     selections)``, in block ids only. ``first`` is the number of blocks
     that held a removal set when the round started, those that existed
-    when the partition phase before it began; ``owners[i]`` is the owner
-    of block ``first + i``, made in that phase, whose set it took; and
+    when the sets were started, by the round before or, for the first
+    round, by ``SimulationEngine.initialize`` before its entry cuts;
+    ``owners[i]`` is the owner of block ``first + i``, made since, whose
+    set it took; and
     ``selections`` lists ``(c, pending)`` for each block c the round
     selected, in selection order, ``pending`` being c's nonzero pending
     removal set as a bitset of the round's block ids. It feeds
@@ -92,8 +94,11 @@ def assert_block_bound(stats: RunStats, p_ell_size: int, p_sim_size: int) -> boo
 
     This holds by construction on an engine run: ``new_blocks_total`` is
     ``2 * splits_total``, every ``(kept, new)`` pair ``split`` returns
-    adds one block, and no block is ever dropped. So the law guards the
-    ``splits_total`` counter against miscounting, not the algorithm.
+    adds one block, and no block is ever dropped. The entry cuts of
+    ``SimulationEngine.initialize`` are splits too, counted in
+    ``splits_total``, so ``p_ell_size`` is the number of label classes.
+    So the law guards the ``splits_total`` counter against miscounting,
+    not the algorithm.
     ``simrel bench`` and the benchmark's ``laws_error`` still evaluate it.
     """
     return stats.new_blocks_total == 2 * (p_sim_size - p_ell_size)
@@ -115,8 +120,8 @@ def assert_remove_disjointness(trace) -> bool:
     shows up twice.
 
     That is decided over the final blocks in one backward pass. A block
-    made in a partition phase lies inside its owner, which held those
-    states in the round before, so folding each round's newer blocks into
+    made in a partition phase, or by an entry cut, lies inside its owner,
+    which held those states in the round before, so folding each round's newer blocks into
     their owners, last round first, rebuilds every earlier partition as
     bitsets of final blocks, ``members``. A final block's states are never
     apart in any earlier partition, so a (selected, removed) pair of states

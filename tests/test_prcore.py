@@ -32,19 +32,21 @@ class TestInitPr:
 
     def test_blocks_are_plain_int_ids(self):
         # a block is its id: the pair holds ints and split returns them
-        ks = build_ks("aab", [(0, 2)])
+        ks = build_ks("aabc", [(0, 2), (1, 3)])
         pr = init_pr(ks)
-        assert pr.state_block == [0, 0, 1]
+        assert pr.state_block == [0, 0, 1, 2]
         assert all(type(b) is int for b in pr.state_block)
         assert not hasattr(pr, "blocks")
         kept, new = pr.split([0])
-        assert (type(kept), type(new)) == (int, int) and (kept, new) == (0, 2)
-        assert pr.state_block == [2, 0, 1]
+        assert (type(kept), type(new)) == (int, int) and (kept, new) == (0, 3)
+        assert pr.state_block == [3, 0, 1, 2]
+        # block a's states reach b's class and c's; both qualify, and b's
+        # has the lower id
         eng = SimulationEngine(ks)
         eng.initialize()
         rep, states, others = eng.find_prefiner()
         assert type(rep) is int and all(type(s) is int for s in states)
-        assert others == []
+        assert (rep, states, others) == (1, [0], [[1]])
 
 
 class TestSplit:
