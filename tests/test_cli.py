@@ -305,10 +305,12 @@ class TestVerify:
         assert out.exception is None or isinstance(out.exception, SystemExit)
 
     def test_mutation_detected(self, runner, ks_files, monkeypatch):
+        # the reported pair is the lowest s, then the lowest t, that differ
         monkeypatch.setattr(cli_mod, "compute_simulation", claim_all_equivalent)
-        out = runner.invoke(main, ["verify", ks_files["a"]])
-        assert out.exit_code == 3
-        assert "differing state pair" in out.output
+        for name, pair in [("a", "(0, 2)"), ("b", "(0, 1)")]:
+            out = runner.invoke(main, ["verify", ks_files[name]])
+            assert out.exit_code == 3
+            assert out.output == f"FAIL {ks_files[name]}: first differing state pair {pair}\n"
 
     def test_random_stops_drawing_at_the_first_failure(self, runner, monkeypatch):
         # structures are drawn one at a time, so a mismatch on the first
