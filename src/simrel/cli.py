@@ -170,19 +170,19 @@ def compute(input_path, fmt, with_stats, check):
 
 
 def _verify_one(ks: KripkeStructure) -> tuple[int, int] | None:
-    """Return the first differing state pair, or None when relations match.
+    """Return the first differing state pair, the lowest s and then the
+    lowest t, or None when the relations match.
 
     The engine runs every self-check of the ``full`` level, so that an
     empty refiner search is confirmed by a scan of every block.
     """
     result, _ = _run_engine(ks, EngineConfig(check_level="full"))
-    engine_rows = result.state_matrix()
-    oracle_rows = brute_force_simulation(ks).matrix
-    for s in range(ks.num_states):
-        if engine_rows[s] != oracle_rows[s]:
-            for t in range(ks.num_states):
-                if engine_rows[s][t] != oracle_rows[s][t]:
-                    return (s, t)
+    rows = zip(result.state_matrix(), brute_force_simulation(ks).matrix, strict=True)
+    for s, (mine, ref) in enumerate(rows):
+        diff = mine ^ ref
+        if diff:
+            # t is the lowest set bit of the difference
+            return (s, (diff & -diff).bit_length() - 1)
     return None
 
 

@@ -20,7 +20,9 @@ into result order. A row with at least one bit in eight set is
 renumbered in one C-level pass of one byte per block, at most eight per
 set bit, and a sparser row in one Python step per set bit, so the work
 of extraction follows the size of the relation rather than the square of
-the block count.
+the block count. ``SimulationResult.state_matrix`` hands out the relation
+over states in the same form as the reference, one int bitset row per
+state.
 ``bits`` and ``bit_flags`` read a bitset back as indices or as one byte
 per bit.
 """
@@ -74,7 +76,9 @@ class SimulationResult:
     Blocks are ordered by smallest member. ``rows[i]`` is block i's row
     of the order as a bitset over result block indices: bit j is set iff
     every state of block j simulates every state of block i.
-    ``order_pairs()`` and ``state_matrix()`` are views of the rows.
+    ``order_pairs()`` and ``state_matrix()`` are views of the rows; the
+    latter is one int bitset row per state, the form of
+    ``StateRelation.matrix``.
     """
 
     partition: tuple[tuple[int, ...], ...]
@@ -84,15 +88,21 @@ class SimulationResult:
     def num_states(self) -> int:
         return sum(len(b) for b in self.partition)
 
-    def state_matrix(self) -> list[bytearray]:
-        """The represented state relation: s related to t iff block(s) is below block(t)."""
-        k = len(self.partition)
-        blk = [0] * self.num_states
-        for i, members in enumerate(self.partition):
+    def state_matrix(self) -> list[int]:
+        """The represented state relation, one int bitset row per state:
+        bit t of row s is set iff block(s) is below block(t).
+
+        A state's row is the OR of the member masks of the blocks above
+        its block.
+        """
+        masks = [sum(1 << s for s in members) for members in self.partition]
+        matrix = [0] * self.num_states
+        for members, row in zip(self.partition, self.rows):
+            # the masks are disjoint, so their sum is their OR
+            above = sum(map(masks.__getitem__, bits(row)))
             for s in members:
-                blk[s] = i
-        block_rows = [bytes(map(bit_flags(row, k).__getitem__, blk)) for row in self.rows]
-        return [bytearray(block_rows[i]) for i in blk]
+                matrix[s] = above
+        return matrix
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """Non-diagonal related block index pairs, row-major."""

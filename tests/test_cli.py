@@ -278,6 +278,17 @@ class TestVerify:
         )
         assert out.exit_code == 0, out.output
 
+    @pytest.mark.parametrize(
+        "text", ["states 0\n", serialize_ks(make_chain(64))], ids=["states-0", "chain-64"]
+    )
+    def test_row_widths_at_both_ends(self, runner, tmp_path, text):
+        # rows of width 0, and rows that use bit 63 at the oracle cap
+        path = tmp_path / "edge.ks"
+        path.write_text(text)
+        out = runner.invoke(main, ["verify", str(path)])
+        assert out.exit_code == 0, out.output
+        assert out.output == "PASS: 1 instance(s) match the reference\n"
+
     def test_requires_input(self, runner):
         out = runner.invoke(main, ["verify"])
         assert out.exit_code == 1

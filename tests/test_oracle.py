@@ -22,16 +22,27 @@ def random_ks(max_states=8):
     )
 
 
+def relation(n, pairs):
+    """The ``StateRelation`` over n states holding exactly ``pairs``."""
+    rows = [0] * n
+    for s, t in pairs:
+        rows[s] |= 1 << t
+    return StateRelation(n, rows)
+
+
+def pairs_of(rel):
+    """The related pairs of ``rel``, row-major."""
+    return [(s, t) for s in range(rel.n) for t in range(rel.n) if rel.matrix[s] >> t & 1]
+
+
 def naive_fixpoint(ks):
     """The oracle's fixpoint by its definition, one Python step per state
     pair per sweep: start from the label-equal pairs, delete (s, t) when a
     move of s has no matching move of t, stop after a sweep that deletes
-    nothing."""
+    nothing. The sweeps read a list of 0/1 lists, turned into rows at
+    the end."""
     n = ks.num_states
-    rel = StateRelation(n)
-    for s in range(n):
-        for t in range(n):
-            rel.matrix[s][t] = 1 if ks.labels[s] == ks.labels[t] else 0
+    matrix = [[1 if ks.labels[s] == ks.labels[t] else 0 for t in range(n)] for s in range(n)]
     sweeps = 0
     changed = True
     while changed:
@@ -39,33 +50,33 @@ def naive_fixpoint(ks):
         sweeps += 1
         for s in range(n):
             for t in range(n):
-                if not rel.matrix[s][t]:
+                if not matrix[s][t]:
                     continue
                 for s2 in ks.succ[s]:
-                    if not any(rel.matrix[s2][t2] for t2 in ks.succ[t]):
-                        rel.matrix[s][t] = 0
+                    if not any(matrix[s2][t2] for t2 in ks.succ[t]):
+                        matrix[s][t] = 0
                         changed = True
                         break
         # every sweep but the last deletes a pair, and the n pairs (s, s)
         # are never deleted
         assert sweeps <= n * n - n + 1
-    return rel
+    return relation(n, [(s, t) for s in range(n) for t in range(n) if matrix[s][t]])
 
 
 class TestBruteForce:
     def test_single_state(self):
         rel = brute_force_simulation(KripkeStructure(1, {0: {"a"}}, {}))
-        assert rel.contains(0, 0)
+        assert rel.matrix == [0b1]
 
     def test_two_state_hand_fixpoint(self, ks_b):
         # two sweeps by hand: start {(0,0),(0,1),(1,0),(1,1)}; (0,1) dies
         # because 0 -> 0 has no matching move of 1; rest survive
         rel = brute_force_simulation(ks_b)
-        assert sorted(rel.pairs()) == [(0, 0), (1, 0), (1, 1)]
+        assert rel.matrix == [0b01, 0b11]
 
     def test_labels_respected(self, ks_a):
         rel = brute_force_simulation(ks_a)
-        assert sorted(rel.pairs()) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+        assert rel.matrix == [0b011, 0b011, 0b100]
 
     @given(random_ks())
     @settings(max_examples=60)
@@ -80,12 +91,12 @@ class TestBruteForce:
         n = ks.num_states
         for s in range(n):
             for t in range(n):
-                if rel.contains(s, t):
+                if rel.matrix[s] >> t & 1:
                     continue
                 if ks.labels[s] != ks.labels[t]:
                     continue
                 matched = all(
-                    any(rel.contains(s2, t2) for t2 in ks.succ[t])
+                    any(rel.matrix[s2] >> t2 & 1 for t2 in ks.succ[t])
                     for s2 in ks.succ[s]
                 )
                 assert not matched, (s, t)
@@ -125,7 +136,7 @@ class TestBruteForce:
     def test_explicit_cases(self, ks, pairs):
         rel = brute_force_simulation(ks)
         assert rel == naive_fixpoint(ks)
-        assert sorted(rel.pairs()) == pairs
+        assert pairs_of(rel) == pairs
 
     def test_imports_no_engine_code(self):
         # the reference stays independent: from simrel it reads only the
@@ -146,20 +157,32 @@ class TestBruteForce:
         assert local == {"kripke"}
 
 
+class TestStateRelation:
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            pytest.param(2, [0b01], id="too-few-rows"),
+            pytest.param(1, [0b1, 0b1], id="too-many-rows"),
+            pytest.param(0, [0], id="row-for-no-state"),
+            pytest.param(2, [0b01, 0b110], id="bit-at-n"),
+            pytest.param(2, [0b01, 0b1000], id="bit-above-n"),
+            pytest.param(2, [-1, 0b10], id="negative-row"),
+        ],
+    )
+    def test_rejects_rows_outside_n_by_n(self, n, rows):
+        with pytest.raises(ValueError, match="n rows"):
+            StateRelation(n, rows)
+
+
 class TestPartition:
     def test_identity_relation(self):
-        rel = StateRelation(3)
-        for s in range(3):
-            rel.matrix[s][s] = 1
+        rel = relation(3, [(s, s) for s in range(3)])
         blocks, leq = simulation_partition(rel)
         assert blocks == [[0], [1], [2]]
         assert leq == [[True, False, False], [False, True, False], [False, False, True]]
 
     def test_full_relation_merges(self):
-        rel = StateRelation(2)
-        for s in range(2):
-            for t in range(2):
-                rel.matrix[s][t] = 1
+        rel = relation(2, [(s, t) for s in range(2) for t in range(2)])
         blocks, leq = simulation_partition(rel)
         assert blocks == [[0, 1]]
         assert leq == [[True]]
@@ -176,16 +199,13 @@ class TestPartition:
         assert leq[0][1] is False
 
     def test_rejects_non_preorder(self):
-        rel = StateRelation(2)
-        rel.matrix[0][1] = 1  # not reflexive
+        rel = relation(2, [(0, 1)])  # not reflexive
         with pytest.raises(ValueError, match="preorder"):
             simulation_partition(rel)
 
     def test_rejects_reflexive_non_transitive(self):
         # 0 <= 1 and 1 <= 2 but not 0 <= 2
-        rel = StateRelation(3)
-        for s, t in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]:
-            rel.matrix[s][t] = 1
+        rel = relation(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
         assert rel.is_reflexive()
         with pytest.raises(ValueError, match="preorder"):
             simulation_partition(rel)
