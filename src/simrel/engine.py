@@ -49,15 +49,20 @@ always the smaller half, and the tables are updated for that pair before
 the next search, so after every cut they describe a real partition
 exactly.
 
-The search finds a host's parts, and ``split`` moves a part, from the
-host's smaller side wherever it can, as Paige and Tarjan and Valmari pay
-for each split only on its smaller half. This rests on one fact: no
-block holds both states with successors and states without. The entry
-pair has it. A state without successors simulates no state that has one,
-so, as in Henzinger, Henzinger and Kopke's algorithm, ``initialize``
-cuts each label block that holds both kinds between them. These are
-ordinary cuts by the preimage of all states, and like every cut they
-leave the halves in one class: the relation stays the lifted identity,
+The search finds each of a host's parts as a *cut side*: a list of the
+host's states, each once, that cuts the host as the part does, either
+the part itself or the states it leaves out. A cut by either gives the
+same two halves, and ``split`` gives the new id to the smaller one
+whichever it is passed, so the tables are updated from the smaller half,
+as Paige and Tarjan and Valmari pay for each split only on its smaller
+half, and the search may list whichever side it finds with less work.
+The search's shortcuts rest on one fact: no block holds both
+states with successors and states without. The entry pair has it. A
+state without successors simulates no state that has one, so, as in
+Henzinger, Henzinger and Kopke's algorithm, ``initialize`` cuts each
+label block that holds both kinds between them. These are ordinary cuts
+by the preimage of all states, and like every cut they leave the halves
+in one class: the relation stays the lifted identity,
 and the classes are the label blocks. A cut of a block whose states all
 have successors, or none, leaves two such halves, and pruning cuts
 nothing, so the fact holds from then on; the cheap level checks it after
@@ -70,12 +75,13 @@ blocks it reaches, its edges into each class are read off ``pre_e``, and
 the class it reaches with the most edges is the *major* one. If the
 states and in-edges of the other classes' blocks are fewer than b's
 edges into the major class, the other classes' parts are found through
-the predecessor index, and the major class's part is given as a
-``Complement``, the states it leaves out, which that walk has counted;
-otherwise b's out-edges are walked. ``cut`` then passes ``split`` the
-left-out states when they are strictly fewer than the part's. On a chain
-of n states every later cut takes one state off a block of up to n, and
-is found and made in a few steps instead of two walks of that block.
+the predecessor index, and the major class's side is the states its
+part leaves out, which that walk has counted; otherwise b's out-edges
+are walked. ``cut`` passes ``split`` the side as it is: the left-out
+states are no more than the in-edges just read, so moving them costs
+no more than finding them. On a chain of n states every later cut takes
+one state off a block of up to n, and is found and made in a few steps
+instead of two walks of that block.
 
 After ``split``, ``inherit`` gives the new half a copy of its parent's
 entry in the relation and a place in exactly the removal sets that hold
@@ -116,7 +122,8 @@ hosts no refiner. Two triggers set flags:
 1. a cut's half is flagged iff the host's own walk shows it may host:
    ``initialize`` flags every block after its entry cuts, and a cut of
    host b into (k, w) flags a half h iff, for some class other than the
-   refiner's, b's part p gives 0 < |p n h| < |h|. This is the search's
+   refiner's, b's side p gives 0 < |p n h| < |h|, which a part and the
+   states it leaves out answer alike. This is the search's
    proper-part test on h, exact without walking h: a cut leaves every
    class the same set of states (w joins k's class, which keeps its
    lowest id), so h's part for a class is h n p; the refiner class's
@@ -140,7 +147,7 @@ hosts no refiner. Two triggers set flags:
 
 The terminal refiner search in ``run`` flags every block first, so it
 stays a full scan and a worklist that missed a block fails loudly. It
-finds each host's parts as every other search does, and the full level
+finds each host's sides as every other search does, and the full level
 compares every in-edge route it takes with an out-edge walk.
 """
 
@@ -164,29 +171,6 @@ class InvariantViolation(AssertionError):
     """A runtime self-check failed; signals an engine bug, never bad input."""
 
 
-class Complement:
-    """A part of block ``host`` given by the states it leaves out: the
-    host's states that are not in ``left_out``, which lists each once.
-    ``len()`` counts the part's states, as for a listed part: ``size``,
-    the host's state count when the part was found, less ``left_out``."""
-
-    __slots__ = ("host", "left_out", "size")
-
-    def __init__(self, host: int, left_out: list[int], size: int):
-        self.host, self.left_out, self.size = host, left_out, size
-
-    def __len__(self) -> int:
-        return self.size - len(self.left_out)
-
-    def listed(self, pr: PartitionRelationPair) -> list[int]:
-        """The part's states, in segment order."""
-        return list(filterfalse(set(self.left_out).__contains__, pr.block_states(self.host)))
-
-
-# a host's part for one class: its states listed, or a Complement
-Part = list[int] | Complement
-
-
 @dataclass
 class EngineConfig:
     """Knobs for self-checking and instrumentation.
@@ -206,9 +190,9 @@ class EngineConfig:
     removal sets after every pruning round, order-algebra checks after
     every phase, as bitset operations over the relation, a scan of every
     block confirming each empty refiner search, a comparison of every
-    host's parts found through in-edges with an out-edge walk of the
-    host, and a direct simulation check of the converged pair. Checks
-    never change results.
+    host's sides found through in-edges with the parts of an out-edge
+    walk of the host, and a direct simulation check of the converged
+    pair. Checks never change results.
     ``stats_enabled`` toggles counter collection; results are identical
     either way.
     """
@@ -325,10 +309,9 @@ class SimulationEngine:
         # without successors, if it has any
         pr, succ = self.pr, self.ks.succ
         for b in compress(range(len(self.post)), self.post):
-            states = pr.block_states(b)
-            dead = list(filterfalse(succ.__getitem__, states))
+            dead = list(filterfalse(succ.__getitem__, pr.block_states(b)))
             if dead:
-                self.cut(Complement(b, dead, len(states)), [])
+                self.cut(dead, [])
         self._queue(range(len(pr.begin)))
         if self.cfg.cheap:
             self._check_structure()
@@ -364,52 +347,47 @@ class SimulationEngine:
         if self.cfg.full:
             self._check_order(require_antisymmetric=False)
 
-    def cut(self, inside: Part, others: list[Part]) -> tuple[int, int]:
-        """Cut the block that ``inside`` is a proper part of, flag the halves
-        that may host a refiner, and return the ``(kept, new)`` pair.
+    def cut(self, side: list[int], others: list[list[int]]) -> tuple[int, int]:
+        """Cut the block that ``side`` cuts properly, flag the halves that
+        may host a refiner, and return the ``(kept, new)`` pair.
 
-        ``inside`` is a part of one block b, listed with each state once
-        or as a ``Complement``, and ``others`` holds b's proper parts for
-        the classes it reaches other than the one ``inside`` was found
-        for, as ``find_prefiner`` returns them. ``split`` is passed the
-        smaller side: a ``Complement``'s left-out states when they are
-        strictly fewer than the part's, and otherwise the part, listed in
-        segment order, so ``new`` is the same half either way. Which
-        states are passed decides the halves; their order decides only the
-        halves' segment order, on which no result or counter depends. The
-        cut is a ``split`` followed by ``inherit``, ``update_edges`` and
-        ``update_count``, each reading only the tables the one before left,
-        so afterwards every table describes the partition exactly. A half h
-        is flagged iff some part of ``others`` cuts it properly,
-        0 < |part n h| < |h|; the states of each part are counted in the
-        new half by their block, with no edge walk. A ``Complement``'s
-        left-out states are counted instead: h is split between them and
-        the part's states, so one set cuts h properly iff the other does.
-        This is exact for the proper-part test the search applies (see
-        the module docstring).
-        The full check level first checks that the part is proper. After
-        the cut, the cheap level checks the two halves, the only segments
-        a cut changes, and the full level rechecks every table.
+        ``side`` is a cut side of one block b, its states listed each
+        once, and ``others`` holds b's sides for the classes it reaches
+        other than the one ``side`` was found for that cut b properly, as
+        ``find_prefiner`` returns them. ``split`` is passed ``side`` as it
+        is and gives ``new`` to the smaller half, the passed side on a
+        tie. Which states are passed decides the halves; their order
+        decides only the halves' segment order, on which no result or
+        counter depends. The cut is a ``split`` followed by ``inherit``,
+        ``update_edges`` and ``update_count``, each reading only the
+        tables the one before left, so afterwards every table describes
+        the partition exactly. A half h is flagged iff some side of
+        ``others`` cuts it properly, 0 < |side n h| < |h|; the states of
+        each side are counted in the new half by their block, with no edge
+        walk. h is split between a side and the rest of b, so a part and
+        the states it leaves out give the same answer, exact for the
+        proper-part test the search applies (see the module docstring).
+        The full check level first checks that the side cuts b properly.
+        After the cut, the cheap level checks the two halves, the only
+        segments a cut changes, and the full level rechecks every table.
         """
         pr = self.pr
-        if type(inside) is Complement:
-            inside = inside.left_out if len(inside.left_out) < len(inside) else inside.listed(pr)
         if self.cfg.full:
-            b = pr.state_block[inside[0]]
-            if len(inside) >= pr.end[b] - pr.begin[b]:
+            if not side:
+                raise InvariantViolation("refiner produced no split: an empty side")
+            b = pr.state_block[side[0]]
+            if len(side) >= pr.end[b] - pr.begin[b]:
                 raise InvariantViolation(f"refiner produced no split of block {b}")
-        k, w = pr.split(inside)
+        k, w = pr.split(side)
         self.inherit(k, w)
         self.update_edges(k, w)
         self.update_count(k, w)
         k_size, w_size = pr.end[k] - pr.begin[k], pr.end[w] - pr.begin[w]
         flag_k = flag_w = False
-        for part in others:
-            if type(part) is Complement:
-                part = part.left_out
-            in_w = countOf(map(pr.state_block.__getitem__, part), w)
+        for other in others:
+            in_w = countOf(map(pr.state_block.__getitem__, other), w)
             flag_w = flag_w or 0 < in_w < w_size
-            flag_k = flag_k or 0 < len(part) - in_w < k_size
+            flag_k = flag_k or 0 < len(other) - in_w < k_size
             if flag_k and flag_w:
                 break
         self.worklist[k], self.worklist[w] = flag_k, flag_w
@@ -421,10 +399,10 @@ class SimulationEngine:
             self._check_tables()
         return k, w
 
-    def find_prefiner(self) -> tuple[int, Part, list[Part]] | None:
-        """The refiner class of lowest id at the first host, the part of
-        the host block to cut and the host's proper parts for its other
-        classes, as ``(rep, states, others)``, or None.
+    def find_prefiner(self) -> tuple[int, list[int], list[list[int]]] | None:
+        """The refiner class of lowest id at the first host, its side of
+        the host block and the host's sides for its other classes that cut
+        it properly, as ``(rep, states, others)``, or None.
 
         Mid-call the relation is the entry partial order lifted through
         splits, so blocks descended from one entry block are mutually
@@ -432,12 +410,12 @@ class SimulationEngine:
         one whose part of b is proper, qualifies when b's successor bitset
         holds no block strictly above the class: then the splitter
         pre(up-set) meets b in exactly the states with an edge into the
-        class, a proper nonempty cut, and these are ``states``. On a
-        partial order, classes are singletons and the test is that b
-        reaches exactly one block above the class. A host of several
+        class, a proper nonempty cut, and ``states`` is a side of that
+        cut. On a partial order, classes are singletons and the test is
+        that b reaches exactly one block above the class. A host of several
         qualifying classes is cut by the one of lowest id: any one
         splitter is sound, and this choice reads no order of the host's
-        states. Each part is listed or a ``Complement``, as
+        states. Each side is the part or the states it leaves out, as
         ``post_candidates`` gives it. ``cut`` reads ``others`` to decide
         the halves' flags.
 
@@ -464,12 +442,13 @@ class SimulationEngine:
                     raise InvariantViolation(f"refiner worklist missed block {b}")
         return None
 
-    def _hosted_refiner(self, b: int) -> tuple[int, Part, list[Part]] | None:
-        """b's qualifying candidate class of lowest id, its part and b's
-        proper parts for its other classes, or None.
+    def _hosted_refiner(self, b: int) -> tuple[int, list[int], list[list[int]]] | None:
+        """b's qualifying candidate class of lowest id, its side and b's
+        sides for its other candidate classes, or None.
 
-        A candidate is a class whose part of b is proper, 0 < |part| < |b|;
-        a class that every state of b reaches cannot cut b.
+        A candidate is a class whose part of b is proper, which holds iff
+        its side gives 0 < |side| < |b|; a class that every state of b
+        reaches cannot cut b.
         """
         reach = self.post[b]
         pr = self.pr
@@ -480,28 +459,30 @@ class SimulationEngine:
             # it reaches the class, a part that cannot cut it
             return None
         size = pr.end[b] - pr.begin[b]
-        proper = {a: part for a, part in self.post_candidates(b).items() if len(part) < size}
+        proper = {a: side for a, side in self.post_candidates(b).items() if 0 < len(side) < size}
         for rep in sorted(proper):
             if not reach & pr.up[rep] & ~pr.down[rep]:
                 return rep, proper.pop(rep), list(proper.values())
         return None
 
-    def post_candidates(self, b: int) -> dict[int, Part]:
-        """Every class reached by b, with b's states that reach it.
+    def post_candidates(self, b: int) -> dict[int, list[int]]:
+        """Every class reached by b, with a side of the cut of b by the
+        states that reach it.
 
         A block's class is the set of blocks mutually related with it,
         ``up[c] & down[c]``; mid-call these are the blocks descended from
         one entry block, whose id is the lowest in the class. The classes
-        are returned as a dict ``{rep: part}``: the id of the class's
-        representative block, its lowest id, and its part of b, listed
-        with each state once or, for at most one class, as a
-        ``Complement``.
+        are returned as a dict ``{rep: side}``: the id of the class's
+        representative block, its lowest id, and a list of b's states,
+        each once, that is the class's part of b or, for at most one
+        class, the states the part leaves out.
 
-        The parts are found through the minor classes' in-edges when
+        The sides are found through the minor classes' in-edges when
         ``_in_edge_candidates`` finds that cheaper, and by
-        ``_out_edge_candidates`` else. The refiner search calls it only
-        for a block that reaches more than one class; one that reaches
-        one class has the whole block as its part.
+        ``_out_edge_candidates``, which lists every part, else. The
+        refiner search calls it only for a block that reaches more than
+        one class; one that reaches one class has the whole block as its
+        part.
         """
         reach = self.post[b]
         if not reach:
@@ -539,7 +520,7 @@ class SimulationEngine:
                     part.append(s)
         return parts
 
-    def _in_edge_candidates(self, b: int, reach: int) -> dict[int, Part] | None:
+    def _in_edge_candidates(self, b: int, reach: int) -> dict[int, list[int]] | None:
         """``post_candidates`` for a host b of more than one class, found
         from the minor classes' in-edges, or None when the route is not
         taken.
@@ -555,9 +536,10 @@ class SimulationEngine:
         major class. No block is mixed, so every state of b has a
         successor, and the major class's part is b less the states whose
         every edge goes into minor classes, those whose count of edges
-        into minor classes is their whole successor count: it is returned
-        as the ``Complement`` of those states, and never listed. Each
-        minor class's part is its sources in b.
+        into minor classes is their whole successor count: those states
+        are returned as its side, and the part is never listed. They are
+        no more than the in-edges just read. Each minor class's side is its
+        part, its sources in b.
         """
         pr = self.pr
         if reach.bit_count() >= pr.end[b] - pr.begin[b] or "pred_index" not in vars(self):
@@ -582,7 +564,7 @@ class SimulationEngine:
                     return None
         start, src = self.pred_index
         succ = self.ks.succ
-        parts: dict[int, Part] = {}
+        sides: dict[int, list[int]] = {}
         minor_edges: Counter[int] = Counter()  # state of b -> its edges into minor classes
         for a, blocks in minor.items():
             sources = list(chain.from_iterable(
@@ -592,12 +574,11 @@ class SimulationEngine:
             ))
             mine = list(compress(sources, map(b.__eq__, map(state_block.__getitem__, sources))))
             minor_edges.update(mine)
-            parts[a] = list(dict.fromkeys(mine))
-        left_out = list(compress(minor_edges, map(
+            sides[a] = list(dict.fromkeys(mine))
+        sides[major] = list(compress(minor_edges, map(
             int.__eq__, minor_edges.values(), map(len, map(succ.__getitem__, minor_edges))
         )))
-        parts[major] = Complement(b, left_out, end[b] - begin[b])
-        return parts
+        return sides
 
     # ------------------------------------------------------------------
     # incremental table updates after a split
@@ -891,14 +872,18 @@ class SimulationEngine:
                     raise InvariantViolation("position index stale")
         return covered
 
-    def _check_in_edge_candidates(self, b: int, found: dict[int, Part]) -> None:
+    def _check_in_edge_candidates(self, b: int, found: dict[int, list[int]]) -> None:
         """Full check of one in-edge route: the classes ``found`` for b are
-        those of the out-edge walk, and each class's part, a ``Complement``
-        listed, holds the walk's states, each once, in any order."""
-        pr = self.pr
-        listed = {a: sorted(part.listed(pr) if type(part) is Complement else part)
-                  for a, part in found.items()}
-        if listed != {a: sorted(part) for a, part in self._out_edge_candidates(b).items()}:
+        those of the out-edge walk, each side lists its states once, and
+        each side holds the walk's part for its class, in any order, but
+        for at most one class, whose side holds the states of b that the
+        walk's part leaves out."""
+        sides = {a: sorted(side) for a, side in found.items()}
+        walk = self._out_edge_candidates(b)
+        flipped = [a for a, part in walk.items() if sides.get(a) != sorted(part)]
+        # the first class whose side is not its part may list what it leaves out
+        walk.update((a, set(self.pr.block_states(b)).difference(walk[a])) for a in flipped[:1])
+        if sides != {a: sorted(part) for a, part in walk.items()}:
             raise InvariantViolation(f"in-edge candidates of block {b} differ from its edge walk")
 
     def _check_tables(self) -> None:

@@ -267,7 +267,9 @@ def initial_label_partition(ks: KripkeStructure) -> list[list[int]]:
     groups: dict[frozenset, list[int]] = {}
     for s in range(ks.num_states):
         groups.setdefault(ks.labels[s], []).append(s)
-    return sorted(groups.values(), key=lambda block: block[0])
+    # states are met in ascending order, so the blocks come out ordered
+    # by smallest member
+    return list(groups.values())
 
 
 def _check_cap(n_states: int) -> None:

@@ -151,9 +151,9 @@ class PartitionRelationPair:
         ``inside`` is swapped to the end of the block's segment, so only
         that segment is permuted, and ``state_block`` is written only for
         the states of the new part: a split costs O(|inside|) and touches
-        no other block. The engine passes whichever side it has the smaller
-        of, the states a part leaves out when they are strictly fewer,
-        so that a cut costs in proportion to its smaller half.
+        no other block. A part and the states it leaves out give the same
+        two halves, so the engine passes whichever its search listed, the
+        left-out states where it counted those instead of the part.
         """
         states, pos, state_block, begin, end = (
             self.states, self.pos, self.state_block, self.begin, self.end
@@ -198,8 +198,9 @@ class PartitionRelationPair:
         holds rather than the block count.
         """
         nb = len(self.begin)
-        ordered = sorted(range(nb), key=lambda b: min(self.block_states(b)))
-        partition = tuple(tuple(sorted(self.block_states(b))) for b in ordered)
+        members = [sorted(self.block_states(b)) for b in range(nb)]
+        ordered = sorted(range(nb), key=lambda b: members[b][0])
+        partition = tuple(tuple(members[b]) for b in ordered)
         rank_bit = [0] * nb
         for i, b in enumerate(ordered):
             rank_bit[b] = 1 << i

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import simrel.engine as engine_module
 from simrel.engine import (
-    Complement,
     EngineConfig,
     InvariantViolation,
     SimulationEngine,
@@ -89,21 +88,23 @@ def run_one_split_round(eng):
     return eng.cut(*found[1:])
 
 
-def listed(eng, part):
-    """A host's part as its states in segment order: a ``Complement``
-    listed, a listed part as it is."""
-    return part.listed(eng.pr) if type(part) is Complement else part
+def halves(eng, b, side):
+    """The two halves into which ``side``, a list of block b's states,
+    cuts b, as a set of two frozensets: a part and the states it leaves
+    out give the same halves. Fails if ``side`` lists a state twice."""
+    states = frozenset(side)
+    assert len(states) == len(side), side
+    return {states, frozenset(eng.pr.block_states(b)) - states}
 
 
-def host_share(eng, rep, states):
-    """The states of the block holding ``states[0]`` with an edge into
-    rep's upward closure, in ascending order: what a refiner hit on
-    ``(rep, states)`` must cut."""
+def host_share(eng, rep, b):
+    """The states of block b with an edge into rep's upward closure, in
+    ascending order: the part that a refiner hit on rep at host b must
+    cut off."""
     pr = eng.pr
     above, succ, state_block = pr.up[rep], eng.ks.succ, pr.state_block
     return sorted(
-        s for s in pr.block_states(state_block[states[0]])
-        if any(above >> state_block[y] & 1 for y in succ[s])
+        s for s in pr.block_states(b) if any(above >> state_block[y] & 1 for y in succ[s])
     )
 
 
@@ -376,9 +377,9 @@ class TestPostCandidates:
         pr = eng.pr
         live, dead, b_b = (pr.state_block[s] for s in (0, 1, 3))
         assert sorted(pr.block_states(live)) == [0, 2] and pr.block_states(dead) == [1]
-        assert {a: sorted(listed(eng, part)) for a, part in eng.post_candidates(live).items()} == {
-            b_b: [0, 2]
-        }
+        found = eng.post_candidates(live)
+        assert found.keys() == {b_b}
+        assert halves(eng, live, found[b_b]) == halves(eng, live, [0, 2])
         forbid_edge_walks(eng)
         assert eng._hosted_refiner(live) is None
         assert eng.find_prefiner() is None
@@ -502,31 +503,26 @@ class TestPStabilize:
 
 
     @pytest.mark.parametrize(
-        "left_out, moved",
-        [([3, 4], [3, 4]), ([2, 3, 4], [0, 1])],
-        ids=["fewer-left-out", "fewer-listed"],
+        "n, side, new",
+        [(5, [4, 3], [3, 4]), (5, [4, 2, 3], [0, 1]), (4, [3, 2], [2, 3])],
+        ids=["smaller-side", "larger-side", "tie"],
     )
-    def test_complement_cut_moves_the_smaller_side(self, monkeypatch, left_out, moved):
-        # a block of five states: the left-out states are moved when they
-        # are fewer than the part's, and the part, listed, otherwise; the
-        # smaller side takes the new id either way
+    def test_cut_passes_its_side_unchanged(self, monkeypatch, n, side, new):
+        # split is passed the side itself, in its order, whichever half is
+        # smaller; the smaller half takes the new id, and on a tie the
+        # passed side does
         split = PartitionRelationPair.split
         passed = []
         monkeypatch.setattr(
             PartitionRelationPair,
             "split",
-            lambda pr, inside: passed.append(sorted(inside)) or split(pr, inside),
+            lambda pr, inside: passed.append((inside, inside[:])) or split(pr, inside),
         )
-        eng = engine_after_initialize(build_ks("aaaaa", [(s, 0) for s in range(5)]))
-        _, w = eng.cut(Complement(0, left_out, 5), [])
-        assert passed == [moved]
-        assert sorted(eng.pr.block_states(w)) == moved
-
-    def test_complement_cut_gives_the_new_id_to_the_part_on_a_tie(self):
-        # as when the part is passed listed, which the new id takes on a tie
-        eng = engine_after_initialize(build_ks("aaaa", [(s, 0) for s in range(4)]))
-        _, w = eng.cut(Complement(0, [0, 1], 4), [])
-        assert set(eng.pr.block_states(w)) == {2, 3}
+        eng = SimulationEngine(build_ks("a" * n, [(s, 0) for s in range(n)]), FULL)
+        eng.initialize()
+        _, w = eng.cut(side, [])
+        assert len(passed) == 1 and passed[0][0] is side and passed[0][1] == side
+        assert sorted(eng.pr.block_states(w)) == new
 
 
 class TestUpdateAfterSplit:
@@ -769,8 +765,8 @@ class TestUpdateEdges:
             found = eng.find_prefiner()
             while found is not None:
                 rep, states, others = found
-                part = listed(eng, states)
-                assert sorted(part) == host_share(eng, rep, part)
+                b = eng.pr.state_block[states[0]]
+                assert halves(eng, b, states) == halves(eng, b, host_share(eng, rep, b))
                 pair = eng.cut(states, others)
                 assert eng.checked == [pair]
                 eng.checked.clear()
@@ -816,7 +812,7 @@ class TestUpdateEdges:
         eng = engine_after_initialize(ks)
         found = eng.find_prefiner()
         assume(found is not None)
-        kept, new = eng.pr.split(listed(eng, found[1]))
+        kept, new = eng.pr.split(found[1])
         eng.inherit(kept, new)
         assert eng.post[new] == 0
         eng.update_edges(kept, new)
@@ -848,7 +844,7 @@ class TestInherit:
             )
 
         before = tables()
-        for inside in ([0, 1], [1, 0], [2]):
+        for inside in ([0, 1], [1, 0], [2], []):
             with pytest.raises(InvariantViolation, match="no split"):
                 eng.cut(inside, [])
             assert tables() == before
@@ -1054,12 +1050,27 @@ class EntryUncut(SimulationEngine):
 
 class InEdgePartShort(SimulationEngine):
     """The engine with a broken in-edge route that drops the last state of
-    the first listed part it finds."""
+    the first minor class's side it finds (the route lists the minor
+    classes first)."""
 
     def _in_edge_candidates(self, b, reach):
         found = SimulationEngine._in_edge_candidates(self, b, reach)
         if found is not None:
-            next(part for part in found.values() if type(part) is list).pop()
+            next(iter(found.values())).pop()
+        return found
+
+
+class InEdgeMinorFlipped(SimulationEngine):
+    """The engine with a broken in-edge route that gives the first minor
+    class's side as the states of the host its part leaves out, which
+    cuts the host as the part does, next to the major class's left-out
+    states."""
+
+    def _in_edge_candidates(self, b, reach):
+        found = SimulationEngine._in_edge_candidates(self, b, reach)
+        if found is not None:
+            a = next(iter(found))
+            found[a] = [s for s in self.pr.block_states(b) if s not in found[a]]
         return found
 
 
@@ -1088,8 +1099,16 @@ class TestFullChecks:
             # sees the wrong part
             (InEdgePartShort, make_chain(40), "full",
              "in-edge candidates of block 0 differ from its edge walk"),
+            # the same route with the next state's class given by the
+            # states its part leaves out: each side still cuts the block
+            # as its part does, but only one class may be given so
+            (InEdgeMinorFlipped, make_chain(40), "full",
+             "in-edge candidates of block 0 differ from its edge walk"),
         ],
-        ids=["exit-search", "progress", "simulation", "mixed-block", "in-edge-part"],
+        ids=[
+            "exit-search", "progress", "simulation", "mixed-block", "in-edge-part",
+            "in-edge-flipped-side",
+        ],
     )
     def test_broken_driver_step_detected(self, engine, ks, level, message):
         with pytest.raises(InvariantViolation, match=message):
@@ -1695,7 +1714,7 @@ def assert_pruning_in_lockstep(ks, cfg):
 
 class PrefinerRecorded(SimulationEngine):
     """The engine recording every ``find_prefiner`` return in ``found``,
-    each part listed in segment order before the cut."""
+    each side copied before the cut."""
 
     def __init__(self, ks, cfg=None):
         super().__init__(ks, cfg)
@@ -1707,9 +1726,7 @@ class PrefinerRecorded(SimulationEngine):
             self.found.append(out)
         else:
             rep, states, others = out
-            self.found.append(
-                (rep, listed(self, states), [listed(self, part) for part in others])
-            )
+            self.found.append((rep, states[:], [side[:] for side in others]))
         return out
 
 
@@ -1816,8 +1833,8 @@ class HitsChecked(SimulationEngine):
         found = SimulationEngine.find_prefiner(self)
         if found is not None:
             rep, states, _ = found
-            states = listed(self, states)
-            assert sorted(states) == host_share(self, rep, states)
+            b = self.pr.state_block[states[0]]
+            assert halves(self, b, states) == halves(self, b, host_share(self, rep, b))
             self.hits += 1
         return found
 
@@ -1841,9 +1858,7 @@ class FlagsChecked(SimulationEngine):
         if self.initialized:
             for h in (k, w):
                 size = pr.end[h] - pr.begin[h]
-                proper = any(
-                    len(listed(self, part)) < size for part in self.post_candidates(h).values()
-                )
+                proper = any(len(part) < size for part in edge_walk(self, h).values())
                 assert self.worklist[h] == proper, (k, w, h)
         self.cuts += 1
         return k, w
@@ -1861,10 +1876,9 @@ class InEdgeRouteChecked(FlagsChecked):
         found = SimulationEngine._in_edge_candidates(self, b, reach)
         if found is not None:
             walk = edge_walk(self, b)
-            assert {a: sorted(listed(self, part)) for a, part in found.items()} == {
-                a: sorted(part) for a, part in walk.items()
-            }
-            assert all(len(part) == len(walk[a]) for a, part in found.items())
+            assert found.keys() == walk.keys()
+            assert all(halves(self, b, found[a]) == halves(self, b, walk[a]) for a in walk)
+            assert sum(sorted(found[a]) != sorted(walk[a]) for a in walk) <= 1
             self.routes += 1
         return found
 
